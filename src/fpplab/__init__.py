@@ -39,6 +39,8 @@ from .explore import (
     standardize_marks,
 )
 from .graphs import (
+    HalfEdgeLayout,
+    LazyPairing,
     WeightedGraph,
     assign_weights,
     pair_configuration,

@@ -24,8 +24,12 @@ stopping at that point is exact (and tested).
 Why the partner of a dying half-edge is always free: a found vertex has
 every half-edge alive or consumed, never free, and pairing consumption
 always takes both sides of an edge together; so a free partner means an
-unexplored vertex, and the assertions below pin that invariant on every
-event.
+unexplored vertex. step() checks that invariant on every event and raises
+ExploreError, naming the half-edges, when a pairing breaks it.
+
+The graph is either a WeightedGraph or a LazyPairing. The exploration calls
+graph.reveal(v) whenever vertex v joins a cluster, before it reads the
+partners and weights of v's half-edges; a lazy pairing draws them then.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .ctbp import CtbpConstants
-from .graphs import WeightedGraph
+from .graphs import LazyPairing, WeightedGraph
 
 __all__ = [
     "ExploreError",
@@ -60,7 +64,7 @@ __all__ = [
 
 
 class ExploreError(ValueError):
-    pass
+    """Bad exploration input, or a pairing that broke the cluster invariant."""
 
 
 class IsolatedEndpointError(ExploreError):
@@ -124,10 +128,11 @@ class SwgState:
         "graph", "n", "sources", "he_state", "found", "heap", "alive",
         "collisions", "weights_sorted", "k", "last_time",
         "times", "a1", "a2", "log_details", "detail_rows",
-        "_off", "_owner", "_partner", "_weight",
+        "_off", "_owner", "_reveal", "_partner", "_weight",
     )
 
-    def __init__(self, graph: WeightedGraph, u1: int, u2: int, log_details: bool):
+    def __init__(self, graph: WeightedGraph | LazyPairing, u1: int, u2: int,
+                 log_details: bool):
         self.graph = graph
         self.n = graph.n
         self.sources = (u1, u2)
@@ -145,7 +150,8 @@ class SwgState:
         self.log_details = log_details
         self.detail_rows: list[tuple] = []
         self._off = graph.he_offset
-        self._owner = graph.he_owner
+        self._owner = graph.owner
+        self._reveal = graph.reveal
         self._partner = graph.partner
         self._weight = graph.edge_weight_by_he
 
@@ -174,7 +180,8 @@ class SwgState:
             fh.write(" ".join(str(x) for x in row) + "\n")
 
 
-def init(g: WeightedGraph, u1: int, u2: int, *, log_details: bool = False) -> SwgState:
+def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
+         log_details: bool = False) -> SwgState:
     """Seed the state: endpoints join at height 0, their edges classified.
 
     Self-loops at an endpoint are consumed outright. A direct u1-u2 edge is
@@ -196,7 +203,8 @@ def init(g: WeightedGraph, u1: int, u2: int, *, log_details: bool = False) -> Sw
         raise IsolatedEndpointError(f"vertex {u2} has no half-edges")
 
     state = SwgState(g, u1, u2, log_details)
-    owner = state._owner
+    g.reveal(u1)
+    g.reveal(u2)
     partner = state._partner
     weight = state._weight
     he_state = state.he_state
@@ -206,17 +214,18 @@ def init(g: WeightedGraph, u1: int, u2: int, *, log_details: bool = False) -> Sw
         state.detail_rows.append((0, 0.0, "vertex", u1, 1, 0))
         state.detail_rows.append((0, 0.0, "vertex", u2, 2, 0))
 
-    for source, u in ((1, u1), (2, u2)):
-        for x in range(off[u], off[u + 1]):
+    for source, u, other in ((1, u1, u2), (2, u2, u1)):
+        lo, hi = int(off[u]), int(off[u + 1])
+        other_lo, other_hi = int(off[other]), int(off[other + 1])
+        for x in range(lo, hi):
             if x in he_state:            # consumed by an earlier classification
                 continue
             px = int(partner[x])
-            pv = int(owner[px])
-            if pv == u:
+            if lo <= px < hi:
                 # self-loop at the endpoint: burn both halves
                 he_state[x] = None
                 he_state[px] = None
-            elif pv == u1 or pv == u2:
+            elif other_lo <= px < other_hi:
                 # direct edge between the sources: collision at time zero
                 he_state[x] = None
                 he_state[px] = None
@@ -251,7 +260,8 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
     """Process one event; False when no alive half-edge remains.
 
     Ties on death time break toward the smaller half-edge id (the heap
-    orders on the (time, id) pair).
+    orders on the (time, id) pair). Raises ExploreError when the pairing
+    breaks the cluster invariant (see the module docstring).
     """
     _prune(state)
     if not state.heap:
@@ -262,15 +272,19 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
     he_state[y] = None
     state.alive[src] -= 1
 
-    owner = state._owner
     partner = state._partner
     weight = state._weight
     z = int(partner[y])
     # the partner of a dying half-edge leads to fresh territory (see module
-    # docstring); both asserts below are the disjointness invariant
-    assert z not in he_state, "partner of a dying half-edge was already touched"
-    v = int(owner[z])
-    assert v not in state.found, "vertex found twice; clusters overlapped"
+    # docstring); the two checks below are the disjointness invariant
+    if z in he_state:
+        raise ExploreError(f"half-edge {y} died into half-edge {z}, which was "
+                           "already touched")
+    v = state._owner(z)
+    if v in state.found:
+        raise ExploreError(f"half-edge {y} died into vertex {v} (half-edge {z}), "
+                           "which was already found; the clusters overlap")
+    state._reveal(v)
     hv = h + 1
     state.found[v] = (src, hv, t)
     he_state[z] = None
@@ -279,8 +293,8 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
         state.detail_rows.append((state.k, t, "vertex", v, src, hv))
 
     n_added = n_self = n_cycle = n_collision = 0
-    off = state._off
-    for x in range(off[v], off[v + 1]):
+    lo, hi = int(state._off[v]), int(state._off[v + 1])
+    for x in range(lo, hi):
         if x == z:
             continue
         st = he_state.get(x, _FREE)
@@ -288,9 +302,11 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
             continue                     # second half of a sibling self-loop
         px = int(partner[x])
         pst = he_state.get(px, _FREE)
-        assert pst is not None, "free half-edge paired to a consumed one"
+        if pst is None:
+            raise ExploreError(f"free half-edge {x} of vertex {v} is paired to "
+                               f"half-edge {px}, which was already consumed")
         if pst is _FREE:
-            if int(owner[px]) == v:
+            if lo <= px < hi:
                 he_state[x] = None       # self-loop at the new vertex
                 he_state[px] = None
                 n_self += 1
@@ -315,14 +331,20 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
                 n_collision += 1
                 rec = CollisionRecord(time=t, source=src, h_origin=hv,
                                       h_dest=ph, remaining=pd - t)
-                assert rec.remaining >= 0.0
+                if not rec.remaining >= 0.0:
+                    raise ExploreError(
+                        f"half-edge {px} died at {pd!r}, before the event at "
+                        f"{t!r} that reached its partner {x}")
                 state._record_collision(rec)
                 if state.log_details:
                     state.detail_rows.append(
                         (state.k, t, "collision", x, px, rec.remaining))
-    deg_v = int(off[v + 1] - off[v])
-    assert n_added + n_cycle + n_collision + 2 * n_self == deg_v - 1, \
-        "sibling classification lost a half-edge"
+    if n_added + n_cycle + n_collision + 2 * n_self != hi - lo - 1:
+        raise ExploreError(
+            f"the siblings of half-edge {z} at vertex {v} (half-edges "
+            f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} cycle, "
+            f"{n_collision} collision and {n_self} self-loop, which does not "
+            f"add up to {hi - lo - 1}")
     state._log_event(t)
     return True
 
@@ -369,7 +391,7 @@ def result(state: SwgState, m: int = 1) -> PathResult:
                       ranked=ranked, ranked_complete=len(ranked) >= m)
 
 
-def run(g: WeightedGraph, u1: int, u2: int, *, m: int = 1,
+def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
         min_horizon: float = 0.0, log_details: bool = False) -> PathResult:
     """Full exploration with the exact early stop; the one-call entry point."""
     state = init(g, u1, u2, log_details=log_details)

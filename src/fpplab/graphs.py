@@ -5,6 +5,10 @@ offset[v] .. offset[v+1]-1 (vertex-major), and partner[] is the pairing
 involution. Edge weights live on edges: both half-edges of an edge expose
 the same draw. Everything downstream (exploration, the reference shortest
 path) works off these arrays.
+
+A configuration model can also be paired lazily (LazyPairing): partners and
+weights are drawn only for the vertices an exploration reaches, behind the
+same partner / edge_weight_by_he / owner / reveal interface.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from .weights import WeightDistribution, sample as sample_weight
 __all__ = [
     "GraphError",
     "WeightedGraph",
+    "HalfEdgeLayout",
+    "LazyPairing",
     "pair_configuration",
     "sample_uniform_simple",
     "sample_rank1",
@@ -35,16 +41,20 @@ class GraphError(ValueError):
 
 @dataclass
 class WeightedGraph:
-    """Multigraph in half-edge form, optionally with edge weights attached."""
+    """Multigraph in half-edge form, optionally with edge weights attached.
+
+    The self-loop and multi-edge counts are computed on first read and
+    cached; only simple-graph rejection, exports and tests need them.
+    """
 
     n: int
     he_offset: np.ndarray        # len n+1, vertex-major half-edge ranges
     he_owner: np.ndarray         # owner vertex per half-edge
     partner: np.ndarray          # pairing involution on half-edge ids
-    self_loop_count: int
-    multi_edge_count: int        # parallel edges beyond the first per vertex pair
     edge_weight_by_he: np.ndarray | None = None
     seed_label: int = 0          # echoed in exports, purely descriptive
+    _defects: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def half_edge_count(self) -> int:
@@ -55,11 +65,31 @@ class WeightedGraph:
         return int(self.partner.size) // 2
 
     @property
+    def self_loop_count(self) -> int:
+        return self._defect_counts()[0]
+
+    @property
+    def multi_edge_count(self) -> int:
+        """Parallel edges beyond the first per vertex pair."""
+        return self._defect_counts()[1]
+
+    @property
     def is_simple(self) -> bool:
         return self.self_loop_count == 0 and self.multi_edge_count == 0
 
+    def _defect_counts(self) -> tuple[int, int]:
+        if self._defects is None:
+            self._defects = _count_defects(self.he_owner, self.partner)
+        return self._defects
+
     def degrees(self) -> np.ndarray:
         return np.diff(self.he_offset)
+
+    def owner(self, h: int) -> int:
+        return int(self.he_owner[h])
+
+    def reveal(self, v: int) -> None:
+        """Nothing to do: every half-edge is paired and weighted already."""
 
     def edge_endpoints(self) -> np.ndarray:
         """(m, 2) vertex pairs, one row per edge, in half-edge id order."""
@@ -80,11 +110,14 @@ def _count_defects(owner: np.ndarray, partner: np.ndarray) -> tuple[int, int]:
     return loops, multi
 
 
-def _offsets(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _offsets(degrees: np.ndarray) -> np.ndarray:
     off = np.zeros(degrees.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=off[1:])
-    owner = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
-    return off, owner
+    return off
+
+
+def _owners(off: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(off.size - 1, dtype=np.int64), np.diff(off))
 
 
 def pair_configuration(seq: DegreeSequence, rng: np.random.Generator) -> WeightedGraph:
@@ -94,15 +127,137 @@ def pair_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Weighte
     uniform perfect matching (the shuffle is sequential Fisher-Yates under
     the hood). Self-loops and multi-edges are kept and counted.
     """
-    off, owner = _offsets(seq.degrees)
-    ell = int(off[-1])
-    perm = rng.permutation(ell)
-    partner = np.empty(ell, dtype=np.int64)
+    off = _offsets(seq.degrees)
+    partner = np.empty(int(off[-1]), dtype=np.int64)
+    _pair_uniformly(np.arange(partner.size), rng, partner)
+    return WeightedGraph(n=seq.n, he_offset=off, he_owner=_owners(off),
+                         partner=partner)
+
+
+def _pair_uniformly(ids: np.ndarray, rng: np.random.Generator,
+                    partner: np.ndarray) -> None:
+    """Write a uniform perfect matching of ids into partner."""
+    perm = rng.permutation(ids)
     partner[perm[0::2]] = perm[1::2]
     partner[perm[1::2]] = perm[0::2]
-    loops, multi = _count_defects(owner, partner)
-    return WeightedGraph(n=seq.n, he_offset=off, he_owner=owner, partner=partner,
-                         self_loop_count=loops, multi_edge_count=multi)
+
+
+@dataclass(frozen=True)
+class HalfEdgeLayout:
+    """Half-edge id ranges of a degree sequence, without any pairing.
+
+    Built once per degree sequence and shared by every LazyPairing on it.
+    The owner of a half-edge is h // r when all degrees equal r, and a
+    binary search on the offsets otherwise.
+    """
+
+    n: int
+    he_offset: np.ndarray
+    regular_degree: int          # common degree of every vertex, 0 if mixed
+
+    @classmethod
+    def of(cls, seq: DegreeSequence) -> "HalfEdgeLayout":
+        d = seq.degrees
+        off = _offsets(d)
+        off.flags.writeable = False
+        r = int(d[0]) if bool((d == d[0]).all()) else 0
+        return cls(n=seq.n, he_offset=off, regular_degree=r)
+
+    @property
+    def half_edge_count(self) -> int:
+        return int(self.he_offset[-1])
+
+    def owner(self, h: int) -> int:
+        if self.regular_degree:
+            return h // self.regular_degree
+        return int(np.searchsorted(self.he_offset, h, side="right")) - 1
+
+
+_DRAW_BLOCK = 256   # partner ids / weights drawn per rng call
+
+
+class LazyPairing:
+    """Configuration model paired and weighted only where it is explored.
+
+    reveal(v) pairs each still-unpaired half-edge x of v with a partner
+    drawn uniformly from the other unpaired half-edges, and draws the new
+    edge's weight at once. Pairing any unpaired half-edge with a uniform
+    unpaired partner, in whatever order, builds a uniform perfect matching,
+    so every revealed neighbourhood has the law of pair_configuration
+    followed by assign_weights. Memory and time are O(half-edges revealed).
+
+    The partner draw redraws a uniform id from [0, ell) while it is paired
+    already or is x itself. With the paired fraction f that costs
+    1/(1 - f) draws per pair: near 1 for trials on large graphs, and only
+    small graphs explored to exhaustion pay more. A sparse Fisher-Yates
+    shuffle would need draws with a shrinking bound, which cannot come
+    from fixed blocks. Ids and weights come from rng in blocks of fixed
+    size, so the stream consumed is a pure function of the reveal history.
+
+    partner and edge_weight_by_he are dicts over revealed half-edges; the
+    exploration indexes them exactly like the arrays of a WeightedGraph.
+    """
+
+    def __init__(self, layout: HalfEdgeLayout, dist: WeightDistribution,
+                 rng: np.random.Generator):
+        self.n = layout.n
+        self.he_offset = layout.he_offset
+        self.owner = layout.owner
+        self.partner: dict[int, int] = {}
+        self.edge_weight_by_he: dict[int, float] = {}
+        self._layout = layout
+        self._dist = dist
+        self._rng = rng
+        self._ids: list[int] = []
+        self._weights: list[float] = []
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.he_offset)
+
+    def reveal(self, v: int) -> None:
+        """Pair and weigh every still-unpaired half-edge of vertex v."""
+        partner = self.partner
+        weight = self.edge_weight_by_he
+        ids = self._ids
+        draws = self._weights
+        off = self.he_offset
+        for x in range(int(off[v]), int(off[v + 1])):
+            if x in partner:
+                continue
+            while True:
+                if not ids:
+                    ids.extend(self._rng.integers(
+                        self._layout.half_edge_count, size=_DRAW_BLOCK).tolist())
+                y = ids.pop()
+                if y != x and y not in partner:
+                    break
+            if not draws:
+                draws.extend(np.atleast_1d(
+                    sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
+            partner[x] = y
+            partner[y] = x
+            weight[x] = weight[y] = draws.pop()
+
+    def materialize(self) -> WeightedGraph:
+        """The whole graph: revealed pairs and weights kept, the rest drawn.
+
+        The unpaired half-edges get a uniform perfect matching (the same
+        permutation pairing as pair_configuration) and one weight per new
+        edge, by ascending lower half-edge id, from this pairing's rng.
+        """
+        ell = self._layout.half_edge_count
+        partner = np.full(ell, -1, dtype=np.int64)
+        by_he = np.empty(ell, dtype=float)
+        if self.partner:
+            he = np.fromiter(self.partner, dtype=np.int64, count=len(self.partner))
+            partner[he] = [self.partner[h] for h in he.tolist()]
+            by_he[he] = [self.edge_weight_by_he[h] for h in he.tolist()]
+        free = np.nonzero(partner < 0)[0]
+        _pair_uniformly(free, self._rng, partner)
+        _weigh_edges(by_he, partner, free[free < partner[free]], self._dist, self._rng)
+        return WeightedGraph(n=self.n, he_offset=self.he_offset,
+                             he_owner=_owners(self.he_offset), partner=partner,
+                             edge_weight_by_he=by_he)
 
 
 def sample_uniform_simple(seq: DegreeSequence, rng: np.random.Generator,
@@ -200,7 +355,8 @@ def build_from_edges(n: int, edges: np.ndarray, seed_label: int = 0) -> Weighted
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise GraphError("edge endpoint out of range")
     deg = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
-    off, owner = _offsets(deg)
+    off = _offsets(deg)
+    owner = _owners(off)
     partner = np.full(int(off[-1]), -1, dtype=np.int64)
     cursor = off[:-1].copy()
     for u, v in edges:
@@ -211,9 +367,7 @@ def build_from_edges(n: int, edges: np.ndarray, seed_label: int = 0) -> Weighted
         partner[hu] = hv
         partner[hv] = hu
     assert partner.size == 0 or partner.min() >= 0
-    loops, multi = _count_defects(owner, partner)
     return WeightedGraph(n=n, he_offset=off, he_owner=owner, partner=partner,
-                         self_loop_count=loops, multi_edge_count=multi,
                          seed_label=seed_label)
 
 
@@ -227,13 +381,19 @@ def assign_weights(g: WeightedGraph, dist: WeightDistribution,
     draw. Mutates and returns g.
     """
     ell = g.half_edge_count
-    lo_he = np.nonzero(np.arange(ell) < g.partner)[0]
-    draws = np.atleast_1d(sample_weight(dist, rng, lo_he.size))
     by_he = np.empty(ell, dtype=float)
-    by_he[lo_he] = draws
-    by_he[g.partner[lo_he]] = draws
+    _weigh_edges(by_he, g.partner, np.nonzero(np.arange(ell) < g.partner)[0],
+                 dist, rng)
     g.edge_weight_by_he = by_he
     return g
+
+
+def _weigh_edges(by_he: np.ndarray, partner: np.ndarray, lo_he: np.ndarray,
+                 dist: WeightDistribution, rng: np.random.Generator) -> None:
+    """One sampler call for the edges with lower half-edges lo_he, in order."""
+    draws = np.atleast_1d(sample_weight(dist, rng, lo_he.size))
+    by_he[lo_he] = draws
+    by_he[partner[lo_he]] = draws
 
 
 def export_edge_list(g: WeightedGraph, path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
@@ -277,6 +278,23 @@ def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
     return _constants_cached(_hashable_spec(config.weight_spec), mu, nu)
 
 
+def _degree_model_key(model: tuple) -> tuple:
+    kind, param = model
+    if kind == "regular":
+        return (kind, int(param))
+    return (kind, tuple(sorted((int(k), float(v)) for k, v in dict(param).items())))
+
+
+@lru_cache(maxsize=4)
+def _fixed_degrees(model_key: tuple, n: int) -> tuple:
+    """(sequence, diagnostics, half-edge layout) of a degree model that draws
+    nothing (regular, deterministic): built once per process and rung, so
+    neither the trials nor the pool chunks carry n-sized arrays."""
+    seq = build_degree_sequence(model_key, n, rng=None)
+    seq.degrees.flags.writeable = False
+    return seq, degrees.diagnostics(seq), graphs.HalfEdgeLayout.of(seq)
+
+
 def _constants_for_realized(spec: tuple, degs: np.ndarray) -> ctbp.CtbpConstants:
     d = degs.astype(float)
     total = d.sum()
@@ -304,25 +322,31 @@ class _TrialTask:
     max_resamples: int = 100
 
 
-def _build_graph(task: _TrialTask, rng) -> graphs.WeightedGraph:
+def _build_graph(task: _TrialTask, dist, rng):
+    """The trial's graph: lazily paired for cm, built whole otherwise."""
     if task.graph_kind in ("nr", "grg", "cl"):
         vw_dist = _dist_cached(task.vertex_weight_spec)
         w = weights.sample(vw_dist, rng, task.n)
-        return graphs.sample_rank1(w, task.graph_kind, rng)
-    seq = build_degree_sequence(task.degree_model, task.n, rng)
+        return graphs.assign_weights(graphs.sample_rank1(w, task.graph_kind, rng),
+                                     dist, rng)
+    if task.degree_model[0] == "iid":
+        seq = build_degree_sequence(task.degree_model, task.n, rng)
+        layout = None
+    else:
+        seq, _, layout = _fixed_degrees(_degree_model_key(task.degree_model), task.n)
     if task.graph_kind == "simple":
         g, _ = graphs.sample_uniform_simple(seq, rng)
-        return g
-    return graphs.pair_configuration(seq, rng)
+        return graphs.assign_weights(g, dist, rng)
+    if layout is None:
+        layout = graphs.HalfEdgeLayout.of(seq)
+    return graphs.LazyPairing(layout, dist, rng)
 
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     seed = trial_seed(task.master_seed, index)
     rng = _rng_for(seed)
     n = task.n
-    dist = _dist_cached(task.weight_spec)
-    g = _build_graph(task, rng)
-    graphs.assign_weights(g, dist, rng)
+    g = _build_graph(task, _dist_cached(task.weight_spec), rng)
 
     consts_n = task.consts_n
     if consts_n is None:
@@ -409,8 +433,7 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     consts_limit = constants_for_config(config)
     consts_n = None
     if config.graph_kind in ("cm", "simple") and config.degree_model[0] != "iid":
-        seq = build_degree_sequence(config.degree_model, n, rng=None)
-        diag = degrees.diagnostics(seq)
+        _, diag, _ = _fixed_degrees(_degree_model_key(config.degree_model), n)
         consts_n = _constants_cached(weight_spec, diag.mu_n, diag.nu_n)
 
     task = _TrialTask(
@@ -440,7 +463,16 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
             with ProcessPoolExecutor(max_workers=threads) as ex:
                 futures = {ex.submit(_trial_chunk, c): i for i, c in enumerate(chunks)}
                 for fut in as_completed(futures):
-                    results[futures[fut]] = fut.result()
+                    try:
+                        results[futures[fut]] = fut.result()
+                    except BrokenProcessPool as exc:
+                        _, lo, hi = chunks[next_write]
+                        raise MonteCarloError(
+                            f"a worker process died at n={n}; the first chunk "
+                            f"lost is chunk {next_write} (trials {lo}..{hi - 1}) "
+                            f"of master seed {master}. Replay it serially with "
+                            f"run_trials(config, M={hi}, master_seed={master}, "
+                            f"n={n}, threads=1)") from exc
                     while next_write in results:
                         batch = results.pop(next_write)
                         outcomes.extend(batch)   # chunks appended in order

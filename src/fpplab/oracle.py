@@ -5,6 +5,11 @@ its collision bookkeeping; this module cross-checks it on a zoo of small
 seeded instances against an independent single-source Dijkstra that shares
 no code with it. Also checks that the exact early-stopping rule returns the
 same answer as running the exploration to exhaustion.
+
+Lazy instances explore a LazyPairing first, then materialize() it and run
+every check on the completed graph, which keeps each pair and weight the
+exploration revealed. Exploring the completed graph must reproduce the lazy
+run's PathResult exactly.
 """
 from __future__ import annotations
 
@@ -41,6 +46,9 @@ _GRAPH_MODELS = (
     ("nr", ("exponential", (1.0,))),
     ("grg", ("exponential", (1.5,))),
     ("cl", ("uniform", (2.0,))),
+    ("lazy", ("regular", 3)),
+    ("lazy", ("iid", ((1, 0.2), (2, 0.3), (3, 0.3), (5, 0.2)))),
+    ("lazy", ("deterministic", ((1, 0.1), (2, 0.4), (3, 0.8), (6, 1.0)))),
 )
 
 
@@ -53,12 +61,13 @@ class CorpusResult:
     hop_mismatches: int
     weight_mismatches: int
     early_stop_mismatches: int
+    lazy_mismatches: int = 0     # lazy run != exploration of its materialized graph
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return (self.hop_mismatches == 0 and self.weight_mismatches == 0
-                and self.early_stop_mismatches == 0
+                and self.early_stop_mismatches == 0 and self.lazy_mismatches == 0
                 and self.max_weight_rel_err < 1e-9)
 
     def summary(self) -> str:
@@ -67,12 +76,16 @@ class CorpusResult:
                 f"{self.disconnected} disconnected, max weight rel err "
                 f"{self.max_weight_rel_err:.3e}, mismatches hops="
                 f"{self.hop_mismatches} weight={self.weight_mismatches} "
-                f"early_stop={self.early_stop_mismatches}")
+                f"early_stop={self.early_stop_mismatches} "
+                f"lazy={self.lazy_mismatches}")
 
 
-def _build_instance(index: int, rng) -> tuple[graphs.WeightedGraph, str]:
+def _build_instance(index: int, rng):
+    """(graph, label): a LazyPairing for lazy models, else a weighted graph."""
     kind, model = _GRAPH_MODELS[index % len(_GRAPH_MODELS)]
     n = int(rng.integers(10, 201))
+    wkind, wparams = _WEIGHT_KINDS[index % len(_WEIGHT_KINDS)]
+    dist = weights.from_spec(wkind, wparams)
     if kind in ("nr", "grg", "cl"):
         vw = weights.from_spec(*model)
         w = weights.sample(vw, rng, n)
@@ -89,15 +102,37 @@ def _build_instance(index: int, rng) -> tuple[graphs.WeightedGraph, str]:
             seq = degrees.build_iid(dict(param), n, rng)
         else:
             seq = degrees.build_deterministic(dict(param), n)
+        if kind == "lazy":
+            return (graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng),
+                    f"lazy cm/{mkind} n={n} weights={wkind}")
         if kind == "simple":
             g, _ = graphs.sample_uniform_simple(seq, rng)
         else:
             g = graphs.pair_configuration(seq, rng)
         label = f"{kind}/{mkind} n={n}"
-    wkind, wparams = _WEIGHT_KINDS[index % len(_WEIGHT_KINDS)]
-    dist = weights.from_spec(wkind, wparams)
     graphs.assign_weights(g, dist, rng)
     return g, f"{label} weights={wkind}"
+
+
+def _instance(index: int, master_seed: int):
+    """(graph, label, u, v, lazy PathResult or None) of one corpus instance.
+
+    A lazy instance is explored first, from endpoints drawn before any
+    pairing draw, and then completed by materialize().
+    """
+    from .montecarlo import derived_seed
+
+    rng = np.random.Generator(np.random.Philox(key=derived_seed(master_seed, 4, index)))
+    g, label = _build_instance(index, rng)
+    u = int(rng.integers(g.n))
+    v = int(rng.integers(g.n - 1))
+    if v >= u:
+        v += 1
+    lazy = None
+    if isinstance(g, graphs.LazyPairing):
+        lazy = explore.run(g, u, v)
+        g = g.materialize()
+    return g, label, u, v, lazy
 
 
 def _explore_answer(g, u, v, *, exhaustive: bool = False):
@@ -112,14 +147,7 @@ def _explore_answer(g, u, v, *, exhaustive: bool = False):
 
 def describe_instance(index: int, master_seed: int = 20260817) -> str:
     """Rebuild one corpus instance and print both solvers' answers."""
-    from .montecarlo import derived_seed
-
-    rng = np.random.Generator(np.random.Philox(key=derived_seed(master_seed, 4, index)))
-    g, label = _build_instance(index, rng)
-    u = int(rng.integers(g.n))
-    v = int(rng.integers(g.n - 1))
-    if v >= u:
-        v += 1
+    g, label, u, v, _ = _instance(index, master_seed)
     ours = _explore_answer(g, u, v)
     ref = dijkstra.shortest_path(g, u, v)
     return (f"instance {index}: {label} pair=({u},{v})\n"
@@ -136,16 +164,9 @@ def run_corpus(n_instances: int = 500, master_seed: int = 20260817, *,
     reference answer is taken, so the comparison must report a mismatch;
     it exists to prove this harness can actually fail.
     """
-    from .montecarlo import derived_seed
-
     res = CorpusResult(0, 0, 0, 0.0, 0, 0, 0)
     for i in range(n_instances):
-        rng = np.random.Generator(np.random.Philox(key=derived_seed(master_seed, 4, i)))
-        g, label = _build_instance(i, rng)
-        u = int(rng.integers(g.n))
-        v = int(rng.integers(g.n - 1))
-        if v >= u:
-            v += 1
+        g, label, u, v, lazy = _instance(i, master_seed)
         ref = dijkstra.shortest_path(g, u, v)
         if corrupt and g.edge_weight_by_he is not None and g.half_edge_count:
             g.edge_weight_by_he[0] += 1e-3
@@ -180,4 +201,7 @@ def run_corpus(n_instances: int = 500, master_seed: int = 20260817, *,
             if full != ours:
                 res.early_stop_mismatches += 1
                 fail(f"early stop changed the answer: exhaustive={full}")
+        if lazy is not None and explore.run(g, u, v) != lazy:
+            res.lazy_mismatches += 1
+            fail("the materialized graph explores differently from the lazy run")
     return res

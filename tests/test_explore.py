@@ -2,6 +2,11 @@
 
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -80,6 +85,37 @@ def test_endpoint_validation():
     bare.edge_weight_by_he = np.array([1.0, 1.0])
     with pytest.raises(explore.IsolatedEndpointError):
         explore.run(bare, 0, 2)
+
+
+def test_broken_pairing_raises_under_optimize():
+    # the invariant checks must survive python -O, which strips asserts:
+    # on the path 0-1-2-3, vertex 1's second half-edge is re-pointed at the
+    # half-edge that just died into vertex 1
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from fpplab import explore, graphs
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        g = graphs.build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g.edge_weight_by_he = np.array([1.0, 1.0, 5.0, 5.0, 9.0, 9.0])
+        g.partner[2] = 0
+        try:
+            explore.run(g, 0, 3)
+        except explore.ExploreError as exc:
+            print(exc)
+        else:
+            sys.exit("no ExploreError")
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "free half-edge 2 of vertex 1" in done.stdout
+    assert "half-edge 0" in done.stdout
 
 
 def test_weights_required():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from fpplab import degrees, graphs, weights
 
@@ -52,6 +53,48 @@ def test_matching_uniform_over_three_pairings():
         counts[int(g.partner[0])] += 1
     for k in counts:
         assert abs(counts[k] / 3000 - 1 / 3) < 0.0344
+
+
+def test_lazy_partner_uniform():
+    # a uniform perfect matching gives half-edge 0 a uniform partner among
+    # the other seven, whatever was revealed first; vertex 2 goes first here
+    # so the draw for half-edge 0 has to redraw paired ids
+    seq = degrees.DegreeSequence(degrees=np.array([2, 1, 3, 2]), parity_bumped=False)
+    layout = graphs.HalfEdgeLayout.of(seq)
+    assert layout.regular_degree == 0
+    dist = weights.exponential(1.0)
+    rng = philox(17)
+    counts = np.zeros(8)
+    for _ in range(3500):
+        g = graphs.LazyPairing(layout, dist, rng)
+        g.reveal(2)
+        g.reveal(0)
+        counts[g.partner[0]] += 1
+    assert counts[0] == 0
+    assert stats.chisquare(counts[1:]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("seq", [
+    degrees.regular(3, 40),
+    degrees.build_iid({1: 0.3, 3: 0.4, 4: 0.3}, 60, philox(23)),
+])
+def test_materialize_keeps_revealed_pairs(seq):
+    layout = graphs.HalfEdgeLayout.of(seq)
+    g = graphs.LazyPairing(layout, weights.exponential(1.0), philox(24))
+    for v in (0, 5, 17, 39):
+        g.reveal(v)
+    revealed = dict(g.partner)
+    full = g.materialize()
+    p = full.partner
+    assert np.all(p[p] == np.arange(p.size))
+    assert np.all(p != np.arange(p.size))
+    for h, q in revealed.items():
+        assert p[h] == q
+        assert full.edge_weight_by_he[h] == g.edge_weight_by_he[h]
+    w = full.edge_weight_by_he
+    np.testing.assert_array_equal(w, w[p])
+    assert np.unique(w).size == p.size // 2
+    assert [layout.owner(h) for h in range(p.size)] == full.he_owner.tolist()
 
 
 def test_defect_counters():

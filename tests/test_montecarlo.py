@@ -1,12 +1,14 @@
 """Seeding, KS machinery, trial harness determinism, verifier spot checks."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from fpplab import ctbp, weights
+from fpplab import ctbp, degrees, explore, graphs, weights
 from fpplab import montecarlo as mc
 
 
@@ -184,6 +186,49 @@ def test_csv_round_trip(tmp_path):
     # repr serialization: floats survive the round trip bit for bit
     assert float(first[4]) == out[0].L_n
     assert float(first[5]) == out[0].Z_hat
+
+
+def test_lazy_trials_match_eager_law():
+    # cm trials pair lazily; H_n and L_n must have the law of exploring a
+    # graph paired and weighted in full beforehand (4-regular, Exp(1))
+    n, M = 10_000, 1000
+    lazy = mc.run_trials(mc.ExperimentConfig(n_ladder=(n,), trials=M,
+                                             master_seed=71), threads=1)
+    seq = degrees.regular(4, n)
+    dist = weights.exponential(1.0)
+    hops, lengths = [], []
+    for i in range(M):
+        rng = philox(50_000 + i)
+        g = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
+        while True:
+            u1, u2 = rng.choice(n, size=2, replace=False)
+            res = explore.run(g, int(u1), int(u2))
+            if res.connected:
+                break
+        hops.append(res.hops)
+        lengths.append(res.weight)
+    _, p_hops = mc.ks_two_sample(np.array([o.H_n for o in lazy]), np.array(hops))
+    _, p_len = mc.ks_two_sample(np.array([o.L_n for o in lazy]), np.array(lengths))
+    assert p_hops > 1e-3 and p_len > 1e-3, (p_hops, p_len)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the workers only by fork")
+def test_dead_worker_is_named_error(monkeypatch):
+    real = mc._run_single_trial
+
+    def dying(task, index):
+        if index == 70:
+            os._exit(3)
+        return real(task, index)
+
+    monkeypatch.setattr(mc, "_run_single_trial", dying)
+    cfg = mc.ExperimentConfig(n_ladder=(100,), trials=130, master_seed=611)
+    with pytest.raises(mc.MonteCarloError) as err:
+        mc.run_trials(cfg, threads=2)
+    msg = str(err.value)
+    assert "master seed 611" in msg and "chunk" in msg and "trials" in msg
+    assert "master_seed=611, n=100, threads=1)" in msg
 
 
 def test_persistent_disconnection():
