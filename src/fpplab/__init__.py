@@ -34,7 +34,6 @@ from .explore import (
     CollisionRecord,
     IsolatedEndpointError,
     PathResult,
-    ranked_paths,
     run,
     standardize_marks,
 )

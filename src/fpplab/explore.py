@@ -34,7 +34,7 @@ partners and weights of v's half-edges; a lazy pairing draws them then.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -56,7 +56,6 @@ __all__ = [
     "advance_ranked",
     "next_event_time",
     "run",
-    "ranked_paths",
     "result",
     "measure_martingale",
     "standardize_marks",
@@ -120,14 +119,15 @@ class SwgState:
     """Mutable exploration state; build with init(), drive with step()/advance().
 
     he_state maps a touched half-edge id to (death, source, height) while
-    alive and to None once consumed; untouched ids are absent. times/a1/a2
-    log the per-event alive counts for later probes.
+    alive and to None once consumed; untouched ids are absent. alive counts
+    the alive half-edges of each cluster and last_time is the time of the
+    latest event, so a state advanced to a probe time holds the probe's counts.
     """
 
     __slots__ = (
         "graph", "n", "sources", "he_state", "found", "heap", "alive",
         "collisions", "weights_sorted", "k", "last_time",
-        "times", "a1", "a2", "log_details", "detail_rows",
+        "log_details", "detail_rows",
         "_off", "_owner", "_reveal", "_partner", "_weight",
     )
 
@@ -144,9 +144,6 @@ class SwgState:
         self.weights_sorted: list[float] = []
         self.k = 0
         self.last_time = 0.0
-        self.times: list[float] = []
-        self.a1: list[int] = []
-        self.a2: list[int] = []
         self.log_details = log_details
         self.detail_rows: list[tuple] = []
         self._off = graph.he_offset
@@ -156,12 +153,6 @@ class SwgState:
         self._weight = graph.edge_weight_by_he
 
     # -- bookkeeping helpers ------------------------------------------------
-
-    def _log_event(self, t: float) -> None:
-        self.last_time = t
-        self.times.append(t)
-        self.a1.append(self.alive[1])
-        self.a2.append(self.alive[2])
 
     def _record_collision(self, rec: CollisionRecord) -> None:
         self.collisions.append(rec)
@@ -239,7 +230,6 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
                 he_state[x] = (d, source, 0)
                 heappush(state.heap, (d, x))
                 state.alive[source] += 1
-    state._log_event(0.0)
     return state
 
 
@@ -256,7 +246,7 @@ def next_event_time(state: SwgState) -> float:
     return state.heap[0][0] if state.heap else math.inf
 
 
-def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
+def step(state: SwgState) -> bool:
     """Process one event; False when no alive half-edge remains.
 
     Ties on death time break toward the smaller half-edge id (the heap
@@ -271,6 +261,7 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
     _death, src, h = he_state[y]
     he_state[y] = None
     state.alive[src] -= 1
+    state.last_time = t
 
     partner = state._partner
     weight = state._weight
@@ -345,7 +336,6 @@ def step(state: SwgState, g: WeightedGraph | None = None) -> bool:
             f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} cycle, "
             f"{n_collision} collision and {n_self} self-loop, which does not "
             f"add up to {hi - lo - 1}")
-    state._log_event(t)
     return True
 
 
@@ -399,30 +389,26 @@ def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
     return result(state, m)
 
 
-def ranked_paths(g: WeightedGraph, u1: int, u2: int, m: int) -> PathResult:
-    """The m lightest path records; ranked_complete flags whether m exist."""
-    return run(g, u1, u2, m=m)
-
-
 def measure_martingale(state: SwgState, g: WeightedGraph, alpha_n: float
                        ) -> tuple[float, float, float]:
     """(s_n, W1, W2): rescaled cluster sizes at the probe time.
 
     s_n = log(log n)/alpha_n and W_i = e^{-alpha_n s_n} * (alive half-edges
-    of cluster i at s_n). The state must have been advanced past s_n (or
-    run to exhaustion); otherwise the probe is outside the observed window.
+    of cluster i at s_n), read from the live counts. The state must sit at
+    the probe, i.e. advance(state, s_n) ran and nothing after it: the last
+    event at or before s_n and the next one after it.
     """
     n = g.n
     if n < 3:
         raise ExploreError("probe time needs log(log n) > 0, so n >= 3")
     s_n = math.log(math.log(n)) / alpha_n
     horizon = next_event_time(state)
-    if s_n >= horizon:
-        raise HorizonError(f"probe time {s_n:.6g} not covered: exploration only "
-                           f"observed up to {horizon:.6g}")
-    idx = bisect_right(state.times, s_n) - 1
+    if not state.last_time <= s_n < horizon:
+        raise HorizonError(f"probe time {s_n:.6g} is not where the state sits: "
+                           f"the last event was at {state.last_time:.6g} and "
+                           f"the next is at {horizon:.6g}")
     scale = math.exp(-alpha_n * s_n)
-    return s_n, scale * state.a1[idx], scale * state.a2[idx]
+    return s_n, scale * state.alive[1], scale * state.alive[2]
 
 
 def standardize_marks(records, consts: CtbpConstants, n: int, w1: float, w2: float,

@@ -8,15 +8,16 @@ output files byte-identical across reruns and worker pools.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogi, kolmogorov, ndtr
 
 from . import ctbp, degrees, explore, graphs, weights
 
@@ -39,9 +40,6 @@ __all__ = [
     "run_trials",
     "write_outcomes_csv",
     "CSV_HEADER",
-    "normal_cdf",
-    "kolmogorov_sf",
-    "kolmogorov_quantile",
     "ks_one_sample",
     "ks_two_sample",
     "build_q_reference",
@@ -410,6 +408,32 @@ def _trial_chunk(args) -> list[TrialOutcome]:
 _CHUNK = 64   # fixed chunk size: scheduling granularity, never affects results
 
 
+def _map_chunks(fn, args, spans, threads, unit, master, replay):
+    """Yield fn(a) for every chunk argument a, in chunk order.
+
+    Serial when threads <= 1 or there is one chunk; otherwise a process
+    pool, whose map yields in submission order. spans[i] = (lo, hi) is the
+    range of `unit` chunk i covers. A dead worker becomes a MonteCarloError
+    naming the first chunk lost, its range, the master seed and the serial
+    replay call: `replay` formatted with that chunk's hi.
+    """
+    if threads <= 1 or len(args) <= 1:
+        yield from map(fn, args)
+        return
+    done = 0
+    try:
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            for part in ex.map(fn, args):
+                yield part
+                done += 1
+    except BrokenProcessPool as exc:
+        lo, hi = spans[done]
+        raise MonteCarloError(
+            f"a worker process died; the first chunk lost is chunk {done} "
+            f"({unit} {lo}..{hi - 1}) of master seed {master}. Replay it "
+            f"serially with {replay.format(hi=hi)}") from exc
+
+
 def run_trials(config: ExperimentConfig, M: int | None = None,
                master_seed: int | None = None, *, n: int | None = None,
                threads: int | None = None, csv_path=None,
@@ -444,97 +468,32 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
         consts_limit=consts_limit, collect_marks=collect_marks,
     )
 
-    chunks = [(task, lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    fh = open(csv_path, "w", encoding="utf-8", newline="\n") if csv_path else None
-    try:
+    spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    replay = (f"run_trials(config, M={{hi}}, master_seed={master}, n={n}, "
+              "threads=1)")
+    outcomes: list[TrialOutcome] = []
+    with (open(csv_path, "w", encoding="utf-8", newline="\n") if csv_path
+          else contextlib.nullcontext()) as fh:
         if fh:
             fh.write(CSV_HEADER + "\n")
-        outcomes: list[TrialOutcome] = []
-        if threads <= 1 or len(chunks) <= 1:
-            for chunk in chunks:
-                batch = _trial_chunk(chunk)
-                outcomes.extend(batch)
-                if fh:
-                    for o in batch:
-                        fh.write(_csv_row(o) + "\n")
-        else:
-            results: dict[int, list[TrialOutcome]] = {}
-            next_write = 0
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                futures = {ex.submit(_trial_chunk, c): i for i, c in enumerate(chunks)}
-                for fut in as_completed(futures):
-                    try:
-                        results[futures[fut]] = fut.result()
-                    except BrokenProcessPool as exc:
-                        _, lo, hi = chunks[next_write]
-                        raise MonteCarloError(
-                            f"a worker process died at n={n}; the first chunk "
-                            f"lost is chunk {next_write} (trials {lo}..{hi - 1}) "
-                            f"of master seed {master}. Replay it serially with "
-                            f"run_trials(config, M={hi}, master_seed={master}, "
-                            f"n={n}, threads=1)") from exc
-                    while next_write in results:
-                        batch = results.pop(next_write)
-                        outcomes.extend(batch)   # chunks appended in order
-                        if fh:
-                            for o in batch:
-                                fh.write(_csv_row(o) + "\n")
-                        next_write += 1
-            assert len(outcomes) == M
-    finally:
-        if fh:
-            fh.close()
+        for batch in _map_chunks(_trial_chunk, [(task, lo, hi) for lo, hi in spans],
+                                 spans, threads, "trials", master, replay):
+            outcomes.extend(batch)
+            if fh:
+                fh.writelines(_csv_row(o) + "\n" for o in batch)
     return outcomes
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov machinery
-
-
-def normal_cdf(x):
-    return ndtr(x)
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """P(K > lam) for the Kolmogorov distribution.
-
-    Alternating series 2 sum (-1)^{k-1} e^{-2 k^2 lam^2}, truncated when a
-    term drops below 1e-12; tiny statistics just return 1. Returned values
-    are clamped into [1e-10, 1].
-    """
-    if lam <= 1e-3:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 100_000):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-12:
-            break
-        sign = -sign
-    p = 2.0 * total
-    return min(1.0, max(p, 1e-10))
-
-
-def kolmogorov_quantile(p: float) -> float:
-    """lam with kolmogorov_sf(lam) = p, by bisection."""
-    if not 1e-10 < p < 1.0:
-        raise MonteCarloError(f"quantile needs p in (1e-10, 1), got {p}")
-    lo, hi = 1e-3, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# Kolmogorov-Smirnov statistics; p-values from the Kolmogorov law in
+# scipy.special (scipy.stats would add half a second to every CLI start)
 
 
 def ks_one_sample(sample, cdf) -> tuple[float, float]:
     """Exact D against a continuous reference cdf, with the asymptotic p.
 
     D = max over order statistics of max(i/n - F(x_i), F(x_i) - (i-1)/n);
-    p = kolmogorov_sf(sqrt(n) * D).
+    p = kolmogorov(sqrt(n) * D).
     """
     x = np.sort(np.asarray(sample, dtype=float))
     nn = x.size
@@ -545,7 +504,7 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
     d_plus = float(np.max(i / nn - f))
     d_minus = float(np.max(f - (i - 1) / nn))
     d = max(d_plus, d_minus)
-    return d, kolmogorov_sf(math.sqrt(nn) * d)
+    return d, float(kolmogorov(math.sqrt(nn) * d))
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -559,7 +518,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    return d, kolmogorov_sf(math.sqrt(n_eff) * d)
+    return d, float(kolmogorov(math.sqrt(n_eff) * d))
 
 
 # ---------------------------------------------------------------------------
@@ -582,20 +541,26 @@ def _q_ref_chunk(args) -> np.ndarray:
                          count, rng)
 
 
+_REF_CHUNK = 250   # draws per reference chunk; chunk i draws from seed path (head, i)
+
+
+def _reference_parts(fn, consts, bp, extra: tuple, size: int, master_seed: int,
+                     head: int, threads: int, replay: str) -> list:
+    """fn over the seeded chunks of a size-draw reference, in chunk order."""
+    spans = [(lo, min(lo + _REF_CHUNK, size)) for lo in range(0, size, _REF_CHUNK)]
+    fixed = (consts, bp.root_law, bp.later_law, bp.dist.spec()) + extra
+    args = [fixed + (hi - lo, derived_seed(master_seed, head, i))
+            for i, (lo, hi) in enumerate(spans)]
+    return list(_map_chunks(fn, args, spans, threads, "draws", master_seed, replay))
+
+
 def build_q_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, size: int,
                       master_seed: int, threads: int = 1) -> np.ndarray:
     """size draws of the limit variable Q, deterministically chunked."""
-    chunk = 250
-    spec = bp.dist.spec()
-    args = [(consts, bp.root_law, bp.later_law, spec, min(chunk, size - lo),
-             derived_seed(master_seed, 1, i))
-            for i, lo in enumerate(range(0, size, chunk))]
-    if threads <= 1:
-        parts = [_q_ref_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_q_ref_chunk, args))
-    return np.concatenate(parts)
+    replay = (f"build_q_reference(consts, bp, size={{hi}}, "
+              f"master_seed={master_seed}, threads=1)")
+    return np.concatenate(_reference_parts(_q_ref_chunk, consts, bp, (), size,
+                                           master_seed, 1, threads, replay))
 
 
 def _ranked_ref_chunk(args) -> np.ndarray:
@@ -621,17 +586,10 @@ def build_ranked_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, m: int
     Within a row the two growth limits are shared across ranks, exactly as
     they are within one exploration trial.
     """
-    chunk = 250
-    spec = bp.dist.spec()
-    args = [(consts, bp.root_law, bp.later_law, spec, m, min(chunk, size - lo),
-             derived_seed(master_seed, 2, i))
-            for i, lo in enumerate(range(0, size, chunk))]
-    if threads <= 1:
-        parts = [_ranked_ref_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_ranked_ref_chunk, args))
-    return np.vstack(parts)
+    replay = (f"build_ranked_reference(consts, bp, m={m}, size={{hi}}, "
+              f"master_seed={master_seed}, threads=1)")
+    return np.vstack(_reference_parts(_ranked_ref_chunk, consts, bp, (m,), size,
+                                      master_seed, 2, threads, replay))
 
 
 def residual_cdf_table(residual: ctbp.ResidualLife, x_max: float, n_grid: int = 513):
@@ -702,12 +660,12 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
     stats: dict[str, float] = {}
     ds = []
     for n in ns:
-        d, p = ks_one_sample(zs[n], normal_cdf)
+        d, p = ks_one_sample(zs[n], ndtr)
         ds.append(d)
         stats[f"ks_n{n}"] = d
         stats[f"p_n{n}"] = p
     d_crit = threshold if threshold is not None else \
-        kolmogorov_quantile(0.001) / math.sqrt(m_top)
+        float(kolmogi(0.001)) / math.sqrt(m_top)
     mean = float(zs[top].mean())
     var = float(zs[top].var(ddof=1))
     stats["mean_top"] = mean
@@ -802,8 +760,8 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
     stats["ok_source"] = float(ok_source)
 
     # (iii) heights vs the standard normal
-    d_or, p_or = ks_one_sample(win[:, 2], normal_cdf)
-    d_de, p_de = ks_one_sample(win[:, 3], normal_cdf)
+    d_or, p_or = ks_one_sample(win[:, 2], ndtr)
+    d_de, p_de = ks_one_sample(win[:, 3], ndtr)
     ok_heights = d_or < height_threshold and d_de < height_threshold
     stats["height_ks_origin"] = d_or
     stats["height_ks_dest"] = d_de
@@ -815,7 +773,7 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
     for label, col in (("origin", 2), ("dest", 3)):
         h = win[:, col]
         adj = (h - h.mean()) / h.std(ddof=1)
-        d_adj, _ = ks_one_sample(adj, normal_cdf)
+        d_adj, _ = ks_one_sample(adj, ndtr)
         stats[f"height_ks_{label}_moment_adjusted"] = d_adj
 
     # (iv) remaining lifetimes vs the residual-life law
@@ -833,19 +791,23 @@ def verify_ranked(outcomes, consts, m, rank_references, *, threshold=0.1,
                   min_outcomes=500) -> ReportEntry:
     """Per-rank two-sample KS plus the gap structure across ranks.
 
-    Trials contributing fewer than m records are excluded (and counted).
-    Gaps between consecutive ranks must be strictly positive in every trial
-    and their means must decrease with rank.
+    outcomes is a list of TrialOutcome, or an (M, m) array of recentred
+    ranked weights. Trials contributing fewer than m records are excluded
+    (and counted). Gaps between consecutive ranks must be strictly positive
+    in every trial and their means must decrease with rank.
     """
-    rows = []
-    n_short = 0
-    for o in outcomes:
-        if len(o.ranked) >= m:
-            w = [r[0] for r in o.ranked[:m]]
-            rows.append([wi - math.log(o.n) / consts.alpha for wi in w])
-        else:
-            n_short += 1
-    mat = np.array(rows, dtype=float)
+    if isinstance(outcomes, np.ndarray):
+        mat, n_short = outcomes, 0
+    else:
+        rows = []
+        n_short = 0
+        for o in outcomes:
+            if len(o.ranked) >= m:
+                w = [r[0] for r in o.ranked[:m]]
+                rows.append([wi - math.log(o.n) / consts.alpha for wi in w])
+            else:
+                n_short += 1
+        mat = np.array(rows, dtype=float)
     if mat.shape[0] < min_outcomes:
         return ReportEntry("ranked_paths", None,
                            {"complete_trials": float(mat.shape[0])},
@@ -1030,7 +992,7 @@ def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
     top = max(outcomes_by_n)
     z = np.sort(_zhat_array(outcomes_by_n[top]))
     path = out / "hopcount_cdf.txt"
-    _write_columns(path, z, normal_cdf(z))
+    _write_columns(path, z, ndtr(z))
     written.append(path)
     if q_ref is not None:
         q = np.sort(_qhat_array(outcomes_by_n[top]))
@@ -1149,7 +1111,7 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
             else:
                 power_ok["ppp_marks"] += not e.passed
 
-        # ranked (m = 3, reduced law; outcomes built as lightweight records)
+        # ranked (m = 3, reduced law; recentred weights passed as a matrix)
         m = 3
         refs = np.empty((ref_size, m))
         t = np.log(np.cumsum(rng.standard_exponential((ref_size, m)), axis=1))
@@ -1158,12 +1120,8 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
         trial_vals = (t2 + consts.c) / a
         for mode in ("null", "power"):
             shift = 0.0 if mode == "null" else math.log(2.0) / a
-            outs = [
-                _SyntheticRanked(tuple((v + shift, 0) for v in row))
-                for row in trial_vals
-            ]
-            e = verify_ranked(outs, consts, m, refs, threshold=th["ranked_ks"],
-                              min_outcomes=min(500, M))
+            e = verify_ranked(trial_vals + shift, consts, m, refs,
+                              threshold=th["ranked_ks"], min_outcomes=min(500, M))
             if mode == "null":
                 null_ok["ranked_paths"] += bool(e.passed)
             else:
@@ -1174,13 +1132,3 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
         null_rates={k: v / n_meta for k, v in null_ok.items()},
         power_rates={k: v / n_meta for k, v in power_ok.items()},
     )
-
-
-class _SyntheticRanked:
-    """Quacks like a TrialOutcome as far as verify_ranked is concerned."""
-
-    __slots__ = ("ranked", "n")
-
-    def __init__(self, ranked):
-        self.ranked = ranked
-        self.n = 1     # log(1) = 0: values are already recentred

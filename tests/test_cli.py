@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, file outputs, config precedence."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +15,20 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second to every CLI start; the package
+    # needs only scipy.special and scipy.integrate
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import fpplab.cli, sys; "
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -207,12 +207,22 @@ def test_martingale_probe_values():
     # event, so each cluster still holds exactly one alive half-edge
     g = triangle()
     state = explore.init(g, 0, 2)
-    explore.advance(state, math.inf)
+    explore.advance(state, math.log(math.log(3.0)))
     s_n, w1, w2 = explore.measure_martingale(state, g, 1.0)
     assert s_n == pytest.approx(math.log(math.log(3.0)))
     scale = math.exp(-s_n)
     assert w1 == pytest.approx(scale)
     assert w2 == pytest.approx(scale)
+
+
+def test_martingale_probe_rejects_state_past_probe():
+    # the probe reads the live alive counts, so a state advanced beyond
+    # s_n no longer holds them
+    g = triangle()
+    state = explore.init(g, 0, 2)
+    explore.advance(state, math.inf)
+    with pytest.raises(explore.HorizonError):
+        explore.measure_martingale(state, g, 1.0)
 
 
 def test_martingale_probe_window_enforced():

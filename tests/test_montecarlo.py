@@ -1,12 +1,15 @@
-"""Seeding, KS machinery, trial harness determinism, verifier spot checks."""
+"""Seeding, KS statistics, trial harness determinism, verifier spot checks."""
 
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtr
 
 from fpplab import ctbp, degrees, explore, graphs, weights
 from fpplab import montecarlo as mc
@@ -45,32 +48,25 @@ def test_trial_seed_matches_derived_path():
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov machinery
+# Kolmogorov-Smirnov statistics
 
 
-def test_kolmogorov_sf_against_published_table():
-    # classical critical values: sf(1.6276) = 0.01, sf(1.3581) = 0.05,
-    # sf(1.2238) = 0.10 to four figures
-    assert mc.kolmogorov_sf(1.6276) == pytest.approx(0.0100, abs=2e-5)
-    assert mc.kolmogorov_sf(1.3581) == pytest.approx(0.0500, abs=2e-5)
-    assert mc.kolmogorov_sf(1.2238) == pytest.approx(0.1000, abs=5e-5)
-    assert mc.kolmogorov_sf(1e-4) == 1.0
-    xs = np.linspace(0.3, 2.5, 23)
-    vals = [mc.kolmogorov_sf(x) for x in xs]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_kolmogorov_sf_matches_scipy():
-    for x in (0.5, 0.9, 1.2, 1.63, 2.1):
-        assert mc.kolmogorov_sf(x) == pytest.approx(scipy.stats.kstwobign.sf(x),
-                                                    abs=1e-9)
-
-
-def test_kolmogorov_quantile_inverts_sf():
-    for p in (0.5, 0.1, 0.05, 0.001):
-        x = mc.kolmogorov_quantile(p)
-        assert mc.kolmogorov_sf(x) == pytest.approx(p, rel=1e-6)
-    assert mc.kolmogorov_quantile(0.001) == pytest.approx(1.94947, abs=1e-4)
+def test_verifiers_report_kolmogorov_law():
+    # default hopcount threshold: the p = 0.001 Kolmogorov critical value,
+    # 1.94947 to five figures, over sqrt(M)
+    consts = mc.constants_for_config(mc.ExperimentConfig())
+    z = philox(2).standard_normal(2500)
+    entry = mc.verify_hopcount_clt({1000: z}, consts)
+    assert entry.thresholds["ks"] == pytest.approx(1.94947 / math.sqrt(2500),
+                                                   abs=1e-4)
+    # classical table value: sqrt(n) D = 1.3581 has p = 0.05 to four figures
+    # (a midpoint grid shifted right by c has D = 1/(2n) + c against U(0, 1))
+    n = 10_000
+    d_target = 1.3581 / math.sqrt(n)
+    sample = (np.arange(n) + 0.5) / n + (d_target - 0.5 / n)
+    d, p = mc.ks_one_sample(sample, lambda x: np.clip(x, 0.0, 1.0))
+    assert d == pytest.approx(d_target, abs=1e-12)
+    assert p == pytest.approx(0.0500, abs=2e-5)
 
 
 def test_ks_one_sample_hand_case():
@@ -83,7 +79,7 @@ def test_ks_one_sample_hand_case():
 def test_ks_one_sample_matches_scipy():
     rng = philox(3)
     x = rng.standard_normal(400)
-    d, _ = mc.ks_one_sample(x, mc.normal_cdf)
+    d, _ = mc.ks_one_sample(x, ndtr)
     ref = scipy.stats.kstest(x, "norm")
     assert d == pytest.approx(ref.statistic, abs=1e-12)
 
@@ -231,6 +227,25 @@ def test_dead_worker_is_named_error(monkeypatch):
     assert "master_seed=611, n=100, threads=1)" in msg
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched seeding reaches the workers only by fork")
+def test_dead_reference_worker_is_named_error(monkeypatch):
+    consts, bp = four_regular()
+    real = mc._rng_for
+
+    def dying(seed):
+        if seed == mc.derived_seed(31, 1, 0):      # Q reference chunk 0
+            os._exit(3)
+        return real(seed)
+
+    monkeypatch.setattr(mc, "_rng_for", dying)
+    with pytest.raises(mc.MonteCarloError) as err:
+        mc.build_q_reference(consts, bp, 1100, 31, threads=2)
+    msg = str(err.value)
+    assert "chunk 0 (draws 0..249) of master seed 31" in msg
+    assert "build_q_reference(consts, bp, size=250, master_seed=31, threads=1)" in msg
+
+
 def test_persistent_disconnection():
     # degree-1 vertices pair into a perfect matching, so two random
     # endpoints are almost never connected; with the resample budget cut to
@@ -361,11 +376,9 @@ def test_ranked_verifier_null_and_power():
             + consts.c) / a
     t = (np.log(np.cumsum(rng.standard_exponential((2000, 3)), axis=1))
          + consts.c) / a
-    null = [mc._SyntheticRanked(tuple((v, 0) for v in row)) for row in t]
-    assert mc.verify_ranked(null, consts, 3, refs).passed is True
+    assert mc.verify_ranked(t, consts, 3, refs).passed is True
     shift = math.log(2.0) / a
-    moved = [mc._SyntheticRanked(tuple((v + shift, 0) for v in row)) for row in t]
-    assert mc.verify_ranked(moved, consts, 3, refs).passed is False
+    assert mc.verify_ranked(t + shift, consts, 3, refs).passed is False
 
 
 def test_calibration_smoke():
