@@ -51,22 +51,53 @@ def test_trial_seed_matches_derived_path():
 # Kolmogorov-Smirnov statistics
 
 
-def test_verifiers_report_kolmogorov_law():
-    # default hopcount threshold: the p = 0.001 Kolmogorov critical value,
-    # 1.94947 to five figures, over sqrt(M)
-    consts = mc.constants_for_config(mc.ExperimentConfig())
-    z = philox(2).standard_normal(2500)
-    entry = mc.verify_hopcount_clt({1000: z}, consts)
-    assert entry.thresholds["ks"] == pytest.approx(1.94947 / math.sqrt(2500),
-                                                   abs=1e-4)
-    # classical table value: sqrt(n) D = 1.3581 has p = 0.05 to four figures
-    # (a midpoint grid shifted right by c has D = 1/(2n) + c against U(0, 1))
-    n = 10_000
-    d_target = 1.3581 / math.sqrt(n)
+def ks_p_at(x, n=10_000):
+    """(D, p) that ks_one_sample reports for a sample with sqrt(n) D = x.
+
+    A midpoint grid shifted right by c has D = 1/(2n) + c against U(0, 1).
+    """
+    d_target = x / math.sqrt(n)
     sample = (np.arange(n) + 0.5) / n + (d_target - 0.5 / n)
-    d, p = mc.ks_one_sample(sample, lambda x: np.clip(x, 0.0, 1.0))
+    d, p = mc.ks_one_sample(sample, lambda u: np.clip(u, 0.0, 1.0))
     assert d == pytest.approx(d_target, abs=1e-12)
-    assert p == pytest.approx(0.0500, abs=2e-5)
+    return d, p
+
+
+def test_kolmogorov_sf_against_published_table():
+    # classical critical values: sf(1.6276) = 0.01, sf(1.3581) = 0.05,
+    # sf(1.2238) = 0.10 to four figures, as the verifiers report them
+    assert ks_p_at(1.6276)[1] == pytest.approx(0.0100, abs=2e-5)
+    assert ks_p_at(1.3581)[1] == pytest.approx(0.0500, abs=2e-5)
+    assert ks_p_at(1.2238)[1] == pytest.approx(0.1000, abs=5e-5)
+    assert ks_p_at(0.005)[1] == 1.0
+    vals = [ks_p_at(x)[1] for x in np.linspace(0.3, 2.5, 23)]
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_kolmogorov_sf_matches_scipy():
+    # one-sample p at sqrt(n) D, two-sample p at sqrt(ab/(a+b)) D
+    for x in (0.5, 0.9, 1.2, 1.63, 2.1):
+        assert ks_p_at(x)[1] == pytest.approx(scipy.stats.kstwobign.sf(x),
+                                              abs=1e-9)
+    rng = philox(5)
+    a = rng.standard_normal(157)
+    b = rng.standard_normal(211) + 0.2
+    d, p = mc.ks_two_sample(a, b)
+    x = math.sqrt(157 * 211 / (157 + 211)) * d
+    assert p == pytest.approx(scipy.stats.kstwobign.sf(x), abs=1e-9)
+
+
+def test_kolmogorov_quantile_inverts_sf():
+    # default hopcount threshold: the p = 0.001 Kolmogorov critical value,
+    # 1.94947 to five figures, over sqrt(M); a sample at that D has p = 0.001
+    consts = mc.constants_for_config(mc.ExperimentConfig())
+    for m in (600, 2500):
+        z = philox(2).standard_normal(m)
+        entry = mc.verify_hopcount_clt({1000: z}, consts)
+        d_crit = entry.thresholds["ks"]
+        assert d_crit * math.sqrt(m) == pytest.approx(1.94947, abs=1e-4)
+        assert ks_p_at(d_crit * math.sqrt(m), n=m)[1] == pytest.approx(
+            0.001, rel=1e-6)
 
 
 def test_ks_one_sample_hand_case():
