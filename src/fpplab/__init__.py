@@ -15,7 +15,6 @@ from .ctbp import (
     constants,
     laplace_stieltjes,
     residual_density,
-    sample_Q,
     sample_w,
     simulate_bp,
     solve_malthusian,

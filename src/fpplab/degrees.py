@@ -155,25 +155,27 @@ def diagnostics(seq: DegreeSequence, cutoff: float | None = None) -> DegreeDiagn
     x2logx is the truncated second-moment-with-log statistic
     (1/n) sum d_i^2 * max(log(d_i / cutoff), 0); it vanishes whenever all
     degrees sit at or below the cutoff.
+
+    Sums run over distinct degrees weighted by their vertex counts, so no
+    n-sized temporary is built; the integer sums are exact, which keeps
+    mu_n and nu_n equal to the per-vertex float sums bit for bit.
     """
-    d = seq.degrees.astype(float)
     n = seq.n
     if cutoff is None:
         cutoff = math.sqrt(n)
     if cutoff <= 0:
         raise DegreeModelError(f"cutoff must be positive, got {cutoff}")
-    total = d.sum()
-    mu = total / n
-    nu = float((d * (d - 1.0)).sum() / total)
-    logs = np.log(d / cutoff)
-    np.maximum(logs, 0.0, out=logs)
-    x2logx = float((d * d * logs).sum() / n)
+    counts = np.bincount(seq.degrees)
+    k = np.flatnonzero(counts)
+    c = counts[k]
+    total = int((k * c).sum())
+    logs = np.maximum(np.log(k / cutoff), 0.0)
     return DegreeDiagnostics(
-        mu_n=float(mu),
-        nu_n=nu,
-        second_moment=float((d * d).sum() / n),
-        max_degree=int(seq.degrees.max()),
-        x2logx=x2logx,
+        mu_n=total / n,
+        nu_n=int((k * (k - 1) * c).sum()) / total,
+        second_moment=int((k * k * c).sum()) / n,
+        max_degree=int(k[-1]),
+        x2logx=float((k * k * c * logs).sum() / n),
         cutoff=float(cutoff),
     )
 

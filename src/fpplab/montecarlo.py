@@ -87,8 +87,9 @@ def derived_seed(master: int, *path: int) -> int:
     """Hash a (master, index path) tuple to a 64-bit stream key.
 
     Distinct paths give independent-for-all-practical-purposes keys; the
-    harness reserves path head 0 for trials, 1 for weight references,
-    2 for ranked references, 3 for calibration.
+    harness reserves path head 0 for trials, 2 for the (ranked) limit
+    references and 3 for calibration; head 1, once the separate weight
+    reference, is retired and must not be reused.
     """
     x = master & _MASK64
     for p in path:
@@ -408,30 +409,31 @@ def _trial_chunk(args) -> list[TrialOutcome]:
 _CHUNK = 64   # fixed chunk size: scheduling granularity, never affects results
 
 
-def _map_chunks(fn, args, spans, threads, unit, master, replay):
-    """Yield fn(a) for every chunk argument a, in chunk order.
+def _map_chunks(task: _TrialTask, spans, threads: int):
+    """Yield the outcomes of every trial range spans[i] = (lo, hi), in order.
 
     Serial when threads <= 1 or there is one chunk; otherwise a process
-    pool, whose map yields in submission order. spans[i] = (lo, hi) is the
-    range of `unit` chunk i covers. A dead worker becomes a MonteCarloError
-    naming the first chunk lost, its range, the master seed and the serial
-    replay call: `replay` formatted with that chunk's hi.
+    pool, whose map yields in submission order. A dead worker becomes a
+    MonteCarloError naming the first chunk lost, its trial range, the
+    master seed and the serial call that replays it.
     """
+    args = [(task, lo, hi) for lo, hi in spans]
     if threads <= 1 or len(args) <= 1:
-        yield from map(fn, args)
+        yield from map(_trial_chunk, args)
         return
     done = 0
     try:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(fn, args):
+            for part in ex.map(_trial_chunk, args):
                 yield part
                 done += 1
     except BrokenProcessPool as exc:
         lo, hi = spans[done]
         raise MonteCarloError(
             f"a worker process died; the first chunk lost is chunk {done} "
-            f"({unit} {lo}..{hi - 1}) of master seed {master}. Replay it "
-            f"serially with {replay.format(hi=hi)}") from exc
+            f"(trials {lo}..{hi - 1}) of master seed {task.master_seed}. Replay "
+            f"it serially with run_trials(config, M={hi}, master_seed="
+            f"{task.master_seed}, n={task.n}, threads=1)") from exc
 
 
 def run_trials(config: ExperimentConfig, M: int | None = None,
@@ -469,15 +471,12 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     )
 
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    replay = (f"run_trials(config, M={{hi}}, master_seed={master}, n={n}, "
-              "threads=1)")
     outcomes: list[TrialOutcome] = []
     with (open(csv_path, "w", encoding="utf-8", newline="\n") if csv_path
           else contextlib.nullcontext()) as fh:
         if fh:
             fh.write(CSV_HEADER + "\n")
-        for batch in _map_chunks(_trial_chunk, [(task, lo, hi) for lo, hi in spans],
-                                 spans, threads, "trials", master, replay):
+        for batch in _map_chunks(task, spans, threads):
             outcomes.extend(batch)
             if fh:
                 fh.writelines(_csv_row(o) + "\n" for o in batch)
@@ -525,71 +524,25 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 # references
 
 
-# BpConfig holds a WeightDistribution, whose callables do not pickle; the
-# worker args carry (laws, weight spec) and rebuild the config per process.
+def build_ranked_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, m: int,
+                           size: int, master_seed: int) -> np.ndarray:
+    """(size, m) reference draws of the m best recentred path weights.
 
-
-def _rebuild_bp(root_law, later_law, spec) -> ctbp.BpConfig:
-    return ctbp.BpConfig(root_law=root_law, later_law=later_law,
-                         dist=_dist_cached(spec))
-
-
-def _q_ref_chunk(args) -> np.ndarray:
-    consts, root_law, later_law, spec, count, seed = args
-    rng = _rng_for(seed)
-    return ctbp.sample_Q(consts, _rebuild_bp(root_law, later_law, spec),
-                         count, rng)
-
-
-_REF_CHUNK = 250   # draws per reference chunk; chunk i draws from seed path (head, i)
-
-
-def _reference_parts(fn, consts, bp, extra: tuple, size: int, master_seed: int,
-                     head: int, threads: int, replay: str) -> list:
-    """fn over the seeded chunks of a size-draw reference, in chunk order."""
-    spans = [(lo, min(lo + _REF_CHUNK, size)) for lo in range(0, size, _REF_CHUNK)]
-    fixed = (consts, bp.root_law, bp.later_law, bp.dist.spec()) + extra
-    args = [fixed + (hi - lo, derived_seed(master_seed, head, i))
-            for i, (lo, hi) in enumerate(spans)]
-    return list(_map_chunks(fn, args, spans, threads, "draws", master_seed, replay))
+    One population-dynamics pool gives the 2*size growth limits; within a
+    row the two limits are shared across ranks, exactly as they are within
+    one exploration trial.
+    """
+    rng = _rng_for(derived_seed(master_seed, 2))
+    w = ctbp.sample_w_pool(consts, bp, 2 * size, rng)
+    t = np.array([ctbp.sample_ranked_gumbel(m, rng) for _ in range(size)])
+    return ctbp.q_formula(consts, w[:size, None], w[size:, None], -t)
 
 
 def build_q_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, size: int,
-                      master_seed: int, threads: int = 1) -> np.ndarray:
-    """size draws of the limit variable Q, deterministically chunked."""
-    replay = (f"build_q_reference(consts, bp, size={{hi}}, "
-              f"master_seed={master_seed}, threads=1)")
-    return np.concatenate(_reference_parts(_q_ref_chunk, consts, bp, (), size,
-                                           master_seed, 1, threads, replay))
-
-
-def _ranked_ref_chunk(args) -> np.ndarray:
-    consts, root_law, later_law, spec, m, count, seed = args
-    rng = _rng_for(seed)
-    bp = _rebuild_bp(root_law, later_law, spec)
-    horizon = ctbp.default_w_horizon(consts)
-    out = np.empty((count, m))
-    for i in range(count):
-        w1 = ctbp.sample_w(consts, bp, rng, horizon=horizon)
-        w2 = ctbp.sample_w(consts, bp, rng, horizon=horizon)
-        t = ctbp.sample_ranked_gumbel(m, rng)
-        for j in range(m):
-            out[i, j] = ctbp.q_formula(consts, w1, w2, -float(t[j]))
-    return out
-
-
-def build_ranked_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, m: int,
-                           size: int, master_seed: int, threads: int = 1
-                           ) -> np.ndarray:
-    """(size, m) reference draws of the m best recentred path weights.
-
-    Within a row the two growth limits are shared across ranks, exactly as
-    they are within one exploration trial.
-    """
-    replay = (f"build_ranked_reference(consts, bp, m={m}, size={{hi}}, "
-              f"master_seed={master_seed}, threads=1)")
-    return np.vstack(_reference_parts(_ranked_ref_chunk, consts, bp, (m,), size,
-                                      master_seed, 2, threads, replay))
+                      master_seed: int) -> np.ndarray:
+    """size draws of the limit variable Q: the best path of the ranked
+    reference, since -t_1 of sample_ranked_gumbel is standard Gumbel."""
+    return build_ranked_reference(consts, bp, 1, size, master_seed)[:, 0]
 
 
 def residual_cdf_table(residual: ctbp.ResidualLife, x_max: float, n_grid: int = 513):
@@ -681,7 +634,7 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
 
 def verify_weight_limit(outcomes, consts, q_reference, *, threshold=0.08,
                         min_outcomes=500) -> ReportEntry:
-    """Recentred optimal weight vs the simulated limit law (two-sample KS)."""
+    """Recentred optimal weight vs draws of its limit law (two-sample KS)."""
     q = _qhat_array(outcomes)
     ref = np.asarray(q_reference, dtype=float)
     if q.size < min_outcomes:
@@ -906,7 +859,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                    plot_dir=None) -> tuple[VerificationReport, dict]:
     """Ladder of trial runs plus all four verifiers; optionally writes files.
 
-    Returns (report, outcomes_by_n). References are only simulated when the
+    Returns (report, outcomes_by_n). References are only drawn when the
     top rung has enough outcomes for the verifiers to run at all. plot_dir,
     if given, receives the two-column figure files.
     """
@@ -938,9 +891,11 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     enough = sum(o.connected for o in top_outcomes) >= min_outcomes
     q_ref = ranked_refs = None
     if enough:
-        bp = bp_config_for(config)
-        q_ref = build_q_reference(consts, bp, config.q_reference_size,
-                                  config.master_seed, threads)
+        ranked_refs = build_ranked_reference(consts, bp_config_for(config),
+                                             max(1, config.ranked_m),
+                                             config.q_reference_size,
+                                             config.master_seed)
+        q_ref = ranked_refs[:, 0]
         entries.append(verify_weight_limit(top_outcomes, consts, q_ref,
                                            threshold=config.threshold("weight_ks"),
                                            min_outcomes=min_outcomes))
@@ -955,9 +910,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                                   height_threshold=config.threshold("ppp_height_ks"),
                                   residual_threshold=config.threshold("ppp_residual_ks")))
         if config.ranked_m >= 1:
-            ranked_refs = build_ranked_reference(consts, bp, config.ranked_m,
-                                                 config.q_reference_size,
-                                                 config.master_seed, threads)
             entries.append(verify_ranked(top_outcomes, consts, config.ranked_m,
                                          ranked_refs,
                                          threshold=config.threshold("ranked_ks"),

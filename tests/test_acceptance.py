@@ -86,16 +86,15 @@ def ladder(threads, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def q_reference(consts, threads):
+def q_reference(consts):
     bp = mc.bp_config_for(base_config())
-    return mc.build_q_reference(consts, bp, 10_000, SEED, threads=threads)
+    return mc.build_q_reference(consts, bp, 10_000, SEED)
 
 
 @pytest.fixture(scope="module")
-def ranked_reference(consts, threads):
+def ranked_reference(consts):
     bp = mc.bp_config_for(base_config())
-    return mc.build_ranked_reference(consts, bp, RANKED_M, 10_000, SEED,
-                                     threads=threads)
+    return mc.build_ranked_reference(consts, bp, RANKED_M, 10_000, SEED)
 
 
 @pytest.fixture(scope="module")

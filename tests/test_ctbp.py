@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from fpplab import ctbp, weights
-from fpplab.montecarlo import ks_one_sample
+from fpplab.montecarlo import (ExperimentConfig, bp_config_for, build_q_reference,
+                               constants_for_config, ks_one_sample, ks_two_sample)
 
 
 def bisect(f, lo, hi, iters=200):
@@ -217,21 +218,66 @@ def four_regular():
     return c, bp
 
 
-def test_sample_w_matches_gamma_limit():
+def gamma22_cdf(x):
     # for the 4-regular exponential tree the a.s. limit of e^(-2t) Z_t is
     # Gamma(shape 2, scale 2): mean 4, and the cdf is known in closed form
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    return 1.0 - np.exp(-arr / 2.0) * (1.0 + arr / 2.0)
+
+
+def test_sample_w_matches_gamma_limit():
     c, bp = four_regular()
     rng = np.random.Generator(np.random.Philox(key=17))
     ws = np.array([ctbp.sample_w(c, bp, rng) for _ in range(2000)])
     assert abs(ws.mean() - 4.0) < 0.26
-
-    def gamma22_cdf(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return 1.0 - np.exp(-arr / 2.0) * (1.0 + arr / 2.0)
-
     d_stat, p_value = ks_one_sample(ws, gamma22_cdf)
     assert d_stat < 0.045
     assert p_value > 1e-3
+
+
+def test_sample_w_pool_matches_gamma_limit():
+    c, bp = four_regular()
+    ws = ctbp.sample_w_pool(c, bp, 20_000, np.random.Generator(np.random.Philox(key=17)))
+    assert ws.shape == (20_000,)
+    d_stat, p_value = ks_one_sample(ws, gamma22_cdf)
+    assert d_stat < 0.045
+    assert p_value > 1e-3
+
+
+def test_sample_w_pool_matches_simulation():
+    # uniform lifetimes (not Markov) and a later law with mass at 0, so the
+    # pool holds extinct lines (V = 0) and root draws W = 0 are rejected;
+    # the simulated, survival-conditioned sample_w is the reference
+    cfg = ExperimentConfig(degree_model=("iid", ((1, 0.3), (3, 0.4), (5, 0.3))),
+                           weight_spec=("uniform", (1.0,)))
+    c, bp = constants_for_config(cfg), bp_config_for(cfg)
+    pooled = ctbp.sample_w_pool(c, bp, 20_000, np.random.Generator(np.random.Philox(key=41)))
+    assert np.all(pooled > 0)
+    rng = np.random.Generator(np.random.Philox(key=43))
+    simulated = np.array([ctbp.sample_w(c, bp, rng) for _ in range(3000)])
+    d_stat, p_value = ks_two_sample(pooled, simulated)
+    assert d_stat < 0.045
+    assert p_value > 1e-3
+
+
+def test_sample_w_pool_mean_is_mu_a():
+    # no extinction on the 3-regular tree, so E W = mu A holds unconditioned
+    dist = weights.uniform(1.0)
+    c = ctbp.constants(3.0, 2.0, dist)
+    bp = ctbp.BpConfig(root_law=ctbp.OffspringLaw.point(3),
+                       later_law=ctbp.OffspringLaw.point(2), dist=dist)
+    ws = ctbp.sample_w_pool(c, bp, 20_000, np.random.Generator(np.random.Philox(key=5)))
+    want = c.mu * ctbp.mean_growth_constant(c)
+    assert abs(ws.mean() - want) < 5.0 * ws.std() / math.sqrt(ws.size)
+
+
+def test_sample_w_pool_deterministic():
+    c, bp = four_regular()
+    a = ctbp.sample_w_pool(c, bp, 500, np.random.Generator(np.random.Philox(key=3)))
+    b = ctbp.sample_w_pool(c, bp, 500, np.random.Generator(np.random.Philox(key=3)))
+    np.testing.assert_array_equal(a, b)
+    other = ctbp.sample_w_pool(c, bp, 500, np.random.Generator(np.random.Philox(key=4)))
+    assert not np.array_equal(a, other)
 
 
 def test_q_formula_reduces_to_c_over_alpha():
@@ -249,7 +295,7 @@ def test_sample_q_mean():
     want = (math.log(8.0) - 2.0 * e_log_w - euler) / 2.0
     assert want == pytest.approx(-0.36482, abs=5e-6)
     c, bp = four_regular()
-    qs = ctbp.sample_Q(c, bp, 4000, np.random.Generator(np.random.Philox(key=23)))
+    qs = build_q_reference(c, bp, 4000, 23)
     assert qs.shape == (4000,)
     assert abs(float(qs.mean()) - want) < 0.055
 

@@ -94,6 +94,23 @@ def test_diagnostics_match_direct_moments(raw):
     assert d.max_degree == int(arr.max())
 
 
+def test_diagnostics_equal_vertex_sums():
+    # the per-vertex float sums are exact below 2^53, so the degree-count
+    # sums must reproduce mu_n and nu_n bit for bit
+    rng = np.random.Generator(np.random.Philox(key=8))
+    arr = np.minimum(rng.zipf(2.5, 100_001), 5000).astype(np.int64)
+    if int(arr.sum()) % 2 == 1:
+        arr[-1] += 1
+    diag = degrees.diagnostics(degrees.DegreeSequence(degrees=arr))
+    d = arr.astype(float)
+    assert diag.mu_n == float(d.sum() / d.size)
+    assert diag.nu_n == float((d * (d - 1.0)).sum() / d.sum())
+    assert diag.second_moment == float((d * d).sum() / d.size)
+    logs = np.maximum(np.log(d / diag.cutoff), 0.0)
+    assert diag.x2logx == pytest.approx(float((d * d * logs).sum() / d.size), rel=1e-12)
+    assert diag.x2logx > 0
+
+
 def test_size_biased_pmf_hand_case():
     seq = degrees.DegreeSequence(degrees=np.array([2, 2, 3, 3]), parity_bumped=False)
     sb = degrees.size_biased_pmf(seq)

@@ -258,25 +258,6 @@ def test_dead_worker_is_named_error(monkeypatch):
     assert "master_seed=611, n=100, threads=1)" in msg
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched seeding reaches the workers only by fork")
-def test_dead_reference_worker_is_named_error(monkeypatch):
-    consts, bp = four_regular()
-    real = mc._rng_for
-
-    def dying(seed):
-        if seed == mc.derived_seed(31, 1, 0):      # Q reference chunk 0
-            os._exit(3)
-        return real(seed)
-
-    monkeypatch.setattr(mc, "_rng_for", dying)
-    with pytest.raises(mc.MonteCarloError) as err:
-        mc.build_q_reference(consts, bp, 1100, 31, threads=2)
-    msg = str(err.value)
-    assert "chunk 0 (draws 0..249) of master seed 31" in msg
-    assert "build_q_reference(consts, bp, size=250, master_seed=31, threads=1)" in msg
-
-
 def test_persistent_disconnection():
     # degree-1 vertices pair into a perfect matching, so two random
     # endpoints are almost never connected; with the resample budget cut to
@@ -303,20 +284,24 @@ def four_regular():
 
 def test_q_reference_deterministic_and_centered():
     consts, bp = four_regular()
-    a = mc.build_q_reference(consts, bp, 400, 31, threads=1)
-    b = mc.build_q_reference(consts, bp, 400, 31, threads=2)
-    np.testing.assert_array_equal(a, b)
+    a = mc.build_q_reference(consts, bp, 400, 31)
+    np.testing.assert_array_equal(a, mc.build_q_reference(consts, bp, 400, 31))
     # E[Q] = -0.36482 for this model; 4 sigma at 400 draws is about 0.17
     assert abs(float(a.mean()) + 0.36482) < 0.18
 
 
 def test_ranked_reference_shape_and_order():
     consts, bp = four_regular()
-    refs = mc.build_ranked_reference(consts, bp, 3, 300, 77, threads=2)
+    refs = mc.build_ranked_reference(consts, bp, 3, 300, 77)
     assert refs.shape == (300, 3)
     assert np.all(np.diff(refs, axis=1) > 0)
-    np.testing.assert_array_equal(
-        refs, mc.build_ranked_reference(consts, bp, 3, 300, 77, threads=1))
+    np.testing.assert_array_equal(refs, mc.build_ranked_reference(consts, bp, 3, 300, 77))
+
+
+def test_q_reference_is_first_ranked_column():
+    consts, bp = four_regular()
+    np.testing.assert_array_equal(mc.build_q_reference(consts, bp, 300, 77),
+                                  mc.build_ranked_reference(consts, bp, 1, 300, 77)[:, 0])
 
 
 def test_residual_table_matches_density():
