@@ -185,10 +185,6 @@ def _assemble_config(args) -> montecarlo.ExperimentConfig:
         raise ConfigError(str(exc))
 
 
-def _limit_pmf(config: montecarlo.ExperimentConfig) -> dict:
-    return montecarlo.pmf_of_model(config.degree_model)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

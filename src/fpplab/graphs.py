@@ -91,14 +91,14 @@ class WeightedGraph:
     def reveal(self, v: int) -> None:
         """Nothing to do: every half-edge is paired and weighted already."""
 
-    def edge_endpoints(self) -> np.ndarray:
-        """(m, 2) vertex pairs, one row per edge, in half-edge id order."""
-        he = np.nonzero(np.arange(self.partner.size) < self.partner)[0]
-        return np.column_stack([self.he_owner[he], self.he_owner[self.partner[he]]])
+
+def _lower_half_edges(partner: np.ndarray) -> np.ndarray:
+    """The lower half-edge id of every edge, ascending: one entry per edge."""
+    return np.nonzero(np.arange(partner.size) < partner)[0]
 
 
 def _count_defects(owner: np.ndarray, partner: np.ndarray) -> tuple[int, int]:
-    he = np.nonzero(np.arange(partner.size) < partner)[0]
+    he = _lower_half_edges(partner)
     u = owner[he]
     v = owner[partner[he]]
     loops = int((u == v).sum())
@@ -382,8 +382,7 @@ def assign_weights(g: WeightedGraph, dist: WeightDistribution,
     """
     ell = g.half_edge_count
     by_he = np.empty(ell, dtype=float)
-    _weigh_edges(by_he, g.partner, np.nonzero(np.arange(ell) < g.partner)[0],
-                 dist, rng)
+    _weigh_edges(by_he, g.partner, _lower_half_edges(g.partner), dist, rng)
     g.edge_weight_by_he = by_he
     return g
 
@@ -402,8 +401,7 @@ def export_edge_list(g: WeightedGraph, path) -> None:
     Vertices are 1-based in the file. Weights print with repr round-trip
     fidelity; an unweighted graph exports weight 1 for every edge.
     """
-    ell = g.half_edge_count
-    he = np.nonzero(np.arange(ell) < g.partner)[0]
+    he = _lower_half_edges(g.partner)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{g.n} {g.edge_count} {g.seed_label}\n")
         for h in he:

@@ -534,7 +534,7 @@ def build_ranked_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, m: int
     """
     rng = _rng_for(derived_seed(master_seed, 2))
     w = ctbp.sample_w_pool(consts, bp, 2 * size, rng)
-    t = np.array([ctbp.sample_ranked_gumbel(m, rng) for _ in range(size)])
+    t = ctbp.sample_ranked_gumbel(m, rng, size)
     return ctbp.q_formula(consts, w[:size, None], w[size:, None], -t)
 
 
@@ -548,8 +548,9 @@ def build_q_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, size: int,
 def residual_cdf_table(residual: ctbp.ResidualLife, x_max: float, n_grid: int = 513):
     """Dense-grid interpolant of the residual-life cdf (callable, and inverse).
 
-    Each grid value is one quadrature; interpolation error at this grid
-    density is orders of magnitude below every threshold that consumes it.
+    The whole grid is one residual.cdf call; interpolation error at this
+    grid density is orders of magnitude below every threshold that consumes
+    it. The inverse draws exact-law marks for calibrate_verifiers.
     """
     x = np.linspace(0.0, x_max, n_grid)
     f = residual.cdf(x)
@@ -582,16 +583,11 @@ class ReportEntry:
         return self.passed is None
 
 
-def _zhat_array(v) -> np.ndarray:
+def _connected_column(v, name: str) -> np.ndarray:
+    """v itself if it is an array, else field `name` of its connected outcomes."""
     if isinstance(v, np.ndarray):
         return v
-    return np.array([o.Z_hat for o in v if o.connected], dtype=float)
-
-
-def _qhat_array(v) -> np.ndarray:
-    if isinstance(v, np.ndarray):
-        return v
-    return np.array([o.Q_hat for o in v if o.connected], dtype=float)
+    return np.array([getattr(o, name) for o in v if o.connected], dtype=float)
 
 
 def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
@@ -603,7 +599,7 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
     decreasing along the ladder, and mean/variance point checks at the top.
     """
     ns = sorted(outcomes_by_n)
-    zs = {n: _zhat_array(outcomes_by_n[n]) for n in ns}
+    zs = {n: _connected_column(outcomes_by_n[n], "Z_hat") for n in ns}
     top = ns[-1]
     m_top = zs[top].size
     if m_top < min_outcomes:
@@ -635,7 +631,7 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
 def verify_weight_limit(outcomes, consts, q_reference, *, threshold=0.08,
                         min_outcomes=500) -> ReportEntry:
     """Recentred optimal weight vs draws of its limit law (two-sample KS)."""
-    q = _qhat_array(outcomes)
+    q = _connected_column(outcomes, "Q_hat")
     ref = np.asarray(q_reference, dtype=float)
     if q.size < min_outcomes:
         return ReportEntry("weight_limit", None, {"outcomes": float(q.size)},
@@ -900,10 +896,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                                            threshold=config.threshold("weight_ks"),
                                            min_outcomes=min_outcomes))
         residual = ctbp.residual_density(dist, consts.alpha)
-        r_vals = [float(o.marks[:, 4].max()) for o in top_outcomes if o.marks.size]
-        x_max = max(r_vals) * 1.05 + 1.0 if r_vals else 10.0 / consts.alpha
-        r_cdf, _ = residual_cdf_table(residual, x_max)
-        entries.append(verify_ppp(top_outcomes, consts, r_cdf,
+        entries.append(verify_ppp(top_outcomes, consts, residual.cdf,
                                   window=config.mark_window, bins=config.ppp_bins,
                                   slope_tol=config.threshold("ppp_slope_rel"),
                                   source_sigma=config.threshold("ppp_source_sigma"),
@@ -942,12 +935,12 @@ def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
     out.mkdir(parents=True, exist_ok=True)
     written = []
     top = max(outcomes_by_n)
-    z = np.sort(_zhat_array(outcomes_by_n[top]))
+    z = np.sort(_connected_column(outcomes_by_n[top], "Z_hat"))
     path = out / "hopcount_cdf.txt"
     _write_columns(path, z, ndtr(z))
     written.append(path)
     if q_ref is not None:
-        q = np.sort(_qhat_array(outcomes_by_n[top]))
+        q = np.sort(_connected_column(outcomes_by_n[top], "Q_hat"))
         ref = np.sort(np.asarray(q_ref, dtype=float))
         ref_cdf = np.searchsorted(ref, q, side="right") / ref.size
         path = out / "weight_cdf.txt"
@@ -1065,11 +1058,8 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
 
         # ranked (m = 3, reduced law; recentred weights passed as a matrix)
         m = 3
-        refs = np.empty((ref_size, m))
-        t = np.log(np.cumsum(rng.standard_exponential((ref_size, m)), axis=1))
-        refs[:, :] = (t + consts.c) / a
-        t2 = np.log(np.cumsum(rng.standard_exponential((M, m)), axis=1))
-        trial_vals = (t2 + consts.c) / a
+        refs = (ctbp.sample_ranked_gumbel(m, rng, ref_size) + consts.c) / a
+        trial_vals = (ctbp.sample_ranked_gumbel(m, rng, M) + consts.c) / a
         for mode in ("null", "power"):
             shift = 0.0 if mode == "null" else math.log(2.0) / a
             e = verify_ranked(trial_vals + shift, consts, m, refs,

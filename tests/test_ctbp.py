@@ -1,15 +1,16 @@
 """Branching-process constants against closed forms and independent oracles.
 
 Every numeric expectation here is either a hand-derivable closed form or is
-recomputed inside the test with nothing but math.exp and bisection, so the
-quadrature and root-finding code is checked against arithmetic it does not
-share.
+recomputed inside the test with math.exp and bisection, or with plain
+scipy quad on the defining integral (the residual law), so the quadrature
+and root-finding code is checked against arithmetic it does not share.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fpplab import ctbp, weights
 from fpplab.montecarlo import (ExperimentConfig, bp_config_for, build_q_reference,
@@ -163,6 +164,111 @@ def test_residual_cdf_normalizes():
     assert r.cdf(5.0) == pytest.approx(1.0, abs=1e-8)
 
 
+# Test-side reference for the residual law: plain adaptive quad on u = x + t^2
+# (the substitution makes the square-root cusp of power s = 2 at 0 smooth),
+# truncated at t^2 = 60/alpha, where the tilt has cut the integrand by e^-60.
+# The density uses its definition integral e^{-alpha y} g(x+y) dy / D, not
+# the (1 - G) - alpha K form that ctbp evaluates.
+
+RESIDUAL_LAWS = (weights.exponential(1.0), weights.uniform(2.0),
+                 weights.shifted_exponential(2.0), weights.power_exponential(0.5),
+                 weights.power_exponential(1.3), weights.power_exponential(2.0))
+
+
+def tilted_integral(fn, dist, alpha, x):
+    """integral_0^inf e^{-alpha y} fn(x + y) dy, by quad on y = t^2."""
+    t_hi = math.sqrt(60.0 / alpha)
+    kinks = [math.sqrt(e - x) for e in (dist.support_lo, dist.support_hi)
+             if x < e < x + t_hi * t_hi]
+    val, _ = quad(lambda t: 2.0 * t * math.exp(-alpha * t * t) * fn(x + t * t),
+                  0.0, t_hi, points=kinks or None, epsabs=1e-16, epsrel=1e-11, limit=500)
+    return val
+
+
+def reference_residual(dist, alpha, xs):
+    """(cdf, density) of the residual law at each x >= 0."""
+    def survival(u):
+        return 1.0 - float(dist.cdf(u))
+
+    def density(u):
+        return float(dist.density(u))
+
+    denom = tilted_integral(survival, dist, alpha, 0.0)
+    cdf = np.array([1.0 - tilted_integral(survival, dist, alpha, x) / denom for x in xs])
+    dens = np.array([tilted_integral(density, dist, alpha, x) / denom for x in xs])
+    return cdf, dens
+
+
+def assert_close(got, want, tol=1e-9):
+    np.testing.assert_array_less(np.abs(got - want), tol * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("dist", RESIDUAL_LAWS, ids=lambda d: f"{d.kind}{d.params}")
+def test_residual_matches_quadrature_reference(dist):
+    for alpha in (0.4, 3.0):
+        # the tilt's scale 1/alpha and the weight law's scale, in one array
+        xs = np.concatenate([[0.0], np.array([0.05, 0.3, 1.0, 3.0, 10.0]) / alpha,
+                             [0.7, 1.0, 1.6, 2.0, 2.5, 4.0]])
+        r = ctbp.residual_density(dist, alpha)
+        want_cdf, want_density = reference_residual(dist, alpha, xs)
+        assert_close(r.cdf(xs), want_cdf)
+        assert_close(r.density(xs), want_density)
+
+
+def test_residual_matches_reference_at_extreme_alpha():
+    # alpha > 1e4 (steep power weights at large offspring means): the law
+    # has mass on both the 1/alpha scale and the weight scale
+    dist, alpha = weights.power_exponential(2.0), 5e4
+    xs = np.array([0.0, 0.2, 1.0, 5.0, 30.0]) / alpha
+    xs = np.concatenate([xs, [0.01, 0.1, 0.7, 2.5, 9.0]])
+    r = ctbp.residual_density(dist, alpha)
+    want_cdf, want_density = reference_residual(dist, alpha, xs)
+    assert_close(r.cdf(xs), want_cdf)
+    assert_close(r.density(xs), want_density)
+
+
+@pytest.mark.parametrize("dist", (weights.uniform(2.0), weights.shifted_exponential(2.0),
+                                  weights.power_exponential(2.0)),
+                         ids=lambda d: d.kind)
+def test_residual_array_matches_scalar_calls(dist):
+    r = ctbp.residual_density(dist, 1.1)
+    xs = np.array([2.5, -1.0, 0.3, 0.0, 2.5, 1.0, -0.2, 0.3, 7.0, 1.9, 0.0])
+    cdf, dens = r.cdf(xs), r.density(xs)
+    assert cdf.shape == dens.shape == xs.shape
+    assert_close(cdf, np.array([r.cdf(float(x)) for x in xs]), tol=1e-12)
+    assert_close(dens, np.array([r.density(float(x)) for x in xs]), tol=1e-12)
+    assert np.all(cdf[xs <= 0] == 0.0) and np.all(dens[xs < 0] == 0.0)
+    assert r.cdf(xs.reshape(1, 11, 1)).shape == (1, 11, 1)
+    assert r.cdf(np.empty(0)).shape == r.density(np.empty(0)).shape == (0,)
+    assert isinstance(r.cdf(0.3), float)
+
+
+@pytest.mark.parametrize("dist", RESIDUAL_LAWS, ids=lambda d: f"{d.kind}{d.params}")
+def test_residual_cdf_far_out_is_finite(dist):
+    # e^{alpha x} at x = 1000/alpha overflows; the shifted evaluation must
+    # not, and reads exactly 1 once the weight law's tail is below rounding
+    alpha = ctbp.solve_malthusian(3.0, dist)
+    r = ctbp.residual_density(dist, alpha)
+    far = 1000.0 / alpha
+    want_cdf, want_density = reference_residual(dist, alpha, [far])
+    cdf = r.cdf(np.array([0.0, far]))
+    assert cdf[0] == 0.0 and cdf[1] == r.cdf(far)
+    assert abs(cdf[1] - want_cdf[0]) < 1e-12
+    assert abs(r.density(far) - want_density[0]) < 1e-12
+    if dist.cdf(far) == 1.0:
+        assert r.cdf(far) == 1.0
+
+
+def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):
+    # the check compares K(0) summed over Gauss-Legendre cells with the
+    # adaptive denominator; cells that lose 1e-5 of their mass must raise
+    dist = weights.exponential(1.0)
+    assert ctbp.residual_density(dist, 2.0).norm_residual < 1e-12
+    monkeypatch.setattr(ctbp, "_GL_W", ctbp._GL_W * (1.0 - 1e-5))
+    with pytest.raises(ctbp.QuadratureError):
+        ctbp.residual_density(dist, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # simulation: martingale mean, offspring bookkeeping
 
@@ -314,8 +420,18 @@ def test_standard_gumbel_moments():
 
 def test_ranked_gumbel_ascending_and_marginal():
     rng = np.random.Generator(np.random.Philox(key=13))
-    draws = np.array([ctbp.sample_ranked_gumbel(3, rng) for _ in range(5000)])
+    draws = ctbp.sample_ranked_gumbel(3, rng, 5000)
+    assert draws.shape == (5000, 3)
     assert np.all(np.diff(draws, axis=1) > 0)
     # minus the first coordinate is a standard Gumbel variable
     first = -draws[:, 0]
     assert abs(float(first.mean()) - 0.5772156649) < 0.1
+
+
+def test_ranked_gumbel_block_equals_row_draws():
+    # one (size, m) block consumes the stream exactly as size row draws
+    # would, so references built either way are bit-identical
+    block = ctbp.sample_ranked_gumbel(4, np.random.Generator(np.random.Philox(key=5)), 300)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    rows = np.array([np.log(np.cumsum(rng.standard_exponential(4))) for _ in range(300)])
+    np.testing.assert_array_equal(block, rows)
