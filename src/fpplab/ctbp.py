@@ -103,22 +103,32 @@ def _tail_cut(dist: WeightDistribution, s: float, tiny: float = _TAIL_TINY) -> f
     raise QuadratureError(f"tail cut did not converge (s={s}, kind={dist.kind})")
 
 
+def _kinks(dist: WeightDistribution) -> np.ndarray:
+    """Sorted points where G is not smooth: the finite support edges, and
+    every row of a table law (its density jumps there)."""
+    pts = [e for e in (dist.support_lo, dist.support_hi) if math.isfinite(e)]
+    if dist.kind == "user_table":
+        pts.extend(dist.params[1])
+    return np.unique(pts)
+
+
 def _break_points(dist: WeightDistribution, s: float, T: float) -> list[float]:
-    """Panel boundaries: the 1/s boundary layer plus distribution quantiles."""
-    pts = set()
+    """Panel boundaries: the 1/s boundary layer, distribution quantiles and
+    the law's kinks."""
+    pts = set(_kinks(dist).tolist())
     scale = 1.0 / s
     for j in range(-6, 8):
         pts.add(scale * 2.0 ** j)
     for q in (0.05, 0.25, 0.5, 0.75, 0.95):
         pts.add(float(dist.quantile(q)))
-    if dist.support_lo > 0:
-        pts.add(dist.support_lo)
     return sorted(p for p in pts if 0.0 < p < T)
 
 
 def _quad_checked(fn, lo, hi, points, epsabs, epsrel, what):
+    # QUADPACK needs more subintervals than break points (a table law has one
+    # per row)
     out = quad(fn, lo, hi, points=points or None, epsabs=epsabs, epsrel=epsrel,
-               limit=500, full_output=True)
+               limit=max(500, 2 * len(points)), full_output=True)
     val, err = out[0], out[1]
     if err <= max(epsabs, abs(val) * max(epsrel, 1e-13)) * 10:
         return val, err
@@ -233,17 +243,33 @@ def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
     return nu_bar, sigma_sq
 
 
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence for P_m, from the usual
+    cosine guesses; unlike numpy's leggauss it needs no eigen-solve, so
+    importing this module does not start LAPACK.
+    """
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 # 20-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_S, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_S, _GL_W = _gauss_legendre(20)
 _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
 
 
 def _tail_beyond(dist: WeightDistribution, alpha: float, x0: float) -> float:
     """K(x0) = integral e^{-alpha y}(1 - G(x0+y)) dy over y >= 0, adaptively."""
-    edges = [e - x0 for e in (dist.support_lo, dist.support_hi) if math.isfinite(e)]
     return _damped_integral(
         lambda y: math.exp(-alpha * y) * (1.0 - float(dist.cdf(x0 + y))),
-        alpha, points=edges, what="residual tail mass")
+        alpha, points=_kinks(dist) - x0, what="residual tail mass")
 
 
 @dataclass(frozen=True)
@@ -270,7 +296,7 @@ class ResidualLife:
     def _tail_mass(self, x: np.ndarray) -> np.ndarray:
         """K at every point of x (negative points read as 0), in one pass.
 
-        Nodes are the distinct points, the support edges between them, and
+        Nodes are the distinct points, the law's kinks between them, and
         steps of 1/alpha into each gap (40 at most: past them the decay
         e^{-40} lets one cell finish the gap). Each cell [u, u+h] is
         integrated by Gauss-Legendre under y = h s^2, which smooths a
@@ -281,8 +307,8 @@ class ResidualLife:
             return np.zeros(x.shape)
         a, dist = self.alpha, self._dist
         pts, inverse = np.unique(np.maximum(x, 0.0), return_inverse=True)
-        nodes = np.union1d(pts, [e for e in (dist.support_lo, dist.support_hi)
-                                 if pts[0] < e < pts[-1]])
+        kinks = _kinks(dist)
+        nodes = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
         extra = np.minimum(np.ceil(a * np.diff(nodes)) - 1.0, 40).astype(int)
         # rank runs 1..extra[i] within gap i
         rank = np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra) + 1
@@ -367,10 +393,9 @@ def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
     # through by Fubini collapses the double integral to a single damped
     # quadrature of (u - 1/a) e^{-au} G(u), which is both faster and free of
     # nested-quad error stacking
-    edges = [e for e in (dist.support_lo, dist.support_hi) if math.isfinite(e)]
     b_val = _damped_integral(
         lambda u: (u - 1.0 / alpha) * math.exp(-alpha * u) * float(dist.cdf(u)),
-        alpha, epsabs=1e-13, epsrel=1e-9, points=edges,
+        alpha, epsabs=1e-13, epsrel=1e-9, points=_kinks(dist),
         what="damped residual mass",
     ) / res.denom
     gamma = 1.0 / (alpha * nu_bar)

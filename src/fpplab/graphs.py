@@ -137,9 +137,13 @@ def pair_configuration(seq: DegreeSequence, rng: np.random.Generator) -> Weighte
 def _pair_uniformly(ids: np.ndarray, rng: np.random.Generator,
                     partner: np.ndarray) -> None:
     """Write a uniform perfect matching of ids into partner."""
-    perm = rng.permutation(ids)
-    partner[perm[0::2]] = perm[1::2]
-    partner[perm[1::2]] = perm[0::2]
+    _pair_off(rng.permutation(ids), partner)
+
+
+def _pair_off(he: np.ndarray, partner: np.ndarray) -> None:
+    """Pair he[0] with he[1], he[2] with he[3], and so on, into partner."""
+    partner[he[0::2]] = he[1::2]
+    partner[he[1::2]] = he[0::2]
 
 
 @dataclass(frozen=True)
@@ -284,13 +288,13 @@ def sample_uniform_simple(seq: DegreeSequence, rng: np.random.Generator,
 _RANK1_KINDS = ("nr", "grg", "cl")
 
 
-def _rank1_prob(kind: str, wi: float, wj: float, ell: float) -> float:
+def _rank1_prob(kind: str, wi: np.ndarray, wj: np.ndarray, ell: float) -> np.ndarray:
     x = wi * wj / ell
     if kind == "nr":
-        return -math.expm1(-x)
+        return -np.expm1(-x)
     if kind == "grg":
         return x / (1.0 + x)
-    return min(x, 1.0)  # cl
+    return np.minimum(x, 1.0)  # cl
 
 
 def sample_rank1(weights_w, kind: str, rng: np.random.Generator) -> WeightedGraph:
@@ -306,7 +310,10 @@ def sample_rank1(weights_w, kind: str, rng: np.random.Generator) -> WeightedGrap
     O(n + edges): from each i, geometric skips under the bound
     q = min(1, w_i w_j0 / l) at the segment start land on candidate j's,
     each accepted with p_ij / q (valid since weights are sorted decreasing,
-    making p_ij <= q for every j past j0).
+    making p_ij <= q for every j past j0). Every row takes its steps in
+    lock-step with the others, one numpy pass per round: bound, skip (when
+    q < 1), thinning draw, then on to the next candidate; a row drops out
+    once its candidate passes the last vertex.
     """
     if kind not in _RANK1_KINDS:
         raise GraphError(f"rank-1 kind must be one of {_RANK1_KINDS}, got {kind!r}")
@@ -320,54 +327,45 @@ def sample_rank1(weights_w, kind: str, rng: np.random.Generator) -> WeightedGrap
 
     order = np.argsort(-w, kind="stable")   # decreasing; stable for determinism
     ws = w[order]
+    rows = np.arange(n - 1)
+    cand = rows + 1
     us, vs = [], []
-    for a in range(n - 1):
-        wa = ws[a]
-        b = a + 1
-        while b < n:
-            q = min(1.0, wa * ws[b] / ell)
-            if q < 1.0:
-                # geometric skip: number of consecutive rejections under q
-                r = rng.random()
-                jump = math.log(r) / math.log1p(-q) if r > 0.0 else math.inf
-                if jump >= n - b:
-                    break
-                b += int(jump)
-            p = _rank1_prob(kind, wa, ws[b], ell)
-            if q >= 1.0:
-                if rng.random() < p:
-                    us.append(a)
-                    vs.append(b)
-            elif rng.random() * q < p:
-                us.append(a)
-                vs.append(b)
-            b += 1
+    while rows.size:
+        q = np.minimum(ws[rows] * ws[cand] / ell, 1.0)
+        # geometric skip: the number of consecutive rejections under q;
+        # r = 0 gives an infinite skip, and the row drops out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            skip = np.where(q < 1.0, np.log(rng.random(rows.size)) / np.log1p(-q), 0.0)
+        stay = skip < n - cand
+        rows, q = rows[stay], q[stay]
+        cand = cand[stay] + skip[stay].astype(np.int64)
+        hit = rng.random(rows.size) * q < _rank1_prob(kind, ws[rows], ws[cand], ell)
+        us.append(rows[hit])
+        vs.append(cand[hit])
+        cand += 1
+        stay = cand < n
+        rows, cand = rows[stay], cand[stay]
 
-    edges = np.column_stack([order[np.array(us, dtype=np.int64)],
-                             order[np.array(vs, dtype=np.int64)]]) \
-        if us else np.empty((0, 2), dtype=np.int64)
+    edges = np.column_stack([order[np.concatenate(us)], order[np.concatenate(vs)]])
     return build_from_edges(n, edges)
 
 
 def build_from_edges(n: int, edges: np.ndarray, seed_label: int = 0) -> WeightedGraph:
-    """Half-edge representation of an explicit edge list (loops allowed)."""
+    """Half-edge representation of an explicit edge list (loops allowed).
+
+    The ends of the edge list, in the order u0, v0, u1, v1, ..., take their
+    owner's half-edge ids in that order: a stable sort of the ends by owner.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise GraphError("edge endpoint out of range")
-    deg = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
-    off = _offsets(deg)
-    owner = _owners(off)
-    partner = np.full(int(off[-1]), -1, dtype=np.int64)
-    cursor = off[:-1].copy()
-    for u, v in edges:
-        hu = cursor[u]
-        cursor[u] += 1
-        hv = cursor[v]
-        cursor[v] += 1
-        partner[hu] = hv
-        partner[hv] = hu
-    assert partner.size == 0 or partner.min() >= 0
-    return WeightedGraph(n=n, he_offset=off, he_owner=owner, partner=partner,
+    ends = edges.ravel()
+    off = _offsets(np.bincount(ends, minlength=n).astype(np.int64))
+    he = np.empty(ends.size, dtype=np.int64)
+    he[np.argsort(ends, kind="stable")] = np.arange(ends.size)
+    partner = np.empty(ends.size, dtype=np.int64)
+    _pair_off(he, partner)
+    return WeightedGraph(n=n, he_offset=off, he_owner=_owners(off), partner=partner,
                          seed_label=seed_label)
 
 

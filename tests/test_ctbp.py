@@ -134,6 +134,23 @@ def test_constants_survive_extreme_power_weights():
     assert c.alpha > 1e4
 
 
+@pytest.fixture(scope="module")
+def exp_table(tmp_path_factory):
+    """exp(1) as the 257-row table a user gets from save_table."""
+    path = tmp_path_factory.mktemp("table") / "exp1.tsv"
+    weights.save_table(weights.exponential(1.0), path)
+    return weights.load_table(path)
+
+
+def test_constants_of_table_law(exp_table):
+    # the table's density jumps at every row; the quadratures must break
+    # there or they cannot certify their tolerance
+    c = ctbp.constants(4.0, 3.0, exp_table)
+    assert abs(c.alpha - 2.0) < 1e-4
+    for name, value in c.checks:
+        assert value < 1e-8, name
+
+
 def test_mean_growth_constant_four_regular():
     c = ctbp.constants(4.0, 3.0, weights.exponential(1.0))
     assert ctbp.mean_growth_constant(c) == pytest.approx(1.0, rel=1e-9)
@@ -176,10 +193,13 @@ RESIDUAL_LAWS = (weights.exponential(1.0), weights.uniform(2.0),
 
 
 def tilted_integral(fn, dist, alpha, x):
-    """integral_0^inf e^{-alpha y} fn(x + y) dy, by quad on y = t^2."""
+    """integral_0^inf e^{-alpha y} fn(x + y) dy, by quad on y = t^2, broken
+    at the support edges and at every row of a table law."""
     t_hi = math.sqrt(60.0 / alpha)
-    kinks = [math.sqrt(e - x) for e in (dist.support_lo, dist.support_hi)
-             if x < e < x + t_hi * t_hi]
+    edges = [dist.support_lo, dist.support_hi]
+    if dist.kind == "user_table":
+        edges += list(dist.params[1])
+    kinks = sorted({math.sqrt(e - x) for e in edges if x < e < x + t_hi * t_hi})
     val, _ = quad(lambda t: 2.0 * t * math.exp(-alpha * t * t) * fn(x + t * t),
                   0.0, t_hi, points=kinks or None, epsabs=1e-16, epsrel=1e-11, limit=500)
     return val
@@ -213,6 +233,16 @@ def test_residual_matches_quadrature_reference(dist):
         want_cdf, want_density = reference_residual(dist, alpha, xs)
         assert_close(r.cdf(xs), want_cdf)
         assert_close(r.density(xs), want_density)
+
+
+def test_residual_of_table_law_matches_reference(exp_table):
+    alpha = ctbp.solve_malthusian(3.0, exp_table)
+    r = ctbp.residual_density(exp_table, alpha)
+    # sparse points, most of them between table rows
+    xs = np.array([0.0, 0.013, 0.2, 0.77, 1.3, 2.9, 6.1, 12.0, 19.5])
+    want_cdf, want_density = reference_residual(exp_table, alpha, xs)
+    assert_close(r.cdf(xs), want_cdf)
+    assert_close(r.density(xs), want_density)
 
 
 def test_residual_matches_reference_at_extreme_alpha():
@@ -257,6 +287,15 @@ def test_residual_cdf_far_out_is_finite(dist):
     assert abs(r.density(far) - want_density[0]) < 1e-12
     if dist.cdf(far) == 1.0:
         assert r.cdf(far) == 1.0
+
+
+def test_gauss_legendre_matches_leggauss():
+    from numpy.polynomial.legendre import leggauss
+    for m in (1, 2, 7, 20):
+        nodes, wts = ctbp._gauss_legendre(m)
+        want_nodes, want_wts = leggauss(m)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(wts, want_wts, rtol=0, atol=1e-14)
 
 
 def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):

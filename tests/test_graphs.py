@@ -110,6 +110,38 @@ def test_build_from_edges_rejects_out_of_range():
         graphs.build_from_edges(2, [(0, 2)])
 
 
+def cursor_build(n, edges):
+    """Reference numbering: walk the edges in order; each end takes its
+    owner's next free half-edge id. Returns (he_offset, partner)."""
+    deg = np.bincount(np.asarray(edges, dtype=np.int64).ravel(), minlength=n)
+    off = np.concatenate([[0], np.cumsum(deg)])
+    partner = np.full(int(off[-1]), -1, dtype=np.int64)
+    cursor = off[:-1].copy()
+    for u, v in edges:
+        hu = cursor[u]
+        cursor[u] += 1
+        hv = cursor[v]
+        cursor[v] += 1
+        partner[hu] = hv
+        partner[hv] = hu
+    return off, partner
+
+
+def test_build_from_edges_matches_cursor_loop():
+    rng = philox(11)
+    loops = multi = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 40)), 2))
+        g = graphs.build_from_edges(n, edges)
+        off, partner = cursor_build(n, edges)
+        np.testing.assert_array_equal(g.he_offset, off)
+        np.testing.assert_array_equal(g.partner, partner)
+        loops += g.self_loop_count
+        multi += g.multi_edge_count
+    assert loops > 0 and multi > 0
+
+
 # ---------------------------------------------------------------------------
 # uniform simple graphs by rejection
 
@@ -147,18 +179,42 @@ def test_three_regular_acceptance_rate():
 # rank-1 kernels
 
 
-@pytest.mark.parametrize("kind,p_edge", [
-    ("nr", 1.0 - math.exp(-0.5)),   # 1 - exp(-w1 w2 / total)
-    ("grg", 1.0 / 3.0),             # x/(1+x) with x = 1/2
-    ("cl", 0.5),                    # min(x, 1)
+# w_i w_j >= sum(w) = 21.3 for the pairs (0, 1) and (0, 2) only: those have
+# the skip bound q = 1, every other pair q < 1
+W10 = np.array([6.0, 5.0, 4.0, 2.0, 1.5, 1.0, 0.8, 0.5, 0.3, 0.2])
+
+
+def pair_probs(kernel, w):
+    """p_ij of every pair i < j, in np.triu_indices order."""
+    return kernel(np.outer(w, w) / w.sum())[np.triu_indices(w.size, 1)]
+
+
+@pytest.mark.parametrize("kind,p_edge,w,draws", [
+    *(pytest.param(kind, p, np.array([1.0, 1.0]), 20000, id=f"{kind}-{p}") for kind, p in [
+        ("nr", 1.0 - math.exp(-0.5)),   # 1 - exp(-w1 w2 / total)
+        ("grg", 1.0 / 3.0),             # x/(1+x) with x = 1/2
+        ("cl", 0.5),                    # min(x, 1)
+    ]),
+    pytest.param("nr", pair_probs(lambda x: -np.expm1(-x), W10), W10, 5000,
+                 id="nr-w10"),
+    pytest.param("grg", pair_probs(lambda x: x / (1.0 + x), W10), W10, 5000,
+                 id="grg-w10"),
+    pytest.param("cl", pair_probs(lambda x: np.minimum(x, 1.0), W10), W10, 5000,
+                 id="cl-w10"),
 ])
-def test_rank1_two_vertex_edge_probability(kind, p_edge):
-    w = np.array([1.0, 1.0])
+def test_rank1_two_vertex_edge_probability(kind, p_edge, w, draws):
+    # the frequency of every pair i < j as an edge, against p_ij
+    n = w.size
     rng = philox(40)
-    hits = sum(graphs.sample_rank1(w, kind, rng).partner.size // 2
-               for _ in range(20000))
-    sigma = math.sqrt(p_edge * (1 - p_edge) / 20000)
-    assert abs(hits / 20000 - p_edge) < 5 * sigma
+    hits = np.zeros(n * n)
+    for _ in range(draws):
+        g = graphs.sample_rank1(w, kind, rng)
+        he = np.nonzero(np.arange(g.partner.size) < g.partner)[0]
+        u, v = g.he_owner[he], g.he_owner[g.partner[he]]
+        hits[np.minimum(u, v) * n + np.maximum(u, v)] += 1
+    freq = hits.reshape(n, n)[np.triu_indices(n, 1)] / draws
+    sigma = np.sqrt(p_edge * (1 - p_edge) / draws)
+    assert np.all(np.abs(freq - p_edge) <= 5 * sigma)
 
 
 def test_rank1_rejects_unknown_kernel():
