@@ -1,12 +1,12 @@
 """Two-source shortest-weight exploration of a weighted multigraph.
 
 Both endpoints grow weight-balls simultaneously. The frontier is a set of
-alive half-edges, each carrying (absolute death time, source cluster,
-height); the next event is always the alive half-edge with the smallest
-death time, popped from one shared heap. Dying at time T means: the edge it
-sits on is traversed, its partner's vertex joins the dying half-edge's
-cluster at height +1, and the new vertex's remaining half-edges are
-classified against the current state:
+alive half-edges, each one tuple (absolute death time, id, source cluster,
+height, partner id); the next event is always the alive half-edge with the
+smallest death time, popped from one shared heap. Dying at time T means:
+the edge it sits on is traversed, its partner's vertex joins the dying
+half-edge's cluster at height +1, and the new vertex's remaining half-edges
+are classified against the current state:
 
   free partner elsewhere   -> alive, death = T + that edge's weight
   partner among siblings   -> self-loop at the new vertex, both consumed
@@ -24,12 +24,16 @@ stopping at that point is exact (and tested).
 Why the partner of a dying half-edge is always free: a found vertex has
 every half-edge alive or consumed, never free, and pairing consumption
 always takes both sides of an edge together; so a free partner means an
-unexplored vertex. step() checks that invariant on every event and raises
-ExploreError, naming the half-edges, when a pairing breaks it.
+unexplored vertex. Every event checks that invariant on the partner its
+tuple carries, and raises ExploreError, naming the half-edges, when a
+pairing breaks it.
 
-The graph is either a WeightedGraph or a LazyPairing. The exploration calls
-graph.reveal(v) whenever vertex v joins a cluster, before it reads the
-partners and weights of v's half-edges; a lazy pairing draws them then.
+The graph is either a WeightedGraph or a LazyPairing. The exploration reads
+a vertex's half-edges only through graph.reveal(v), called when v joins a
+cluster: a list of (id, partner, weight) triples over v's half-edge ids, in
+order, which a lazy pairing draws at that moment. advance() and
+advance_ranked() drive one shared loop, and every event, from that loop or
+from step(), runs one shared body.
 """
 from __future__ import annotations
 
@@ -74,9 +78,6 @@ class HorizonError(RuntimeError):
     """A probe time lies beyond the explored window of this trial."""
 
 
-_FREE = object()   # sentinel: half-edge not yet touched
-
-
 @dataclass(frozen=True)
 class CollisionRecord:
     """One inter-cluster edge, observed the moment the balls touch it.
@@ -118,17 +119,19 @@ class PathResult:
 class SwgState:
     """Mutable exploration state; build with init(), drive with step()/advance().
 
-    he_state maps a touched half-edge id to (death, source, height) while
-    alive and to None once consumed; untouched ids are absent. alive counts
-    the alive half-edges of each cluster and last_time is the time of the
-    latest event, so a state advanced to a probe time holds the probe's counts.
+    An alive half-edge is one tuple (death, id, source, height, partner):
+    he_state maps its id to that tuple, and the same tuple sits in the heap,
+    which orders on (death, id). he_state maps a consumed id to None;
+    untouched ids are absent, so len(he_state) counts touched half-edges.
+    found is the set of vertices in either cluster. alive counts the alive
+    half-edges of each cluster and last_time is the time of the latest
+    event, so a state advanced to a probe time holds the probe's counts.
     """
 
     __slots__ = (
         "graph", "n", "sources", "he_state", "found", "heap", "alive",
         "collisions", "weights_sorted", "k", "last_time",
-        "log_details", "detail_rows",
-        "_off", "_owner", "_reveal", "_partner", "_weight",
+        "log_details", "detail_rows", "_owner", "_reveal",
     )
 
     def __init__(self, graph: WeightedGraph | LazyPairing, u1: int, u2: int,
@@ -137,7 +140,7 @@ class SwgState:
         self.n = graph.n
         self.sources = (u1, u2)
         self.he_state: dict = {}
-        self.found: dict = {}
+        self.found: set = set()
         self.heap: list = []
         self.alive = [0, 0, 0]          # index by source id 1/2
         self.collisions: list[CollisionRecord] = []
@@ -146,22 +149,14 @@ class SwgState:
         self.last_time = 0.0
         self.log_details = log_details
         self.detail_rows: list[tuple] = []
-        self._off = graph.he_offset
         self._owner = graph.owner
         self._reveal = graph.reveal
-        self._partner = graph.partner
-        self._weight = graph.edge_weight_by_he
 
     # -- bookkeeping helpers ------------------------------------------------
 
     def _record_collision(self, rec: CollisionRecord) -> None:
         self.collisions.append(rec)
         insort(self.weights_sorted, rec.path_weight)
-
-    def mth_best_weight(self, m: int) -> float:
-        if len(self.weights_sorted) < m:
-            return math.inf
-        return self.weights_sorted[m - 1]
 
     def dump_events(self, fh) -> None:
         """Write the detail log, one line per logged item: k t type payload."""
@@ -194,24 +189,20 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
         raise IsolatedEndpointError(f"vertex {u2} has no half-edges")
 
     state = SwgState(g, u1, u2, log_details)
-    g.reveal(u1)
-    g.reveal(u2)
-    partner = state._partner
-    weight = state._weight
+    half1 = g.reveal(u1)
+    half2 = g.reveal(u2)
     he_state = state.he_state
-    state.found[u1] = (1, 0, 0.0)
-    state.found[u2] = (2, 0, 0.0)
+    state.found.update((u1, u2))
     if log_details:
         state.detail_rows.append((0, 0.0, "vertex", u1, 1, 0))
         state.detail_rows.append((0, 0.0, "vertex", u2, 2, 0))
 
-    for source, u, other in ((1, u1, u2), (2, u2, u1)):
-        lo, hi = int(off[u]), int(off[u + 1])
-        other_lo, other_hi = int(off[other]), int(off[other + 1])
-        for x in range(lo, hi):
+    for source, half, other in ((1, half1, half2), (2, half2, half1)):
+        lo, hi = half[0][0], half[-1][0] + 1
+        other_lo, other_hi = other[0][0], other[-1][0] + 1
+        for x, px, w in half:
             if x in he_state:            # consumed by an earlier classification
                 continue
-            px = int(partner[x])
             if lo <= px < hi:
                 # self-loop at the endpoint: burn both halves
                 he_state[x] = None
@@ -221,14 +212,14 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
                 he_state[x] = None
                 he_state[px] = None
                 rec = CollisionRecord(time=0.0, source=2, h_origin=0, h_dest=0,
-                                      remaining=float(weight[x]))
+                                      remaining=w)
                 state._record_collision(rec)
                 if log_details:
                     state.detail_rows.append((0, 0.0, "collision", x, px, rec.remaining))
             else:
-                d = float(weight[x])
-                he_state[x] = (d, source, 0)
-                heappush(state.heap, (d, x))
+                entry = (w, x, source, 0, px)
+                he_state[x] = entry
+                heappush(state.heap, entry)
                 state.alive[source] += 1
     return state
 
@@ -256,68 +247,69 @@ def step(state: SwgState) -> bool:
     _prune(state)
     if not state.heap:
         return False
-    t, y = heappop(state.heap)
+    _event(state, heappop(state.heap))
+    return True
+
+
+def _event(state: SwgState, entry: tuple) -> None:
+    """The event body: the alive half-edge `entry`, just popped, dies."""
+    t, y, src, h, z = entry
     he_state = state.he_state
-    _death, src, h = he_state[y]
     he_state[y] = None
-    state.alive[src] -= 1
+    alive = state.alive
+    alive[src] -= 1
     state.last_time = t
 
-    partner = state._partner
-    weight = state._weight
-    z = int(partner[y])
     # the partner of a dying half-edge leads to fresh territory (see module
     # docstring); the two checks below are the disjointness invariant
     if z in he_state:
         raise ExploreError(f"half-edge {y} died into half-edge {z}, which was "
                            "already touched")
     v = state._owner(z)
-    if v in state.found:
+    found = state.found
+    if v in found:
         raise ExploreError(f"half-edge {y} died into vertex {v} (half-edge {z}), "
                            "which was already found; the clusters overlap")
-    state._reveal(v)
+    half = state._reveal(v)
     hv = h + 1
-    state.found[v] = (src, hv, t)
+    found.add(v)
     he_state[z] = None
     state.k += 1
-    if state.log_details:
-        state.detail_rows.append((state.k, t, "vertex", v, src, hv))
+    log = state.detail_rows if state.log_details else None
+    if log is not None:
+        log.append((state.k, t, "vertex", v, src, hv))
 
+    heap = state.heap
     n_added = n_self = n_cycle = n_collision = 0
-    lo, hi = int(state._off[v]), int(state._off[v + 1])
-    for x in range(lo, hi):
-        if x == z:
-            continue
-        st = he_state.get(x, _FREE)
-        if st is None:
-            continue                     # second half of a sibling self-loop
-        px = int(partner[x])
-        pst = he_state.get(px, _FREE)
-        if pst is None:
-            raise ExploreError(f"free half-edge {x} of vertex {v} is paired to "
-                               f"half-edge {px}, which was already consumed")
-        if pst is _FREE:
+    lo, hi = half[0][0], half[-1][0] + 1
+    for x, px, w in half:
+        if x in he_state:
+            continue                     # z, or the 2nd half of a sibling self-loop
+        if px not in he_state:
             if lo <= px < hi:
                 he_state[x] = None       # self-loop at the new vertex
                 he_state[px] = None
                 n_self += 1
-                if state.log_details:
-                    state.detail_rows.append((state.k, t, "cycle", x, px))
+                if log is not None:
+                    log.append((state.k, t, "cycle", x, px))
             else:
-                d = t + float(weight[x])
-                he_state[x] = (d, src, hv)
-                heappush(state.heap, (d, x))
-                state.alive[src] += 1
+                new = (t + w, x, src, hv, px)
+                he_state[x] = new
+                heappush(heap, new)
                 n_added += 1
         else:
-            pd, psrc, ph = pst
+            pst = he_state[px]
+            if pst is None:
+                raise ExploreError(f"free half-edge {x} of vertex {v} is paired to "
+                                   f"half-edge {px}, which was already consumed")
+            pd, _, psrc, ph, _ = pst
             he_state[x] = None
             he_state[px] = None
-            state.alive[psrc] -= 1
+            alive[psrc] -= 1
             if psrc == src:
                 n_cycle += 1
-                if state.log_details:
-                    state.detail_rows.append((state.k, t, "cycle", x, px))
+                if log is not None:
+                    log.append((state.k, t, "cycle", x, px))
             else:
                 n_collision += 1
                 rec = CollisionRecord(time=t, source=src, h_origin=hv,
@@ -327,25 +319,44 @@ def step(state: SwgState) -> bool:
                         f"half-edge {px} died at {pd!r}, before the event at "
                         f"{t!r} that reached its partner {x}")
                 state._record_collision(rec)
-                if state.log_details:
-                    state.detail_rows.append(
-                        (state.k, t, "collision", x, px, rec.remaining))
-    if n_added + n_cycle + n_collision + 2 * n_self != hi - lo - 1:
+                if log is not None:
+                    log.append((state.k, t, "collision", x, px, rec.remaining))
+    alive[src] += n_added
+    if n_added + n_cycle + n_collision + 2 * n_self != len(half) - 1:
         raise ExploreError(
             f"the siblings of half-edge {z} at vertex {v} (half-edges "
             f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} cycle, "
             f"{n_collision} collision and {n_self} self-loop, which does not "
-            f"add up to {hi - lo - 1}")
-    return True
+            f"add up to {len(half) - 1}")
+
+
+def _run(state: SwgState, until: float, m: int) -> None:
+    """The event loop of advance (m = 0) and advance_ranked (m >= 1).
+
+    Stops before the next event, at time t, when t is inf, or when t > until
+    and, for m >= 1, at least m records exist and t exceeds half the m-th
+    best path weight.
+    """
+    heap = state.heap
+    he_state = state.he_state
+    ws = state.weights_sorted
+    inf = math.inf
+    while heap:
+        entry = heap[0]
+        if he_state[entry[1]] is None:   # consumed since it was pushed
+            heappop(heap)
+            continue
+        t = entry[0]
+        if t == inf or (t > until and (not m or (len(ws) >= m
+                                                 and t > 0.5 * ws[m - 1]))):
+            return
+        heappop(heap)
+        _event(state, entry)
 
 
 def advance(state: SwgState, until: float) -> None:
     """Process every event with time <= until (inf runs to exhaustion)."""
-    while True:
-        t = next_event_time(state)
-        if t > until or t == math.inf:
-            return
-        step(state)
+    _run(state, until, 0)
 
 
 def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
@@ -358,13 +369,7 @@ def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
     """
     if m < 1:
         raise ExploreError(f"need m >= 1, got {m}")
-    while True:
-        t = next_event_time(state)
-        if t == math.inf:
-            return
-        if t > max(min_horizon, 0.5 * state.mth_best_weight(m)):
-            return
-        step(state)
+    _run(state, min_horizon, m)
 
 
 def result(state: SwgState, m: int = 1) -> PathResult:

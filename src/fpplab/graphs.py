@@ -3,12 +3,13 @@
 The storage model is half-edge based: vertex v owns the half-edge ids
 offset[v] .. offset[v+1]-1 (vertex-major), and partner[] is the pairing
 involution. Edge weights live on edges: both half-edges of an edge expose
-the same draw. Everything downstream (exploration, the reference shortest
-path) works off these arrays.
+the same draw. The reference shortest path works off these arrays; the
+exploration reads a vertex's half-edges only through reveal(v), a list of
+(id, partner, weight) triples in id order.
 
 A configuration model can also be paired lazily (LazyPairing): partners and
-weights are drawn only for the vertices an exploration reaches, behind the
-same partner / edge_weight_by_he / owner / reveal interface.
+weights are drawn only for the vertices an exploration reaches, and its
+reveal(v) returns the same triples a WeightedGraph of that pairing would.
 """
 from __future__ import annotations
 
@@ -88,8 +89,11 @@ class WeightedGraph:
     def owner(self, h: int) -> int:
         return int(self.he_owner[h])
 
-    def reveal(self, v: int) -> None:
-        """Nothing to do: every half-edge is paired and weighted already."""
+    def reveal(self, v: int) -> list[tuple[int, int, float]]:
+        """(id, partner, weight) of each half-edge of vertex v, in id order."""
+        lo, hi = self.he_offset[v:v + 2].tolist()
+        return list(zip(range(lo, hi), self.partner[lo:hi].tolist(),
+                        self.edge_weight_by_he[lo:hi].tolist()))
 
 
 def _lower_half_edges(partner: np.ndarray) -> np.ndarray:
@@ -198,8 +202,10 @@ class LazyPairing:
     from fixed blocks. Ids and weights come from rng in blocks of fixed
     size, so the stream consumed is a pure function of the reveal history.
 
-    partner and edge_weight_by_he are dicts over revealed half-edges; the
-    exploration indexes them exactly like the arrays of a WeightedGraph.
+    reveal(v) returns v's (id, partner, weight) triples, as a
+    WeightedGraph does; a vertex revealed before costs no draw. partner and
+    edge_weight_by_he are dicts over the revealed half-edges, which
+    materialize() completes into the arrays of a WeightedGraph.
     """
 
     def __init__(self, layout: HalfEdgeLayout, dist: WeightDistribution,
@@ -207,6 +213,7 @@ class LazyPairing:
         self.n = layout.n
         self.he_offset = layout.he_offset
         self.owner = layout.owner
+        self._off = memoryview(layout.he_offset)     # Python ints, fast to index
         self.partner: dict[int, int] = {}
         self.edge_weight_by_he: dict[int, float] = {}
         self._layout = layout
@@ -218,29 +225,38 @@ class LazyPairing:
     def degrees(self) -> np.ndarray:
         return np.diff(self.he_offset)
 
-    def reveal(self, v: int) -> None:
-        """Pair and weigh every still-unpaired half-edge of vertex v."""
+    def reveal(self, v: int) -> list[tuple[int, int, float]]:
+        """Pair and weigh every still-unpaired half-edge of vertex v.
+
+        Returns (id, partner, weight) of each half-edge of v, in id order.
+        """
         partner = self.partner
         weight = self.edge_weight_by_he
         ids = self._ids
         draws = self._weights
-        off = self.he_offset
-        for x in range(int(off[v]), int(off[v + 1])):
-            if x in partner:
-                continue
-            while True:
-                if not ids:
-                    ids.extend(self._rng.integers(
-                        self._layout.half_edge_count, size=_DRAW_BLOCK).tolist())
-                y = ids.pop()
-                if y != x and y not in partner:
-                    break
-            if not draws:
-                draws.extend(np.atleast_1d(
-                    sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
-            partner[x] = y
-            partner[y] = x
-            weight[x] = weight[y] = draws.pop()
+        off = self._off
+        half = []
+        for x in range(off[v], off[v + 1]):
+            y = partner.get(x)
+            if y is None:
+                while True:
+                    if not ids:
+                        ids.extend(self._rng.integers(
+                            self._layout.half_edge_count, size=_DRAW_BLOCK).tolist())
+                    y = ids.pop()
+                    if y != x and y not in partner:
+                        break
+                if not draws:
+                    draws.extend(np.atleast_1d(
+                        sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
+                w = draws.pop()
+                partner[x] = y
+                partner[y] = x
+                weight[x] = weight[y] = w
+            else:
+                w = weight[x]
+            half.append((x, y, w))
+        return half
 
     def materialize(self) -> WeightedGraph:
         """The whole graph: revealed pairs and weights kept, the rest drawn.

@@ -88,9 +88,11 @@ def test_endpoint_validation():
 
 
 def test_broken_pairing_raises_under_optimize():
-    # the invariant checks must survive python -O, which strips asserts:
-    # on the path 0-1-2-3, vertex 1's second half-edge is re-pointed at the
-    # half-edge that just died into vertex 1
+    # the invariant checks must survive python -O, which strips asserts.
+    # First graph: on the path 0-1-2-3, vertex 1's second half-edge is
+    # re-pointed at the half-edge that just died into vertex 1. Second:
+    # half-edge 1 of source 0 is re-pointed at vertex 1's second half-edge,
+    # which is alive by the time half-edge 1 dies into it
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -98,15 +100,20 @@ def test_broken_pairing_raises_under_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        g = graphs.build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        g.edge_weight_by_he = np.array([1.0, 1.0, 5.0, 5.0, 9.0, 9.0])
-        g.partner[2] = 0
-        try:
-            explore.run(g, 0, 3)
-        except explore.ExploreError as exc:
-            print(exc)
-        else:
-            sys.exit("no ExploreError")
+        path = graphs.build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        path.edge_weight_by_he = np.array([1.0, 1.0, 5.0, 5.0, 9.0, 9.0])
+        path.partner[2] = 0
+        chord = graphs.build_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        chord.edge_weight_by_he = np.array([1.0, 5.0, 1.0, 9.0, 5.0, 9.0,
+                                            20.0, 20.0])
+        chord.partner[1] = 3
+        for g in (path, chord):
+            try:
+                explore.run(g, 0, 3)
+            except explore.ExploreError as exc:
+                print(exc)
+            else:
+                sys.exit("no ExploreError")
     """)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -114,8 +121,10 @@ def test_broken_pairing_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert "free half-edge 2 of vertex 1" in done.stdout
-    assert "half-edge 0" in done.stdout
+    path_msg, chord_msg = done.stdout.splitlines()
+    assert "free half-edge 2 of vertex 1" in path_msg
+    assert "half-edge 0" in path_msg
+    assert "half-edge 1 died into half-edge 3, which was already touched" in chord_msg
 
 
 def test_weights_required():
@@ -270,3 +279,84 @@ def test_event_log_round_trip():
     silent = explore.init(triangle(), 0, 2)
     with pytest.raises(explore.ExploreError):
         silent.dump_events(io.StringIO())
+
+
+# ---------------------------------------------------------------------------
+# event order guards: seeded instances whose full event logs sit in tests/data
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+EVENT_LOG_CASES = ("lazy_regular", "lazy_iid", "unit_edges")
+
+
+def event_log_instance(name):
+    """(graph, u1, u2) of one seeded guard instance, built afresh."""
+    if name == "lazy_regular":
+        layout = graphs.HalfEdgeLayout.of(degrees.regular(4, 500))
+        return graphs.LazyPairing(layout, weights.exponential(1.0), philox(901)), 0, 250
+    if name == "lazy_iid":
+        # few vertices, high degrees: the explored part has self-loops and
+        # multi-edges
+        rng = philox(902)
+        seq = degrees.build_iid({1: 0.2, 3: 0.3, 6: 0.5}, 80, rng)
+        layout = graphs.HalfEdgeLayout.of(seq)
+        return graphs.LazyPairing(layout, weights.exponential(1.0), rng), 0, 1
+    # every weight 1.0: death times tie all the time, so the id tie-break
+    # decides the event order
+    g = graphs.build_from_edges(60, philox(903).integers(60, size=(150, 2)))
+    g.edge_weight_by_he = np.ones(g.half_edge_count)
+    return g, 0, 1
+
+
+def event_log(name):
+    """(graph, dump_events text) of an exploration run to exhaustion."""
+    g, u, v = event_log_instance(name)
+    state = explore.init(g, u, v, log_details=True)
+    explore.advance(state, math.inf)
+    buf = io.StringIO()
+    state.dump_events(buf)
+    return g, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", EVENT_LOG_CASES)
+def test_event_log_matches_recorded(name):
+    # the recorded logs were written by event_log() before the exploration
+    # kept one tuple per alive half-edge; a changed event order, tie-break
+    # or lazy draw changes a byte
+    g, text = event_log(name)
+    assert text == (DATA / f"events_{name}.txt").read_text(encoding="utf-8")
+    if name == "lazy_iid":
+        pairs = [(g.owner(x), g.owner(y)) for x, y in g.partner.items() if x < y]
+        assert any(a == b for a, b in pairs)
+        assert len(set(pairs)) < len(pairs)
+
+
+@pytest.mark.parametrize("name", EVENT_LOG_CASES)
+def test_step_alone_matches_advance_ranked(name):
+    m = 3
+    stepped = explore.init(*event_log_instance(name), log_details=True)
+    while True:
+        t = explore.next_event_time(stepped)
+        w = sorted(r.path_weight for r in stepped.collisions)
+        if t == math.inf or (len(w) >= m and t > 0.5 * w[m - 1]):
+            break
+        assert explore.step(stepped)
+    ranked = explore.init(*event_log_instance(name), log_details=True)
+    explore.advance_ranked(ranked, m)
+    assert stepped.k == ranked.k
+    assert explore.result(stepped, m) == explore.result(ranked, m)
+    assert stepped.detail_rows == ranked.detail_rows
+
+
+def test_reveal_triples_agree_with_materialized():
+    g, u, v = event_log_instance("lazy_iid")
+    state = explore.init(g, u, v)
+    explore.advance_ranked(state, 3)
+    rng_state = g._rng.bit_generator.state
+    triples = {w: g.reveal(w) for w in sorted(state.found)}
+    np.testing.assert_equal(g._rng.bit_generator.state, rng_state)
+    full = g.materialize()
+    for w, half in triples.items():
+        assert [x for x, _, _ in half] == list(range(int(g.he_offset[w]),
+                                                     int(g.he_offset[w + 1])))
+        assert g.reveal(w) == half
+        assert full.reveal(w) == half
