@@ -28,13 +28,15 @@ the returned record as a self-check.
 
 Everything here is quadrature plus a bracketed Brent root solve; no closed
 forms are wired in, so the closed-form test cases genuinely cross-check the
-numerics. The growth limit W is drawn by simulation to a horizon (sample_w)
-or from its fixed point by population dynamics (sample_w_pool).
+numerics. LS is memoised per (law, s), so growth-rate solves on one law share
+their bracket points. The growth limit W is drawn by simulation to a horizon
+(sample_w) or from its fixed point by population dynamics (sample_w_pool).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,12 +49,14 @@ __all__ = [
     "SubcriticalError",
     "QuadratureError",
     "CtbpConstants",
+    "Centring",
     "ResidualLife",
     "OffspringLaw",
     "BpConfig",
     "BpTrajectory",
     "laplace_stieltjes",
     "solve_malthusian",
+    "stable_age_mean",
     "stable_age_moments",
     "residual_density",
     "constants",
@@ -179,8 +183,9 @@ def _damped_integral(fn, rate, *, epsabs=1e-15, epsrel=1e-11, tiny=1e-18,
 # transforms and constants
 
 
+@lru_cache(maxsize=4096)
 def laplace_stieltjes(dist: WeightDistribution, s: float) -> float:
-    """integral e^{-s t} dG(t), to 1e-12 absolute tolerance."""
+    """integral e^{-s t} dG(t), to 1e-12 absolute tolerance (memoised)."""
     if s < 0:
         raise CtbpError(f"transform argument must be >= 0, got {s}")
     if s == 0.0:
@@ -222,6 +227,12 @@ def solve_malthusian(nu: float, dist: WeightDistribution, *,
     return alpha
 
 
+def stable_age_mean(nu: float, alpha: float, dist: WeightDistribution) -> float:
+    """nu_bar = nu * integral t e^{-alpha t} dG(t): the stable-age mean alone."""
+    return nu * _transform_integral(dist, lambda t: t * math.exp(-alpha * t), alpha,
+                                    epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
+
+
 def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
                        ) -> tuple[float, float]:
     """(nu_bar, sigma_bar_sq): mean and variance of the stable-age measure.
@@ -232,11 +243,9 @@ def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
     if resid > 1e-8:
         raise CtbpError(f"(nu, alpha) inconsistent with the weight law: "
                         f"|nu*LS(alpha)-1| = {resid:.3e}")
-    m1 = _transform_integral(dist, lambda t: t * math.exp(-alpha * t), alpha,
-                             epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
+    nu_bar = stable_age_mean(nu, alpha, dist)
     m2 = _transform_integral(dist, lambda t: t * t * math.exp(-alpha * t), alpha,
                              epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
-    nu_bar = nu * m1
     sigma_sq = nu * m2 - nu_bar * nu_bar
     if sigma_sq <= 0:
         raise CtbpError(f"stable-age variance came out nonpositive ({sigma_sq!r})")
@@ -344,7 +353,16 @@ def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
 
 
 @dataclass(frozen=True)
-class CtbpConstants:
+class Centring:
+    """alpha, nu_bar and gamma = 1/(alpha nu_bar): the centring constants."""
+
+    alpha: float
+    nu_bar: float
+    gamma: float
+
+
+@dataclass(frozen=True)
+class CtbpConstants(Centring):
     """Every limit constant the experiments need, plus self-check residuals.
 
     f_R0 and B come from quadratures; checks records how far they sit
@@ -354,10 +372,7 @@ class CtbpConstants:
 
     mu: float
     nu: float
-    alpha: float
-    nu_bar: float
     sigma_bar_sq: float
-    gamma: float
     beta: float
     f_R0: float
     B: float

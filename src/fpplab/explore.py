@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .ctbp import CtbpConstants
+from .ctbp import Centring, CtbpConstants
 from .graphs import LazyPairing, WeightedGraph
 
 __all__ = [
@@ -416,15 +416,15 @@ def measure_martingale(state: SwgState, g: WeightedGraph, alpha_n: float
     return s_n, scale * state.alive[1], scale * state.alive[2]
 
 
-def standardize_marks(records, consts: CtbpConstants, n: int, w1: float, w2: float,
+def standardize_marks(records, consts: Centring, n: int, w1: float, w2: float,
                       *, limit_consts: CtbpConstants | None = None) -> np.ndarray:
     """Collision records -> (k, 5) array of standardized marks.
 
     Columns: recentred time T - tbar_n with tbar_n = t_n - log(w1 w2)/(2 alpha_n)
     and t_n = log(n)/(2 alpha_n); source label; both heights centered at
     t_n/nu_bar_n and scaled by sqrt(sigma_bar_sq * t_n / nu_bar^3) using the
-    limiting constants (pass limit_consts when they differ from the
-    n-level ones); and the raw remaining lifetime.
+    limiting constants (limit_consts, default consts); and the raw remaining
+    lifetime. Only alpha and nu_bar are read from consts (the n-level ones).
     """
     if w1 <= 0.0 or w2 <= 0.0:
         raise ExploreError("mark centering needs both growth limits positive "

@@ -294,12 +294,13 @@ def _fixed_degrees(model_key: tuple, n: int) -> tuple:
     return seq, degrees.diagnostics(seq), graphs.HalfEdgeLayout.of(seq)
 
 
-def _constants_for_realized(spec: tuple, degs: np.ndarray) -> ctbp.CtbpConstants:
-    d = degs.astype(float)
-    total = d.sum()
-    mu_n = float(total / d.size)
-    nu_n = float((d * (d - 1.0)).sum() / total)
-    return _constants_cached(spec, mu_n, nu_n)
+@lru_cache(maxsize=256)
+def _centring_cached(spec: tuple, nu_n: float) -> ctbp.Centring:
+    """n-level alpha, nu_bar and gamma, without the rest of ctbp.constants."""
+    dist = _dist_cached(spec)
+    alpha = ctbp.solve_malthusian(nu_n, dist)
+    nu_bar = ctbp.stable_age_mean(nu_n, alpha, dist)
+    return ctbp.Centring(alpha, nu_bar, 1.0 / (alpha * nu_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ class _TrialTask:
     vertex_weight_spec: tuple | None
     ranked_m: int
     window_hi: float
-    consts_n: ctbp.CtbpConstants | None    # None: derive from the realized degrees
+    consts_n: ctbp.Centring | None    # n-level centring; None: from the realized degrees
     consts_limit: ctbp.CtbpConstants
     collect_marks: bool
     max_resamples: int = 100
@@ -349,7 +350,9 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
 
     consts_n = task.consts_n
     if consts_n is None:
-        consts_n = _constants_for_realized(task.weight_spec, g.degrees())
+        d = g.degrees().astype(float)
+        consts_n = _centring_cached(task.weight_spec,
+                                    float((d * (d - 1.0)).sum() / d.sum()))
     alpha_n = consts_n.alpha
     log_n = math.log(n)
     s_probe = math.log(log_n) / alpha_n
@@ -460,7 +463,7 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     consts_n = None
     if config.graph_kind in ("cm", "simple") and config.degree_model[0] != "iid":
         _, diag, _ = _fixed_degrees(_degree_model_key(config.degree_model), n)
-        consts_n = _constants_cached(weight_spec, diag.mu_n, diag.nu_n)
+        consts_n = _centring_cached(weight_spec, diag.nu_n)
 
     task = _TrialTask(
         master_seed=master, n=int(n), graph_kind=config.graph_kind,

@@ -34,6 +34,36 @@ def bisect(f, lo, hi, iters=200):
 # Laplace transforms
 
 
+def test_laplace_is_memoised_per_law(monkeypatch):
+    # a fresh law object is a fresh cache key; count the quadratures behind it
+    seen = []
+    real = ctbp._transform_integral
+
+    def counting(dist, fn, s, **kw):
+        seen.append(s)
+        return real(dist, fn, s, **kw)
+
+    monkeypatch.setattr(ctbp, "_transform_integral", counting)
+    d = weights.exponential(1.0)
+    first = ctbp.laplace_stieltjes(d, 0.7)
+    assert len(seen) == 1
+    assert ctbp.laplace_stieltjes(d, 0.7) == first and len(seen) == 1
+    # LS does not depend on nu: a solve at a new nu on a warm law re-runs
+    # none of the doubling bracket's points, only its own Brent iterates
+    # (the roots 1.5 and 1.7 share the bracket [1, 2])
+    ctbp.solve_malthusian(2.5, d)
+    cold = seen[1:]
+    assert {1.0, 2.0} <= set(cold)
+    del seen[:]
+    ctbp.solve_malthusian(2.7, d)
+    assert seen and not set(seen) & {1.0, 2.0}
+    assert len(seen) < len(cold)
+    del seen[:]
+    with pytest.raises(ctbp.CtbpError):
+        ctbp.laplace_stieltjes(d, -0.1)
+    assert ctbp.laplace_stieltjes(d, 0.0) == 1.0 and not seen
+
+
 def test_laplace_exponential_closed_form():
     # integral of e^(-st) against rate-lam exponential is lam/(lam+s)
     d = weights.exponential(1.7)

@@ -1,8 +1,11 @@
 """Seeding, KS statistics, trial harness determinism, verifier spot checks."""
 
+import hashlib
+import json
 import math
 import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -154,6 +157,34 @@ def test_constants_for_config_four_regular():
     assert mc.constants_for_config(mc.ExperimentConfig()) is c
 
 
+CENTRING_LAWS = {
+    "exp": ("exponential", (1.0,)), "power2": ("power_exponential", (2.0,)),
+    "uniform": ("uniform", (1.0,)), "shifted_exp": ("shifted_exponential", (2.0,)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(CENTRING_LAWS) + ["table33"])
+def test_centring_record_equals_full_constants(law, tmp_path):
+    # the n-level record solves only alpha and nu_bar; they, gamma and the
+    # marks built from them must be the floats the full constants give
+    if law == "table33":
+        weights.save_table(weights.exponential(1.0), tmp_path / "t.txt", n_rows=33)
+        spec = mc._hashable_spec(weights.load_table(tmp_path / "t.txt").spec())
+    else:
+        spec = CENTRING_LAWS[law]
+    dist = mc._dist_cached(spec)
+    recs = [explore.CollisionRecord(time=t, source=1 + i % 2, h_origin=3 + i,
+                                    h_dest=5 - i, remaining=0.1 * i)
+            for i, t in enumerate((0.4, 1.1, 2.7))]
+    for mu, nu in ((4.0, 3.0), (3.2, 2.1), (5.5, 4.7)):
+        rec = mc._centring_cached(spec, nu)
+        full = ctbp.constants(mu, nu, dist)
+        assert (rec.alpha, rec.nu_bar, rec.gamma) == (full.alpha, full.nu_bar, full.gamma)
+        np.testing.assert_array_equal(
+            explore.standardize_marks(recs, rec, 5000, 1.3, 0.6, limit_consts=full),
+            explore.standardize_marks(recs, full, 5000, 1.3, 0.6))
+
+
 def test_experiment_config_threshold_validation():
     cfg = mc.ExperimentConfig(thresholds={"weight_ks": 0.2})
     assert cfg.threshold("weight_ks") == 0.2
@@ -213,6 +244,33 @@ def test_csv_round_trip(tmp_path):
     # repr serialization: floats survive the round trip bit for bit
     assert float(first[4]) == out[0].L_n
     assert float(first[5]) == out[0].Z_hat
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+# limit degree law of nr with Exp vertex weights of mean 3: P(k) = (1/4)(3/4)^k,
+# cut at k = 120 and renormalised
+_GEOM = [0.25 * 0.75 ** k for k in range(121)]
+NR_PMF = tuple((k, p / sum(_GEOM)) for k, p in enumerate(_GEOM))
+REALISED_CASES = {
+    "nr": (mc.ExperimentConfig(graph_kind="nr", degree_model=("iid", NR_PMF),
+                               vertex_weight_spec=("exponential", (1.0 / 3.0,)),
+                               ranked_m=3), 2000),
+    "cm_iid": (mc.ExperimentConfig(degree_model=("iid", ((1, 0.2), (3, 0.5), (6, 0.3))),
+                                   ranked_m=3), 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALISED_CASES))
+def test_realised_degree_trials_match_recorded_outcomes(name, tmp_path):
+    # a trial on realised degrees solves its own n-level growth rate; the
+    # recorded CSV and mark digests pin every outcome float to the bit, so a
+    # one-ulp drift in alpha_n fails here
+    cfg, n = REALISED_CASES[name]
+    path = tmp_path / "trials.csv"
+    out = mc.run_trials(cfg, 30, 9, n=n, csv_path=path)
+    assert path.read_bytes() == (DATA / f"trials_{name}_seed9.csv").read_bytes()
+    recorded = json.loads((DATA / "trials_marks_seed9.json").read_text())[name]
+    assert [hashlib.sha256(o.marks.tobytes()).hexdigest() for o in out] == recorded
 
 
 def test_lazy_trials_match_eager_law():
