@@ -26,20 +26,23 @@ so f_R(0) = alpha/(nu-1), and the damped mass B = integral F_R(z) e^{-alpha z}
 dz equals nu_bar/(nu-1). The residuals of both identities are embedded in
 the returned record as a self-check.
 
-Everything here is quadrature plus a bracketed Brent root solve; no closed
-forms are wired in, so the closed-form test cases genuinely cross-check the
-numerics. LS is memoised per (law, s), so growth-rate solves on one law share
-their bracket points. The growth limit W is drawn by simulation to a horizon
-(sample_w) or from its fixed point by population dynamics (sample_w_pool).
+Every integral is summed over 20-point Gauss-Legendre cells under
+u = a + h s^2 and certified by recomputing it on halved cells. LS and the
+stable-age moments integrate against the density, K, D and B against 1 - G
+or G, so the f_R0 and B identities compare different integrals. alpha comes
+from a bracketed Brent root solve. No closed forms are wired in, so the
+closed-form test cases genuinely cross-check the numerics. LS is memoised
+per (law, s), so growth-rate solves on one law share their bracket points.
+The growth limit W is drawn by simulation to a horizon (sample_w) or from
+its fixed point by population dynamics (sample_w_pool).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .weights import WeightDistribution, sample as sample_weight
@@ -80,31 +83,40 @@ class SubcriticalError(CtbpError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature or root solve could not certify its requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
-# quadrature plumbing
-
-_TAIL_TINY = 1e-15
+# quadrature: graded Gauss-Legendre cells
 
 
-def _tail_cut(dist: WeightDistribution, s: float, tiny: float = _TAIL_TINY) -> float:
-    """Smallest T (by doubling) with e^{-sT} (1-G(T)) below tiny.
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Beyond T the transform integrand is bounded by tiny, so truncating
-    there costs less than tiny * T_extra, far under every tolerance used.
-    Bounded supports cap T at the essential sup.
+    Newton's method on the three-term recurrence for P_m, from the usual
+    cosine guesses; unlike numpy's leggauss it needs no eigen-solve, so
+    importing this module does not start LAPACK.
     """
-    hi = dist.support_hi
-    t = max(1.0 / s, 1e-12)
-    if math.isfinite(hi):
-        t = min(t, hi)
-    for _ in range(300):
-        if math.exp(-s * t) * (1.0 - dist.cdf(t)) <= tiny:
-            return t
-        t = min(t * 2.0, hi) if math.isfinite(hi) else t * 2.0
-    raise QuadratureError(f"tail cut did not converge (s={s}, kind={dist.kind})")
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# 20-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_S, _GL_W = _gauss_legendre(20)
+_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+
+# Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
+# left past them); the cell from support_lo is halved 60 times toward it, so
+# a density cusp there (t^{-0.23} for power s = 1.3) is left with a 2^{-60}
+# sliver that the cells cannot miss by more than rounding.
+_STEPS = 40
+_GRADE = 60
 
 
 def _kinks(dist: WeightDistribution) -> np.ndarray:
@@ -116,67 +128,53 @@ def _kinks(dist: WeightDistribution) -> np.ndarray:
     return np.unique(pts)
 
 
-def _break_points(dist: WeightDistribution, s: float, T: float) -> list[float]:
-    """Panel boundaries: the 1/s boundary layer, distribution quantiles and
-    the law's kinks."""
-    pts = set(_kinks(dist).tolist())
-    scale = 1.0 / s
-    for j in range(-6, 8):
-        pts.add(scale * 2.0 ** j)
-    for q in (0.05, 0.25, 0.5, 0.75, 0.95):
-        pts.add(float(dist.quantile(q)))
-    return sorted(p for p in pts if 0.0 < p < T)
+def _edges(dist: WeightDistribution, rate: float, pts: np.ndarray) -> np.ndarray:
+    """Cell edges from pts[0] to pts[-1]: the sorted points, the law's kinks
+    between them, steps of 1/rate into each gap (at most _STEPS; one cell
+    finishes the gap), and the cell from support_lo graded toward it."""
+    kinks = _kinks(dist)
+    edges = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
+    extra = np.minimum(np.ceil(rate * np.diff(edges)) - 1.0, _STEPS).astype(int)
+    # rank runs 1..extra[i] within gap i
+    rank = np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra) + 1
+    edges = np.union1d(edges, np.repeat(edges[:-1], extra) + rank / rate)
+    lo = dist.support_lo
+    i = np.searchsorted(edges, lo)
+    if i + 1 < edges.size and edges[i] == lo:
+        edges = np.union1d(edges, lo + (edges[i + 1] - lo) * 0.5 ** np.arange(1, _GRADE + 1))
+    return edges
 
 
-def _quad_checked(fn, lo, hi, points, epsabs, epsrel, what):
-    # QUADPACK needs more subintervals than break points (a table law has one
-    # per row)
-    out = quad(fn, lo, hi, points=points or None, epsabs=epsabs, epsrel=epsrel,
-               limit=max(500, 2 * len(points)), full_output=True)
-    val, err = out[0], out[1]
-    if err <= max(epsabs, abs(val) * max(epsrel, 1e-13)) * 10:
-        return val, err
-    return None, err
+def _cells(fn, edges: np.ndarray) -> np.ndarray:
+    """integral of fn over each cell [a, a+h] of edges, where fn(a, y) is the
+    integrand at a + y for the cell's left edge a: 20-point Gauss-Legendre
+    under y = h s^2, which smooths a square-root cusp at a."""
+    a = edges[:-1, None]
+    h = np.diff(edges)[:, None]
+    return (2.0 * h * _GL_S * fn(a, h * _GL_S ** 2)) @ _GL_W
 
 
-def _transform_integral(dist, fn, s, *, epsabs, epsrel, what):
-    """integral fn(t) g(t) dt with the tail beyond the e^{-st} cut dropped.
+def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
+              epsabs: float, epsrel: float, what: str) -> float:
+    """integral over v >= 0 of fn(v), the integrand at start + v, which
+    decays like e^{-rate v}; taking the offset keeps the decay's digits far
+    from the origin. Cells: _edges to 40/rate, then geometric ones to
+    640/rate. If the sum on halved cells differs by more than
+    max(epsabs, epsrel |value|), QuadratureError is raised."""
+    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
+    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
 
-    Primary route is t-space adaptive quadrature. If scipy cannot certify
-    the tolerance (power-law densities at extreme s, say) the same integral
-    is recomputed in quantile space, where the integrand is bounded:
-    integral fn(Q(p)) dp over p in (0, G(T)).
-    """
-    T = _tail_cut(dist, s, tiny=1e-18)
-    pts = _break_points(dist, s, T)
-    val, err = _quad_checked(lambda t: fn(t) * dist.density(t), 0.0, T, pts,
-                             epsabs, epsrel, what)
-    if val is not None:
-        return val
-    p_hi = float(dist.cdf(T))
-    p_pts = sorted({float(dist.cdf(p)) for p in pts if 0 < dist.cdf(p) < p_hi})
-    val, err2 = _quad_checked(lambda p: fn(float(dist.quantile(p))), 0.0, p_hi,
-                              p_pts, epsabs, epsrel, what)
-    if val is not None:
-        return val
-    raise QuadratureError(f"{what}: achieved tolerance {min(err, err2):.3e} "
-                          f"(requested abs {epsabs:.1e} / rel {epsrel:.1e})")
+    def total(e: np.ndarray) -> float:
+        return float(_cells(lambda a, y: fn(a + y), e).sum())
 
-
-def _damped_integral(fn, rate, *, epsabs=1e-15, epsrel=1e-11, tiny=1e-18,
-                     points=(), what="damped"):
-    """integral fn(y) dy over [0, inf) for |fn(y)| <= e^{-rate*y}.
-
-    Any jump or kink of fn must be listed in points, or QUADPACK's error
-    estimate can certify a value that quietly integrates across it.
-    """
-    y_hi = -math.log(tiny) / rate
-    pts = {y_hi * 2.0 ** (-j) for j in range(1, 22)}
-    pts.update(p for p in points if 0.0 < p < y_hi)
-    val, err = _quad_checked(fn, 0.0, y_hi, sorted(pts), epsabs, epsrel, what)
-    if val is None:
-        raise QuadratureError(f"{what}: achieved tolerance {err:.3e}")
-    return val
+    coarse = total(edges)
+    value = total(np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])))
+    # written so that a NaN sum fails too
+    if not abs(value - coarse) <= max(epsabs, epsrel * abs(value)):
+        raise QuadratureError(f"{what}: halving the cells moved the sum by "
+                              f"{abs(value - coarse):.3e} (requested abs {epsabs:.1e} "
+                              f"/ rel {epsrel:.1e})")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +188,8 @@ def laplace_stieltjes(dist: WeightDistribution, s: float) -> float:
         raise CtbpError(f"transform argument must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
-    return _transform_integral(dist, lambda t: math.exp(-s * t), s,
-                               epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
+    return _integral(lambda t: np.exp(-s * t) * dist.density(t), dist, s,
+                     epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
 
 
 def solve_malthusian(nu: float, dist: WeightDistribution, *,
@@ -229,8 +227,8 @@ def solve_malthusian(nu: float, dist: WeightDistribution, *,
 
 def stable_age_mean(nu: float, alpha: float, dist: WeightDistribution) -> float:
     """nu_bar = nu * integral t e^{-alpha t} dG(t): the stable-age mean alone."""
-    return nu * _transform_integral(dist, lambda t: t * math.exp(-alpha * t), alpha,
-                                    epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
+    return nu * _integral(lambda t: t * np.exp(-alpha * t) * dist.density(t), dist, alpha,
+                          epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
 
 
 def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
@@ -244,41 +242,12 @@ def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
         raise CtbpError(f"(nu, alpha) inconsistent with the weight law: "
                         f"|nu*LS(alpha)-1| = {resid:.3e}")
     nu_bar = stable_age_mean(nu, alpha, dist)
-    m2 = _transform_integral(dist, lambda t: t * t * math.exp(-alpha * t), alpha,
-                             epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
+    m2 = _integral(lambda t: t * t * np.exp(-alpha * t) * dist.density(t), dist, alpha,
+                   epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
     sigma_sq = nu * m2 - nu_bar * nu_bar
     if sigma_sq <= 0:
         raise CtbpError(f"stable-age variance came out nonpositive ({sigma_sq!r})")
     return nu_bar, sigma_sq
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on the three-term recurrence for P_m, from the usual
-    cosine guesses; unlike numpy's leggauss it needs no eigen-solve, so
-    importing this module does not start LAPACK.
-    """
-    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = m * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-# 20-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_S, _GL_W = _gauss_legendre(20)
-_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
-
-
-def _tail_beyond(dist: WeightDistribution, alpha: float, x0: float) -> float:
-    """K(x0) = integral e^{-alpha y}(1 - G(x0+y)) dy over y >= 0, adaptively."""
-    return _damped_integral(
-        lambda y: math.exp(-alpha * y) * (1.0 - float(dist.cdf(x0 + y))),
-        alpha, points=_kinks(dist) - x0, what="residual tail mass")
 
 
 @dataclass(frozen=True)
@@ -305,29 +274,22 @@ class ResidualLife:
     def _tail_mass(self, x: np.ndarray) -> np.ndarray:
         """K at every point of x (negative points read as 0), in one pass.
 
-        Nodes are the distinct points, the law's kinks between them, and
-        steps of 1/alpha into each gap (40 at most: past them the decay
-        e^{-40} lets one cell finish the gap). Each cell [u, u+h] is
-        integrated by Gauss-Legendre under y = h s^2, which smooths a
-        square-root cusp of 1 - G at u; then K(u) = cell + e^{-alpha h}
-        K(u+h) is solved for all nodes by a doubling scan, all factors <= 1.
+        Nodes are _edges over the distinct points. Each cell [u, u+h] holds
+        integral e^{-alpha y} (1 - G(u+y)) dy, the last node the integral
+        beyond it; K(u) = cell + e^{-alpha h} K(u+h) is then solved for all
+        nodes by a doubling scan, all factors <= 1.
         """
         if x.size == 0:
             return np.zeros(x.shape)
         a, dist = self.alpha, self._dist
         pts, inverse = np.unique(np.maximum(x, 0.0), return_inverse=True)
-        kinks = _kinks(dist)
-        nodes = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
-        extra = np.minimum(np.ceil(a * np.diff(nodes)) - 1.0, 40).astype(int)
-        # rank runs 1..extra[i] within gap i
-        rank = np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra) + 1
-        nodes = np.union1d(nodes, np.repeat(nodes[:-1], extra) + rank / a)
-        h = np.diff(nodes)[:, None]
-        y = h * _GL_S ** 2
-        cells = (2.0 * h * _GL_S * np.exp(-a * y)
-                 * (1.0 - dist.cdf(nodes[:-1, None] + y))) @ _GL_W
-        mass = np.append(cells, _tail_beyond(dist, a, nodes[-1]))
-        decay = np.append(np.exp(-a * h[:, 0]), 0.0)
+        nodes = _edges(dist, a, pts)
+        x0 = nodes[-1]
+        beyond = _integral(lambda v: np.exp(-a * v) * (1.0 - dist.cdf(x0 + v)), dist, a,
+                           x0, epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
+        cells = _cells(lambda u, y: np.exp(-a * y) * (1.0 - dist.cdf(u + y)), nodes)
+        mass = np.append(cells, beyond)
+        decay = np.append(np.exp(-a * np.diff(nodes)), 0.0)
         shift = 1
         while shift < mass.size:
             mass[:-shift] += decay[:-shift] * mass[shift:]
@@ -337,19 +299,19 @@ class ResidualLife:
 
 
 def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
-    """Residual-life law at growth rate alpha. Checks that K(0) from cells
-    on [0, 45/alpha] (where the tilt puts the mass) plus the tail beyond
-    matches the adaptive D to 1e-6 relative."""
+    """Residual-life law at growth rate alpha. D = K(0) comes from the cells
+    on [0, 45/alpha] (where the tilt puts the mass) plus the tail beyond;
+    by parts it equals (1 - LS(alpha))/alpha, with LS integrated against the
+    density, and the two must agree to 1e-6 relative."""
     if not alpha > 0:
         raise CtbpError(f"alpha must be positive, got {alpha}")
-    res = ResidualLife(alpha=alpha, denom=_tail_beyond(dist, alpha, 0.0),
-                       _dist=dist, norm_residual=0.0)
-    norm_resid = abs(res._tail_mass(np.arange(46.0) / alpha)[0] / res.denom - 1.0)
+    res = ResidualLife(alpha=alpha, denom=math.nan, _dist=dist, norm_residual=math.nan)
+    denom = float(res._tail_mass(np.arange(46.0) / alpha)[0])
+    norm_resid = abs(alpha * denom / (1.0 - laplace_stieltjes(dist, alpha)) - 1.0)
     if norm_resid > 1e-6:
-        raise QuadratureError(f"residual tail mass from cells is off the adaptive "
-                              f"denominator by {norm_resid:.3e}, more than 1e-6")
-    object.__setattr__(res, "norm_residual", norm_resid)
-    return res
+        raise QuadratureError(f"residual tail mass from cells is off (1 - LS(alpha))/alpha "
+                              f"by {norm_resid:.3e}, more than 1e-6")
+    return replace(res, denom=denom, norm_residual=norm_resid)
 
 
 @dataclass(frozen=True)
@@ -406,13 +368,10 @@ def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
     f0 = (1.0 - alpha * res.denom) / res.denom
     # B = int F_R(z) e^{-az} dz; pushing the residual cdf's own integral
     # through by Fubini collapses the double integral to a single damped
-    # quadrature of (u - 1/a) e^{-au} G(u), which is both faster and free of
-    # nested-quad error stacking
-    b_val = _damped_integral(
-        lambda u: (u - 1.0 / alpha) * math.exp(-alpha * u) * float(dist.cdf(u)),
-        alpha, epsabs=1e-13, epsrel=1e-9, points=_kinks(dist),
-        what="damped residual mass",
-    ) / res.denom
+    # integral of (u - 1/a) e^{-au} G(u)
+    b_val = _integral(lambda u: (u - 1.0 / alpha) * np.exp(-alpha * u) * dist.cdf(u),
+                      dist, alpha, epsabs=1e-13, epsrel=1e-9,
+                      what="damped residual mass") / res.denom
     gamma = 1.0 / (alpha * nu_bar)
     beta = sigma_sq / (nu_bar ** 3 * alpha)
     c = math.log(mu * (nu - 1.0) ** 2 / (nu * alpha * nu_bar))

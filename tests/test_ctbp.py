@@ -1,13 +1,15 @@
 """Branching-process constants against closed forms and independent oracles.
 
 Every numeric expectation here is either a hand-derivable closed form or is
-recomputed inside the test with math.exp and bisection, or with plain
-scipy quad on the defining integral (the residual law), so the quadrature
-and root-finding code is checked against arithmetic it does not share.
+recomputed inside the test with math.exp and bisection, with plain scipy
+quad on the defining integral (the residual law), or with 30-digit mpmath
+(the power-law transforms), so the quadrature and root-finding code is
+checked against arithmetic it does not share.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -37,13 +39,13 @@ def bisect(f, lo, hi, iters=200):
 def test_laplace_is_memoised_per_law(monkeypatch):
     # a fresh law object is a fresh cache key; count the quadratures behind it
     seen = []
-    real = ctbp._transform_integral
+    real = ctbp._integral
 
-    def counting(dist, fn, s, **kw):
-        seen.append(s)
-        return real(dist, fn, s, **kw)
+    def counting(fn, dist, rate, *args, **kw):
+        seen.append(rate)
+        return real(fn, dist, rate, *args, **kw)
 
-    monkeypatch.setattr(ctbp, "_transform_integral", counting)
+    monkeypatch.setattr(ctbp, "_integral", counting)
     d = weights.exponential(1.0)
     first = ctbp.laplace_stieltjes(d, 0.7)
     assert len(seen) == 1
@@ -83,6 +85,25 @@ def test_laplace_uniform_closed_form():
     for s in (0.5, 0.8, 3.0):
         want = (1.0 - math.exp(-2.0 * s)) / (2.0 * s)
         assert ctbp.laplace_stieltjes(d, s) == pytest.approx(want, abs=1e-12)
+
+
+def power_moment_30_digits(p, s, k):
+    """integral t^k e^{-s t} dG(t) for G the law of E^p, E ~ Exp(1): in E the
+    integrand e^{-s E^p - E} E^{pk} is free of the density's cusp at 0."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda e: e ** (p * k) * mpmath.exp(-s * e ** p - e),
+                                 [0, 1, 10, mpmath.inf]))
+
+
+@pytest.mark.parametrize("p", (0.5, 1.3, 2.0))
+def test_power_transform_and_stable_age_mean_vs_mpmath(p):
+    # p = 1.3 has the density cusp t^-0.23 at the origin, p = 2 a t^-0.5 one
+    d = weights.power_exponential(p)
+    for s in (0.05, 0.7, 13.0):
+        assert ctbp.laplace_stieltjes(d, s) == pytest.approx(
+            power_moment_30_digits(p, s, 0), abs=1e-12)
+        assert ctbp.stable_age_mean(1.0, s, d) == pytest.approx(
+            power_moment_30_digits(p, s, 1), abs=1e-12)
 
 
 def test_laplace_at_zero_is_one():
@@ -179,6 +200,17 @@ def test_constants_of_table_law(exp_table):
     assert abs(c.alpha - 2.0) < 1e-4
     for name, value in c.checks:
         assert value < 1e-8, name
+
+
+def test_table_law_without_its_rows_fails_the_certificate(exp_table, monkeypatch):
+    # cells that straddle the table's density jumps cannot hold their sum when
+    # halved; a fresh law object keeps the transform memo out of the way
+    monkeypatch.setattr(ctbp, "_kinks", lambda dist: np.empty(0))
+    fresh = weights.from_spec(*exp_table.spec())
+    with pytest.raises(ctbp.QuadratureError):
+        ctbp.laplace_stieltjes(fresh, 0.7)
+    with pytest.raises(ctbp.QuadratureError):
+        ctbp.constants(4.0, 3.0, fresh)
 
 
 def test_mean_growth_constant_four_regular():
@@ -329,8 +361,9 @@ def test_gauss_legendre_matches_leggauss():
 
 
 def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):
-    # the check compares K(0) summed over Gauss-Legendre cells with the
-    # adaptive denominator; cells that lose 1e-5 of their mass must raise
+    # the check compares K(0) summed over Gauss-Legendre cells with
+    # (1 - LS(alpha))/alpha, LS memoised from the density; cells that lose
+    # 1e-5 of their mass must raise
     dist = weights.exponential(1.0)
     assert ctbp.residual_density(dist, 2.0).norm_residual < 1e-12
     monkeypatch.setattr(ctbp, "_GL_W", ctbp._GL_W * (1.0 - 1e-5))
