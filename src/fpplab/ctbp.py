@@ -26,20 +26,19 @@ so f_R(0) = alpha/(nu-1), and the damped mass B = integral F_R(z) e^{-alpha z}
 dz equals nu_bar/(nu-1). The residuals of both identities are embedded in
 the returned record as a self-check.
 
-Every integral is summed over 20-point Gauss-Legendre cells under
-u = a + h s^2 and certified by recomputing it on halved cells. LS and the
-stable-age moments integrate against the density, K, D and B against 1 - G
-or G, so the f_R0 and B identities compare different integrals. alpha comes
-from a bracketed Brent root solve. No closed forms are wired in, so the
-closed-form test cases genuinely cross-check the numerics. LS is memoised
-per (law, s), so growth-rate solves on one law share their bracket points.
+Every integral is summed over 20-point Gauss-Legendre cells and certified
+on halved cells. LS and the stable-age moments integrate against the
+density, K, D and B against 1 - G or G, so the identities compare different
+integrals. alpha comes from a bracketed Brent root solve on LS, memoised per
+(law, s). No closed forms are wired in, so the closed-form test cases
+genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
 its fixed point by population dynamics (sample_w_pool).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,12 +90,9 @@ class QuadratureError(RuntimeError):
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on the three-term recurrence for P_m, from the usual
-    cosine guesses; unlike numpy's leggauss it needs no eigen-solve, so
-    importing this module does not start LAPACK.
-    """
+    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], by
+    Newton's method on the recurrence for P_m; unlike numpy's leggauss it
+    needs no eigen-solve, so importing this module does not start LAPACK."""
     x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
     for _ in range(8):
         p0, p1 = np.ones_like(x), x
@@ -113,8 +109,8 @@ _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
 
 # Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
 # left past them); the cell from support_lo is halved 60 times toward it, so
-# a density cusp there (t^{-0.23} for power s = 1.3) is left with a 2^{-60}
-# sliver that the cells cannot miss by more than rounding.
+# a density cusp there (t^{1/S-1} for power:S) sits inside the innermost
+# cell only, which _moment takes from its G-mass (1e-6 for S = 3).
 _STEPS = 40
 _GRADE = 60
 
@@ -155,17 +151,22 @@ def _cells(fn, edges: np.ndarray) -> np.ndarray:
 
 
 def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
-              epsabs: float, epsrel: float, what: str) -> float:
-    """integral over v >= 0 of fn(v), the integrand at start + v, which
-    decays like e^{-rate v}; taking the offset keeps the decay's digits far
-    from the origin. Cells: _edges to 40/rate, then geometric ones to
-    640/rate. If the sum on halved cells differs by more than
+              head=None, epsabs: float, epsrel: float, what: str) -> float:
+    """integral over v >= 0 of fn(v), the integrand at start + v (the offset
+    keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
+    geometric cells to 640/rate; head(b) replaces the innermost graded cell
+    [support_lo, b]. If the sum on halved cells differs by more than
     max(epsabs, epsrel |value|), QuadratureError is raised."""
     reach = start + _STEPS / rate * 2.0 ** np.arange(5)
     edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
+    lo = dist.support_lo - start
 
     def total(e: np.ndarray) -> float:
-        return float(_cells(lambda a, y: fn(a + y), e).sum())
+        cells = _cells(lambda a, y: fn(a + y), e)
+        i = np.searchsorted(e, lo)
+        if head is not None and i + 1 < e.size and e[i] == lo:
+            cells[i] = head(start + e[i + 1])
+        return float(cells.sum())
 
     coarse = total(edges)
     value = total(np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])))
@@ -175,6 +176,17 @@ def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
                               f"{abs(value - coarse):.3e} (requested abs {epsabs:.1e} "
                               f"/ rel {epsrel:.1e})")
     return value
+
+
+def _moment(k: int, s: float, dist: WeightDistribution, **tol) -> float:
+    """integral w dG for w(t) = t^k e^{-s t}, against the density; the innermost
+    graded cell [lo, b] is w(lo) (G(b) - G(lo)), off by < |w'| (b - lo) G(b)."""
+    def w(t):
+        return t ** k * np.exp(-s * t)
+
+    lo = dist.support_lo
+    return _integral(lambda t: w(t) * dist.density(t), dist, s,
+                     head=lambda b: w(lo) * (dist.cdf(b) - dist.cdf(lo)), **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +200,7 @@ def laplace_stieltjes(dist: WeightDistribution, s: float) -> float:
         raise CtbpError(f"transform argument must be >= 0, got {s}")
     if s == 0.0:
         return 1.0
-    return _integral(lambda t: np.exp(-s * t) * dist.density(t), dist, s,
-                     epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
+    return _moment(0, s, dist, epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
 
 
 def solve_malthusian(nu: float, dist: WeightDistribution, *,
@@ -227,27 +238,45 @@ def solve_malthusian(nu: float, dist: WeightDistribution, *,
 
 def stable_age_mean(nu: float, alpha: float, dist: WeightDistribution) -> float:
     """nu_bar = nu * integral t e^{-alpha t} dG(t): the stable-age mean alone."""
-    return nu * _integral(lambda t: t * np.exp(-alpha * t) * dist.density(t), dist, alpha,
-                          epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
+    return nu * _moment(1, alpha, dist, epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
 
 
 def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
                        ) -> tuple[float, float]:
-    """(nu_bar, sigma_bar_sq): mean and variance of the stable-age measure.
-
-    Precondition: (nu, alpha, dist) are consistent, i.e. nu*LS(alpha) ~ 1.
-    """
+    """(nu_bar, sigma_bar_sq): mean and variance of the stable-age measure;
+    (nu, alpha, dist) must be consistent, i.e. nu*LS(alpha) ~ 1."""
     resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
     if resid > 1e-8:
         raise CtbpError(f"(nu, alpha) inconsistent with the weight law: "
                         f"|nu*LS(alpha)-1| = {resid:.3e}")
     nu_bar = stable_age_mean(nu, alpha, dist)
-    m2 = _integral(lambda t: t * t * np.exp(-alpha * t) * dist.density(t), dist, alpha,
-                   epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
+    m2 = _moment(2, alpha, dist, epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
     sigma_sq = nu * m2 - nu_bar * nu_bar
     if sigma_sq <= 0:
         raise CtbpError(f"stable-age variance came out nonpositive ({sigma_sq!r})")
     return nu_bar, sigma_sq
+
+
+def _tail_mass(dist: WeightDistribution, alpha: float, x: np.ndarray) -> np.ndarray:
+    """K at every point of x (negative points read as 0), in one pass: cells
+    on _edges over the distinct points, _integral beyond the last node, and
+    K(u) = cell + e^{-alpha h} K(u+h) solved by a doubling scan (factors <= 1)."""
+    if x.size == 0:
+        return np.zeros(x.shape)
+    pts, inverse = np.unique(np.maximum(x, 0.0), return_inverse=True)
+    nodes = _edges(dist, alpha, pts)
+    x0 = nodes[-1]
+    beyond = _integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(x0 + v)), dist, alpha,
+                       x0, epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
+    cells = _cells(lambda u, y: np.exp(-alpha * y) * (1.0 - dist.cdf(u + y)), nodes)
+    mass = np.append(cells, beyond)
+    decay = np.append(np.exp(-alpha * np.diff(nodes)), 0.0)
+    shift = 1
+    while shift < mass.size:
+        mass[:-shift] += decay[:-shift] * mass[shift:]
+        decay[:-shift] *= decay[shift:]
+        shift *= 2
+    return mass[np.searchsorted(nodes, pts)][inverse].reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -263,55 +292,31 @@ class ResidualLife:
     def density(self, x):
         x = np.asarray(x, dtype=float)
         tail = 1.0 - self._dist.cdf(np.maximum(x, 0.0))
-        f = np.where(x < 0, 0.0, (tail - self.alpha * self._tail_mass(x)) / self.denom)
+        mass = _tail_mass(self._dist, self.alpha, x)
+        f = np.where(x < 0, 0.0, (tail - self.alpha * mass) / self.denom)
         return float(f) if f.ndim == 0 else f
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        f = np.where(x > 0, 1.0 - self._tail_mass(x) / self.denom, 0.0)
+        f = np.where(x > 0, 1.0 - _tail_mass(self._dist, self.alpha, x) / self.denom, 0.0)
         return float(f) if f.ndim == 0 else f
-
-    def _tail_mass(self, x: np.ndarray) -> np.ndarray:
-        """K at every point of x (negative points read as 0), in one pass.
-
-        Nodes are _edges over the distinct points. Each cell [u, u+h] holds
-        integral e^{-alpha y} (1 - G(u+y)) dy, the last node the integral
-        beyond it; K(u) = cell + e^{-alpha h} K(u+h) is then solved for all
-        nodes by a doubling scan, all factors <= 1.
-        """
-        if x.size == 0:
-            return np.zeros(x.shape)
-        a, dist = self.alpha, self._dist
-        pts, inverse = np.unique(np.maximum(x, 0.0), return_inverse=True)
-        nodes = _edges(dist, a, pts)
-        x0 = nodes[-1]
-        beyond = _integral(lambda v: np.exp(-a * v) * (1.0 - dist.cdf(x0 + v)), dist, a,
-                           x0, epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
-        cells = _cells(lambda u, y: np.exp(-a * y) * (1.0 - dist.cdf(u + y)), nodes)
-        mass = np.append(cells, beyond)
-        decay = np.append(np.exp(-a * np.diff(nodes)), 0.0)
-        shift = 1
-        while shift < mass.size:
-            mass[:-shift] += decay[:-shift] * mass[shift:]
-            decay[:-shift] *= decay[shift:]
-            shift *= 2
-        return mass[np.searchsorted(nodes, pts)][inverse].reshape(x.shape)
 
 
 def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
-    """Residual-life law at growth rate alpha. D = K(0) comes from the cells
-    on [0, 45/alpha] (where the tilt puts the mass) plus the tail beyond;
-    by parts it equals (1 - LS(alpha))/alpha, with LS integrated against the
-    density, and the two must agree to 1e-6 relative."""
+    """Residual-life law at growth rate alpha. D = K(0) from _integral must
+    match, to 1e-6 relative, K(0) from _tail_mass's nodes on [0, 45/alpha]
+    (norm_residual) and (1 - LS(alpha))/alpha, its by-parts form with LS from
+    the density (recorded by constants() as the f_R0 identity)."""
     if not alpha > 0:
         raise CtbpError(f"alpha must be positive, got {alpha}")
-    res = ResidualLife(alpha=alpha, denom=math.nan, _dist=dist, norm_residual=math.nan)
-    denom = float(res._tail_mass(np.arange(46.0) / alpha)[0])
-    norm_resid = abs(alpha * denom / (1.0 - laplace_stieltjes(dist, alpha)) - 1.0)
-    if norm_resid > 1e-6:
-        raise QuadratureError(f"residual tail mass from cells is off (1 - LS(alpha))/alpha "
-                              f"by {norm_resid:.3e}, more than 1e-6")
-    return replace(res, denom=denom, norm_residual=norm_resid)
+    denom = _integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(v)), dist, alpha,
+                      epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
+    norm_resid = abs(_tail_mass(dist, alpha, np.arange(46.0) / alpha)[0] / denom - 1.0)
+    by_parts = abs(alpha * denom / (1.0 - laplace_stieltjes(dist, alpha)) - 1.0)
+    if max(norm_resid, by_parts) > 1e-6:
+        raise QuadratureError(f"residual tail mass D is off K(0) by {norm_resid:.3e} and "
+                              f"(1 - LS(alpha))/alpha by {by_parts:.3e} (relative, > 1e-6)")
+    return ResidualLife(alpha=alpha, denom=denom, _dist=dist, norm_residual=norm_resid)
 
 
 @dataclass(frozen=True)
@@ -515,17 +520,13 @@ def simulate_bp(root_law: OffspringLaw, later_law: OffspringLaw,
         pending = births + sample_weight(dist, rng, n_children)
 
     alive_end = survivors
+    times_arr, alive_arr = np.empty(0), np.empty(0, dtype=np.int64)
     if record_trajectory:
         times = np.concatenate(event_times)
-        dlt = np.concatenate(deltas)
         order = np.argsort(times, kind="stable")
-        times = times[order]
-        alive = 1.0 + np.cumsum(dlt[order])
+        alive = 1.0 + np.cumsum(np.concatenate(deltas)[order])
         assert int(alive[-1]) == alive_end, "population bookkeeping drifted"
-        times_arr, alive_arr = times, alive.astype(np.int64)
-    else:
-        times_arr = np.empty(0)
-        alive_arr = np.empty(0, dtype=np.int64)
+        times_arr, alive_arr = times[order], alive.astype(np.int64)
 
     return BpTrajectory(
         event_times=times_arr,
