@@ -27,11 +27,10 @@ dz equals nu_bar/(nu-1). The residuals of both identities are embedded in
 the returned record as a self-check.
 
 Every integral is summed over 20-point Gauss-Legendre cells and certified
-on halved cells. LS and the stable-age moments integrate against the
-density, K, D and B against 1 - G or G, so the identities compare different
-integrals. alpha comes from a bracketed Brent root solve on LS, memoised per
-(law, s). No closed forms are wired in, so the closed-form test cases
-genuinely cross-check the numerics.
+on halved cells; LS and the stable-age moments integrate against the density,
+K, D and B against 1 - G or G, so the identities compare different integrals.
+alpha is a bracketed Brent root of LS, memoised per (law, s). No closed forms
+are wired in, so the closed-form test cases genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
 its fixed point by population dynamics (sample_w_pool).
 """
@@ -108,11 +107,12 @@ _GL_S, _GL_W = _gauss_legendre(20)
 _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
 
 # Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
-# left past them); the cell from support_lo is halved 60 times toward it, so
-# a density cusp there (t^{1/S-1} for power:S) sits inside the innermost
-# cell only, which _moment takes from its G-mass (1e-6 for S = 3).
+# left past them); the cell from support_lo is halved 60 times toward it, and
+# _moment takes the innermost one, home to any density cusp, from its G-mass.
+# Quantile edges 1 - 2^-j resolve peaked laws (power:S, S <= 0.2) below 1/rate.
 _STEPS = 40
 _GRADE = 60
+_LEVELS = 1.0 - 0.5 ** np.arange(1, 51)
 
 
 def _kinks(dist: WeightDistribution) -> np.ndarray:
@@ -126,8 +126,8 @@ def _kinks(dist: WeightDistribution) -> np.ndarray:
 
 def _edges(dist: WeightDistribution, rate: float, pts: np.ndarray) -> np.ndarray:
     """Cell edges from pts[0] to pts[-1]: the sorted points, the law's kinks
-    between them, steps of 1/rate into each gap (at most _STEPS; one cell
-    finishes the gap), and the cell from support_lo graded toward it."""
+    between them, steps of 1/rate into each gap (at most _STEPS), the cell
+    from support_lo graded toward it, and the _LEVELS quantiles."""
     kinks = _kinks(dist)
     edges = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
     extra = np.minimum(np.ceil(rate * np.diff(edges)) - 1.0, _STEPS).astype(int)
@@ -138,7 +138,8 @@ def _edges(dist: WeightDistribution, rate: float, pts: np.ndarray) -> np.ndarray
     i = np.searchsorted(edges, lo)
     if i + 1 < edges.size and edges[i] == lo:
         edges = np.union1d(edges, lo + (edges[i + 1] - lo) * 0.5 ** np.arange(1, _GRADE + 1))
-    return edges
+    q = dist.quantile(_LEVELS)
+    return np.union1d(edges, q[(pts[0] < q) & (q < pts[-1])])
 
 
 def _cells(fn, edges: np.ndarray) -> np.ndarray:
@@ -155,17 +156,16 @@ def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
     """integral over v >= 0 of fn(v), the integrand at start + v (the offset
     keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
     geometric cells to 640/rate; head(b) replaces the innermost graded cell
-    [support_lo, b]. If the sum on halved cells differs by more than
-    max(epsabs, epsrel |value|), QuadratureError is raised."""
+    [support_lo, b] (start = 0 only). If the sum on halved cells differs by
+    more than max(epsabs, epsrel |value|), QuadratureError is raised."""
     reach = start + _STEPS / rate * 2.0 ** np.arange(5)
     edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
-    lo = dist.support_lo - start
 
     def total(e: np.ndarray) -> float:
         cells = _cells(lambda a, y: fn(a + y), e)
-        i = np.searchsorted(e, lo)
-        if head is not None and i + 1 < e.size and e[i] == lo:
-            cells[i] = head(start + e[i + 1])
+        i = np.searchsorted(e, dist.support_lo)
+        if head is not None and i + 1 < e.size and e[i] == dist.support_lo:
+            cells[i] = head(e[i + 1])
         return float(cells.sum())
 
     coarse = total(edges)
