@@ -525,7 +525,10 @@ def simulate_bp(root_law: OffspringLaw, later_law: OffspringLaw,
         times = np.concatenate(event_times)
         order = np.argsort(times, kind="stable")
         alive = 1.0 + np.cumsum(np.concatenate(deltas)[order])
-        assert int(alive[-1]) == alive_end, "population bookkeeping drifted"
+        if int(alive[-1]) != alive_end:
+            raise CtbpError(f"population bookkeeping drifted: the trajectory "
+                            f"ends at {int(alive[-1])} alive, the survivors "
+                            f"number {alive_end}")
         times_arr, alive_arr = times[order], alive.astype(np.int64)
 
     return BpTrajectory(

@@ -1,15 +1,20 @@
 """Degree sequences with prescribed marginals, plus their summary statistics.
 
-Two constructions: a deterministic quantile-matching build from a target CDF
-(vertex counts per degree are consecutive differences of ceil(n * F(k)), so
-empirical marginals converge to F as n grows), and an i.i.d. draw from a pmf.
-Either way the total degree is forced even by bumping the last vertex, with
-a flag recording that the bump happened.
+A sequence is stored as blocks, runs of (degree, count) in vertex order, so
+it takes O(distinct degrees) memory at any n; `degrees` expands it per
+vertex on demand. Two constructions emit one block per degree, ascending: a
+deterministic quantile-matching build from a target CDF (vertex counts per
+degree are consecutive differences of ceil(n * F(k)), so empirical marginals
+converge to F as n grows), and an i.i.d. draw from a pmf, which draws the
+counts at once. Either way the total degree is forced even by bumping one
+vertex, with a flag recording that the bump happened.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -34,29 +39,58 @@ class DegreeModelError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Vertex degrees (ascending for the deterministic build), all >= 1."""
+    """Vertex degrees, all >= 1, as runs: blocks[j] = (degree, count) covers
+    the next count vertices. The builders emit one block per degree,
+    ascending."""
 
-    degrees: np.ndarray
+    blocks: tuple
     parity_bumped: bool = False
+    n: int = field(init=False)
+    total: int = field(init=False)      # number of half-edges, twice the edges
 
     def __post_init__(self):
-        arr = np.asarray(self.degrees, dtype=np.int64)
+        ks, cs = zip(*self.blocks) if self.blocks else ((), ())
+        ks, cs = tuple(map(int, ks)), tuple(map(int, cs))
+        if cs and min(cs) < 1:
+            raise DegreeModelError("every block needs at least one vertex")
+        if ks and min(ks) < 1:
+            raise DegreeModelError("degree-0 vertices are not allowed")
+        n = sum(cs)
+        if n < 2:
+            raise DegreeModelError("need at least two vertices")
+        total = sum(map(operator.mul, ks, cs))
+        if total % 2 != 0:
+            raise DegreeModelError("total degree must be even")
+        object.__setattr__(self, "blocks", tuple(zip(ks, cs)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total", total)
+
+    @classmethod
+    def from_degrees(cls, degrees, parity_bumped: bool = False) -> "DegreeSequence":
+        """The runs of a per-vertex degree array, vertex order kept."""
+        arr = np.asarray(degrees, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 2:
             raise DegreeModelError("need at least two vertices")
-        if np.any(arr < 1):
-            raise DegreeModelError("degree-0 vertices are not allowed")
-        if int(arr.sum()) % 2 != 0:
-            raise DegreeModelError("total degree must be even")
-        object.__setattr__(self, "degrees", arr)
+        starts = np.flatnonzero(np.diff(arr, prepend=arr[0] - 1))
+        counts = np.diff(starts, append=arr.size)
+        return cls(tuple(zip(arr[starts].tolist(), counts.tolist())), parity_bumped)
 
     @property
-    def n(self) -> int:
-        return int(self.degrees.size)
+    def degrees(self) -> np.ndarray:
+        """Per-vertex degrees, expanded from the blocks (n entries)."""
+        return expand(self.blocks)
 
     @property
-    def total(self) -> int:
-        """Number of half-edges (twice the edge count)."""
-        return int(self.degrees.sum())
+    def nu_n(self) -> float:
+        """Size-biased mean offspring sum d(d-1) / sum d, from exact integer sums."""
+        return sum(k * (k - 1) * c for k, c in self.blocks) / self.total
+
+
+def expand(blocks) -> np.ndarray:
+    """Per-vertex degrees of (degree, count) runs, in vertex order."""
+    flat = np.fromiter(chain.from_iterable(blocks), dtype=np.int64,
+                       count=2 * len(blocks))
+    return np.repeat(flat[0::2], flat[1::2])
 
 
 @dataclass(frozen=True)
@@ -73,13 +107,19 @@ class DegreeDiagnostics:
         return self.nu_n > 1.0
 
 
-def _finish(raw: np.ndarray) -> DegreeSequence:
-    bumped = False
-    if int(raw.sum()) % 2 != 0:
-        raw = raw.copy()
-        raw[-1] += 1
-        bumped = True
-    return DegreeSequence(raw, parity_bumped=bumped)
+def _finish(counts: dict[int, int], bumped: int | None) -> DegreeSequence:
+    """Ascending blocks of the vertex counts per degree; one vertex of degree
+    `bumped`, if given, gets one more half-edge to make the total even."""
+    if bumped is not None:
+        counts = dict(counts)
+        counts[bumped] -= 1
+        counts[bumped + 1] = counts.get(bumped + 1, 0) + 1
+    return DegreeSequence(tuple((k, c) for k, c in sorted(counts.items()) if c),
+                          parity_bumped=bumped is not None)
+
+
+def _odd_total(counts: dict[int, int]) -> bool:
+    return sum(k * c for k, c in counts.items()) % 2 == 1
 
 
 def build_deterministic(cdf_values, n: int) -> DegreeSequence:
@@ -87,7 +127,8 @@ def build_deterministic(cdf_values, n: int) -> DegreeSequence:
 
     cdf_values maps degree k to F(k); it must be nondecreasing and reach
     exactly 1 at the largest listed degree. Vertices come out ascending in
-    degree. Examples: F(1)=0.5, F(2)=1.0 with n=4 gives [1,1,2,2]; a point
+    degree, and a parity bump goes to the last vertex, as a final block of
+    its own. Examples: F(1)=0.5, F(2)=1.0 with n=4 gives [1,1,2,2]; a point
     mass at 3 with n=6 gives six 3s; F(1)=2/3, F(3)=1.0 with n=3 gives
     [1,1,3], bumped to [1,1,4] for parity.
     """
@@ -104,30 +145,41 @@ def build_deterministic(cdf_values, n: int) -> DegreeSequence:
     if values[-1] != 1.0:
         raise DegreeModelError(f"CDF must reach 1.0, ends at {values[-1]!r}")
 
-    out = np.empty(n, dtype=np.int64)
-    pos = 0
+    counts = {}
     prev_ceil = 0
     for k, v in items:
         cur_ceil = math.ceil(n * v)
-        count = cur_ceil - prev_ceil
+        if cur_ceil > prev_ceil:
+            counts[k] = cur_ceil - prev_ceil
         prev_ceil = cur_ceil
-        if count <= 0:
-            continue
-        out[pos:pos + count] = k
-        pos += count
-    assert pos == n, "ceiling rule must exhaust all vertices"
-    return _finish(out)
+    if sum(counts.values()) != n:
+        raise DegreeModelError(
+            f"ceiling rule must exhaust all vertices: the counts cover "
+            f"{sum(counts.values())} of {n}")
+    return _finish(counts, max(counts) if _odd_total(counts) else None)
 
 
 def build_iid(pmf, n: int, rng: np.random.Generator) -> DegreeSequence:
-    """n i.i.d. draws from a degree pmf, parity-bumped if the sum is odd."""
+    """n i.i.d. degrees from a pmf, drawn as one multinomial(n, pmf) count
+    vector and laid out ascending; parity-bumped if the sum is odd.
+
+    The draws are exchangeable, so given the counts the vertex that the
+    last of n sequential draws would be is uniform over all n: the bumped
+    degree is drawn in proportion to the counts. Time and memory are
+    O(support) at any n.
+    """
     if n < 2:
         raise DegreeModelError(f"need n >= 2, got {n}")
     support, probs = _check_pmf(pmf)
     if support[0] < 1:
         raise DegreeModelError("pmf puts mass on degree 0")
-    draws = rng.choice(support, size=n, p=probs)
-    return _finish(draws.astype(np.int64))
+    drawn = rng.multinomial(n, probs)
+    counts = dict(zip(support.tolist(), drawn.tolist()))
+    bumped = None
+    if _odd_total(counts):
+        u = int(rng.integers(n))
+        bumped = int(support[np.searchsorted(np.cumsum(drawn), u, side="right")])
+    return _finish(counts, bumped)
 
 
 def regular(r: int, n: int) -> DegreeSequence:
@@ -165,19 +217,25 @@ def diagnostics(seq: DegreeSequence, cutoff: float | None = None) -> DegreeDiagn
         cutoff = math.sqrt(n)
     if cutoff <= 0:
         raise DegreeModelError(f"cutoff must be positive, got {cutoff}")
-    counts = np.bincount(seq.degrees)
-    k = np.flatnonzero(counts)
-    c = counts[k]
-    total = int((k * c).sum())
+    k, c = _degree_counts(seq)
     logs = np.maximum(np.log(k / cutoff), 0.0)
     return DegreeDiagnostics(
-        mu_n=total / n,
-        nu_n=int((k * (k - 1) * c).sum()) / total,
+        mu_n=seq.total / n,
+        nu_n=seq.nu_n,
         second_moment=int((k * k * c).sum()) / n,
         max_degree=int(k[-1]),
         x2logx=float((k * k * c * logs).sum() / n),
         cutoff=float(cutoff),
     )
+
+
+def _degree_counts(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct degrees ascending, vertex count of each), summed over blocks."""
+    counts: dict[int, int] = {}
+    for k, c in seq.blocks:
+        counts[k] = counts.get(k, 0) + c
+    k = np.array(sorted(counts), dtype=np.int64)
+    return k, np.array([counts[x] for x in k.tolist()], dtype=np.int64)
 
 
 def size_biased_pmf(seq: DegreeSequence) -> dict[int, float]:
@@ -186,7 +244,7 @@ def size_biased_pmf(seq: DegreeSequence) -> dict[int, float]:
     P(D* - 1 = k) = (k+1) * #{i : d_i = k+1} / total. Its mean is nu_n,
     which is the offspring mean used everywhere downstream.
     """
-    ks, counts = np.unique(seq.degrees, return_counts=True)
+    ks, counts = _degree_counts(seq)
     total = seq.total
     return {int(k) - 1: float(k * c) / total for k, c in zip(ks, counts)}
 
@@ -203,7 +261,7 @@ def save_degrees(seq: DegreeSequence, path) -> None:
 
 def load_degrees(path) -> DegreeSequence:
     arr = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return DegreeSequence(arr)
+    return DegreeSequence.from_degrees(arr)
 
 
 def load_pmf_table(path) -> dict[int, float]:

@@ -182,11 +182,9 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
         raise ExploreError(f"endpoints ({u1}, {u2}) out of range for n={g.n}")
     if u1 == u2:
         raise ExploreError("the two sources must be distinct vertices")
-    off = g.he_offset
-    if off[u1] == off[u1 + 1]:
-        raise IsolatedEndpointError(f"vertex {u1} has no half-edges")
-    if off[u2] == off[u2 + 1]:
-        raise IsolatedEndpointError(f"vertex {u2} has no half-edges")
+    for u in (u1, u2):
+        if g.degree(u) == 0:
+            raise IsolatedEndpointError(f"vertex {u} has no half-edges")
 
     state = SwgState(g, u1, u2, log_details)
     half1 = g.reveal(u1)

@@ -277,23 +277,6 @@ def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
     return _constants_cached(_hashable_spec(config.weight_spec), mu, nu)
 
 
-def _degree_model_key(model: tuple) -> tuple:
-    kind, param = model
-    if kind == "regular":
-        return (kind, int(param))
-    return (kind, tuple(sorted((int(k), float(v)) for k, v in dict(param).items())))
-
-
-@lru_cache(maxsize=4)
-def _fixed_degrees(model_key: tuple, n: int) -> tuple:
-    """(sequence, diagnostics, half-edge layout) of a degree model that draws
-    nothing (regular, deterministic): built once per process and rung, so
-    neither the trials nor the pool chunks carry n-sized arrays."""
-    seq = build_degree_sequence(model_key, n, rng=None)
-    seq.degrees.flags.writeable = False
-    return seq, degrees.diagnostics(seq), graphs.HalfEdgeLayout.of(seq)
-
-
 @lru_cache(maxsize=256)
 def _centring_cached(spec: tuple, nu_n: float) -> ctbp.Centring:
     """n-level alpha, nu_bar and gamma, without the rest of ctbp.constants."""
@@ -316,43 +299,34 @@ class _TrialTask:
     vertex_weight_spec: tuple | None
     ranked_m: int
     window_hi: float
-    consts_n: ctbp.Centring | None    # n-level centring; None: from the realized degrees
     consts_limit: ctbp.CtbpConstants
     collect_marks: bool
     max_resamples: int = 100
 
 
 def _build_graph(task: _TrialTask, dist, rng):
-    """The trial's graph: lazily paired for cm, built whole otherwise."""
+    """(graph, nu_n): the trial's graph, lazily paired for cm and built whole
+    otherwise, and its size-biased mean offspring from exact integer sums."""
     if task.graph_kind in ("nr", "grg", "cl"):
         vw_dist = _dist_cached(task.vertex_weight_spec)
         w = weights.sample(vw_dist, rng, task.n)
-        return graphs.assign_weights(graphs.sample_rank1(w, task.graph_kind, rng),
-                                     dist, rng)
-    if task.degree_model[0] == "iid":
-        seq = build_degree_sequence(task.degree_model, task.n, rng)
-        layout = None
-    else:
-        seq, _, layout = _fixed_degrees(_degree_model_key(task.degree_model), task.n)
+        g = graphs.assign_weights(graphs.sample_rank1(w, task.graph_kind, rng),
+                                  dist, rng)
+        d = g.degrees()
+        return g, int((d * (d - 1)).sum()) / int(d.sum())
+    seq = build_degree_sequence(task.degree_model, task.n, rng)
     if task.graph_kind == "simple":
         g, _ = graphs.sample_uniform_simple(seq, rng)
-        return graphs.assign_weights(g, dist, rng)
-    if layout is None:
-        layout = graphs.HalfEdgeLayout.of(seq)
-    return graphs.LazyPairing(layout, dist, rng)
+        return graphs.assign_weights(g, dist, rng), seq.nu_n
+    return graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng), seq.nu_n
 
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     seed = trial_seed(task.master_seed, index)
     rng = _rng_for(seed)
     n = task.n
-    g = _build_graph(task, _dist_cached(task.weight_spec), rng)
-
-    consts_n = task.consts_n
-    if consts_n is None:
-        d = g.degrees().astype(float)
-        consts_n = _centring_cached(task.weight_spec,
-                                    float((d * (d - 1.0)).sum() / d.sum()))
+    g, nu_n = _build_graph(task, _dist_cached(task.weight_spec), rng)
+    consts_n = _centring_cached(task.weight_spec, nu_n)
     alpha_n = consts_n.alpha
     log_n = math.log(n)
     s_probe = math.log(log_n) / alpha_n
@@ -460,17 +434,11 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     vw_spec = (_hashable_spec(config.vertex_weight_spec)
                if config.vertex_weight_spec is not None else None)
     consts_limit = constants_for_config(config)
-    consts_n = None
-    if config.graph_kind in ("cm", "simple") and config.degree_model[0] != "iid":
-        _, diag, _ = _fixed_degrees(_degree_model_key(config.degree_model), n)
-        consts_n = _centring_cached(weight_spec, diag.nu_n)
-
     task = _TrialTask(
         master_seed=master, n=int(n), graph_kind=config.graph_kind,
         degree_model=config.degree_model, weight_spec=weight_spec,
         vertex_weight_spec=vw_spec, ranked_m=config.ranked_m,
-        window_hi=config.mark_window[1], consts_n=consts_n,
-        consts_limit=consts_limit, collect_marks=collect_marks,
+        window_hi=config.mark_window[1], consts_limit=consts_limit, collect_marks=collect_marks,
     )
 
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]

@@ -1,5 +1,12 @@
 """Degree sequence builders: ceiling rule, parity, diagnostics."""
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +78,102 @@ def test_iid_frequencies_near_pmf():
     assert abs(frac_one - 0.25) < 0.011
 
 
+def test_iid_parity_bump_lands_in_proportion_to_counts():
+    # degrees 1 and 3 on five vertices always sum to an odd total, so every
+    # draw is bumped. The bumped vertex is uniform over the five, as the
+    # last of five sequential draws is: given c1 vertices of degree 1 it is
+    # one of them with probability c1 / 5, so P = E[c1] / 5 = 0.3 overall.
+    # Bumping the largest block would give P(c1 = 5) = 0.3^5 instead
+    rng = np.random.Generator(np.random.Philox(key=17))
+    draws = 4000
+    hits = expected = var = 0.0
+    for _ in range(draws):
+        seq = degrees.build_iid({1: 0.3, 3: 0.7}, 5, rng)
+        assert seq.parity_bumped and seq.n == 5
+        blocks = dict(seq.blocks)
+        from_one = blocks.get(2, 0)                  # a 1 bumped to 2
+        assert from_one + blocks.get(4, 0) == 1      # or a 3 bumped to 4
+        p = (blocks.get(1, 0) + from_one) / 5
+        hits += from_one
+        expected += p
+        var += p * (1 - p)
+    assert abs(hits - expected) < 4.0 * math.sqrt(var), (hits, expected)
+    assert abs(hits / draws - 0.3) < 0.03
+
+
+def test_iid_blocks_are_one_count_draw():
+    # one multinomial count draw laid out ascending: no per-vertex array,
+    # so n = 1e9 takes microseconds
+    seq = degrees.build_iid({2: 0.25, 3: 0.5, 5: 0.25}, 10 ** 9,
+                            np.random.Generator(np.random.Philox(key=3)))
+    ks = [k for k, _ in seq.blocks]
+    assert ks == sorted(set(ks)) and seq.n == 10 ** 9
+    assert seq.total % 2 == 0
+
+
+def test_invariant_checks_raise_under_optimize():
+    # python -O strips asserts; these checks must raise named errors anyway.
+    # The ceiling rule and the branching-process bookkeeping cannot break on
+    # valid input, so the script breaks math.ceil and numpy's cumsum for one
+    # call each
+    script = textwrap.dedent("""
+        import math
+        import sys
+        import numpy as np
+        from fpplab import ctbp, degrees, graphs, weights
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        ceil = math.ceil
+        math.ceil = lambda x: ceil(x) - (x == 10.0)
+        try:
+            degrees.build_deterministic({4: 1.0}, 10)
+        except degrees.DegreeModelError as exc:
+            print(exc)
+        else:
+            sys.exit("no DegreeModelError")
+        math.ceil = ceil
+
+        class Drifting:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(a):
+                return np.cumsum(a) + 1.0
+
+        law = ctbp.OffspringLaw.from_pmf({2: 1.0})
+        ctbp.np = Drifting()
+        try:
+            ctbp.simulate_bp(law, law, weights.exponential(1.0), 2.0,
+                             np.random.default_rng(1), alpha=1.0)
+        except ctbp.CtbpError as exc:
+            print(exc)
+        else:
+            sys.exit("no CtbpError")
+        ctbp.np = np
+
+        for n, blocks in ((6, [(2, 3), (4, 2)]), (3, [(3, 3)])):
+            try:
+                graphs.HalfEdgeLayout(n, blocks)
+            except graphs.GraphError as exc:
+                print(exc)
+            else:
+                sys.exit("no GraphError")
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    ceiling, bookkeeping, cover, odd = done.stdout.splitlines()
+    assert "ceiling rule must exhaust all vertices" in ceiling
+    assert "population bookkeeping drifted" in bookkeeping
+    assert "cover 5 vertices, not n = 6" in cover
+    assert "odd number 9 of half-edges" in odd
+
+
 def test_iid_rejects_invalid_pmf():
     rng = np.random.Generator(np.random.Philox(key=1))
     with pytest.raises(degrees.DegreeModelError):
@@ -86,7 +189,7 @@ def test_diagnostics_match_direct_moments(raw):
     arr = np.array(raw, dtype=np.int64)
     if int(arr.sum()) % 2 == 1:
         arr[-1] += 1
-    seq = degrees.DegreeSequence(degrees=arr, parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(arr)
     d = degrees.diagnostics(seq)
     assert d.mu_n == pytest.approx(arr.mean())
     assert d.nu_n == pytest.approx(float((arr * (arr - 1)).sum()) / float(arr.sum()))
@@ -101,7 +204,7 @@ def test_diagnostics_equal_vertex_sums():
     arr = np.minimum(rng.zipf(2.5, 100_001), 5000).astype(np.int64)
     if int(arr.sum()) % 2 == 1:
         arr[-1] += 1
-    diag = degrees.diagnostics(degrees.DegreeSequence(degrees=arr))
+    diag = degrees.diagnostics(degrees.DegreeSequence.from_degrees(arr))
     d = arr.astype(float)
     assert diag.mu_n == float(d.sum() / d.size)
     assert diag.nu_n == float((d * (d - 1.0)).sum() / d.sum())
@@ -112,7 +215,7 @@ def test_diagnostics_equal_vertex_sums():
 
 
 def test_size_biased_pmf_hand_case():
-    seq = degrees.DegreeSequence(degrees=np.array([2, 2, 3, 3]), parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(np.array([2, 2, 3, 3]))
     sb = degrees.size_biased_pmf(seq)
     # half-edge total 10: degree-2 stubs carry mass 4/10 at offspring 1,
     # degree-3 stubs carry 6/10 at offspring 2

@@ -356,7 +356,6 @@ def test_reveal_triples_agree_with_materialized():
     np.testing.assert_equal(g._rng.bit_generator.state, rng_state)
     full = g.materialize()
     for w, half in triples.items():
-        assert [x for x, _, _ in half] == list(range(int(g.he_offset[w]),
-                                                     int(g.he_offset[w + 1])))
+        assert [x for x, _, _ in half] == list(range(*g.layout.half_edges(w)))
         assert g.reveal(w) == half
         assert full.reveal(w) == half

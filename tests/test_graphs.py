@@ -1,13 +1,14 @@
 """Half-edge pairing, simplicity rejection, rank-1 kernels, weight assignment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from fpplab import degrees, graphs, weights
+from fpplab import degrees, explore, graphs, weights
 
 
 def philox(key):
@@ -24,7 +25,7 @@ def test_pairing_is_involution(raw, key):
     arr = np.array(raw, dtype=np.int64)
     if int(arr.sum()) % 2 == 1:
         arr[0] += 1
-    seq = degrees.DegreeSequence(degrees=arr, parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(arr)
     g = graphs.pair_configuration(seq, philox(key))
     p = g.partner
     assert p.size == int(arr.sum())
@@ -36,7 +37,7 @@ def test_pairing_is_involution(raw, key):
 
 
 def test_single_edge_forced():
-    seq = degrees.DegreeSequence(degrees=np.array([1, 1]), parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(np.array([1, 1]))
     g = graphs.pair_configuration(seq, philox(0))
     assert list(g.partner) == [1, 0]
     assert g.self_loop_count == 0 and g.multi_edge_count == 0
@@ -45,7 +46,7 @@ def test_single_edge_forced():
 def test_matching_uniform_over_three_pairings():
     # four degree-1 vertices admit exactly three perfect matchings; the
     # pairing must hit each with probability 1/3 (4 sigma band at 3000 reps)
-    seq = degrees.DegreeSequence(degrees=np.array([1, 1, 1, 1]), parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(np.array([1, 1, 1, 1]))
     rng = philox(12)
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(3000):
@@ -59,7 +60,7 @@ def test_lazy_partner_uniform():
     # a uniform perfect matching gives half-edge 0 a uniform partner among
     # the other seven, whatever was revealed first; vertex 2 goes first here
     # so the draw for half-edge 0 has to redraw paired ids
-    seq = degrees.DegreeSequence(degrees=np.array([2, 1, 3, 2]), parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(np.array([2, 1, 3, 2]))
     layout = graphs.HalfEdgeLayout.of(seq)
     assert layout.regular_degree == 0
     dist = weights.exponential(1.0)
@@ -95,6 +96,67 @@ def test_materialize_keeps_revealed_pairs(seq):
     np.testing.assert_array_equal(w, w[p])
     assert np.unique(w).size == p.size // 2
     assert [layout.owner(h) for h in range(p.size)] == full.he_owner.tolist()
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                          st.integers(min_value=1, max_value=12)),
+                min_size=1, max_size=8))
+def test_layout_matches_expanded_offsets(raw):
+    # blocks in any degree order; an odd total gets the builders' parity
+    # bump, the last vertex moved into a final (k + 1, 1) block
+    blocks = list(raw)
+    if sum(k * c for k, c in blocks) % 2:
+        k, c = blocks.pop()
+        blocks += [(k, c - 1)] * (c > 1) + [(k + 1, 1)]
+    n = sum(c for _, c in blocks)
+    layout = graphs.HalfEdgeLayout(n, blocks)
+    deg = np.repeat([k for k, _ in blocks], [c for _, c in blocks])
+    off = graphs._offsets(deg)
+    owner = graphs._owners(off)
+    np.testing.assert_array_equal(layout.degrees(), deg)
+    assert layout.half_edge_count == int(off[-1])
+    # every vertex and half-edge, so both sides of each block boundary
+    for v in range(n):
+        assert layout.degree(v) == deg[v]
+        assert layout.half_edges(v) == (off[v], off[v + 1])
+    assert [layout.owner(h) for h in range(owner.size)] == owner.tolist()
+
+
+def test_layout_rejects_blocks_that_do_not_cover_n():
+    with pytest.raises(graphs.GraphError, match="cover 5 vertices"):
+        graphs.HalfEdgeLayout(6, [(2, 3), (4, 2)])
+    with pytest.raises(graphs.GraphError, match="odd number 9"):
+        graphs.HalfEdgeLayout(3, [(3, 3)])
+    with pytest.raises(graphs.GraphError, match="at least one vertex"):
+        graphs.HalfEdgeLayout(3, [(2, 3), (4, 0)])
+
+
+def test_layout_at_1e9_vertices_allocates_no_n_sized_array():
+    # a 4-regular graph on 1e9 vertices, and a parity-bumped 3-regular one,
+    # are laid out, queried, paired around two vertices and explored for a
+    # few events, all in well under 1 MB
+    n = 10 ** 9
+    tracemalloc.start()
+    try:
+        seq = degrees.regular(4, n)
+        diag = degrees.diagnostics(seq)
+        layout = graphs.HalfEdgeLayout.of(seq)
+        assert layout.owner(4 * n - 1) == n - 1
+        assert layout.half_edges(n - 1) == (4 * n - 4, 4 * n)
+        assert layout.degree(n // 2) == 4
+        bumped = graphs.HalfEdgeLayout.of(degrees.regular(3, n + 1))
+        assert bumped.blocks == ((3, n), (4, 1))
+        assert bumped.owner(3 * n) == n and bumped.owner(3 * n - 1) == n - 1
+        assert bumped.half_edges(n) == (3 * n, 3 * n + 4)
+        g = graphs.LazyPairing(layout, weights.exponential(1.0), philox(31))
+        assert len(g.reveal(n - 1)) == 4
+        state = explore.init(g, 0, n - 1)
+        explore.advance(state, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.nu_n == 3.0 and state.k > 0
+    assert peak < 1 << 20, peak
 
 
 def test_defect_counters():
@@ -150,7 +212,7 @@ def test_two_vertices_degree_two_never_simple():
     # every pairing of [2, 2] is a double edge or a pair of self-loops, so
     # rejection can never terminate; the sampler must say so instead of
     # spinning forever
-    seq = degrees.DegreeSequence(degrees=np.array([2, 2]), parity_bumped=False)
+    seq = degrees.DegreeSequence.from_degrees(np.array([2, 2]))
     with pytest.raises(graphs.GraphError):
         graphs.sample_uniform_simple(seq, philox(3), max_attempts=200)
 

@@ -273,28 +273,45 @@ def test_realised_degree_trials_match_recorded_outcomes(name, tmp_path):
     assert [hashlib.sha256(o.marks.tobytes()).hexdigest() for o in out] == recorded
 
 
+IID_PMF = {2: 0.2, 3: 0.3, 4: 0.3, 6: 0.2}
+
+
+def eager_degrees(model, n, rng):
+    """The control's degree sequence: regular, or n i.i.d. per-vertex draws
+    with the last vertex bumped for parity."""
+    if model[0] == "regular":
+        return degrees.regular(model[1], n)
+    support = sorted(model[1])
+    d = rng.choice(support, size=n, p=[model[1][k] for k in support])
+    d[-1] += int(d.sum()) % 2
+    return degrees.DegreeSequence.from_degrees(d)
+
+
 def test_lazy_trials_match_eager_law():
-    # cm trials pair lazily; H_n and L_n must have the law of exploring a
-    # graph paired and weighted in full beforehand (4-regular, Exp(1))
+    # cm trials pair lazily, and an iid trial draws its degree counts at
+    # once and lays them out sorted; H_n and L_n must have the law of
+    # exploring a graph on per-vertex degrees, paired and weighted in full
+    # beforehand (Exp(1) weights)
     n, M = 10_000, 1000
-    lazy = mc.run_trials(mc.ExperimentConfig(n_ladder=(n,), trials=M,
-                                             master_seed=71), threads=1)
-    seq = degrees.regular(4, n)
     dist = weights.exponential(1.0)
-    hops, lengths = [], []
-    for i in range(M):
-        rng = philox(50_000 + i)
-        g = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
-        while True:
-            u1, u2 = rng.choice(n, size=2, replace=False)
-            res = explore.run(g, int(u1), int(u2))
-            if res.connected:
-                break
-        hops.append(res.hops)
-        lengths.append(res.weight)
-    _, p_hops = mc.ks_two_sample(np.array([o.H_n for o in lazy]), np.array(hops))
-    _, p_len = mc.ks_two_sample(np.array([o.L_n for o in lazy]), np.array(lengths))
-    assert p_hops > 1e-3 and p_len > 1e-3, (p_hops, p_len)
+    for model in (("regular", 4), ("iid", IID_PMF)):
+        lazy = mc.run_trials(mc.ExperimentConfig(degree_model=model, n_ladder=(n,),
+                                                 trials=M, master_seed=71), threads=1)
+        hops, lengths = [], []
+        for i in range(M):
+            rng = philox(50_000 + i)
+            seq = eager_degrees(model, n, rng)
+            g = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
+            while True:
+                u1, u2 = rng.choice(n, size=2, replace=False)
+                res = explore.run(g, int(u1), int(u2))
+                if res.connected:
+                    break
+            hops.append(res.hops)
+            lengths.append(res.weight)
+        _, p_hops = mc.ks_two_sample(np.array([o.H_n for o in lazy]), np.array(hops))
+        _, p_len = mc.ks_two_sample(np.array([o.L_n for o in lazy]), np.array(lengths))
+        assert p_hops > 1e-3 and p_len > 1e-3, (model[0], p_hops, p_len)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -316,17 +333,19 @@ def test_dead_worker_is_named_error(monkeypatch):
     assert "master_seed=611, n=100, threads=1)" in msg
 
 
-def test_persistent_disconnection():
+def test_persistent_disconnection(monkeypatch):
     # degree-1 vertices pair into a perfect matching, so two random
     # endpoints are almost never connected; with the resample budget cut to
-    # 3 the trial must give up loudly rather than loop
+    # 3 the trial must give up loudly rather than loop. The matching is
+    # subcritical (nu_n = 0), so the 4-regular centring stands in for its own
     consts = mc.constants_for_config(mc.ExperimentConfig())
+    monkeypatch.setattr(mc, "_centring_cached", lambda spec, nu_n: consts)
     task = mc._TrialTask(master_seed=2, n=100, graph_kind="cm",
                          degree_model=("regular", 1),
                          weight_spec=("exponential", (1.0,)),
                          vertex_weight_spec=None, ranked_m=1, window_hi=0.5,
-                         consts_n=consts, consts_limit=consts,
-                         collect_marks=False, max_resamples=3)
+                         consts_limit=consts, collect_marks=False,
+                         max_resamples=3)
     with pytest.raises(mc.PersistentDisconnection):
         mc._run_single_trial(task, 0)
 
