@@ -76,14 +76,11 @@ def parse_degree_model(text: str) -> tuple:
         except ValueError:
             raise ConfigError(f"degrees: regular needs an integer, got {arg!r}")
         return ("regular", r)
-    if kind == "iid":
+    if kind in ("iid", "deterministic", "det"):
+        kind, table = ("iid", "pmf") if kind == "iid" else ("deterministic", "cdf")
         if not arg:
-            raise ConfigError("degrees: iid needs a pmf table path")
-        return ("iid", degrees.load_pmf_table(arg.strip()))
-    if kind in ("deterministic", "det"):
-        if not arg:
-            raise ConfigError("degrees: deterministic needs a cdf table path")
-        return ("deterministic", degrees.load_pmf_table(arg.strip()))
+            raise ConfigError(f"degrees: {kind} needs a {table} table path")
+        return (kind, degrees.load_pmf_table(arg.strip()))
     raise ConfigError(f"degrees: unknown model {head!r} "
                       "(choices: regular, iid, deterministic)")
 
@@ -127,14 +124,9 @@ def _read_config_file(path: str) -> dict:
         try:
             if "n_ladder" in e:
                 out["n_ladder"] = _parse_ladder(e["n_ladder"])
-            if "trials" in e:
-                out["trials"] = int(e["trials"])
-            if "ranked_m" in e:
-                out["ranked_m"] = int(e["ranked_m"])
-            if "master_seed" in e:
-                out["master_seed"] = int(e["master_seed"])
-            if "threads" in e:
-                out["threads"] = int(e["threads"])
+            for key in ("trials", "ranked_m", "master_seed", "threads"):
+                if key in e:
+                    out[key] = int(e[key])
         except ValueError as exc:
             raise ConfigError(f"{path}: [experiment] {exc}")
     if cp.has_section("thresholds"):
@@ -150,35 +142,30 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# flag attribute, config field, parser; a flag set to anything, 0 included,
+# overrides the file
+_FLAGS = (
+    ("kind", "graph_kind", str), ("degrees", "degree_model", parse_degree_model),
+    ("weights", "weight_spec", parse_weight_spec),
+    ("vertex_weights", "vertex_weight_spec", parse_weight_spec),
+    ("n_ladder", "n_ladder", _parse_ladder), ("trials", "trials", int),
+    ("ranked_m", "ranked_m", int), ("seed", "master_seed", int), ("threads", "threads", int),
+)
+
+
 def _assemble_config(args) -> montecarlo.ExperimentConfig:
     """defaults < config file < flags."""
-    fields: dict = {
-        "graph_kind": "cm",
-        "degree_model": ("regular", 4),
-        "weight_spec": ("exponential", (1.0,)),
-    }
+    fields: dict = {"graph_kind": "cm", "weight_spec": ("exponential", (1.0,))}
     if getattr(args, "config", None):
         fields.update(_read_config_file(args.config))
-    if getattr(args, "kind", None):
-        fields["graph_kind"] = args.kind
-    if getattr(args, "degrees", None):
-        fields["degree_model"] = parse_degree_model(args.degrees)
-    if getattr(args, "weights", None):
-        fields["weight_spec"] = parse_weight_spec(args.weights)
-    if getattr(args, "vertex_weights", None):
-        fields["vertex_weight_spec"] = parse_weight_spec(args.vertex_weights)
-    if getattr(args, "n_ladder", None):
-        fields["n_ladder"] = _parse_ladder(args.n_ladder)
-    if getattr(args, "trials", None):
-        fields["trials"] = args.trials
-    if getattr(args, "ranked_m", None):
-        fields["ranked_m"] = args.ranked_m
-    if getattr(args, "seed", None) is not None:
-        fields["master_seed"] = args.seed
-    if getattr(args, "threads", None):
-        fields["threads"] = args.threads
-    elif "threads" not in fields:
-        fields["threads"] = os.cpu_count() or 1
+    for attr, key, parse in _FLAGS:
+        if getattr(args, attr, None) is not None:
+            fields[key] = parse(getattr(args, attr))
+    fields.setdefault("threads", os.cpu_count() or 1)
+    if fields["graph_kind"] in graphs.RANK1_KINDS and "degree_model" in fields:
+        raise ConfigError(f"{fields['graph_kind']} graphs take their degree law from "
+                          "the vertex weights; drop --degrees (or [graph] degrees) and "
+                          "set --vertex-weights")
     try:
         return montecarlo.ExperimentConfig(**fields)
     except montecarlo.MonteCarloError as exc:
@@ -243,7 +230,7 @@ def cmd_gen_graph(args) -> int:
         raise ConfigError("gen-graph: --n is required")
     seed = args.seed if args.seed is not None else config.master_seed
     rng = np.random.Generator(np.random.Philox(key=montecarlo.derived_seed(seed, 5, 0)))
-    if config.graph_kind in ("nr", "grg", "cl"):
+    if config.graph_kind in graphs.RANK1_KINDS:
         vw = weights.from_spec(*config.vertex_weight_spec)
         g = graphs.sample_rank1(weights.sample(vw, rng, n), config.graph_kind, rng)
     else:
@@ -340,14 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, metavar="N",
                         help="worker processes (speed only, never results)")
     common.add_argument("--degrees", metavar="SPEC",
-                        help="regular:R | iid:PATH | deterministic:PATH")
+                        help="regular:R | iid:PATH | deterministic:PATH (cm and "
+                             "simple; rank-1 degrees follow --vertex-weights)")
     common.add_argument("--weights", metavar="SPEC",
                         help="exp:RATE | shifted-exp:K | power:S | uniform:B "
                              "| table:PATH")
     common.add_argument("--kind", choices=("cm", "simple", "nr", "grg", "cl"),
                         help="graph model")
     common.add_argument("--vertex-weights", metavar="SPEC",
-                        help="vertex weight law for nr/grg/cl")
+                        help="vertex weight law for nr/grg/cl, which sets their "
+                             "mixed-Poisson degree law")
 
     p = sub.add_parser("constants", parents=[common],
                        help="print every limit constant for a model")

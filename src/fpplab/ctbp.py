@@ -27,8 +27,10 @@ dz equals nu_bar/(nu-1). The residuals of both identities are embedded in
 the returned record as a self-check.
 
 Every integral is summed over 20-point Gauss-Legendre cells and certified
-on halved cells; LS and the stable-age moments integrate against the density,
-K, D and B against 1 - G or G, so the identities compare different integrals.
+on halved cells by the engine in weights (weights._integral, whose edges
+come from the law's kinks and quantiles); LS and the stable-age moments
+integrate against the density, K, D and B against 1 - G or G, so the
+identities compare different integrals.
 alpha is a bracketed Brent root of LS, memoised per (law, s). No closed forms
 are wired in, so the closed-form test cases genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
@@ -43,7 +45,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .weights import WeightDistribution, sample as sample_weight
+from . import weights
+from .weights import QuadratureError, WeightDistribution, sample as sample_weight
 
 __all__ = [
     "CtbpError",
@@ -80,102 +83,8 @@ class SubcriticalError(CtbpError):
     """Offspring mean nu <= 1: no exponential growth, no limit constants."""
 
 
-class QuadratureError(RuntimeError):
-    """A quadrature or root solve could not certify its requested tolerance."""
-
-
 # ---------------------------------------------------------------------------
-# quadrature: graded Gauss-Legendre cells
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], by
-    Newton's method on the recurrence for P_m; unlike numpy's leggauss it
-    needs no eigen-solve, so importing this module does not start LAPACK."""
-    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = m * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-# 20-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_S, _GL_W = _gauss_legendre(20)
-_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
-
-# Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
-# left past them); the cell from support_lo is halved 60 times toward it, and
-# _moment takes the innermost one, home to any density cusp, from its G-mass.
-# Quantile edges 1 - 2^-j resolve peaked laws (power:S, S <= 0.2) below 1/rate.
-_STEPS = 40
-_GRADE = 60
-_LEVELS = 1.0 - 0.5 ** np.arange(1, 51)
-
-
-def _kinks(dist: WeightDistribution) -> np.ndarray:
-    """Sorted points where G is not smooth: the finite support edges, and
-    every row of a table law (its density jumps there)."""
-    pts = [e for e in (dist.support_lo, dist.support_hi) if math.isfinite(e)]
-    if dist.kind == "user_table":
-        pts.extend(dist.params[1])
-    return np.unique(pts)
-
-
-def _edges(dist: WeightDistribution, rate: float, pts: np.ndarray) -> np.ndarray:
-    """Cell edges from pts[0] to pts[-1]: the sorted points, the law's kinks
-    between them, steps of 1/rate into each gap (at most _STEPS), the cell
-    from support_lo graded toward it, and the _LEVELS quantiles."""
-    kinks = _kinks(dist)
-    edges = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
-    extra = np.minimum(np.ceil(rate * np.diff(edges)) - 1.0, _STEPS).astype(int)
-    # rank runs 1..extra[i] within gap i
-    rank = np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra) + 1
-    edges = np.union1d(edges, np.repeat(edges[:-1], extra) + rank / rate)
-    lo = dist.support_lo
-    i = np.searchsorted(edges, lo)
-    if i + 1 < edges.size and edges[i] == lo:
-        edges = np.union1d(edges, lo + (edges[i + 1] - lo) * 0.5 ** np.arange(1, _GRADE + 1))
-    q = dist.quantile(_LEVELS)
-    return np.union1d(edges, q[(pts[0] < q) & (q < pts[-1])])
-
-
-def _cells(fn, edges: np.ndarray) -> np.ndarray:
-    """integral of fn over each cell [a, a+h] of edges, where fn(a, y) is the
-    integrand at a + y for the cell's left edge a: 20-point Gauss-Legendre
-    under y = h s^2, which smooths a square-root cusp at a."""
-    a = edges[:-1, None]
-    h = np.diff(edges)[:, None]
-    return (2.0 * h * _GL_S * fn(a, h * _GL_S ** 2)) @ _GL_W
-
-
-def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
-              head=None, epsabs: float, epsrel: float, what: str) -> float:
-    """integral over v >= 0 of fn(v), the integrand at start + v (the offset
-    keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
-    geometric cells to 640/rate; head(b) replaces the innermost graded cell
-    [support_lo, b] (start = 0 only). If the sum on halved cells differs by
-    more than max(epsabs, epsrel |value|), QuadratureError is raised."""
-    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
-    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
-
-    def total(e: np.ndarray) -> float:
-        cells = _cells(lambda a, y: fn(a + y), e)
-        i = np.searchsorted(e, dist.support_lo)
-        if head is not None and i + 1 < e.size and e[i] == dist.support_lo:
-            cells[i] = head(e[i + 1])
-        return float(cells.sum())
-
-    coarse = total(edges)
-    value = total(np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])))
-    # written so that a NaN sum fails too
-    if not abs(value - coarse) <= max(epsabs, epsrel * abs(value)):
-        raise QuadratureError(f"{what}: halving the cells moved the sum by "
-                              f"{abs(value - coarse):.3e} (requested abs {epsabs:.1e} "
-                              f"/ rel {epsrel:.1e})")
-    return value
+# moments against the density, on the cells of weights._integral
 
 
 def _moment(k: int, s: float, dist: WeightDistribution, **tol) -> float:
@@ -185,8 +94,8 @@ def _moment(k: int, s: float, dist: WeightDistribution, **tol) -> float:
         return t ** k * np.exp(-s * t)
 
     lo = dist.support_lo
-    return _integral(lambda t: w(t) * dist.density(t), dist, s,
-                     head=lambda b: w(lo) * (dist.cdf(b) - dist.cdf(lo)), **tol)
+    return weights._integral(lambda t: w(t) * dist.density(t), dist, s,
+                             head=lambda b: w(lo) * (dist.cdf(b) - dist.cdf(lo)), **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +112,19 @@ def laplace_stieltjes(dist: WeightDistribution, s: float) -> float:
     return _moment(0, s, dist, epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
 
 
-def solve_malthusian(nu: float, dist: WeightDistribution, *,
-                     rel_width: float = 1e-12, residual_tol: float = 1e-10) -> float:
+# relative width of Brent's bracket at the root, and the largest accepted
+# |nu LS(alpha) - 1| there
+_ROOT_REL_WIDTH = 1e-12
+_ROOT_RESIDUAL_TOL = 1e-10
+
+
+def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     """Growth rate alpha with nu * LS(alpha) = 1.
 
     nu * LS(s) decreases from nu (> 1 required) toward 0, so the root is
     bracketed by doubling and then located by Brent's method to the
-    requested relative width. The returned root must satisfy
-    |nu*LS(alpha) - 1| < residual_tol.
+    relative width _ROOT_REL_WIDTH. The returned root must satisfy
+    |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
     """
     if not nu > 1.0:
         raise SubcriticalError(
@@ -229,10 +143,11 @@ def solve_malthusian(nu: float, dist: WeightDistribution, *,
     else:
         raise QuadratureError("could not bracket the growth rate by doubling")
 
-    alpha = brentq(excess, lo, hi, xtol=rel_width * hi, rtol=rel_width)
+    alpha = brentq(excess, lo, hi, xtol=_ROOT_REL_WIDTH * hi, rtol=_ROOT_REL_WIDTH)
     resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
-    if resid > residual_tol:
-        raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds {residual_tol:.1e}")
+    if resid > _ROOT_RESIDUAL_TOL:
+        raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "
+                              f"{_ROOT_RESIDUAL_TOL:.1e}")
     return alpha
 
 
@@ -264,11 +179,12 @@ def _tail_mass(dist: WeightDistribution, alpha: float, x: np.ndarray) -> np.ndar
     if x.size == 0:
         return np.zeros(x.shape)
     pts, inverse = np.unique(np.maximum(x, 0.0), return_inverse=True)
-    nodes = _edges(dist, alpha, pts)
+    nodes = weights._edges(dist, alpha, pts)
     x0 = nodes[-1]
-    beyond = _integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(x0 + v)), dist, alpha,
-                       x0, epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
-    cells = _cells(lambda u, y: np.exp(-alpha * y) * (1.0 - dist.cdf(u + y)), nodes)
+    beyond = weights._integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(x0 + v)),
+                               dist, alpha, x0, epsabs=1e-15, epsrel=1e-11,
+                               what="residual tail mass")
+    cells = weights._cells(lambda u, y: np.exp(-alpha * y) * (1.0 - dist.cdf(u + y)), nodes)
     mass = np.append(cells, beyond)
     decay = np.append(np.exp(-alpha * np.diff(nodes)), 0.0)
     shift = 1
@@ -309,8 +225,8 @@ def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
     the density (recorded by constants() as the f_R0 identity)."""
     if not alpha > 0:
         raise CtbpError(f"alpha must be positive, got {alpha}")
-    denom = _integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(v)), dist, alpha,
-                      epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
+    denom = weights._integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(v)), dist, alpha,
+                              epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
     norm_resid = abs(_tail_mass(dist, alpha, np.arange(46.0) / alpha)[0] / denom - 1.0)
     by_parts = abs(alpha * denom / (1.0 - laplace_stieltjes(dist, alpha)) - 1.0)
     if max(norm_resid, by_parts) > 1e-6:
@@ -374,9 +290,9 @@ def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
     # B = int F_R(z) e^{-az} dz; pushing the residual cdf's own integral
     # through by Fubini collapses the double integral to a single damped
     # integral of (u - 1/a) e^{-au} G(u)
-    b_val = _integral(lambda u: (u - 1.0 / alpha) * np.exp(-alpha * u) * dist.cdf(u),
-                      dist, alpha, epsabs=1e-13, epsrel=1e-9,
-                      what="damped residual mass") / res.denom
+    b_val = weights._integral(lambda u: (u - 1.0 / alpha) * np.exp(-alpha * u) * dist.cdf(u),
+                              dist, alpha, epsabs=1e-13, epsrel=1e-9,
+                              what="damped residual mass") / res.denom
     gamma = 1.0 / (alpha * nu_bar)
     beta = sigma_sq / (nu_bar ** 3 * alpha)
     c = math.log(mu * (nu - 1.0) ** 2 / (nu * alpha * nu_bar))

@@ -27,8 +27,6 @@ __all__ = [
     "regular",
     "diagnostics",
     "size_biased_pmf",
-    "save_degrees",
-    "load_degrees",
     "load_pmf_table",
 ]
 
@@ -250,18 +248,7 @@ def size_biased_pmf(seq: DegreeSequence) -> dict[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# serialization: newline-delimited degrees; two-column pmf/cdf tables
-
-
-def save_degrees(seq: DegreeSequence, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for d in seq.degrees:
-            fh.write(f"{int(d)}\n")
-
-
-def load_degrees(path) -> DegreeSequence:
-    arr = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return DegreeSequence.from_degrees(arr)
+# two-column pmf/cdf tables
 
 
 def load_pmf_table(path) -> dict[int, float]:

@@ -123,14 +123,18 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
 }
 
 _GRAPH_KINDS = ("cm", "simple", "nr", "grg", "cl")
+# recentred-time window of the collision marks, and its bins for the slope
+_MARK_WINDOW = (-1.5, 0.5)
+_PPP_BINS = 8
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; flags and files both build one of these."""
+    """Everything a run needs; flags and files both build one of these. Rank-1
+    kinds take their degree law from the vertex weights: degree_model is cleared."""
 
     graph_kind: str = "cm"
-    degree_model: tuple = ("regular", 4)
+    degree_model: tuple | None = ("regular", 4)
     weight_spec: tuple = ("exponential", (1.0,))
     vertex_weight_spec: tuple | None = None     # rank-1 kinds draw w_i from this
     n_ladder: tuple = (1000,)
@@ -138,19 +142,22 @@ class ExperimentConfig:
     ranked_m: int = 1
     master_seed: int = 1
     threads: int = 1
-    mark_window: tuple = (-1.5, 0.5)
-    ppp_bins: int = 8
     q_reference_size: int = 10_000
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.graph_kind not in _GRAPH_KINDS:
             raise MonteCarloError(f"unknown graph kind {self.graph_kind!r}")
-        if self.graph_kind in ("nr", "grg", "cl") and self.vertex_weight_spec is None:
-            raise MonteCarloError(f"{self.graph_kind} graphs need vertex_weight_spec")
+        if self.graph_kind in graphs.RANK1_KINDS:
+            if self.vertex_weight_spec is None:
+                raise MonteCarloError(f"{self.graph_kind} graphs need vertex_weight_spec")
+            self.degree_model = None
         self.n_ladder = tuple(int(n) for n in self.n_ladder)
         if not self.n_ladder or any(n < 2 for n in self.n_ladder):
             raise MonteCarloError("n_ladder must list sizes >= 2")
+        for name in ("trials", "ranked_m", "threads"):
+            if not getattr(self, name) >= 1:
+                raise MonteCarloError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for key in self.thresholds:
             if key not in DEFAULT_THRESHOLDS:
                 raise MonteCarloError(
@@ -260,9 +267,22 @@ def _constants_cached(spec: tuple, mu: float, nu: float) -> ctbp.CtbpConstants:
     return ctbp.constants(mu, nu, _dist_cached(spec))
 
 
+@lru_cache(maxsize=64)
+def _mixed_poisson_cached(spec: tuple) -> tuple:
+    return tuple(enumerate(graphs.mixed_poisson_pmf(_dist_cached(spec)).tolist()))
+
+
+def _limit_pmf(config: ExperimentConfig) -> dict[int, float]:
+    """Limiting degree pmf: the degree model's, or for rank-1 kinds the mixed
+    Poisson law of the vertex weights, computed once per weight spec."""
+    if config.graph_kind in graphs.RANK1_KINDS:
+        return dict(_mixed_poisson_cached(_hashable_spec(config.vertex_weight_spec)))
+    return pmf_of_model(config.degree_model)
+
+
 def bp_config_for(config: ExperimentConfig) -> ctbp.BpConfig:
     """Two-stage offspring laws matching the limiting degree pmf."""
-    pmf = pmf_of_model(config.degree_model)
+    pmf = _limit_pmf(config)
     root = ctbp.OffspringLaw.from_pmf(pmf)
     later = ctbp.OffspringLaw.from_pmf(size_biased_from_pmf(pmf))
     return ctbp.BpConfig(root_law=root, later_law=later,
@@ -271,7 +291,7 @@ def bp_config_for(config: ExperimentConfig) -> ctbp.BpConfig:
 
 def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
     """Limiting constants from the limiting degree pmf."""
-    pmf = pmf_of_model(config.degree_model)
+    pmf = _limit_pmf(config)
     mu = sum(k * p for k, p in pmf.items())
     nu = sum(k * (k - 1) * p for k, p in pmf.items()) / mu
     return _constants_cached(_hashable_spec(config.weight_spec), mu, nu)
@@ -294,11 +314,10 @@ class _TrialTask:
     master_seed: int
     n: int
     graph_kind: str
-    degree_model: tuple
+    degree_model: tuple | None
     weight_spec: tuple
     vertex_weight_spec: tuple | None
     ranked_m: int
-    window_hi: float
     consts_limit: ctbp.CtbpConstants
     collect_marks: bool
     max_resamples: int = 100
@@ -307,7 +326,7 @@ class _TrialTask:
 def _build_graph(task: _TrialTask, dist, rng):
     """(graph, nu_n): the trial's graph, lazily paired for cm and built whole
     otherwise, and its size-biased mean offspring from exact integer sums."""
-    if task.graph_kind in ("nr", "grg", "cl"):
+    if task.graph_kind in graphs.RANK1_KINDS:
         vw_dist = _dist_cached(task.vertex_weight_spec)
         w = weights.sample(vw_dist, rng, task.n)
         g = graphs.assign_weights(graphs.sample_rank1(w, task.graph_kind, rng),
@@ -350,7 +369,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
         horizon = 0.0
         if w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
-            horizon = tbar + task.window_hi
+            horizon = tbar + _MARK_WINDOW[1]
         explore.advance_ranked(state, task.ranked_m, min_horizon=horizon)
         res = explore.result(state, task.ranked_m)
         if res.connected:
@@ -438,7 +457,7 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
         master_seed=master, n=int(n), graph_kind=config.graph_kind,
         degree_model=config.degree_model, weight_spec=weight_spec,
         vertex_weight_spec=vw_spec, ranked_m=config.ranked_m,
-        window_hi=config.mark_window[1], consts_limit=consts_limit, collect_marks=collect_marks,
+        consts_limit=consts_limit, collect_marks=collect_marks,
     )
 
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
@@ -617,15 +636,19 @@ def verify_weight_limit(outcomes, consts, q_reference, *, threshold=0.08,
 
 
 def _pool_marks(outcomes) -> tuple[np.ndarray, int]:
-    parts = [o.marks for o in outcomes if o.marks.size]
-    trials = len(outcomes)
-    if not parts:
-        return np.empty((0, 5)), trials
-    return np.vstack(parts), trials
+    """Every trial's (k, 5) marks stacked, and the number of trials."""
+    return np.vstack([np.empty((0, 5))] + [o.marks for o in outcomes]), len(outcomes)
+
+
+def _log_rate(times, window, bins) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and log counts of the nonempty histogram bins of times."""
+    counts, edges = np.histogram(times, bins=bins, range=window)
+    keep = counts > 0
+    return 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
 
 
 def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
-               window=(-1.5, 0.5), bins=8, slope_tol=0.15, source_sigma=3.0,
+               window=_MARK_WINDOW, bins=_PPP_BINS, slope_tol=0.15, source_sigma=3.0,
                height_threshold=0.08, residual_threshold=0.05,
                min_marks=200) -> ReportEntry:
     """Four tests of the collision point process inside the time window.
@@ -641,9 +664,7 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
         marks, n_trials = _pool_marks(outcomes)
     if n_trials is None:
         raise MonteCarloError("n_trials required when passing marks directly")
-    sel = (marks[:, 0] >= window[0]) & (marks[:, 0] <= window[1]) \
-        if marks.size else np.empty(0, dtype=bool)
-    win = marks[sel] if marks.size else marks
+    win = marks[(marks[:, 0] >= window[0]) & (marks[:, 0] <= window[1])]
     n = win.shape[0]
     if n < min_marks:
         return ReportEntry("ppp_marks", None, {"marks": float(n)},
@@ -656,38 +677,24 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
                   "height_ks": height_threshold, "residual_ks": residual_threshold}
 
     # (i) slope of the log collision rate
-    counts, edges = np.histogram(win[:, 0], bins=bins, range=window)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    keep = counts > 0
+    centers, log_counts = _log_rate(win[:, 0], window, bins)
     slope_target = 2.0 * consts.alpha
-    if keep.sum() >= 3:
-        coef = np.polyfit(centers[keep], np.log(counts[keep]), 1)
-        slope = float(coef[0])
-    else:
-        slope = math.nan
+    slope = float(np.polyfit(centers, log_counts, 1)[0]) if centers.size >= 3 else math.nan
     ok_slope = math.isfinite(slope) and abs(slope - slope_target) <= slope_tol * slope_target
-    stats["slope"] = slope
-    stats["slope_target"] = slope_target
-    stats["ok_slope"] = float(ok_slope)
+    stats.update(slope=slope, slope_target=slope_target, ok_slope=float(ok_slope))
 
     # (ii) source fairness
     n1 = float((win[:, 1] == 1.0).sum())
     dev = abs(n1 / n - 0.5)
-    lim = source_sigma * 0.5 / math.sqrt(n)
-    ok_source = dev <= lim
-    stats["source_frac"] = n1 / n
-    stats["source_dev"] = dev
-    stats["ok_source"] = float(ok_source)
+    ok_source = dev <= source_sigma * 0.5 / math.sqrt(n)
+    stats.update(source_frac=n1 / n, source_dev=dev, ok_source=float(ok_source))
 
     # (iii) heights vs the standard normal
     d_or, p_or = ks_one_sample(win[:, 2], ndtr)
     d_de, p_de = ks_one_sample(win[:, 3], ndtr)
     ok_heights = d_or < height_threshold and d_de < height_threshold
-    stats["height_ks_origin"] = d_or
-    stats["height_ks_dest"] = d_de
-    stats["height_p_origin"] = p_or
-    stats["height_p_dest"] = p_de
-    stats["ok_heights"] = float(ok_heights)
+    stats.update(height_ks_origin=d_or, height_ks_dest=d_de, height_p_origin=p_or,
+                 height_p_dest=p_de, ok_heights=float(ok_heights))
     # diagnostics: same KS after matching first two pooled moments; isolates
     # shape normality from the finite-n centering offset
     for label, col in (("origin", 2), ("dest", 3)):
@@ -699,9 +706,7 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
     # (iv) remaining lifetimes vs the residual-life law
     d_r, p_r = ks_one_sample(win[:, 4], residual_cdf)
     ok_resid = d_r < residual_threshold
-    stats["residual_ks"] = d_r
-    stats["residual_p"] = p_r
-    stats["ok_residual"] = float(ok_resid)
+    stats.update(residual_ks=d_r, residual_p=p_r, ok_residual=float(ok_resid))
 
     passed = ok_slope and ok_source and ok_heights and ok_resid
     return ReportEntry("ppp_marks", bool(passed), stats, thresholds, n)
@@ -780,17 +785,7 @@ class VerificationReport:
             "master_seed": self.master_seed,
             "config": self.config,
             "passed": self.passed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "passed": e.passed,
-                    "statistics": e.statistics,
-                    "thresholds": e.thresholds,
-                    "sample_size": e.sample_size,
-                    "notes": e.notes,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
         return json.dumps(payload, sort_keys=True, indent=2,
                           default=_json_default) + "\n"
@@ -859,8 +854,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     q_ref = ranked_refs = None
     if enough:
         ranked_refs = build_ranked_reference(consts, bp_config_for(config),
-                                             max(1, config.ranked_m),
-                                             config.q_reference_size,
+                                             config.ranked_m, config.q_reference_size,
                                              config.master_seed)
         q_ref = ranked_refs[:, 0]
         entries.append(verify_weight_limit(top_outcomes, consts, q_ref,
@@ -868,23 +862,17 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                                            min_outcomes=min_outcomes))
         residual = ctbp.residual_density(dist, consts.alpha)
         entries.append(verify_ppp(top_outcomes, consts, residual.cdf,
-                                  window=config.mark_window, bins=config.ppp_bins,
                                   slope_tol=config.threshold("ppp_slope_rel"),
                                   source_sigma=config.threshold("ppp_source_sigma"),
                                   height_threshold=config.threshold("ppp_height_ks"),
                                   residual_threshold=config.threshold("ppp_residual_ks")))
-        if config.ranked_m >= 1:
-            entries.append(verify_ranked(top_outcomes, consts, config.ranked_m,
-                                         ranked_refs,
-                                         threshold=config.threshold("ranked_ks"),
-                                         min_outcomes=min_outcomes))
+        entries.append(verify_ranked(top_outcomes, consts, config.ranked_m, ranked_refs,
+                                     threshold=config.threshold("ranked_ks"),
+                                     min_outcomes=min_outcomes))
     else:
-        entries.append(ReportEntry("weight_limit", None, {}, {}, 0,
-                                   notes="insufficient outcomes; verifier skipped"))
-        entries.append(ReportEntry("ppp_marks", None, {}, {}, 0,
-                                   notes="insufficient outcomes; verifier skipped"))
-        entries.append(ReportEntry("ranked_paths", None, {}, {}, 0,
-                                   notes="insufficient outcomes; verifier skipped"))
+        entries += [ReportEntry(name, None, {}, {}, 0,
+                                notes="insufficient outcomes; verifier skipped")
+                    for name in ("weight_limit", "ppp_marks", "ranked_paths")]
 
     report = VerificationReport(master_seed=config.master_seed,
                                 config=config.echo(), entries=entries)
@@ -892,13 +880,12 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if plot_dir is not None:
-        write_plot_data(plot_dir, outcomes_by_n, consts, q_ref,
-                        window=config.mark_window, bins=config.ppp_bins)
+        write_plot_data(plot_dir, outcomes_by_n, consts, q_ref)
     return report, outcomes_by_n
 
 
 def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
-                    window=(-1.5, 0.5), bins=8) -> list:
+                    window=_MARK_WINDOW, bins=_PPP_BINS) -> list:
     """Two-column text files for the standard figures; returns paths written."""
     import pathlib
 
@@ -919,12 +906,8 @@ def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
         written.append(path)
     marks, _ = _pool_marks(outcomes_by_n[top])
     if marks.size:
-        sel = (marks[:, 0] >= window[0]) & (marks[:, 0] <= window[1])
-        counts, edges = np.histogram(marks[sel, 0], bins=bins, range=window)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        keep = counts > 0
         path = out / "ppp_rate.txt"
-        _write_columns(path, centers[keep], np.log(counts[keep]))
+        _write_columns(path, *_log_rate(marks[:, 0], window, bins))
         written.append(path)
     return written
 
@@ -970,46 +953,41 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
     if thresholds:
         th.update(thresholds)
     a = consts.alpha
-    window = (-1.5, 0.5)
+    window = _MARK_WINDOW
 
     names = ("hopcount_clt", "weight_limit", "ppp_marks", "ranked_paths")
     null_ok = {k: 0 for k in names}
     power_ok = {k: 0 for k in names}
 
+    def tally(name: str, null: ReportEntry, power: ReportEntry) -> None:
+        null_ok[name] += bool(null.passed)
+        power_ok[name] += not power.passed
+
+    least = min(500, M)
     for i in range(n_meta):
         rng = _rng_for(derived_seed(master_seed, 3, i))
 
         # hopcount
         z = rng.standard_normal(M)
-        e = verify_hopcount_clt({0: z}, consts, threshold=th["hop_ks"],
+        tally("hopcount_clt", *(
+            verify_hopcount_clt({0: z + shift}, consts, threshold=th["hop_ks"],
                                 mean_tol=th["hop_mean"], var_tol=th["hop_var"],
-                                min_outcomes=min(500, M))
-        null_ok["hopcount_clt"] += bool(e.passed)
-        e = verify_hopcount_clt({0: z + 0.5}, consts, threshold=th["hop_ks"],
-                                mean_tol=th["hop_mean"], var_tol=th["hop_var"],
-                                min_outcomes=min(500, M))
-        power_ok["hopcount_clt"] += not e.passed
+                                min_outcomes=least) for shift in (0.0, 0.5)))
 
         # weight: reduced exact law (W1 = W2 = 1)
         ref = (consts.c - ctbp.standard_gumbel(rng, ref_size)) / a
         q = (consts.c - ctbp.standard_gumbel(rng, M)) / a
-        e = verify_weight_limit(q, consts, ref, threshold=th["weight_ks"],
-                                min_outcomes=min(500, M))
-        null_ok["weight_limit"] += bool(e.passed)
-        e = verify_weight_limit(q + math.log(2.0) / a, consts, ref,
-                                threshold=th["weight_ks"], min_outcomes=min(500, M))
-        power_ok["weight_limit"] += not e.passed
+        tally("weight_limit", *(
+            verify_weight_limit(q + shift, consts, ref, threshold=th["weight_ks"],
+                                min_outcomes=least) for shift in (0.0, math.log(2.0) / a)))
 
-        # marks
+        # marks: the true log-rate slope, then half of it
         lam = M * (2.0 * consts.nu * consts.f_R0 / consts.mu)
-        for mode in ("null", "power"):
-            slope = 2.0 * a if mode == "null" else a
-            total = lam * (math.exp(slope * window[1]) - math.exp(slope * window[0])) / slope
-            count = int(rng.poisson(total))
-            u = rng.random(count)
-            lo_e = math.exp(slope * window[0])
-            hi_e = math.exp(slope * window[1])
-            tbar = np.log(lo_e + u * (hi_e - lo_e)) / slope
+        entries = []
+        for slope in (2.0 * a, a):
+            lo_e, hi_e = math.exp(slope * window[0]), math.exp(slope * window[1])
+            count = int(rng.poisson(lam * (hi_e - lo_e) / slope))
+            tbar = np.log(lo_e + rng.random(count) * (hi_e - lo_e)) / slope
             marks = np.column_stack([
                 tbar,
                 rng.integers(1, 3, count).astype(float),
@@ -1017,28 +995,20 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
                 rng.standard_normal(count),
                 residual_inverse(rng.random(count)),
             ])
-            e = verify_ppp(None, consts, residual_cdf, marks=marks, n_trials=M,
-                           window=window, slope_tol=th["ppp_slope_rel"],
-                           source_sigma=th["ppp_source_sigma"],
-                           height_threshold=th["ppp_height_ks"],
-                           residual_threshold=th["ppp_residual_ks"])
-            if mode == "null":
-                null_ok["ppp_marks"] += bool(e.passed)
-            else:
-                power_ok["ppp_marks"] += not e.passed
+            entries.append(verify_ppp(None, consts, residual_cdf, marks=marks, n_trials=M,
+                                      window=window, slope_tol=th["ppp_slope_rel"],
+                                      source_sigma=th["ppp_source_sigma"],
+                                      height_threshold=th["ppp_height_ks"],
+                                      residual_threshold=th["ppp_residual_ks"]))
+        tally("ppp_marks", *entries)
 
         # ranked (m = 3, reduced law; recentred weights passed as a matrix)
         m = 3
         refs = (ctbp.sample_ranked_gumbel(m, rng, ref_size) + consts.c) / a
         trial_vals = (ctbp.sample_ranked_gumbel(m, rng, M) + consts.c) / a
-        for mode in ("null", "power"):
-            shift = 0.0 if mode == "null" else math.log(2.0) / a
-            e = verify_ranked(trial_vals + shift, consts, m, refs,
-                              threshold=th["ranked_ks"], min_outcomes=min(500, M))
-            if mode == "null":
-                null_ok["ranked_paths"] += bool(e.passed)
-            else:
-                power_ok["ranked_paths"] += not e.passed
+        tally("ranked_paths", *(
+            verify_ranked(trial_vals + shift, consts, m, refs, threshold=th["ranked_ks"],
+                          min_outcomes=least) for shift in (0.0, math.log(2.0) / a)))
 
     return CalibrationResult(
         n_meta=n_meta,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import degrees, dijkstra, explore, graphs, weights
+from . import dijkstra, explore, graphs, weights
+from .montecarlo import build_degree_sequence, derived_seed
 
 __all__ = ["CorpusResult", "run_corpus", "describe_instance"]
 
@@ -86,22 +87,16 @@ def _build_instance(index: int, rng):
     n = int(rng.integers(10, 201))
     wkind, wparams = _WEIGHT_KINDS[index % len(_WEIGHT_KINDS)]
     dist = weights.from_spec(wkind, wparams)
-    if kind in ("nr", "grg", "cl"):
+    if kind in graphs.RANK1_KINDS:
         vw = weights.from_spec(*model)
         w = weights.sample(vw, rng, n)
         g = graphs.sample_rank1(w, kind, rng)
         label = f"{kind} n={n}"
     else:
         mkind, param = model
-        if mkind == "regular":
-            r = int(param)
-            if (r * n) % 2:
-                n += 1
-            seq = degrees.regular(r, n)
-        elif mkind == "iid":
-            seq = degrees.build_iid(dict(param), n, rng)
-        else:
-            seq = degrees.build_deterministic(dict(param), n)
+        if mkind == "regular" and (int(param) * n) % 2:
+            n += 1
+        seq = build_degree_sequence(model, n, rng)
         if kind == "lazy":
             return (graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng),
                     f"lazy cm/{mkind} n={n} weights={wkind}")
@@ -120,8 +115,6 @@ def _instance(index: int, master_seed: int):
     A lazy instance is explored first, from endpoints drawn before any
     pairing draw, and then completed by materialize().
     """
-    from .montecarlo import derived_seed
-
     rng = np.random.Generator(np.random.Philox(key=derived_seed(master_seed, 4, index)))
     g, label = _build_instance(index, rng)
     u = int(rng.integers(g.n))

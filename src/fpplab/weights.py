@@ -1,4 +1,4 @@
-"""Continuous edge-weight distributions.
+"""Continuous edge-weight distributions, and the quadrature over them.
 
 Each distribution bundles its CDF, density, and quantile function as plain
 callables that accept scalars or numpy arrays. Sampling is inverse-CDF
@@ -6,20 +6,25 @@ throughout: one uniform draw per sample, so a fixed random stream produces
 the same number of draws no matter which distribution is in play.
 
 Distributions must be continuous with support on [0, inf). Atoms are
-rejected at construction time, as is any table whose density fails to
+rejected at construction time, as is any law whose density fails to
 integrate to one.
+
+Every integral over a law in the package is a sum of 20-point Gauss-Legendre
+cells at the law's kinks and quantiles (_cells; _edges and _integral for
+ctbp, _mass_edges for the density check and graphs.mixed_poisson_pmf).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "WeightDistribution",
     "WeightModelError",
+    "QuadratureError",
     "exponential",
     "shifted_exponential",
     "power_exponential",
@@ -35,6 +40,10 @@ __all__ = [
 
 class WeightModelError(ValueError):
     """Invalid weight-distribution construction or evaluation."""
+
+
+class QuadratureError(RuntimeError):
+    """A quadrature or root solve could not certify its requested tolerance."""
 
 
 def _scalar_ok(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -78,6 +87,127 @@ class WeightDistribution:
 
 
 # ---------------------------------------------------------------------------
+# quadrature: graded Gauss-Legendre cells
+
+
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], by
+    Newton's method on the recurrence for P_m; unlike numpy's leggauss it
+    needs no eigen-solve, so importing this module does not start LAPACK."""
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# 20-point Gauss-Legendre nodes and weights on [0, 1]
+_GL_S, _GL_W = _gauss_legendre(20)
+_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+
+# Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
+# left past them); the cell from support_lo is halved 60 times toward it, and
+# ctbp._moment takes the innermost one, home to any density cusp, from its
+# G-mass. Quantile edges 1 - 2^-j resolve peaked laws (power:S, S <= 0.2)
+# below 1/rate.
+_STEPS = 40
+_GRADE = 60
+_LEVELS = 1.0 - 0.5 ** np.arange(1, 51)
+# _mass_edges' quantiles: 2^-50 of the mass lies below, 2^-53 above
+_MASS_LEVELS = np.concatenate([0.5 ** np.arange(50, 1, -1), 1.0 - 0.5 ** np.arange(1, 54)])
+
+
+def _kinks(dist: WeightDistribution) -> np.ndarray:
+    """Sorted points where G is not smooth: the finite support edges, and
+    every row of a table law (its density jumps there)."""
+    pts = [e for e in (dist.support_lo, dist.support_hi) if math.isfinite(e)]
+    if dist.kind == "user_table":
+        pts.extend(dist.params[1])
+    return np.unique(pts)
+
+
+def _edges(dist: WeightDistribution, rate: float, pts: np.ndarray) -> np.ndarray:
+    """Cell edges from pts[0] to pts[-1]: the sorted points, the law's kinks
+    between them, steps of 1/rate into each gap (at most _STEPS), the cell
+    from support_lo graded toward it, and the _LEVELS quantiles."""
+    kinks = _kinks(dist)
+    edges = np.union1d(pts, kinks[(pts[0] < kinks) & (kinks < pts[-1])])
+    extra = np.minimum(np.ceil(rate * np.diff(edges)) - 1.0, _STEPS).astype(int)
+    edges = np.union1d(edges, _fill(edges, extra, lambda lo, r: lo + r / rate))
+    lo = dist.support_lo
+    i = np.searchsorted(edges, lo)
+    if i + 1 < edges.size and edges[i] == lo:
+        edges = np.union1d(edges, lo + (edges[i + 1] - lo) * 0.5 ** np.arange(1, _GRADE + 1))
+    q = dist.quantile(_LEVELS)
+    return np.union1d(edges, q[(pts[0] < q) & (q < pts[-1])])
+
+
+def _fill(edges: np.ndarray, extra: np.ndarray, place) -> np.ndarray:
+    """extra[i] points place(edges[i], r), r = 1..extra[i], inside gap i."""
+    rank = np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra) + 1
+    return place(np.repeat(edges[:-1], extra), rank)
+
+
+def _mass_edges(dist: WeightDistribution, pts=()) -> np.ndarray:
+    """Cell edges from support_lo to the 1 - 2^-53 quantile, or to pts[-1] if
+    further (not past support_hi): kinks, _MASS_LEVELS quantiles and pts, and
+    geometric steps so no edge is over twice as far from support_lo as the
+    one before. The first cell (2^-50 of the mass, any cusp) is for G."""
+    lo = dist.support_lo
+    top = min(dist.support_hi, np.max(pts, initial=float(dist.quantile(_MASS_LEVELS[-1]))))
+    edges = np.union1d(np.union1d(_kinks(dist), dist.quantile(_MASS_LEVELS)), pts)
+    edges = edges[(edges >= lo) & (edges <= top)]
+    off = edges - lo   # off[0] = 0: the first cell is never split
+    extra = np.append(0, np.ceil(np.log2(off[2:] / off[1:-1])) - 1.0).astype(int)
+    return np.union1d(edges, lo + _fill(off, extra, lambda a, r: a * 2.0 ** r))
+
+
+def _cells(fn, edges: np.ndarray) -> np.ndarray:
+    """integral of fn over each cell [a, a+h] of edges, where fn(a, y) is the
+    integrand at a + y for the cell's left edge a: 20-point Gauss-Legendre
+    under y = h s^2, which smooths a square-root cusp at a. fn may return
+    leading axes of its own, (..., cells, 20); the result is then (..., cells)."""
+    a = edges[:-1, None]
+    h = np.diff(edges)[:, None]
+    return (2.0 * h * _GL_S * fn(a, h * _GL_S ** 2)) @ _GL_W
+
+
+def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
+              head=None, epsabs: float, epsrel: float, what: str) -> float:
+    """integral over v >= 0 of fn(v), the integrand at start + v (the offset
+    keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
+    geometric cells to 640/rate; head(b) replaces the innermost graded cell
+    [support_lo, b] (start = 0 only). If the sum on halved cells differs by
+    more than max(epsabs, epsrel |value|), QuadratureError is raised."""
+    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
+    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
+
+    def total(e: np.ndarray) -> float:
+        cells = _cells(lambda a, y: fn(a + y), e)
+        i = np.searchsorted(e, dist.support_lo)
+        if head is not None and i + 1 < e.size and e[i] == dist.support_lo:
+            cells[i] = head(e[i + 1])
+        return float(cells.sum())
+
+    coarse = total(edges)
+    value = total(_halved(edges))
+    # written so that a NaN sum fails too
+    if not abs(value - coarse) <= max(epsabs, epsrel * abs(value)):
+        raise QuadratureError(f"{what}: halving the cells moved the sum by "
+                              f"{abs(value - coarse):.3e} (requested abs {epsabs:.1e} "
+                              f"/ rel {epsrel:.1e})")
+    return value
+
+
+def _halved(edges: np.ndarray) -> np.ndarray:
+    """edges with every cell split at its midpoint."""
+    return np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 _DENSITY_INTEGRAL_TOL = 1e-8
@@ -85,25 +215,18 @@ _ROUND_TRIP_TOL = 1e-9
 
 
 def _validate(dist: WeightDistribution) -> WeightDistribution:
-    # The density must integrate to 1. A table's density is piecewise
-    # constant, so its integral telescopes to exactly 1 and quad would only
-    # add noise (and chokes on tables with more breakpoints than its
-    # subdivision limit); the analytic kinds get real quadrature. Upper
-    # limit is the (1 - 1e-14) quantile, whose tail mass is far below the
-    # 1e-8 budget; quad copes with the integrable edge singularity of the
-    # power kind.
-    if dist.kind == "user_table":
-        p_col, q_col = dist.params
-        total = float(np.sum(np.diff(p_col)))
-    else:
-        hi = float(dist.quantile(1.0 - 1e-14))
-        lo = dist.support_lo
-        interior = [dist.quantile(q) for q in (0.1, 0.5, 0.9)]
-        pts = sorted({p for p in interior if lo < p < hi})
-        total = quad(
-            dist.density, lo, hi, points=pts or None, limit=200, full_output=True
-        )[0]
-    if abs(total - 1.0) > _DENSITY_INTEGRAL_TOL:
+    # The density must integrate to 1 on _mass_edges cells, the first one
+    # (2^-50 of the mass, any cusp) from G; NaN fails too, as under -O.
+    edges = _mass_edges(dist)
+    if not edges[1] - edges[0] >= np.finfo(float).tiny:
+        raise WeightModelError(
+            f"{dist.kind}: {_MASS_LEVELS[0]:.3g} of the mass lies within "
+            f"{edges[1] - edges[0]:.3g} of the support's left edge, below the "
+            "smallest normal float64; the density's mass cannot be summed")
+    cells = _cells(lambda a, y: dist.density(a + y), edges)
+    cells[0] = dist.cdf(edges[1]) - dist.cdf(edges[0])
+    total = float(cells.sum())
+    if not abs(total - 1.0) <= _DENSITY_INTEGRAL_TOL:
         raise WeightModelError(
             f"{dist.kind}: density integrates to {total!r}, not 1 "
             f"(tolerance {_DENSITY_INTEGRAL_TOL})"

@@ -17,18 +17,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about half a second to every CLI start; the package
-    # needs only scipy.special and scipy.integrate
+def scipy_modules_after_cli_import(prefix):
+    """scipy modules under prefix that a fresh `import fpplab.cli` loads."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = ("import fpplab.cli, sys; "
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+              f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second to every CLI start; the package
+    # needs only scipy.special and scipy.optimize
+    assert scipy_modules_after_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every integral over a law is summed on the Gauss-Legendre cells of
+    # fpplab.weights; QUADPACK is not used
+    assert scipy_modules_after_cli_import("scipy.integrate") == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +64,32 @@ def test_constants_json(capsys):
     doc = json.loads(out)
     assert doc["alpha"] == pytest.approx(2.0, abs=1e-9)
     assert doc["c"] == pytest.approx(2.0794415417, abs=1e-8)
+
+
+def test_nr_constants_come_from_the_vertex_weights(capsys):
+    # Exp(mean 3) vertex weights give the geometric degree law
+    # P(k) = (1/4)(3/4)^k: mu = E W = 3 and nu = E W^2 / E W = 6, whatever
+    # the default degree model says
+    code, out, _ = run_cli(capsys, "constants", "--kind", "nr", "--vertex-weights",
+                           "exp:0.3333333333333333", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu"] == pytest.approx(3.0, rel=1e-12)
+    assert doc["nu"] == pytest.approx(6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_degrees_with_a_rank1_kind_is_config_error(route, tmp_path, capsys):
+    argv = ["constants", "--kind", "nr", "--vertex-weights", "exp:0.5"]
+    if route == "flag":
+        argv += ["--degrees", "regular:4"]
+    else:
+        cfg = tmp_path / "nr.ini"
+        cfg.write_text("[graph]\ndegrees = regular:4\n\n[weights]\nspec = exp:1\n")
+        argv += ["--config", str(cfg)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "--vertex-weights" in err
 
 
 def test_constants_subcritical_is_config_error(capsys):
@@ -96,6 +133,25 @@ def test_run_smoke_and_rerun_identical(tmp_path, capsys):
                           "--threads", "2", "--seed", "42", "--out", str(out_dir2))
     assert code2 == 0
     assert (out_dir2 / "outcomes_n200.csv").read_bytes() == csv1
+
+
+def test_zero_trials_flag_is_config_error(tmp_path, capsys):
+    # a zero count is a value, not an absent flag
+    code, _, err = run_cli(capsys, "run", "--trials", "0", "--n-ladder", "100",
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "trials" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_ranked_m_in_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[weights]\nspec = exp:1\n\n[experiment]\nranked_m = 0\n"
+                   "n_ladder = 100\ntrials = 5\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "ranked_m" in err
 
 
 def test_run_requires_out(capsys):

@@ -38,13 +38,13 @@ def bisect(f, lo, hi, iters=200):
 def test_laplace_is_memoised_per_law(monkeypatch):
     # a fresh law object is a fresh cache key; count the quadratures behind it
     seen = []
-    real = ctbp._integral
+    real = weights._integral
 
     def counting(fn, dist, rate, *args, **kw):
         seen.append(rate)
         return real(fn, dist, rate, *args, **kw)
 
-    monkeypatch.setattr(ctbp, "_integral", counting)
+    monkeypatch.setattr(weights, "_integral", counting)
     d = weights.exponential(1.0)
     first = ctbp.laplace_stieltjes(d, 0.7)
     assert len(seen) == 1
@@ -207,8 +207,8 @@ def test_constants_of_table_law(exp_table):
 def test_table_law_without_its_rows_fails_the_certificate(exp_table, monkeypatch):
     # cells that straddle the table's density jumps cannot hold their sum when
     # halved; a fresh law object keeps the transform memo out of the way
-    monkeypatch.setattr(ctbp, "_kinks", lambda dist: np.empty(0))
     fresh = weights.from_spec(*exp_table.spec())
+    monkeypatch.setattr(weights, "_kinks", lambda dist: np.empty(0))
     with pytest.raises(ctbp.QuadratureError):
         ctbp.laplace_stieltjes(fresh, 0.7)
     with pytest.raises(ctbp.QuadratureError):
@@ -356,7 +356,7 @@ def test_residual_cdf_far_out_is_finite(dist):
 def test_gauss_legendre_matches_leggauss():
     from numpy.polynomial.legendre import leggauss
     for m in (1, 2, 7, 20):
-        nodes, wts = ctbp._gauss_legendre(m)
+        nodes, wts = weights._gauss_legendre(m)
         want_nodes, want_wts = leggauss(m)
         np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
         np.testing.assert_allclose(wts, want_wts, rtol=0, atol=1e-14)
@@ -368,7 +368,7 @@ def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):
     # 1e-5 of their mass must raise
     dist = weights.exponential(1.0)
     assert ctbp.residual_density(dist, 2.0).norm_residual < 1e-12
-    monkeypatch.setattr(ctbp, "_GL_W", ctbp._GL_W * (1.0 - 1e-5))
+    monkeypatch.setattr(weights, "_GL_W", weights._GL_W * (1.0 - 1e-5))
     with pytest.raises(ctbp.QuadratureError):
         ctbp.residual_density(dist, 2.0)
 

@@ -224,15 +224,6 @@ def test_size_biased_pmf_hand_case():
     assert mean == pytest.approx(degrees.diagnostics(seq).nu_n)
 
 
-def test_save_load_round_trip(tmp_path):
-    seq = degrees.build_iid({1: 0.5, 4: 0.5}, 100,
-                            np.random.Generator(np.random.Philox(key=2)))
-    path = tmp_path / "deg.txt"
-    degrees.save_degrees(seq, path)
-    back = degrees.load_degrees(path)
-    np.testing.assert_array_equal(back.degrees, seq.degrees)
-
-
 def test_load_pmf_table(tmp_path):
     path = tmp_path / "pmf.txt"
     path.write_text("1 0.2\n2 0.3\n3 0.5\n")

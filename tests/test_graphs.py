@@ -295,10 +295,35 @@ def test_rank1_no_self_loops():
 
 def test_mixed_poisson_pmf_matches_geometric():
     # exponential(2) vertex weights make the mixed-Poisson law exactly
-    # geometric: p(k) = (2/3) (1/3)^k
-    pmf = graphs.mixed_poisson_pmf(weights.exponential(2.0), 25)
-    want = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(26)
+    # geometric: p(k) = (2/3) (1/3)^k, with (1/3)^(k+1) beyond k; the first
+    # remainder below 1e-15 is (1/3)^32, so the pmf stops at k = 31
+    pmf = graphs.mixed_poisson_pmf(weights.exponential(2.0))
+    assert pmf.size == 32
+    want = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(32)
     np.testing.assert_allclose(pmf, want, atol=1e-12)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_mixed_poisson_pmf_refuses_weights_too_heavy_to_sum():
+    # power:4 vertex weights put 2^-53 of their mass beyond 1.8e6; summing the
+    # kernel that far would take hours, so the law is refused by name
+    with pytest.raises(graphs.GraphError, match="mixed-Poisson"):
+        graphs.mixed_poisson_pmf(weights.power_exponential(4.0))
+
+
+def test_mixed_poisson_pmf_of_power_weights_vs_mpmath():
+    # W = E^2: with w = u^2, P(D = k) = integral over u > 0 of
+    # e^{-u^2 - u} u^{2k} / k!, evaluated with 30 digits; the density's cusp
+    # w^{-1/2} at the origin and the heavy tail (the pmf runs past k = 1000)
+    # are both in play
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    pmf = graphs.mixed_poisson_pmf(weights.power_exponential(2.0))
+    assert pmf.size > 1000
+    for k in (0, 5, 40):
+        want = mpmath.quad(lambda u: mpmath.exp(-u * u - u) * u ** (2 * k),
+                           [0, max(1, math.sqrt(k)), mpmath.inf]) / mpmath.factorial(k)
+        assert pmf[k] == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

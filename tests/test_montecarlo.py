@@ -143,6 +143,24 @@ def test_pmf_of_model():
     assert mc.pmf_of_model(("iid", pmf)) == pmf
 
 
+def test_rank1_config_derives_its_degree_law():
+    # a degree model given with a rank-1 kind is cleared, not read: the
+    # limit law is the mixed Poisson of the vertex weights
+    cfg = mc.ExperimentConfig(graph_kind="nr", degree_model=("iid", {1: 1.0}),
+                              vertex_weight_spec=("exponential", (2.0,)))
+    assert cfg.degree_model is None
+    assert cfg.echo()["degree_model"] is None
+    bp = mc.bp_config_for(cfg)
+    np.testing.assert_allclose(bp.root_law.probs[:5],
+                               (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["trials", "ranked_m", "threads"])
+def test_config_counts_must_be_positive(name):
+    with pytest.raises(mc.MonteCarloError, match=name):
+        mc.ExperimentConfig(**{name: 0})
+
+
 def test_size_biased_from_pmf():
     sb = mc.size_biased_from_pmf({2: 0.5, 3: 0.5})
     assert sb[1] == pytest.approx(0.4)
@@ -247,12 +265,8 @@ def test_csv_round_trip(tmp_path):
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-# limit degree law of nr with Exp vertex weights of mean 3: P(k) = (1/4)(3/4)^k,
-# cut at k = 120 and renormalised
-_GEOM = [0.25 * 0.75 ** k for k in range(121)]
-NR_PMF = tuple((k, p / sum(_GEOM)) for k, p in enumerate(_GEOM))
 REALISED_CASES = {
-    "nr": (mc.ExperimentConfig(graph_kind="nr", degree_model=("iid", NR_PMF),
+    "nr": (mc.ExperimentConfig(graph_kind="nr",
                                vertex_weight_spec=("exponential", (1.0 / 3.0,)),
                                ranked_m=3), 2000),
     "cm_iid": (mc.ExperimentConfig(degree_model=("iid", ((1, 0.2), (3, 0.5), (6, 0.3))),
@@ -343,7 +357,7 @@ def test_persistent_disconnection(monkeypatch):
     task = mc._TrialTask(master_seed=2, n=100, graph_kind="cm",
                          degree_model=("regular", 1),
                          weight_spec=("exponential", (1.0,)),
-                         vertex_weight_spec=None, ranked_m=1, window_hi=0.5,
+                         vertex_weight_spec=None, ranked_m=1,
                          consts_limit=consts, collect_marks=False,
                          max_resamples=3)
     with pytest.raises(mc.PersistentDisconnection):

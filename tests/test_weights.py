@@ -1,5 +1,6 @@
 """Edge-weight distribution round trips and frozen values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,35 @@ def test_from_spec_rejects_bad_params():
         weights.uniform(0.0)
     with pytest.raises(weights.WeightModelError):
         weights.power_exponential(0.0)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 2.0, 5.0, 10.0, 20.0])
+def test_power_laws_hold_their_mass(s):
+    # the density check sums cells whose first one, 2^-50 of the mass, is
+    # taken from G; power:20 puts that cell below 1e-300, where a density
+    # cusp x^(1/20 - 1) lives
+    d = weights.power_exponential(s)
+    edges = weights._mass_edges(d)
+    cells = weights._cells(lambda a, y: d.density(a + y), edges)
+    cells[0] = d.cdf(edges[1])
+    assert abs(cells.sum() - 1.0) < 1e-12
+
+
+def test_mass_below_the_normal_floats_is_a_named_error():
+    # power:30 holds 2^-50 of its mass below 1e-450, which float64 cannot
+    # represent; that must be a WeightModelError, not an overflow
+    with pytest.raises(weights.WeightModelError, match="smallest normal"):
+        weights.power_exponential(30.0)
+
+
+def test_density_off_by_a_tenth_of_a_percent_is_rejected():
+    # the check must see a density that integrates to 1.001; the laws with
+    # a cusp, a shifted support and a bounded support are each tried
+    for d in (weights.exponential(1.0), weights.power_exponential(3.0),
+              weights.shifted_exponential(2.0), weights.uniform(2.0)):
+        scaled = dataclasses.replace(d, density=lambda x, d=d: 1.001 * d.density(x))
+        with pytest.raises(weights.WeightModelError, match="integrates to 1.001"):
+            weights._validate(scaled)
 
 
 def test_user_table_interpolates():
