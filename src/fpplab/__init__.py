@@ -27,7 +27,6 @@ from .degrees import (
     build_iid,
     diagnostics,
     regular,
-    size_biased_pmf,
 )
 from .explore import (
     CollisionRecord,

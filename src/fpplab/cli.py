@@ -132,8 +132,6 @@ def _read_config_file(path: str) -> dict:
     if cp.has_section("thresholds"):
         th = {}
         for key, raw in cp["thresholds"].items():
-            if key not in montecarlo.DEFAULT_THRESHOLDS:
-                raise ConfigError(f"{path}: unknown threshold {key!r}")
             try:
                 th[key] = float(raw)
             except ValueError:
@@ -212,6 +210,8 @@ def cmd_oracle(args) -> int:
     if args.instance is not None:
         print(oracle.describe_instance(args.instance, args.seed))
         return 0
+    if args.instances < 1:
+        raise ConfigError(f"oracle: --instances must be >= 1, got {args.instances}")
     res = oracle.run_corpus(args.instances, args.seed,
                             check_early_stop=not args.no_early_stop_check,
                             corrupt=args.corrupt)
@@ -225,24 +225,12 @@ def cmd_gen_graph(args) -> int:
     config = _assemble_config(args)
     if not args.out:
         raise ConfigError("gen-graph: --out FILE is required")
-    n = args.n
-    if n is None:
+    if args.n is None:
         raise ConfigError("gen-graph: --n is required")
-    seed = args.seed if args.seed is not None else config.master_seed
+    seed = config.master_seed
     rng = np.random.Generator(np.random.Philox(key=montecarlo.derived_seed(seed, 5, 0)))
-    if config.graph_kind in graphs.RANK1_KINDS:
-        vw = weights.from_spec(*config.vertex_weight_spec)
-        g = graphs.sample_rank1(weights.sample(vw, rng, n), config.graph_kind, rng)
-    else:
-        seq = montecarlo.build_degree_sequence(config.degree_model, n, rng)
-        if config.graph_kind == "simple":
-            g, attempts = graphs.sample_uniform_simple(seq, rng)
-            print(f"accepted after {attempts} pairings", file=sys.stderr)
-        else:
-            g = graphs.pair_configuration(seq, rng)
+    g = montecarlo.sample_graph(config, args.n, rng)[0].materialize()
     g.seed_label = seed
-    dist = weights.from_spec(*config.weight_spec)
-    graphs.assign_weights(g, dist, rng)
     graphs.export_edge_list(g, args.out)
     print(f"kind={config.graph_kind} n={g.n} edges={g.edge_count} "
           f"self_loops={g.self_loop_count} multi_edges={g.multi_edge_count} "
@@ -252,12 +240,16 @@ def cmd_gen_graph(args) -> int:
 
 def cmd_bp_sim(args) -> int:
     config = _assemble_config(args)
+    if args.reps < 1:
+        raise ConfigError(f"bp-sim: --reps must be >= 1, got {args.reps}")
+    if not args.target > 0:
+        raise ConfigError(f"bp-sim: --target must be > 0, got {args.target}")
     consts = montecarlo.constants_for_config(config)
     bp = montecarlo.bp_config_for(config)
     horizon = args.horizon
     if horizon is None:
         horizon = ctbp.default_w_horizon(consts, target_population=args.target)
-    seed = args.seed if args.seed is not None else config.master_seed
+    seed = config.master_seed
     alive = np.empty(args.reps)
     west = np.empty(args.reps)
     extinct = 0
@@ -284,6 +276,9 @@ def cmd_bp_sim(args) -> int:
 def cmd_ranked(args) -> int:
     config = _assemble_config(args)
     n = args.n if args.n is not None else max(config.n_ladder)
+    if n < 3:
+        raise ConfigError(f"ranked: --n must be >= 3 (the probe time needs "
+                          f"log(log n) > 0), got {n}")
     outcomes = montecarlo.run_trials(config, n=n, threads=config.threads,
                                      collect_marks=False)
     m = config.ranked_m

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -316,25 +316,6 @@ def mean_growth_constant(consts: CtbpConstants) -> float:
 # simulation
 
 
-class _PmfSampler:
-    """Integer pmf with a vectorized draw; point masses skip the machinery."""
-
-    __slots__ = ("support", "probs", "_cum")
-
-    def __init__(self, support: np.ndarray, probs: np.ndarray):
-        self.support = support
-        self.probs = probs
-        self._cum = np.cumsum(probs)
-        self._cum[-1] = 1.0
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.support.size == 1:
-            return np.full(size, self.support[0], dtype=np.int64)
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        return self.support[idx]
-
-
 @dataclass(frozen=True)
 class OffspringLaw:
     """Offspring count distribution on {0, 1, 2, ...}."""
@@ -361,8 +342,17 @@ class OffspringLaw:
     def mean(self) -> float:
         return float((self.support * self.probs).sum())
 
-    def sampler(self) -> _PmfSampler:
-        return _PmfSampler(self.support, self.probs)
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        cum = np.cumsum(self.probs)
+        cum[-1] = 1.0
+        return cum
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size vectorized draws; a point mass consumes no uniform."""
+        if self.support.size == 1:
+            return np.full(size, self.support[0], dtype=np.int64)
+        return self.support[np.searchsorted(self._cum, rng.random(size), side="right")]
 
 
 @dataclass(frozen=True)
@@ -404,8 +394,7 @@ def simulate_bp(root_law: OffspringLaw, later_law: OffspringLaw,
     """
     if horizon < 0:
         raise CtbpError(f"horizon must be >= 0, got {horizon}")
-    root_children = int(root_law.sampler().draw(rng, 1)[0])
-    later = later_law.sampler()
+    root_children = int(root_law.draw(rng, 1)[0])
 
     event_times = [np.zeros(1)]
     deltas = [np.array([root_children - 1.0])]
@@ -420,7 +409,7 @@ def simulate_bp(root_law: OffspringLaw, later_law: OffspringLaw,
         if dead_times.size == 0:
             break
         # every pending individual is now accounted for: survivor or dying
-        counts = later.draw(rng, dead_times.size)
+        counts = later_law.draw(rng, dead_times.size)
         if record_trajectory:
             event_times.append(dead_times)
             deltas.append(counts.astype(float) - 1.0)
@@ -510,7 +499,6 @@ def sample_w_pool(consts: CtbpConstants, bp: BpConfig, size: int,
     V_{D_root} with W = 0 (extinction) rejected. A block of _POOL_BLOCK
     root draws without a survivor raises.
     """
-    later = bp.later_law.sampler()
     target = mean_growth_constant(consts)
     pool = np.full(_POOL_SIZE, target)
     for _ in range(_POOL_STEPS):
@@ -518,15 +506,14 @@ def sample_w_pool(consts: CtbpConstants, bp: BpConfig, size: int,
         for lo in range(0, _POOL_SIZE, _POOL_BLOCK):
             k = min(_POOL_BLOCK, _POOL_SIZE - lo)
             decay = np.exp(-consts.alpha * sample_weight(bp.dist, rng, k))
-            nxt[lo:lo + k] = decay * _sum_pool_draws(pool, later.draw(rng, k), rng)
+            nxt[lo:lo + k] = decay * _sum_pool_draws(pool, bp.later_law.draw(rng, k), rng)
         nxt *= target / nxt.mean()
         pool = nxt
 
-    root = bp.root_law.sampler()
     out = np.empty(size)
     filled = 0
     while filled < size:
-        w = _sum_pool_draws(pool, root.draw(rng, _POOL_BLOCK), rng)
+        w = _sum_pool_draws(pool, bp.root_law.draw(rng, _POOL_BLOCK), rng)
         w = w[w > 0.0][:size - filled]
         if w.size == 0:
             raise CtbpError(f"all {_POOL_BLOCK} root draws of W were extinct; "

@@ -26,7 +26,6 @@ __all__ = [
     "build_iid",
     "regular",
     "diagnostics",
-    "size_biased_pmf",
     "load_pmf_table",
 ]
 
@@ -234,17 +233,6 @@ def _degree_counts(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
         counts[k] = counts.get(k, 0) + c
     k = np.array(sorted(counts), dtype=np.int64)
     return k, np.array([counts[x] for x in k.tolist()], dtype=np.int64)
-
-
-def size_biased_pmf(seq: DegreeSequence) -> dict[int, float]:
-    """Law of (D* - 1): pick a half-edge uniformly, count its siblings.
-
-    P(D* - 1 = k) = (k+1) * #{i : d_i = k+1} / total. Its mean is nu_n,
-    which is the offspring mean used everywhere downstream.
-    """
-    ks, counts = _degree_counts(seq)
-    total = seq.total
-    return {int(k) - 1: float(k * c) / total for k, c in zip(ks, counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,10 @@ class WeightedGraph:
         return list(zip(range(lo, hi), self.partner[lo:hi].tolist(),
                         self.edge_weight_by_he[lo:hi].tolist()))
 
+    def materialize(self) -> "WeightedGraph":
+        """The whole graph, which this already is (see LazyPairing.materialize)."""
+        return self
+
 
 def _lower_half_edges(partner: np.ndarray) -> np.ndarray:
     """The lower half-edge id of every edge, ascending: one entry per edge."""
@@ -249,9 +253,11 @@ class LazyPairing:
     size, so the stream consumed is a pure function of the reveal history.
 
     reveal(v) returns v's (id, partner, weight) triples, as a
-    WeightedGraph does; a vertex revealed before costs no draw. partner and
-    edge_weight_by_he are dicts over the revealed half-edges, which
-    materialize() completes into the arrays of a WeightedGraph. Vertex
+    WeightedGraph does; a vertex revealed before costs no draw. partner is
+    a dict over the revealed half-edges and edge_weight_by_he a dict from
+    the lower id of each revealed edge to its weight: one entry per edge,
+    as these two dicts are most of what a large lazy trial holds.
+    materialize() completes both into the arrays of a WeightedGraph. Vertex
     ranges, degrees and owners come from the layout's blocks, so the
     memory is O(blocks + half-edges revealed) at any n.
     """
@@ -301,9 +307,9 @@ class LazyPairing:
                 w = draws.pop()
                 partner[x] = y
                 partner[y] = x
-                weight[x] = weight[y] = w
+                weight[x if x < y else y] = w
             else:
-                w = weight[x]
+                w = weight[x if x < y else y]
             half.append((x, y, w))
         return half
 
@@ -320,7 +326,9 @@ class LazyPairing:
         if self.partner:
             he = np.fromiter(self.partner, dtype=np.int64, count=len(self.partner))
             partner[he] = [self.partner[h] for h in he.tolist()]
-            by_he[he] = [self.edge_weight_by_he[h] for h in he.tolist()]
+            lo = np.fromiter(self.edge_weight_by_he, dtype=np.int64,
+                             count=len(self.edge_weight_by_he))
+            by_he[lo] = by_he[partner[lo]] = list(self.edge_weight_by_he.values())
         free = np.nonzero(partner < 0)[0]
         _pair_uniformly(free, self._rng, partner)
         _weigh_edges(by_he, partner, free[free < partner[free]], self._dist, self._rng)

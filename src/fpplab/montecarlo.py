@@ -5,6 +5,11 @@ generator keyed by a splittable hash of (master seed, i), so outcomes are a
 pure function of (config, master seed) regardless of thread count, chunking,
 or rerun; the CSV writer emits rows in trial order with repr() floats, making
 output files byte-identical across reruns and worker pools.
+
+ExperimentConfig is the one model record. sample_graph(config, n, rng) is
+the one graph sampler, shared with gen-graph and the oracle corpus, and
+every verifier takes its thresholds as one mapping th of DEFAULT_THRESHOLDS
+names, merged over the defaults exactly as the config's own thresholds are.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ __all__ = [
     "size_biased_from_pmf",
     "bp_config_for",
     "constants_for_config",
-    "build_degree_sequence",
+    "sample_graph",
     "run_trials",
     "write_outcomes_csv",
     "CSV_HEADER",
@@ -123,15 +128,30 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
 }
 
 _GRAPH_KINDS = ("cm", "simple", "nr", "grg", "cl")
-# recentred-time window of the collision marks, and its bins for the slope
+# recentred-time window of the collision marks, its bins for the slope, and
+# the fewest marks in it that verify_ppp tests
 _MARK_WINDOW = (-1.5, 0.5)
 _PPP_BINS = 8
+_MIN_MARKS = 200
+_MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
+
+
+def _merge_thresholds(th: dict | None) -> dict:
+    """DEFAULT_THRESHOLDS with th laid over it; an unknown name is an error."""
+    for key in th or ():
+        if key not in DEFAULT_THRESHOLDS:
+            raise MonteCarloError(
+                f"unknown threshold {key!r}; valid names: "
+                + ", ".join(sorted(DEFAULT_THRESHOLDS)))
+    return {**DEFAULT_THRESHOLDS, **(th or {})}
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; flags and files both build one of these. Rank-1
-    kinds take their degree law from the vertex weights: degree_model is cleared."""
+    kinds take their degree law from the vertex weights: degree_model is cleared.
+    The weight specs are stored hashable, and thresholds merged over
+    DEFAULT_THRESHOLDS, so graphs and verdicts read this record directly."""
 
     graph_kind: str = "cm"
     degree_model: tuple | None = ("regular", 4)
@@ -152,30 +172,21 @@ class ExperimentConfig:
             if self.vertex_weight_spec is None:
                 raise MonteCarloError(f"{self.graph_kind} graphs need vertex_weight_spec")
             self.degree_model = None
+        self.weight_spec = _hashable_spec(self.weight_spec)
+        if self.vertex_weight_spec is not None:
+            self.vertex_weight_spec = _hashable_spec(self.vertex_weight_spec)
         self.n_ladder = tuple(int(n) for n in self.n_ladder)
-        if not self.n_ladder or any(n < 2 for n in self.n_ladder):
-            raise MonteCarloError("n_ladder must list sizes >= 2")
+        if not self.n_ladder or any(n < 3 for n in self.n_ladder):
+            raise MonteCarloError("n_ladder must list sizes >= 3: the probe time "
+                                  "needs log(log n) > 0")
         for name in ("trials", "ranked_m", "threads"):
             if not getattr(self, name) >= 1:
                 raise MonteCarloError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        for key in self.thresholds:
-            if key not in DEFAULT_THRESHOLDS:
-                raise MonteCarloError(
-                    f"unknown threshold {key!r}; valid names: "
-                    + ", ".join(sorted(DEFAULT_THRESHOLDS)))
-
-    def threshold(self, name: str):
-        if name in self.thresholds:
-            return self.thresholds[name]
-        return DEFAULT_THRESHOLDS[name]
+        self.thresholds = _merge_thresholds(self.thresholds)
 
     def echo(self) -> dict:
         """JSON-safe snapshot recorded in reports."""
-        d = asdict(self)
-        merged = dict(DEFAULT_THRESHOLDS)
-        merged.update(d.pop("thresholds"))
-        d["thresholds"] = merged
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -212,17 +223,6 @@ def write_outcomes_csv(outcomes, path) -> None:
 
 # ---------------------------------------------------------------------------
 # model plumbing: degree laws, offspring laws, constants
-
-
-def build_degree_sequence(model: tuple, n: int, rng) -> degrees.DegreeSequence:
-    kind, param = model
-    if kind == "regular":
-        return degrees.regular(int(param), n)
-    if kind == "deterministic":
-        return degrees.build_deterministic(param, n)
-    if kind == "iid":
-        return degrees.build_iid(param, n, rng)
-    raise MonteCarloError(f"unknown degree model {kind!r}")
 
 
 def pmf_of_model(model: tuple) -> dict[int, float]:
@@ -276,7 +276,7 @@ def _limit_pmf(config: ExperimentConfig) -> dict[int, float]:
     """Limiting degree pmf: the degree model's, or for rank-1 kinds the mixed
     Poisson law of the vertex weights, computed once per weight spec."""
     if config.graph_kind in graphs.RANK1_KINDS:
-        return dict(_mixed_poisson_cached(_hashable_spec(config.vertex_weight_spec)))
+        return dict(_mixed_poisson_cached(config.vertex_weight_spec))
     return pmf_of_model(config.degree_model)
 
 
@@ -286,7 +286,7 @@ def bp_config_for(config: ExperimentConfig) -> ctbp.BpConfig:
     root = ctbp.OffspringLaw.from_pmf(pmf)
     later = ctbp.OffspringLaw.from_pmf(size_biased_from_pmf(pmf))
     return ctbp.BpConfig(root_law=root, later_law=later,
-                         dist=_dist_cached(_hashable_spec(config.weight_spec)))
+                         dist=_dist_cached(config.weight_spec))
 
 
 def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
@@ -294,7 +294,7 @@ def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
     pmf = _limit_pmf(config)
     mu = sum(k * p for k, p in pmf.items())
     nu = sum(k * (k - 1) * p for k, p in pmf.items()) / mu
-    return _constants_cached(_hashable_spec(config.weight_spec), mu, nu)
+    return _constants_cached(config.weight_spec, mu, nu)
 
 
 @lru_cache(maxsize=256)
@@ -309,43 +309,53 @@ def _centring_cached(spec: tuple, nu_n: float) -> ctbp.Centring:
 # ---------------------------------------------------------------------------
 # one trial
 
-@dataclass(frozen=True)
-class _TrialTask:
-    master_seed: int
-    n: int
-    graph_kind: str
-    degree_model: tuple | None
-    weight_spec: tuple
-    vertex_weight_spec: tuple | None
-    ranked_m: int
-    consts_limit: ctbp.CtbpConstants
-    collect_marks: bool
-    max_resamples: int = 100
+def sample_graph(config: ExperimentConfig, n: int, rng):
+    """(graph, nu_n): one weighted graph of config's kind on n vertices, and
+    its size-biased mean offspring from exact integer sums.
 
-
-def _build_graph(task: _TrialTask, dist, rng):
-    """(graph, nu_n): the trial's graph, lazily paired for cm and built whole
-    otherwise, and its size-biased mean offspring from exact integer sums."""
-    if task.graph_kind in graphs.RANK1_KINDS:
-        vw_dist = _dist_cached(task.vertex_weight_spec)
-        w = weights.sample(vw_dist, rng, task.n)
-        g = graphs.assign_weights(graphs.sample_rank1(w, task.graph_kind, rng),
-                                  dist, rng)
-        d = g.degrees()
-        return g, int((d * (d - 1)).sum()) / int(d.sum())
-    seq = build_degree_sequence(task.degree_model, task.n, rng)
-    if task.graph_kind == "simple":
+    The single sampler of every kind, for trials, gen-graph and the oracle.
+    A cm graph comes back as an unrevealed LazyPairing, every other kind
+    built whole; graph.materialize() gives the whole graph of either, and
+    for cm draws what pair_configuration then assign_weights would.
+    """
+    dist = _dist_cached(config.weight_spec)
+    kind = config.graph_kind
+    if kind in graphs.RANK1_KINDS:
+        w = weights.sample(_dist_cached(config.vertex_weight_spec), rng, n)
+        g = graphs.assign_weights(graphs.sample_rank1(w, kind, rng), dist, rng)
+        d = g.degrees()   # a tiny rank-1 graph may have no edge: nu_n = 0
+        return g, int((d * (d - 1)).sum()) / max(int(d.sum()), 1)
+    model, param = config.degree_model
+    if model == "regular":
+        seq = degrees.regular(int(param), n)
+    elif model == "deterministic":
+        seq = degrees.build_deterministic(param, n)
+    elif model == "iid":
+        seq = degrees.build_iid(param, n, rng)
+    else:
+        raise MonteCarloError(f"unknown degree model {model!r}")
+    if kind == "simple":
         g, _ = graphs.sample_uniform_simple(seq, rng)
         return graphs.assign_weights(g, dist, rng), seq.nu_n
     return graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng), seq.nu_n
+
+
+@dataclass(frozen=True)
+class _TrialTask:
+    config: ExperimentConfig
+    n: int
+    master_seed: int
+    consts_limit: ctbp.CtbpConstants
+    collect_marks: bool
 
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     seed = trial_seed(task.master_seed, index)
     rng = _rng_for(seed)
     n = task.n
-    g, nu_n = _build_graph(task, _dist_cached(task.weight_spec), rng)
-    consts_n = _centring_cached(task.weight_spec, nu_n)
+    m = task.config.ranked_m
+    g, nu_n = sample_graph(task.config, n, rng)
+    consts_n = _centring_cached(task.config.weight_spec, nu_n)
     alpha_n = consts_n.alpha
     log_n = math.log(n)
     s_probe = math.log(log_n) / alpha_n
@@ -354,7 +364,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     resamples = 0
     res = None
     w1 = w2 = 0.0
-    for _ in range(task.max_resamples):
+    for _ in range(_MAX_RESAMPLES):
         u1 = int(rng.integers(n))
         u2 = int(rng.integers(n - 1))
         if u2 >= u1:
@@ -370,14 +380,14 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
         if w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
             horizon = tbar + _MARK_WINDOW[1]
-        explore.advance_ranked(state, task.ranked_m, min_horizon=horizon)
-        res = explore.result(state, task.ranked_m)
+        explore.advance_ranked(state, m, min_horizon=horizon)
+        res = explore.result(state, m)
         if res.connected:
             break
         resamples += 1
     else:
         raise PersistentDisconnection(
-            f"trial {index}: {task.max_resamples} endpoint pairs were all "
+            f"trial {index}: {_MAX_RESAMPLES} endpoint pairs were all "
             "disconnected; the configuration looks subcritical or shattered"
         )
 
@@ -449,16 +459,8 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
         n = config.n_ladder[0]
     threads = config.threads if threads is None else int(threads)
 
-    weight_spec = _hashable_spec(config.weight_spec)
-    vw_spec = (_hashable_spec(config.vertex_weight_spec)
-               if config.vertex_weight_spec is not None else None)
-    consts_limit = constants_for_config(config)
-    task = _TrialTask(
-        master_seed=master, n=int(n), graph_kind=config.graph_kind,
-        degree_model=config.degree_model, weight_spec=weight_spec,
-        vertex_weight_spec=vw_spec, ranked_m=config.ranked_m,
-        consts_limit=consts_limit, collect_marks=collect_marks,
-    )
+    task = _TrialTask(config, int(n), master, constants_for_config(config),
+                      collect_marks)
 
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
     outcomes: list[TrialOutcome] = []
@@ -580,14 +582,17 @@ def _connected_column(v, name: str) -> np.ndarray:
     return np.array([getattr(o, name) for o in v if o.connected], dtype=float)
 
 
-def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
-                        mean_tol=0.3, var_tol=0.3, min_outcomes=500) -> ReportEntry:
+def verify_hopcount_clt(outcomes_by_n, consts, th=None) -> ReportEntry:
     """Standardized hopcount vs the standard normal, along the n-ladder.
 
-    Pass requires: KS distance at the largest n below the threshold (default:
-    the p=0.001 KS critical value for the sample size), KS distances strictly
+    Pass requires: KS distance at the largest n below hop_ks (default: the
+    p=0.001 KS critical value for the sample size), KS distances strictly
     decreasing along the ladder, and mean/variance point checks at the top.
+    Every verifier reads th, a partial mapping of DEFAULT_THRESHOLDS names
+    laid over the defaults.
     """
+    th = _merge_thresholds(th)
+    min_outcomes = th["min_outcomes"]
     ns = sorted(outcomes_by_n)
     zs = {n: _connected_column(outcomes_by_n[n], "Z_hat") for n in ns}
     top = ns[-1]
@@ -603,7 +608,7 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
         ds.append(d)
         stats[f"ks_n{n}"] = d
         stats[f"p_n{n}"] = p
-    d_crit = threshold if threshold is not None else \
+    d_crit = th["hop_ks"] if th["hop_ks"] is not None else \
         float(kolmogi(0.001)) / math.sqrt(m_top)
     mean = float(zs[top].mean())
     var = float(zs[top].var(ddof=1))
@@ -612,15 +617,16 @@ def verify_hopcount_clt(outcomes_by_n, consts, *, threshold=None,
     monotone = all(b < a for a, b in zip(ds, ds[1:]))
     stats["ladder_monotone"] = float(monotone)
     passed = (ds[-1] < d_crit and monotone
-              and abs(mean) < mean_tol and abs(var - 1.0) < var_tol)
+              and abs(mean) < th["hop_mean"] and abs(var - 1.0) < th["hop_var"])
     return ReportEntry("hopcount_clt", bool(passed), stats,
-                       {"ks": d_crit, "mean": mean_tol, "var": var_tol},
+                       {"ks": d_crit, "mean": th["hop_mean"], "var": th["hop_var"]},
                        m_top)
 
 
-def verify_weight_limit(outcomes, consts, q_reference, *, threshold=0.08,
-                        min_outcomes=500) -> ReportEntry:
+def verify_weight_limit(outcomes, consts, q_reference, th=None) -> ReportEntry:
     """Recentred optimal weight vs draws of its limit law (two-sample KS)."""
+    th = _merge_thresholds(th)
+    min_outcomes = th["min_outcomes"]
     q = _connected_column(outcomes, "Q_hat")
     ref = np.asarray(q_reference, dtype=float)
     if q.size < min_outcomes:
@@ -630,9 +636,9 @@ def verify_weight_limit(outcomes, consts, q_reference, *, threshold=0.08,
     if ref.size < 10_000:
         raise MonteCarloError(f"weight reference needs >= 10000 draws, got {ref.size}")
     d, p = ks_two_sample(q, ref)
-    return ReportEntry("weight_limit", bool(d < threshold),
+    return ReportEntry("weight_limit", bool(d < th["weight_ks"]),
                        {"ks": d, "p": p, "ref_size": float(ref.size)},
-                       {"ks": threshold}, q.size)
+                       {"ks": th["weight_ks"]}, q.size)
 
 
 def _pool_marks(outcomes) -> tuple[np.ndarray, int]:
@@ -640,17 +646,15 @@ def _pool_marks(outcomes) -> tuple[np.ndarray, int]:
     return np.vstack([np.empty((0, 5))] + [o.marks for o in outcomes]), len(outcomes)
 
 
-def _log_rate(times, window, bins) -> tuple[np.ndarray, np.ndarray]:
-    """Centres and log counts of the nonempty histogram bins of times."""
-    counts, edges = np.histogram(times, bins=bins, range=window)
+def _log_rate(times) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and log counts of the nonempty window bins of times."""
+    counts, edges = np.histogram(times, bins=_PPP_BINS, range=_MARK_WINDOW)
     keep = counts > 0
     return 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
 
 
-def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
-               window=_MARK_WINDOW, bins=_PPP_BINS, slope_tol=0.15, source_sigma=3.0,
-               height_threshold=0.08, residual_threshold=0.05,
-               min_marks=200) -> ReportEntry:
+def verify_ppp(outcomes, consts, residual_cdf, th=None, *, marks=None,
+               n_trials=None) -> ReportEntry:
     """Four tests of the collision point process inside the time window.
 
     (i) log-rate slope of recentred collision times ~ 2*alpha, by least
@@ -660,24 +664,26 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
     variants are reported as diagnostics); (iv) remaining lifetimes ~ the
     residual-life law.
     """
+    th = _merge_thresholds(th)
+    slope_tol = th["ppp_slope_rel"]
     if marks is None:
         marks, n_trials = _pool_marks(outcomes)
     if n_trials is None:
         raise MonteCarloError("n_trials required when passing marks directly")
-    win = marks[(marks[:, 0] >= window[0]) & (marks[:, 0] <= window[1])]
+    win = marks[(marks[:, 0] >= _MARK_WINDOW[0]) & (marks[:, 0] <= _MARK_WINDOW[1])]
     n = win.shape[0]
-    if n < min_marks:
+    if n < _MIN_MARKS:
         return ReportEntry("ppp_marks", None, {"marks": float(n)},
-                           {"min_marks": float(min_marks)}, n,
+                           {"min_marks": float(_MIN_MARKS)}, n,
                            notes="insufficient marks; verifier skipped")
 
     stats: dict[str, float] = {"marks_in_window": float(n),
                                "marks_per_trial": n / n_trials}
-    thresholds = {"slope_rel": slope_tol, "source_sigma": source_sigma,
-                  "height_ks": height_threshold, "residual_ks": residual_threshold}
+    thresholds = {"slope_rel": slope_tol, "source_sigma": th["ppp_source_sigma"],
+                  "height_ks": th["ppp_height_ks"], "residual_ks": th["ppp_residual_ks"]}
 
     # (i) slope of the log collision rate
-    centers, log_counts = _log_rate(win[:, 0], window, bins)
+    centers, log_counts = _log_rate(win[:, 0])
     slope_target = 2.0 * consts.alpha
     slope = float(np.polyfit(centers, log_counts, 1)[0]) if centers.size >= 3 else math.nan
     ok_slope = math.isfinite(slope) and abs(slope - slope_target) <= slope_tol * slope_target
@@ -686,13 +692,13 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
     # (ii) source fairness
     n1 = float((win[:, 1] == 1.0).sum())
     dev = abs(n1 / n - 0.5)
-    ok_source = dev <= source_sigma * 0.5 / math.sqrt(n)
+    ok_source = dev <= th["ppp_source_sigma"] * 0.5 / math.sqrt(n)
     stats.update(source_frac=n1 / n, source_dev=dev, ok_source=float(ok_source))
 
     # (iii) heights vs the standard normal
     d_or, p_or = ks_one_sample(win[:, 2], ndtr)
     d_de, p_de = ks_one_sample(win[:, 3], ndtr)
-    ok_heights = d_or < height_threshold and d_de < height_threshold
+    ok_heights = d_or < th["ppp_height_ks"] and d_de < th["ppp_height_ks"]
     stats.update(height_ks_origin=d_or, height_ks_dest=d_de, height_p_origin=p_or,
                  height_p_dest=p_de, ok_heights=float(ok_heights))
     # diagnostics: same KS after matching first two pooled moments; isolates
@@ -705,15 +711,14 @@ def verify_ppp(outcomes, consts, residual_cdf, *, marks=None, n_trials=None,
 
     # (iv) remaining lifetimes vs the residual-life law
     d_r, p_r = ks_one_sample(win[:, 4], residual_cdf)
-    ok_resid = d_r < residual_threshold
+    ok_resid = d_r < th["ppp_residual_ks"]
     stats.update(residual_ks=d_r, residual_p=p_r, ok_residual=float(ok_resid))
 
     passed = ok_slope and ok_source and ok_heights and ok_resid
     return ReportEntry("ppp_marks", bool(passed), stats, thresholds, n)
 
 
-def verify_ranked(outcomes, consts, m, rank_references, *, threshold=0.1,
-                  min_outcomes=500) -> ReportEntry:
+def verify_ranked(outcomes, consts, m, rank_references, th=None) -> ReportEntry:
     """Per-rank two-sample KS plus the gap structure across ranks.
 
     outcomes is a list of TrialOutcome, or an (M, m) array of recentred
@@ -721,6 +726,8 @@ def verify_ranked(outcomes, consts, m, rank_references, *, threshold=0.1,
     (and counted). Gaps between consecutive ranks must be strictly positive
     in every trial and their means must decrease with rank.
     """
+    th = _merge_thresholds(th)
+    min_outcomes = th["min_outcomes"]
     if isinstance(outcomes, np.ndarray):
         mat, n_short = outcomes, 0
     else:
@@ -747,7 +754,7 @@ def verify_ranked(outcomes, consts, m, rank_references, *, threshold=0.1,
     for j in range(m):
         d, p = ks_two_sample(mat[:, j], refs[:, j])
         stats[f"ks_rank{j + 1}"] = d
-        ok_ks = ok_ks and d < threshold
+        ok_ks = ok_ks and d < th["ranked_ks"]
     gaps = np.diff(mat, axis=1)
     min_gap = float(gaps.min()) if gaps.size else math.inf
     frac_monotone = float((gaps > 0).all(axis=1).mean()) if gaps.size else 1.0
@@ -763,7 +770,7 @@ def verify_ranked(outcomes, consts, m, rank_references, *, threshold=0.1,
     stats["ok_gap_decreasing"] = float(ok_decreasing)
     passed = ok_ks and ok_gaps and ok_decreasing
     return ReportEntry("ranked_paths", bool(passed), stats,
-                       {"ks": threshold}, mat.shape[0])
+                       {"ks": th["ranked_ks"]}, mat.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +840,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
         out.mkdir(parents=True, exist_ok=True)
 
     consts = constants_for_config(config)
-    dist = _dist_cached(_hashable_spec(config.weight_spec))
+    th = config.thresholds
     outcomes_by_n = {}
     for n in config.n_ladder:
         csv_path = out / f"outcomes_n{n}.csv" if out is not None else None
@@ -842,33 +849,18 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
 
     top = max(config.n_ladder)
     top_outcomes = outcomes_by_n[top]
-    min_outcomes = int(config.threshold("min_outcomes"))
-    entries = [
-        verify_hopcount_clt(outcomes_by_n, consts,
-                            threshold=config.threshold("hop_ks"),
-                            mean_tol=config.threshold("hop_mean"),
-                            var_tol=config.threshold("hop_var"),
-                            min_outcomes=min_outcomes),
-    ]
-    enough = sum(o.connected for o in top_outcomes) >= min_outcomes
+    entries = [verify_hopcount_clt(outcomes_by_n, consts, th)]
+    enough = sum(o.connected for o in top_outcomes) >= th["min_outcomes"]
     q_ref = ranked_refs = None
     if enough:
         ranked_refs = build_ranked_reference(consts, bp_config_for(config),
                                              config.ranked_m, config.q_reference_size,
                                              config.master_seed)
         q_ref = ranked_refs[:, 0]
-        entries.append(verify_weight_limit(top_outcomes, consts, q_ref,
-                                           threshold=config.threshold("weight_ks"),
-                                           min_outcomes=min_outcomes))
-        residual = ctbp.residual_density(dist, consts.alpha)
-        entries.append(verify_ppp(top_outcomes, consts, residual.cdf,
-                                  slope_tol=config.threshold("ppp_slope_rel"),
-                                  source_sigma=config.threshold("ppp_source_sigma"),
-                                  height_threshold=config.threshold("ppp_height_ks"),
-                                  residual_threshold=config.threshold("ppp_residual_ks")))
-        entries.append(verify_ranked(top_outcomes, consts, config.ranked_m, ranked_refs,
-                                     threshold=config.threshold("ranked_ks"),
-                                     min_outcomes=min_outcomes))
+        residual = ctbp.residual_density(_dist_cached(config.weight_spec), consts.alpha)
+        entries += [verify_weight_limit(top_outcomes, consts, q_ref, th),
+                    verify_ppp(top_outcomes, consts, residual.cdf, th),
+                    verify_ranked(top_outcomes, consts, config.ranked_m, ranked_refs, th)]
     else:
         entries += [ReportEntry(name, None, {}, {}, 0,
                                 notes="insufficient outcomes; verifier skipped")
@@ -884,8 +876,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     return report, outcomes_by_n
 
 
-def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
-                    window=_MARK_WINDOW, bins=_PPP_BINS) -> list:
+def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None) -> list:
     """Two-column text files for the standard figures; returns paths written."""
     import pathlib
 
@@ -907,7 +898,7 @@ def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None,
     marks, _ = _pool_marks(outcomes_by_n[top])
     if marks.size:
         path = out / "ppp_rate.txt"
-        _write_columns(path, *_log_rate(marks[:, 0], window, bins))
+        _write_columns(path, *_log_rate(marks[:, 0]))
         written.append(path)
     return written
 
@@ -949,9 +940,7 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
     generated with half the true log-rate slope. Hopcount nulls are single
     rung: exact-law data has no ladder to decrease along.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
+    th = _merge_thresholds({**(thresholds or {}), "min_outcomes": min(500, M)})
     a = consts.alpha
     window = _MARK_WINDOW
 
@@ -963,23 +952,20 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
         null_ok[name] += bool(null.passed)
         power_ok[name] += not power.passed
 
-    least = min(500, M)
     for i in range(n_meta):
         rng = _rng_for(derived_seed(master_seed, 3, i))
 
         # hopcount
         z = rng.standard_normal(M)
         tally("hopcount_clt", *(
-            verify_hopcount_clt({0: z + shift}, consts, threshold=th["hop_ks"],
-                                mean_tol=th["hop_mean"], var_tol=th["hop_var"],
-                                min_outcomes=least) for shift in (0.0, 0.5)))
+            verify_hopcount_clt({0: z + shift}, consts, th) for shift in (0.0, 0.5)))
 
         # weight: reduced exact law (W1 = W2 = 1)
         ref = (consts.c - ctbp.standard_gumbel(rng, ref_size)) / a
         q = (consts.c - ctbp.standard_gumbel(rng, M)) / a
         tally("weight_limit", *(
-            verify_weight_limit(q + shift, consts, ref, threshold=th["weight_ks"],
-                                min_outcomes=least) for shift in (0.0, math.log(2.0) / a)))
+            verify_weight_limit(q + shift, consts, ref, th)
+            for shift in (0.0, math.log(2.0) / a)))
 
         # marks: the true log-rate slope, then half of it
         lam = M * (2.0 * consts.nu * consts.f_R0 / consts.mu)
@@ -995,11 +981,8 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
                 rng.standard_normal(count),
                 residual_inverse(rng.random(count)),
             ])
-            entries.append(verify_ppp(None, consts, residual_cdf, marks=marks, n_trials=M,
-                                      window=window, slope_tol=th["ppp_slope_rel"],
-                                      source_sigma=th["ppp_source_sigma"],
-                                      height_threshold=th["ppp_height_ks"],
-                                      residual_threshold=th["ppp_residual_ks"]))
+            entries.append(verify_ppp(None, consts, residual_cdf, th, marks=marks,
+                                      n_trials=M))
         tally("ppp_marks", *entries)
 
         # ranked (m = 3, reduced law; recentred weights passed as a matrix)
@@ -1007,8 +990,8 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
         refs = (ctbp.sample_ranked_gumbel(m, rng, ref_size) + consts.c) / a
         trial_vals = (ctbp.sample_ranked_gumbel(m, rng, M) + consts.c) / a
         tally("ranked_paths", *(
-            verify_ranked(trial_vals + shift, consts, m, refs, threshold=th["ranked_ks"],
-                          min_outcomes=least) for shift in (0.0, math.log(2.0) / a)))
+            verify_ranked(trial_vals + shift, consts, m, refs, th)
+            for shift in (0.0, math.log(2.0) / a)))
 
     return CalibrationResult(
         n_meta=n_meta,

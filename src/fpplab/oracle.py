@@ -6,10 +6,12 @@ seeded instances against an independent single-source Dijkstra that shares
 no code with it. Also checks that the exact early-stopping rule returns the
 same answer as running the exploration to exhaustion.
 
-Lazy instances explore a LazyPairing first, then materialize() it and run
-every check on the completed graph, which keeps each pair and weight the
-exploration revealed. Exploring the completed graph must reproduce the lazy
-run's PathResult exactly.
+Instances come from montecarlo.sample_graph, the trials' own sampler, on a
+config built from the model tables below. Lazy instances explore its
+LazyPairing first, then materialize() it and run every check on the
+completed graph, which keeps each pair and weight the exploration revealed.
+Exploring the completed graph must reproduce the lazy run's PathResult
+exactly. Every other instance is materialized at once.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dijkstra, explore, graphs, weights
-from .montecarlo import build_degree_sequence, derived_seed
+from . import dijkstra, explore, graphs
+from .montecarlo import ExperimentConfig, derived_seed, sample_graph
 
 __all__ = ["CorpusResult", "run_corpus", "describe_instance"]
 
@@ -85,28 +87,20 @@ def _build_instance(index: int, rng):
     """(graph, label): a LazyPairing for lazy models, else a weighted graph."""
     kind, model = _GRAPH_MODELS[index % len(_GRAPH_MODELS)]
     n = int(rng.integers(10, 201))
-    wkind, wparams = _WEIGHT_KINDS[index % len(_WEIGHT_KINDS)]
-    dist = weights.from_spec(wkind, wparams)
+    wspec = _WEIGHT_KINDS[index % len(_WEIGHT_KINDS)]
     if kind in graphs.RANK1_KINDS:
-        vw = weights.from_spec(*model)
-        w = weights.sample(vw, rng, n)
-        g = graphs.sample_rank1(w, kind, rng)
+        config = ExperimentConfig(graph_kind=kind, weight_spec=wspec,
+                                  vertex_weight_spec=model)
         label = f"{kind} n={n}"
     else:
         mkind, param = model
         if mkind == "regular" and (int(param) * n) % 2:
             n += 1
-        seq = build_degree_sequence(model, n, rng)
-        if kind == "lazy":
-            return (graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng),
-                    f"lazy cm/{mkind} n={n} weights={wkind}")
-        if kind == "simple":
-            g, _ = graphs.sample_uniform_simple(seq, rng)
-        else:
-            g = graphs.pair_configuration(seq, rng)
-        label = f"{kind}/{mkind} n={n}"
-    graphs.assign_weights(g, dist, rng)
-    return g, f"{label} weights={wkind}"
+        config = ExperimentConfig(graph_kind="cm" if kind == "lazy" else kind,
+                                  degree_model=model, weight_spec=wspec)
+        label = f"lazy cm/{mkind} n={n}" if kind == "lazy" else f"{kind}/{mkind} n={n}"
+    g, _ = sample_graph(config, n, rng)
+    return (g if kind == "lazy" else g.materialize()), f"{label} weights={wspec[0]}"
 
 
 def _instance(index: int, master_seed: int):

@@ -34,7 +34,6 @@ __all__ = [
     "load_table",
     "save_table",
     "sample",
-    "evaluate",
 ]
 
 
@@ -469,11 +468,3 @@ def save_table(dist: WeightDistribution, path, n_rows: int = 257) -> None:
 def sample(dist: WeightDistribution, rng: np.random.Generator, size=None):
     """Inverse-CDF sampling: exactly one uniform consumed per variate."""
     return dist.quantile(rng.random(size))
-
-
-def evaluate(dist: WeightDistribution, x):
-    """Return (cdf(x), density(x)); x must be nonnegative."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise WeightModelError("weights live on [0, inf); negative query")
-    return dist.cdf(x), dist.density(x)

@@ -186,7 +186,7 @@ def test_criterion_03_residual_identities():
 
 
 def test_criterion_04_hopcount_clt(ladder, consts):
-    entry = mc.verify_hopcount_clt(ladder["outcomes"], consts, threshold=0.06)
+    entry = mc.verify_hopcount_clt(ladder["outcomes"], consts, {"hop_ks": 0.06})
     s = entry.statistics
     detail = (f"KS {s['ks_n1000']:.3f}/{s['ks_n10000']:.3f}/{s['ks_n100000']:.3f} "
               f"(monotone={int(s['ladder_monotone'])}, need <0.06 at top), "
@@ -284,7 +284,7 @@ def test_criterion_08_rank1_degree_law():
 def test_criterion_09_ranked_paths(ladder, consts, ranked_reference):
     top = ladder["outcomes"][LADDER[-1]]
     entry = mc.verify_ranked(top, consts, RANKED_M, ranked_reference,
-                             threshold=0.1)
+                             {"ranked_ks": 0.1})
     s = entry.statistics
     ks = [s[f"ks_rank{j + 1}"] for j in range(RANKED_M)]
     detail = (f"per-rank KS {'/'.join(f'{d:.3f}' for d in ks)} (<0.1), "

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, config precedence."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -259,6 +260,43 @@ def test_gen_graph_deterministic(tmp_path, capsys):
     header = p1.read_text().split("\n")[0].split()
     assert len(header) == 3            # n m seed
     assert int(header[0]) == 60
+
+
+def test_gen_graph_bytes_are_pinned(tmp_path, capsys):
+    # cm gen-graph materializes the trials' lazy pairing; these bytes are the
+    # ones pair_configuration + assign_weights wrote before that
+    out = tmp_path / "g.txt"
+    code, _, _ = run_cli(capsys, "gen-graph", "--n", "300", "--seed", "17",
+                         "--degrees", "regular:3", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("ecadaf75fd1ff677")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--n-ladder", "2", "--trials", "5"], "n_ladder"),
+    (["ranked", "--n", "2", "--trials", "5"], "--n"),
+    (["oracle", "--instances", "0"], "--instances"),
+    (["oracle", "--instances", "-3"], "--instances"),
+    (["bp-sim", "--reps", "0"], "--reps"),
+    (["bp-sim", "--target", "0"], "--target"),
+])
+def test_sizes_and_counts_that_cannot_run_are_config_errors(argv, name, tmp_path,
+                                                             capsys):
+    code, out, err = run_cli(capsys, *argv, "--threads", "1",
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "config error" in err and name in err
+    assert "PASS" not in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_graph_writes_an_edgeless_rank1_graph(tmp_path, capsys):
+    # two vertices of Exp(1) weight draw no edge at this seed; the shared
+    # sampler's nu_n must not divide by the zero degree sum
+    code, out, _ = run_cli(capsys, "gen-graph", "--n", "2", "--seed", "1", "--kind", "nr",
+                           "--vertex-weights", "exp:1", "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+    assert "edges=0" in out
 
 
 def test_gen_graph_requires_n(capsys):

@@ -214,16 +214,6 @@ def test_diagnostics_equal_vertex_sums():
     assert diag.x2logx > 0
 
 
-def test_size_biased_pmf_hand_case():
-    seq = degrees.DegreeSequence.from_degrees(np.array([2, 2, 3, 3]))
-    sb = degrees.size_biased_pmf(seq)
-    # half-edge total 10: degree-2 stubs carry mass 4/10 at offspring 1,
-    # degree-3 stubs carry 6/10 at offspring 2
-    assert sb == {1: pytest.approx(0.4), 2: pytest.approx(0.6)}
-    mean = sum(k * p for k, p in sb.items())
-    assert mean == pytest.approx(degrees.diagnostics(seq).nu_n)
-
-
 def test_load_pmf_table(tmp_path):
     path = tmp_path / "pmf.txt"
     path.write_text("1 0.2\n2 0.3\n3 0.5\n")

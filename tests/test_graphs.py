@@ -85,17 +85,35 @@ def test_materialize_keeps_revealed_pairs(seq):
     for v in (0, 5, 17, 39):
         g.reveal(v)
     revealed = dict(g.partner)
+    assert len(g.edge_weight_by_he) == len(revealed) // 2   # one entry per edge
     full = g.materialize()
     p = full.partner
     assert np.all(p[p] == np.arange(p.size))
     assert np.all(p != np.arange(p.size))
     for h, q in revealed.items():
         assert p[h] == q
-        assert full.edge_weight_by_he[h] == g.edge_weight_by_he[h]
+        assert full.edge_weight_by_he[h] == g.edge_weight_by_he[min(h, q)]
     w = full.edge_weight_by_he
     np.testing.assert_array_equal(w, w[p])
     assert np.unique(w).size == p.size // 2
     assert [layout.owner(h) for h in range(p.size)] == full.he_owner.tolist()
+
+
+@pytest.mark.parametrize("seq", [
+    degrees.regular(3, 40),
+    degrees.build_iid({1: 0.3, 3: 0.4, 4: 0.3}, 60, philox(23)),
+])
+def test_unrevealed_materialize_is_pair_then_weigh(seq):
+    # gen-graph and the oracle build cm graphs through the trials' sampler,
+    # which returns a LazyPairing: completed before any reveal, it must draw
+    # the very permutation and weights of pair_configuration + assign_weights
+    dist = weights.exponential(1.0)
+    full = graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, philox(25)).materialize()
+    rng = philox(25)
+    ref = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
+    for name in ("he_offset", "he_owner", "partner", "edge_weight_by_he"):
+        np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
+    assert ref.materialize() is ref
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),

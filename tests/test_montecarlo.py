@@ -205,8 +205,8 @@ def test_centring_record_equals_full_constants(law, tmp_path):
 
 def test_experiment_config_threshold_validation():
     cfg = mc.ExperimentConfig(thresholds={"weight_ks": 0.2})
-    assert cfg.threshold("weight_ks") == 0.2
-    assert cfg.threshold("ranked_ks") == 0.1
+    assert cfg.thresholds["weight_ks"] == 0.2
+    assert cfg.thresholds["ranked_ks"] == 0.1
     with pytest.raises(mc.MonteCarloError):
         mc.ExperimentConfig(thresholds={"nonsense": 1.0})
 
@@ -354,12 +354,9 @@ def test_persistent_disconnection(monkeypatch):
     # subcritical (nu_n = 0), so the 4-regular centring stands in for its own
     consts = mc.constants_for_config(mc.ExperimentConfig())
     monkeypatch.setattr(mc, "_centring_cached", lambda spec, nu_n: consts)
-    task = mc._TrialTask(master_seed=2, n=100, graph_kind="cm",
-                         degree_model=("regular", 1),
-                         weight_spec=("exponential", (1.0,)),
-                         vertex_weight_spec=None, ranked_m=1,
-                         consts_limit=consts, collect_marks=False,
-                         max_resamples=3)
+    monkeypatch.setattr(mc, "_MAX_RESAMPLES", 3)
+    task = mc._TrialTask(mc.ExperimentConfig(degree_model=("regular", 1)), 100, 2,
+                         consts, False)
     with pytest.raises(mc.PersistentDisconnection):
         mc._run_single_trial(task, 0)
 
@@ -412,11 +409,23 @@ def test_residual_table_matches_density():
 def test_hopcount_verifier_null_and_power():
     consts, _ = four_regular()
     z = philox(8).standard_normal(2000)
-    ok = mc.verify_hopcount_clt({10 ** 5: z}, consts, threshold=0.06)
+    ok = mc.verify_hopcount_clt({10 ** 5: z}, consts, {"hop_ks": 0.06})
     assert ok.passed is True
-    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, consts, threshold=0.06)
+    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, consts, {"hop_ks": 0.06})
     assert bad.passed is False
     assert bad.statistics["mean_top"] > 0.5
+
+
+def test_partial_thresholds_are_merged_over_the_defaults():
+    consts, _ = four_regular()
+    z = philox(8).standard_normal(2000)
+    full = dict(mc.DEFAULT_THRESHOLDS, hop_ks=0.06)
+    assert (mc.verify_hopcount_clt({1000: z}, consts, {"hop_ks": 0.06})
+            == mc.verify_hopcount_clt({1000: z}, consts, full))
+    assert (mc.verify_hopcount_clt({1000: z}, consts)
+            == mc.verify_hopcount_clt({1000: z}, consts, mc.DEFAULT_THRESHOLDS))
+    with pytest.raises(mc.MonteCarloError, match="hop_kz"):
+        mc.verify_hopcount_clt({1000: z}, consts, {"hop_kz": 0.06})
 
 
 def test_hopcount_verifier_checks_ladder_monotonicity():
@@ -424,13 +433,13 @@ def test_hopcount_verifier_checks_ladder_monotonicity():
     rng = philox(9)
     z1 = rng.standard_normal(1500)
     z2 = rng.standard_normal(1500) * 1.6      # worse fit at the larger n
-    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, consts, threshold=0.06)
+    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, consts, {"hop_ks": 0.06})
     assert entry.passed is False
 
 
 def test_hopcount_verifier_skips_small_samples():
     consts, _ = four_regular()
-    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, consts, threshold=0.06)
+    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, consts, {"hop_ks": 0.06})
     assert entry.passed is None
 
 
@@ -507,7 +516,7 @@ def test_calibration_smoke():
 def test_report_json_and_text(tmp_path):
     consts, _ = four_regular()
     z = philox(14).standard_normal(1000)
-    entry = mc.verify_hopcount_clt({1000: z}, consts, threshold=0.06)
+    entry = mc.verify_hopcount_clt({1000: z}, consts, {"hop_ks": 0.06})
     report = mc.VerificationReport(master_seed=1, config={"n": 1000},
                                    entries=(entry,))
     text = report.to_text()
@@ -522,7 +531,7 @@ def test_report_json_and_text(tmp_path):
 
 def test_report_skips_do_not_fail():
     consts, _ = four_regular()
-    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, consts, threshold=0.06)
+    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, consts, {"hop_ks": 0.06})
     report = mc.VerificationReport(master_seed=1, config={}, entries=(entry,))
     assert entry.passed is None
     assert report.passed          # a skip is not a failure

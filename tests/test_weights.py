@@ -188,8 +188,3 @@ def test_sample_mean_matches_exponential():
     x = weights.sample(d, np.random.Generator(np.random.Philox(key=3)), size=20000)
     # mean 1/2, sd 1/2: 5 sigma of the sample mean is about 0.018
     assert abs(x.mean() - 0.5) < 0.018
-
-
-def test_evaluate_rejects_negative_argument():
-    with pytest.raises(weights.WeightModelError):
-        weights.evaluate(KINDS["exponential"], -0.5)
