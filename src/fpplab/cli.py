@@ -228,7 +228,7 @@ def cmd_gen_graph(args) -> int:
     if args.n is None:
         raise ConfigError("gen-graph: --n is required")
     seed = config.master_seed
-    rng = np.random.Generator(np.random.Philox(key=montecarlo.derived_seed(seed, 5, 0)))
+    rng = montecarlo.rng_for(montecarlo.derived_seed(seed, 5, 0))
     g = montecarlo.sample_graph(config, args.n, rng)[0].materialize()
     g.seed_label = seed
     graphs.export_edge_list(g, args.out)
@@ -249,13 +249,16 @@ def cmd_bp_sim(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = ctbp.default_w_horizon(consts, target_population=args.target)
+    if not horizon >= 0:
+        flag = "--horizon" if args.horizon is not None else "--target"
+        raise ConfigError(f"bp-sim: {flag} gives the horizon {horizon:.6g}, which must "
+                          "be >= 0 (a --target must exceed the mean size at time 0)")
     seed = config.master_seed
     alive = np.empty(args.reps)
     west = np.empty(args.reps)
     extinct = 0
     for rep in range(args.reps):
-        rng = np.random.Generator(
-            np.random.Philox(key=montecarlo.derived_seed(seed, 6, rep)))
+        rng = montecarlo.rng_for(montecarlo.derived_seed(seed, 6, rep))
         traj = ctbp.simulate_bp(bp.root_law, bp.later_law, bp.dist, horizon,
                                 rng, alpha=consts.alpha)
         alive[rep] = traj.alive_counts[-1]

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import weights
 from .weights import QuadratureError, WeightDistribution, sample as sample_weight
@@ -118,6 +117,52 @@ _ROOT_REL_WIDTH = 1e-12
 _ROOT_RESIDUAL_TOL = 1e-10
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b], f(a) and f(b) of opposite signs, by Brent's method in
+    100 iterations at most: scipy's brentq.c step for step, so its float."""
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise QuadratureError(f"root bracket: the function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                 # bisect unless interpolation steps short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise QuadratureError(f"Brent's method did not converge in 100 iterations "
+                          f"(last iterate {xcur!r})")
+
+
 def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     """Growth rate alpha with nu * LS(alpha) = 1.
 
@@ -143,7 +188,7 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     else:
         raise QuadratureError("could not bracket the growth rate by doubling")
 
-    alpha = brentq(excess, lo, hi, xtol=_ROOT_REL_WIDTH * hi, rtol=_ROOT_REL_WIDTH)
+    alpha = _brent(excess, lo, hi, _ROOT_REL_WIDTH * hi, _ROOT_REL_WIDTH)
     resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
     if resid > _ROOT_RESIDUAL_TOL:
         raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "

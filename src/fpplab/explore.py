@@ -122,14 +122,15 @@ class SwgState:
     An alive half-edge is one tuple (death, id, source, height, partner):
     he_state maps its id to that tuple, and the same tuple sits in the heap,
     which orders on (death, id). he_state maps a consumed id to None;
-    untouched ids are absent, so len(he_state) counts touched half-edges.
-    found is the set of vertices in either cluster. alive counts the alive
-    half-edges of each cluster and last_time is the time of the latest
-    event, so a state advanced to a probe time holds the probe's counts.
+    untouched ids are absent, so len(he_state) counts touched half-edges,
+    and every half-edge of a vertex in either cluster is touched. alive
+    counts the alive half-edges of each cluster and last_time is the time
+    of the latest event, so a state advanced to a probe time holds the
+    probe's counts.
     """
 
     __slots__ = (
-        "graph", "n", "sources", "he_state", "found", "heap", "alive",
+        "graph", "n", "sources", "he_state", "heap", "alive",
         "collisions", "weights_sorted", "k", "last_time",
         "log_details", "detail_rows", "_owner", "_reveal",
     )
@@ -140,7 +141,6 @@ class SwgState:
         self.n = graph.n
         self.sources = (u1, u2)
         self.he_state: dict = {}
-        self.found: set = set()
         self.heap: list = []
         self.alive = [0, 0, 0]          # index by source id 1/2
         self.collisions: list[CollisionRecord] = []
@@ -190,7 +190,6 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
     half1 = g.reveal(u1)
     half2 = g.reveal(u2)
     he_state = state.he_state
-    state.found.update((u1, u2))
     if log_details:
         state.detail_rows.append((0, 0.0, "vertex", u1, 1, 0))
         state.detail_rows.append((0, 0.0, "vertex", u2, 2, 0))
@@ -259,18 +258,14 @@ def _event(state: SwgState, entry: tuple) -> None:
     state.last_time = t
 
     # the partner of a dying half-edge leads to fresh territory (see module
-    # docstring); the two checks below are the disjointness invariant
+    # docstring): every half-edge of a found vertex is touched, so this one
+    # check is the disjointness invariant
     if z in he_state:
         raise ExploreError(f"half-edge {y} died into half-edge {z}, which was "
                            "already touched")
     v = state._owner(z)
-    found = state.found
-    if v in found:
-        raise ExploreError(f"half-edge {y} died into vertex {v} (half-edge {z}), "
-                           "which was already found; the clusters overlap")
     half = state._reveal(v)
     hv = h + 1
-    found.add(v)
     he_state[z] = None
     state.k += 1
     log = state.detail_rows if state.log_details else None

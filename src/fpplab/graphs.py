@@ -20,7 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import weights
 from .degrees import DegreeSequence, expand
@@ -495,6 +494,7 @@ def mixed_poisson_pmf(dist: WeightDistribution) -> np.ndarray:
     kernel (p_{k-1} w/k underflows through e^{-w} for w > 745) on one layout,
     weights._mass_edges plus edges (j/2)^2 at the kernel's width, certified
     on halved cells to 1e-15 absolute or 1e-10 relative."""
+    from scipy.special import gammaln, xlogy
     lo = dist.support_lo
     hi = weights._mass_edges(dist)[-1]
     if not hi + 10.0 * math.sqrt(hi) + 40.0 <= _PMF_MAX_K:

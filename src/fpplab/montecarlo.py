@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import kolmogi, kolmogorov, ndtr
+# numpy.random loads lazily; imported here, before any pool forks, it leaves a
+# worker no import that could block on a lock another parent thread held
+from numpy.random import Generator, Philox
 
 from . import ctbp, degrees, explore, graphs, weights
 
@@ -37,6 +39,7 @@ __all__ = [
     "splitmix64",
     "derived_seed",
     "trial_seed",
+    "rng_for",
     "pmf_of_model",
     "size_biased_from_pmf",
     "bp_config_for",
@@ -106,8 +109,9 @@ def trial_seed(master: int, index: int) -> int:
     return derived_seed(master, 0, index)
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def rng_for(seed: int) -> Generator:
+    """The counter-based generator of every seeded draw in the package."""
+    return Generator(Philox(key=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,7 @@ class _TrialTask:
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     seed = trial_seed(task.master_seed, index)
-    rng = _rng_for(seed)
+    rng = rng_for(seed)
     n = task.n
     m = task.config.ranked_m
     g, nu_n = sample_graph(task.config, n, rng)
@@ -476,8 +480,8 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov statistics; p-values from the Kolmogorov law in
-# scipy.special (scipy.stats would add half a second to every CLI start)
+# Kolmogorov-Smirnov statistics; p-values from the Kolmogorov law. scipy.special
+# is imported where it is used, so trials and pool workers never load scipy
 
 
 def ks_one_sample(sample, cdf) -> tuple[float, float]:
@@ -486,6 +490,7 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
     D = max over order statistics of max(i/n - F(x_i), F(x_i) - (i-1)/n);
     p = kolmogorov(sqrt(n) * D).
     """
+    from scipy.special import kolmogorov
     x = np.sort(np.asarray(sample, dtype=float))
     nn = x.size
     if nn == 0:
@@ -500,6 +505,7 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Exact two-sample D; p via sqrt(ab/(a+b)) * D in the Kolmogorov tail."""
+    from scipy.special import kolmogorov
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -524,7 +530,7 @@ def build_ranked_reference(consts: ctbp.CtbpConstants, bp: ctbp.BpConfig, m: int
     row the two limits are shared across ranks, exactly as they are within
     one exploration trial.
     """
-    rng = _rng_for(derived_seed(master_seed, 2))
+    rng = rng_for(derived_seed(master_seed, 2))
     w = ctbp.sample_w_pool(consts, bp, 2 * size, rng)
     t = ctbp.sample_ranked_gumbel(m, rng, size)
     return ctbp.q_formula(consts, w[:size, None], w[size:, None], -t)
@@ -591,6 +597,7 @@ def verify_hopcount_clt(outcomes_by_n, consts, th=None) -> ReportEntry:
     Every verifier reads th, a partial mapping of DEFAULT_THRESHOLDS names
     laid over the defaults.
     """
+    from scipy.special import kolmogi, ndtr
     th = _merge_thresholds(th)
     min_outcomes = th["min_outcomes"]
     ns = sorted(outcomes_by_n)
@@ -664,6 +671,7 @@ def verify_ppp(outcomes, consts, residual_cdf, th=None, *, marks=None,
     variants are reported as diagnostics); (iv) remaining lifetimes ~ the
     residual-life law.
     """
+    from scipy.special import ndtr
     th = _merge_thresholds(th)
     slope_tol = th["ppp_slope_rel"]
     if marks is None:
@@ -879,6 +887,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
 def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None) -> list:
     """Two-column text files for the standard figures; returns paths written."""
     import pathlib
+    from scipy.special import ndtr
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -953,7 +962,7 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
         power_ok[name] += not power.passed
 
     for i in range(n_meta):
-        rng = _rng_for(derived_seed(master_seed, 3, i))
+        rng = rng_for(derived_seed(master_seed, 3, i))
 
         # hopcount
         z = rng.standard_normal(M)

@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dijkstra, explore, graphs
-from .montecarlo import ExperimentConfig, derived_seed, sample_graph
+from .montecarlo import ExperimentConfig, derived_seed, rng_for, sample_graph
 
 __all__ = ["CorpusResult", "run_corpus", "describe_instance"]
 
@@ -109,7 +107,7 @@ def _instance(index: int, master_seed: int):
     A lazy instance is explored first, from endpoints drawn before any
     pairing draw, and then completed by materialize().
     """
-    rng = np.random.Generator(np.random.Philox(key=derived_seed(master_seed, 4, index)))
+    rng = rng_for(derived_seed(master_seed, 4, index))
     g, label = _build_instance(index, rng)
     u = int(rng.integers(g.n))
     v = int(rng.integers(g.n - 1))

@@ -18,29 +18,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def scipy_modules_after_cli_import(prefix):
-    """scipy modules under prefix that a fresh `import fpplab.cli` loads."""
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone took most of a cold start; the Malthusian root is
+    # ctbp's own Brent port, and scipy.special is imported by the rank-1
+    # degree law and the verifiers, where they use it
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = ("import fpplab.cli, sys; "
-              f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about half a second to every CLI start; the package
-    # needs only scipy.special and scipy.optimize
-    assert scipy_modules_after_cli_import("scipy.stats") == "[]"
-
-
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # every integral over a law is summed on the Gauss-Legendre cells of
-    # fpplab.weights; QUADPACK is not used
-    assert scipy_modules_after_cli_import("scipy.integrate") == "[]"
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +269,8 @@ def test_gen_graph_bytes_are_pinned(tmp_path, capsys):
     (["oracle", "--instances", "-3"], "--instances"),
     (["bp-sim", "--reps", "0"], "--reps"),
     (["bp-sim", "--target", "0"], "--target"),
+    (["bp-sim", "--reps", "2", "--target", "0.5"], "--target"),
+    (["bp-sim", "--reps", "2", "--horizon", "-1"], "--horizon"),
 ])
 def test_sizes_and_counts_that_cannot_run_are_config_errors(argv, name, tmp_path,
                                                              capsys):

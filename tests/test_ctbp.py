@@ -145,6 +145,63 @@ def test_malthusian_requires_supercritical():
         ctbp.solve_malthusian(1.0, weights.exponential(1.0))
 
 
+def horner(coeffs):
+    def f(x):
+        v = 0.0
+        for c in coeffs:
+            v = v * x + c
+        return v
+    return f
+
+
+def test_brent_is_scipy_brentq_bit_for_bit(monkeypatch, exp_table):
+    # the port must return scipy's own float (==, not approx) on every
+    # bracket solve_malthusian hands it, over a grid of laws and nu, and on
+    # generic cubics and quintics at three tolerances
+    from scipy.optimize import brentq
+
+    pairs = []
+    real = ctbp._brent
+
+    def both(f, a, b, xtol, rtol):
+        pairs.append((real(f, a, b, xtol, rtol), brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(ctbp, "_brent", both)
+    laws = [weights.exponential(1.0), weights.exponential(0.3), weights.uniform(1.0),
+            weights.shifted_exponential(2.0), weights.power_exponential(0.5),
+            weights.power_exponential(2.0), exp_table]
+    for d in laws:
+        for nu in (1.01, 1.3, 2.0, 3.0, 4.7, 10.0, 99.0, 999.0):
+            ctbp.solve_malthusian(nu, d)
+    assert len(pairs) == 56
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    for degree in (3, 5):
+        for _ in range(100):
+            f = horner(rng.standard_normal(degree + 1))
+            if f(-3.0) * f(3.0) < 0.0:
+                for xtol in (1e-12, 1e-8, 1e-4):
+                    pairs.append((real(f, -3.0, 3.0, xtol, 8.881784197001252e-16),
+                                  brentq(f, -3.0, 3.0, xtol=xtol)))
+    assert len(pairs) > 400
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+def test_brent_failures_are_quadrature_errors(monkeypatch):
+    # a NaN transform value and a root that 100 iterations cannot reach:
+    # a step in nu LS at 1.5, asked for a bracket narrower than a float
+    real = ctbp.laplace_stieltjes
+    d = weights.exponential(1.0)
+    monkeypatch.setattr(ctbp, "laplace_stieltjes",
+                        lambda dist, s: math.nan if 1.0 < s < 2.0 else real(dist, s))
+    with pytest.raises(ctbp.QuadratureError, match="NaN"):
+        ctbp.solve_malthusian(2.5, d)
+    monkeypatch.setattr(ctbp, "laplace_stieltjes", lambda dist, s: 0.5 if s < 1.5 else 0.3)
+    monkeypatch.setattr(ctbp, "_ROOT_REL_WIDTH", 1e-300)
+    with pytest.raises(ctbp.QuadratureError, match="100 iterations"):
+        ctbp.solve_malthusian(3.0, d)
+
+
 # ---------------------------------------------------------------------------
 # stable-age moments and the full constant set
 

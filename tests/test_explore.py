@@ -92,7 +92,9 @@ def test_broken_pairing_raises_under_optimize():
     # First graph: on the path 0-1-2-3, vertex 1's second half-edge is
     # re-pointed at the half-edge that just died into vertex 1. Second:
     # half-edge 1 of source 0 is re-pointed at vertex 1's second half-edge,
-    # which is alive by the time half-edge 1 dies into it
+    # which is alive by the time half-edge 1 dies into it. Third: the same
+    # half-edge is re-pointed at vertex 1's first half-edge, consumed when
+    # vertex 1 was found, so it dies into a found vertex through a dead end
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -107,7 +109,10 @@ def test_broken_pairing_raises_under_optimize():
         chord.edge_weight_by_he = np.array([1.0, 5.0, 1.0, 9.0, 5.0, 9.0,
                                             20.0, 20.0])
         chord.partner[1] = 3
-        for g in (path, chord):
+        found = graphs.build_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        found.edge_weight_by_he = chord.edge_weight_by_he
+        found.partner[1] = 2
+        for g in (path, chord, found):
             try:
                 explore.run(g, 0, 3)
             except explore.ExploreError as exc:
@@ -121,10 +126,11 @@ def test_broken_pairing_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    path_msg, chord_msg = done.stdout.splitlines()
+    path_msg, chord_msg, found_msg = done.stdout.splitlines()
     assert "free half-edge 2 of vertex 1" in path_msg
     assert "half-edge 0" in path_msg
     assert "half-edge 1 died into half-edge 3, which was already touched" in chord_msg
+    assert "half-edge 1 died into half-edge 2, which was already touched" in found_msg
 
 
 def test_weights_required():
@@ -352,7 +358,7 @@ def test_reveal_triples_agree_with_materialized():
     state = explore.init(g, u, v)
     explore.advance_ranked(state, 3)
     rng_state = g._rng.bit_generator.state
-    triples = {w: g.reveal(w) for w in sorted(state.found)}
+    triples = {w: g.reveal(w) for w in sorted({g.owner(x) for x in state.he_state})}
     np.testing.assert_equal(g._rng.bit_generator.state, rng_state)
     full = g.materialize()
     for w, half in triples.items():

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -326,6 +327,38 @@ def test_lazy_trials_match_eager_law():
         _, p_hops = mc.ks_two_sample(np.array([o.H_n for o in lazy]), np.array(hops))
         _, p_len = mc.ks_two_sample(np.array([o.L_n for o in lazy]), np.array(lengths))
         assert p_hops > 1e-3 and p_len > 1e-3, (model[0], p_hops, p_len)
+
+
+def test_trial_chunks_import_nothing():
+    # a forked pool worker inherits the parent's import locks; if one was
+    # held by another parent thread at fork time, the worker's first import
+    # blocks forever. So a chunk of cm or nr trials, run after the parent's
+    # own setup (constants and task), must import no module at all, and
+    # numpy.random, which numpy loads lazily, must come with the package
+    script = textwrap.dedent("""
+        import sys
+        import fpplab.cli
+        from fpplab import montecarlo as mc
+
+        if "numpy.random" not in sys.modules:
+            sys.exit("numpy.random not loaded by import fpplab.cli")
+        tasks = []
+        for cfg in (mc.ExperimentConfig(),
+                    mc.ExperimentConfig(graph_kind="nr",
+                                        vertex_weight_spec=("exponential", (1 / 3,)))):
+            tasks.append(mc._TrialTask(cfg, 300, 5, mc.constants_for_config(cfg), True))
+        before = set(sys.modules)
+        for task in tasks:
+            mc._trial_chunk((task, 0, 3))
+        print(sorted(set(sys.modules) - before))
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
