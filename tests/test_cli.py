@@ -18,19 +18,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize alone took most of a cold start; the Malthusian root is
-    # ctbp's own Brent port, and scipy.special is imported by the rank-1
-    # degree law and the verifiers, where they use it
+def scipy_modules_after_cli_import(prefix):
+    """Modules at or under prefix that a fresh `import fpplab.cli` loads."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = ("import fpplab.cli, sys; "
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+              f"print(sorted(m for m in sys.modules if m == {prefix!r} "
+              f"or m.startswith({prefix + '.'!r})))")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second to every CLI start
+    assert scipy_modules_after_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every integral over a law is summed on the Gauss-Legendre cells of
+    # fpplab.weights; QUADPACK is not used
+    assert scipy_modules_after_cli_import("scipy.integrate") == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone took most of a cold start; the Malthusian root is
+    # ctbp's own Brent port, and scipy.special is imported by the rank-1
+    # degree law and the verifiers, where they use it
+    assert scipy_modules_after_cli_import("scipy") == "[]"
 
 
 # ---------------------------------------------------------------------------
