@@ -17,7 +17,6 @@ from fpplab import montecarlo as mc
 
 
 def main():
-    threads = min(8, os.cpu_count() or 1)
     config = mc.ExperimentConfig(
         graph_kind="cm",
         degree_model=("regular", 4),
@@ -26,8 +25,9 @@ def main():
         trials=600,
         ranked_m=2,
         master_seed=431,
+        threads=min(8, os.cpu_count() or 1),
     )
-    report, outcomes = mc.run_experiment(config, threads=threads)
+    report, outcomes = mc.run_experiment(config)
     print(report.to_text())
 
     top = outcomes[8000]

@@ -194,7 +194,7 @@ def cmd_run(args) -> int:
     t0 = time.monotonic()
     plot_dir = pathlib.Path(args.out) / "plots" if args.plot_data else None
     report, outcomes_by_n = montecarlo.run_experiment(
-        config, out_dir=args.out, threads=config.threads, plot_dir=plot_dir)
+        config, out_dir=args.out, plot_dir=plot_dir)
     elapsed = time.monotonic() - t0
     if args.log:
         lines = [f"total_seconds {elapsed!r}"]
@@ -230,8 +230,7 @@ def cmd_gen_graph(args) -> int:
     seed = config.master_seed
     rng = montecarlo.rng_for(montecarlo.derived_seed(seed, 5, 0))
     g = montecarlo.sample_graph(config, args.n, rng)[0].materialize()
-    g.seed_label = seed
-    graphs.export_edge_list(g, args.out)
+    graphs.export_edge_list(g, args.out, seed=seed)
     print(f"kind={config.graph_kind} n={g.n} edges={g.edge_count} "
           f"self_loops={g.self_loop_count} multi_edges={g.multi_edge_count} "
           f"simple={g.is_simple}")

@@ -262,6 +262,19 @@ class ResidualLife:
         f = np.where(x > 0, 1.0 - _tail_mass(self._dist, self.alpha, x) / self.denom, 0.0)
         return float(f) if f.ndim == 0 else f
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size exact draws, with no quadrature: a lifetime X ~ G is kept with
+        probability 1 - e^{-alpha X} (a share 1 - 1/nu of them), and an age
+        Y ~ Exp(alpha) conditioned to lie below X is taken off it."""
+        parts = [np.empty(0)]
+        while sum(map(len, parts)) < size:
+            x = sample_weight(self._dist, rng, size)
+            below = -np.expm1(-self.alpha * x)       # P(Y < X) given X
+            keep = rng.random(size) < below
+            x, below = x[keep], below[keep]
+            parts.append(x + np.log1p(-rng.random(x.size) * below) / self.alpha)
+        return np.concatenate(parts)[:size]
+
 
 def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
     """Residual-life law at growth rate alpha. D = K(0) from _integral must

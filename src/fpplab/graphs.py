@@ -58,7 +58,6 @@ class WeightedGraph:
     he_owner: np.ndarray         # owner vertex per half-edge
     partner: np.ndarray          # pairing involution on half-edge ids
     edge_weight_by_he: np.ndarray | None = None
-    seed_label: int = 0          # echoed in exports, purely descriptive
     _defects: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -422,7 +421,7 @@ def sample_rank1(weights_w, kind: str, rng: np.random.Generator) -> WeightedGrap
     return build_from_edges(n, edges)
 
 
-def build_from_edges(n: int, edges: np.ndarray, seed_label: int = 0) -> WeightedGraph:
+def build_from_edges(n: int, edges: np.ndarray) -> WeightedGraph:
     """Half-edge representation of an explicit edge list (loops allowed).
 
     The ends of the edge list, in the order u0, v0, u1, v1, ..., take their
@@ -437,8 +436,7 @@ def build_from_edges(n: int, edges: np.ndarray, seed_label: int = 0) -> Weighted
     he[np.argsort(ends, kind="stable")] = np.arange(ends.size)
     partner = np.empty(ends.size, dtype=np.int64)
     _pair_off(he, partner)
-    return WeightedGraph(n=n, he_offset=off, he_owner=_owners(off), partner=partner,
-                         seed_label=seed_label)
+    return WeightedGraph(n=n, he_offset=off, he_owner=_owners(off), partner=partner)
 
 
 def assign_weights(g: WeightedGraph, dist: WeightDistribution,
@@ -465,15 +463,16 @@ def _weigh_edges(by_he: np.ndarray, partner: np.ndarray, lo_he: np.ndarray,
     by_he[partner[lo_he]] = draws
 
 
-def export_edge_list(g: WeightedGraph, path) -> None:
-    """Text export: header 'n m seed', then one 'u v weight' line per edge.
+def export_edge_list(g: WeightedGraph, path, seed: int = 0) -> None:
+    """Text export: header 'n m seed', then one 'u v weight' line per edge;
+    seed is the master seed the graph was drawn from, purely descriptive.
 
     Vertices are 1-based in the file. Weights print with repr round-trip
     fidelity; an unweighted graph exports weight 1 for every edge.
     """
     he = _lower_half_edges(g.partner)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {g.edge_count} {g.seed_label}\n")
+        fh.write(f"{g.n} {g.edge_count} {seed}\n")
         for h in he:
             u = int(g.he_owner[h]) + 1
             v = int(g.he_owner[g.partner[h]]) + 1

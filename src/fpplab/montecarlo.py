@@ -7,15 +7,18 @@ or rerun; the CSV writer emits rows in trial order with repr() floats, making
 output files byte-identical across reruns and worker pools.
 
 ExperimentConfig is the one model record. sample_graph(config, n, rng) is
-the one graph sampler, shared with gen-graph and the oracle corpus, and
-every verifier takes its thresholds as one mapping th of DEFAULT_THRESHOLDS
-names, merged over the defaults exactly as the config's own thresholds are.
+the one graph sampler, shared with gen-graph and the oracle corpus. Every
+verifier reads arrays, which column, pool_marks and ranked_matrix extract
+from trial outcomes, and takes its thresholds as one mapping th of
+DEFAULT_THRESHOLDS names, merged over the defaults exactly as the config's
+own thresholds are.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
@@ -53,6 +56,10 @@ __all__ = [
     "build_q_reference",
     "build_ranked_reference",
     "residual_cdf_table",
+    "column",
+    "pool_marks",
+    "ranked_matrix",
+    "exact_marks",
     "verify_hopcount_clt",
     "verify_weight_limit",
     "verify_ppp",
@@ -94,10 +101,11 @@ def splitmix64(x: int) -> int:
 def derived_seed(master: int, *path: int) -> int:
     """Hash a (master, index path) tuple to a 64-bit stream key.
 
-    Distinct paths give independent-for-all-practical-purposes keys; the
-    harness reserves path head 0 for trials, 2 for the (ranked) limit
-    references and 3 for calibration; head 1, once the separate weight
-    reference, is retired and must not be reused.
+    Distinct paths give independent-for-all-practical-purposes keys. Path
+    heads in use: 0 trials, 2 the (ranked) limit references, 3 calibration,
+    4 the oracle corpus, 5 gen-graph and acceptance gates 7 and 8, 6 bp-sim.
+    Head 1, once the separate weight reference, is retired and must not be
+    reused.
     """
     x = master & _MASK64
     for p in path:
@@ -138,6 +146,7 @@ _MARK_WINDOW = (-1.5, 0.5)
 _PPP_BINS = 8
 _MIN_MARKS = 200
 _MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
+_REFERENCE_SIZE = 10_000   # limit-law draws the weight verifier needs at least
 
 
 def _merge_thresholds(th: dict | None) -> dict:
@@ -166,7 +175,6 @@ class ExperimentConfig:
     ranked_m: int = 1
     master_seed: int = 1
     threads: int = 1
-    q_reference_size: int = 10_000
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -547,8 +555,9 @@ def residual_cdf_table(residual: ctbp.ResidualLife, x_max: float, n_grid: int = 
     """Dense-grid interpolant of the residual-life cdf (callable, and inverse).
 
     The whole grid is one residual.cdf call; interpolation error at this
-    grid density is orders of magnitude below every threshold that consumes
-    it. The inverse draws exact-law marks for calibrate_verifiers.
+    grid density is orders of magnitude below every KS threshold. The
+    verifiers and calibrate_verifiers read residual.cdf and residual.sample
+    directly.
     """
     x = np.linspace(0.0, x_max, n_grid)
     f = residual.cdf(x)
@@ -581,15 +590,37 @@ class ReportEntry:
         return self.passed is None
 
 
-def _connected_column(v, name: str) -> np.ndarray:
-    """v itself if it is an array, else field `name` of its connected outcomes."""
-    if isinstance(v, np.ndarray):
-        return v
-    return np.array([getattr(o, name) for o in v if o.connected], dtype=float)
+def _skipped(name: str, counted: str, count: int, floor_name: str,
+             floor: float) -> ReportEntry:
+    """The entry of a verifier that had fewer than floor items to test."""
+    return ReportEntry(name, None, {counted: float(count)}, {floor_name: float(floor)},
+                       count, notes=f"insufficient {counted.replace('_', ' ')}; "
+                                    "verifier skipped")
 
 
-def verify_hopcount_clt(outcomes_by_n, consts, th=None) -> ReportEntry:
-    """Standardized hopcount vs the standard normal, along the n-ladder.
+def column(outcomes, name: str) -> np.ndarray:
+    """Field `name` of the connected outcomes, as a float array."""
+    return np.array([getattr(o, name) for o in outcomes if o.connected], dtype=float)
+
+
+def pool_marks(outcomes) -> np.ndarray:
+    """Every trial's (k, 5) collision marks, stacked in trial order."""
+    return np.vstack([np.empty((0, 5))] + [o.marks for o in outcomes])
+
+
+def ranked_matrix(outcomes, consts: ctbp.CtbpConstants, m: int) -> np.ndarray:
+    """(trials, m) ranked path weights recentred by log(n)/alpha; a trial
+    with fewer than m records reads NaN past its last one."""
+    mat = np.full((len(outcomes), m), np.nan)
+    for row, o in zip(mat, outcomes):
+        w = [r[0] - math.log(o.n) / consts.alpha for r in o.ranked[:m]]
+        row[:len(w)] = w
+    return mat
+
+
+def verify_hopcount_clt(z_by_n, th=None) -> ReportEntry:
+    """Standardized hopcounts {n: array} vs the standard normal, along the
+    n-ladder.
 
     Pass requires: KS distance at the largest n below hop_ks (default: the
     p=0.001 KS critical value for the sample size), KS distances strictly
@@ -599,26 +630,23 @@ def verify_hopcount_clt(outcomes_by_n, consts, th=None) -> ReportEntry:
     """
     from scipy.special import kolmogi, ndtr
     th = _merge_thresholds(th)
-    min_outcomes = th["min_outcomes"]
-    ns = sorted(outcomes_by_n)
-    zs = {n: _connected_column(outcomes_by_n[n], "Z_hat") for n in ns}
-    top = ns[-1]
-    m_top = zs[top].size
-    if m_top < min_outcomes:
-        return ReportEntry("hopcount_clt", None, {"outcomes": float(m_top)},
-                           {"min_outcomes": float(min_outcomes)}, m_top,
-                           notes="insufficient outcomes; verifier skipped")
+    ns = sorted(z_by_n)
+    top = z_by_n[ns[-1]]
+    m_top = top.size
+    if m_top < th["min_outcomes"]:
+        return _skipped("hopcount_clt", "outcomes", m_top, "min_outcomes",
+                        th["min_outcomes"])
     stats: dict[str, float] = {}
     ds = []
     for n in ns:
-        d, p = ks_one_sample(zs[n], ndtr)
+        d, p = ks_one_sample(z_by_n[n], ndtr)
         ds.append(d)
         stats[f"ks_n{n}"] = d
         stats[f"p_n{n}"] = p
     d_crit = th["hop_ks"] if th["hop_ks"] is not None else \
         float(kolmogi(0.001)) / math.sqrt(m_top)
-    mean = float(zs[top].mean())
-    var = float(zs[top].var(ddof=1))
+    mean = float(top.mean())
+    var = float(top.var(ddof=1))
     stats["mean_top"] = mean
     stats["var_top"] = var
     monotone = all(b < a for a, b in zip(ds, ds[1:]))
@@ -630,27 +658,19 @@ def verify_hopcount_clt(outcomes_by_n, consts, th=None) -> ReportEntry:
                        m_top)
 
 
-def verify_weight_limit(outcomes, consts, q_reference, th=None) -> ReportEntry:
-    """Recentred optimal weight vs draws of its limit law (two-sample KS)."""
+def verify_weight_limit(q, q_reference, th=None) -> ReportEntry:
+    """Recentred optimal weights q vs draws of their limit law (two-sample KS)."""
     th = _merge_thresholds(th)
-    min_outcomes = th["min_outcomes"]
-    q = _connected_column(outcomes, "Q_hat")
-    ref = np.asarray(q_reference, dtype=float)
-    if q.size < min_outcomes:
-        return ReportEntry("weight_limit", None, {"outcomes": float(q.size)},
-                           {"min_outcomes": float(min_outcomes)}, q.size,
-                           notes="insufficient outcomes; verifier skipped")
-    if ref.size < 10_000:
-        raise MonteCarloError(f"weight reference needs >= 10000 draws, got {ref.size}")
-    d, p = ks_two_sample(q, ref)
+    if q.size < th["min_outcomes"]:
+        return _skipped("weight_limit", "outcomes", q.size, "min_outcomes",
+                        th["min_outcomes"])
+    if q_reference.size < _REFERENCE_SIZE:
+        raise MonteCarloError(f"weight reference needs >= {_REFERENCE_SIZE} draws, "
+                              f"got {q_reference.size}")
+    d, p = ks_two_sample(q, q_reference)
     return ReportEntry("weight_limit", bool(d < th["weight_ks"]),
-                       {"ks": d, "p": p, "ref_size": float(ref.size)},
+                       {"ks": d, "p": p, "ref_size": float(q_reference.size)},
                        {"ks": th["weight_ks"]}, q.size)
-
-
-def _pool_marks(outcomes) -> tuple[np.ndarray, int]:
-    """Every trial's (k, 5) marks stacked, and the number of trials."""
-    return np.vstack([np.empty((0, 5))] + [o.marks for o in outcomes]), len(outcomes)
 
 
 def _log_rate(times) -> tuple[np.ndarray, np.ndarray]:
@@ -660,9 +680,9 @@ def _log_rate(times) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
 
 
-def verify_ppp(outcomes, consts, residual_cdf, th=None, *, marks=None,
-               n_trials=None) -> ReportEntry:
-    """Four tests of the collision point process inside the time window.
+def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
+    """Four tests of the collision point process inside the time window, on
+    the (k, 5) marks pooled over n_trials trials.
 
     (i) log-rate slope of recentred collision times ~ 2*alpha, by least
     squares on nonempty histogram bins; (ii) source labels fair; (iii) both
@@ -674,17 +694,10 @@ def verify_ppp(outcomes, consts, residual_cdf, th=None, *, marks=None,
     from scipy.special import ndtr
     th = _merge_thresholds(th)
     slope_tol = th["ppp_slope_rel"]
-    if marks is None:
-        marks, n_trials = _pool_marks(outcomes)
-    if n_trials is None:
-        raise MonteCarloError("n_trials required when passing marks directly")
     win = marks[(marks[:, 0] >= _MARK_WINDOW[0]) & (marks[:, 0] <= _MARK_WINDOW[1])]
     n = win.shape[0]
     if n < _MIN_MARKS:
-        return ReportEntry("ppp_marks", None, {"marks": float(n)},
-                           {"min_marks": float(_MIN_MARKS)}, n,
-                           notes="insufficient marks; verifier skipped")
-
+        return _skipped("ppp_marks", "marks", n, "min_marks", _MIN_MARKS)
     stats: dict[str, float] = {"marks_in_window": float(n),
                                "marks_per_trial": n / n_trials}
     thresholds = {"slope_rel": slope_tol, "source_sigma": th["ppp_source_sigma"],
@@ -726,41 +739,28 @@ def verify_ppp(outcomes, consts, residual_cdf, th=None, *, marks=None,
     return ReportEntry("ppp_marks", bool(passed), stats, thresholds, n)
 
 
-def verify_ranked(outcomes, consts, m, rank_references, th=None) -> ReportEntry:
+def verify_ranked(ranked, rank_references, th=None) -> ReportEntry:
     """Per-rank two-sample KS plus the gap structure across ranks.
 
-    outcomes is a list of TrialOutcome, or an (M, m) array of recentred
-    ranked weights. Trials contributing fewer than m records are excluded
-    (and counted). Gaps between consecutive ranks must be strictly positive
-    in every trial and their means must decrease with rank.
+    ranked is an (M, m) array of recentred ranked weights, as ranked_matrix
+    builds it. Rows holding NaN, trials with fewer than m records, are
+    excluded and counted. Gaps between consecutive ranks must be strictly
+    positive in every trial and their means must decrease with rank.
     """
     th = _merge_thresholds(th)
-    min_outcomes = th["min_outcomes"]
-    if isinstance(outcomes, np.ndarray):
-        mat, n_short = outcomes, 0
-    else:
-        rows = []
-        n_short = 0
-        for o in outcomes:
-            if len(o.ranked) >= m:
-                w = [r[0] for r in o.ranked[:m]]
-                rows.append([wi - math.log(o.n) / consts.alpha for wi in w])
-            else:
-                n_short += 1
-        mat = np.array(rows, dtype=float)
-    if mat.shape[0] < min_outcomes:
-        return ReportEntry("ranked_paths", None,
-                           {"complete_trials": float(mat.shape[0])},
-                           {"min_outcomes": float(min_outcomes)}, mat.shape[0],
-                           notes="insufficient complete trials; verifier skipped")
-    refs = np.asarray(rank_references, dtype=float)
-    if refs.shape[1] != m:
-        raise MonteCarloError(f"reference has {refs.shape[1]} ranks, need {m}")
+    m = ranked.shape[1]
+    complete = ~np.isnan(ranked).any(axis=1)
+    mat = ranked[complete]
+    if mat.shape[0] < th["min_outcomes"]:
+        return _skipped("ranked_paths", "complete_trials", mat.shape[0],
+                        "min_outcomes", th["min_outcomes"])
+    if rank_references.shape[1] != m:
+        raise MonteCarloError(f"reference has {rank_references.shape[1]} ranks, need {m}")
     stats: dict[str, float] = {"complete_trials": float(mat.shape[0]),
-                               "short_trials": float(n_short)}
+                               "short_trials": float((~complete).sum())}
     ok_ks = True
     for j in range(m):
-        d, p = ks_two_sample(mat[:, j], refs[:, j])
+        d, p = ks_two_sample(mat[:, j], rank_references[:, j])
         stats[f"ks_rank{j + 1}"] = d
         ok_ks = ok_ks and d < th["ranked_ks"]
     gaps = np.diff(mat, axis=1)
@@ -832,7 +832,6 @@ def _json_default(o):
 
 
 def run_experiment(config: ExperimentConfig, *, out_dir=None,
-                   threads: int | None = None,
                    plot_dir=None) -> tuple[VerificationReport, dict]:
     """Ladder of trial runs plus all four verifiers; optionally writes files.
 
@@ -842,7 +841,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     """
     import pathlib
 
-    threads = config.threads if threads is None else threads
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -852,23 +850,24 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     outcomes_by_n = {}
     for n in config.n_ladder:
         csv_path = out / f"outcomes_n{n}.csv" if out is not None else None
-        outcomes_by_n[n] = run_trials(config, n=n, threads=threads,
-                                      csv_path=csv_path)
+        outcomes_by_n[n] = run_trials(config, n=n, csv_path=csv_path)
 
-    top = max(config.n_ladder)
-    top_outcomes = outcomes_by_n[top]
-    entries = [verify_hopcount_clt(outcomes_by_n, consts, th)]
-    enough = sum(o.connected for o in top_outcomes) >= th["min_outcomes"]
-    q_ref = ranked_refs = None
-    if enough:
+    top_outcomes = outcomes_by_n[max(config.n_ladder)]
+    z_by_n = {n: column(o, "Z_hat") for n, o in outcomes_by_n.items()}
+    q = column(top_outcomes, "Q_hat")
+    entries = [verify_hopcount_clt(z_by_n, th)]
+    q_ref = None
+    if q.size >= th["min_outcomes"]:
         ranked_refs = build_ranked_reference(consts, bp_config_for(config),
-                                             config.ranked_m, config.q_reference_size,
+                                             config.ranked_m, _REFERENCE_SIZE,
                                              config.master_seed)
         q_ref = ranked_refs[:, 0]
         residual = ctbp.residual_density(_dist_cached(config.weight_spec), consts.alpha)
-        entries += [verify_weight_limit(top_outcomes, consts, q_ref, th),
-                    verify_ppp(top_outcomes, consts, residual.cdf, th),
-                    verify_ranked(top_outcomes, consts, config.ranked_m, ranked_refs, th)]
+        ranked = ranked_matrix(top_outcomes, consts, config.ranked_m)
+        entries += [verify_weight_limit(q, q_ref, th),
+                    verify_ppp(pool_marks(top_outcomes), len(top_outcomes), consts,
+                               residual.cdf, th),
+                    verify_ranked(ranked, ranked_refs, th)]
     else:
         entries += [ReportEntry(name, None, {}, {}, 0,
                                 notes="insufficient outcomes; verifier skipped")
@@ -880,11 +879,11 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if plot_dir is not None:
-        write_plot_data(plot_dir, outcomes_by_n, consts, q_ref)
+        write_plot_data(plot_dir, outcomes_by_n, q_ref)
     return report, outcomes_by_n
 
 
-def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None) -> list:
+def write_plot_data(out_dir, outcomes_by_n, q_ref=None) -> list:
     """Two-column text files for the standard figures; returns paths written."""
     import pathlib
     from scipy.special import ndtr
@@ -892,19 +891,19 @@ def write_plot_data(out_dir, outcomes_by_n, consts, q_ref=None) -> list:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    top = max(outcomes_by_n)
-    z = np.sort(_connected_column(outcomes_by_n[top], "Z_hat"))
+    top_outcomes = outcomes_by_n[max(outcomes_by_n)]
+    z = np.sort(column(top_outcomes, "Z_hat"))
     path = out / "hopcount_cdf.txt"
     _write_columns(path, z, ndtr(z))
     written.append(path)
     if q_ref is not None:
-        q = np.sort(_connected_column(outcomes_by_n[top], "Q_hat"))
+        q = np.sort(column(top_outcomes, "Q_hat"))
         ref = np.sort(np.asarray(q_ref, dtype=float))
         ref_cdf = np.searchsorted(ref, q, side="right") / ref.size
         path = out / "weight_cdf.txt"
         _write_columns(path, q, ref_cdf)
         written.append(path)
-    marks, _ = _pool_marks(outcomes_by_n[top])
+    marks = pool_marks(top_outcomes)
     if marks.size:
         path = out / "ppp_rate.txt"
         _write_columns(path, *_log_rate(marks[:, 0]))
@@ -934,74 +933,58 @@ class CalibrationResult:
                 and all(r >= 0.99 for r in self.power_rates.values()))
 
 
-def calibrate_verifiers(consts: ctbp.CtbpConstants, residual_cdf,
-                        residual_inverse, *, n_meta: int = 100,
-                        master_seed: int = 7, M: int = 2000,
-                        ref_size: int = 10_000,
+def exact_marks(rng, consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife,
+                n_trials: int, slope: float) -> np.ndarray:
+    """(k, 5) collision marks of n_trials trials drawn from the limit laws.
+
+    Times in the mark window form a Poisson process with log-rate slope
+    `slope` (the true one is 2*alpha); sources are fair coins, heights
+    standard normal and remaining lifetimes exact draws of `residual`.
+    """
+    lam = n_trials * (2.0 * consts.nu * consts.f_R0 / consts.mu)
+    lo_e, hi_e = math.exp(slope * _MARK_WINDOW[0]), math.exp(slope * _MARK_WINDOW[1])
+    count = int(rng.poisson(lam * (hi_e - lo_e) / slope))
+    tbar = np.log(lo_e + rng.random(count) * (hi_e - lo_e)) / slope
+    return np.column_stack([
+        tbar,
+        rng.integers(1, 3, count).astype(float),
+        rng.standard_normal(count),
+        rng.standard_normal(count),
+        residual.sample(rng, count),
+    ])
+
+
+def calibrate_verifiers(consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife, *,
+                        n_meta: int = 100, master_seed: int = 7, M: int = 2000,
+                        ref_size: int = _REFERENCE_SIZE,
                         thresholds: dict | None = None) -> CalibrationResult:
     """Null/power rates of every verifier on exact-law synthetic data.
 
     Null data follow the limit laws exactly (hopcount: standard normal;
     weight and ranked: the reduced exact law with both growth limits forced
-    to one; marks: a Poisson process with the correct intensity and exact
-    product marks). Perturbations: hopcount mean shifted by 0.5; weight and
-    ranked shifted by log(2)/alpha (the wrong-constant failure); mark times
-    generated with half the true log-rate slope. Hopcount nulls are single
-    rung: exact-law data has no ladder to decrease along.
+    to one; marks: exact_marks). Perturbations: hopcount mean shifted by 0.5;
+    weight and ranked shifted by log(2)/alpha (the wrong-constant failure);
+    mark times generated with half the true log-rate slope. Hopcount nulls
+    are single rung: exact-law data has no ladder to decrease along.
     """
     th = _merge_thresholds({**(thresholds or {}), "min_outcomes": min(500, M)})
     a = consts.alpha
-    window = _MARK_WINDOW
-
-    names = ("hopcount_clt", "weight_limit", "ppp_marks", "ranked_paths")
-    null_ok = {k: 0 for k in names}
-    power_ok = {k: 0 for k in names}
-
-    def tally(name: str, null: ReportEntry, power: ReportEntry) -> None:
-        null_ok[name] += bool(null.passed)
-        power_ok[name] += not power.passed
-
+    wrong_c = math.log(2.0) / a
+    null_ok, power_ok = Counter(), Counter()
     for i in range(n_meta):
         rng = rng_for(derived_seed(master_seed, 3, i))
-
-        # hopcount
         z = rng.standard_normal(M)
-        tally("hopcount_clt", *(
-            verify_hopcount_clt({0: z + shift}, consts, th) for shift in (0.0, 0.5)))
-
-        # weight: reduced exact law (W1 = W2 = 1)
-        ref = (consts.c - ctbp.standard_gumbel(rng, ref_size)) / a
-        q = (consts.c - ctbp.standard_gumbel(rng, M)) / a
-        tally("weight_limit", *(
-            verify_weight_limit(q + shift, consts, ref, th)
-            for shift in (0.0, math.log(2.0) / a)))
-
-        # marks: the true log-rate slope, then half of it
-        lam = M * (2.0 * consts.nu * consts.f_R0 / consts.mu)
-        entries = []
-        for slope in (2.0 * a, a):
-            lo_e, hi_e = math.exp(slope * window[0]), math.exp(slope * window[1])
-            count = int(rng.poisson(lam * (hi_e - lo_e) / slope))
-            tbar = np.log(lo_e + rng.random(count) * (hi_e - lo_e)) / slope
-            marks = np.column_stack([
-                tbar,
-                rng.integers(1, 3, count).astype(float),
-                rng.standard_normal(count),
-                rng.standard_normal(count),
-                residual_inverse(rng.random(count)),
-            ])
-            entries.append(verify_ppp(None, consts, residual_cdf, th, marks=marks,
-                                      n_trials=M))
-        tally("ppp_marks", *entries)
-
-        # ranked (m = 3, reduced law; recentred weights passed as a matrix)
-        m = 3
-        refs = (ctbp.sample_ranked_gumbel(m, rng, ref_size) + consts.c) / a
-        trial_vals = (ctbp.sample_ranked_gumbel(m, rng, M) + consts.c) / a
-        tally("ranked_paths", *(
-            verify_ranked(trial_vals + shift, consts, m, refs, th)
-            for shift in (0.0, math.log(2.0) / a)))
-
+        ref, q = [(consts.c - ctbp.standard_gumbel(rng, k)) / a for k in (ref_size, M)]
+        marks = [exact_marks(rng, consts, residual, M, slope) for slope in (2.0 * a, a)]
+        refs, ranked = [(ctbp.sample_ranked_gumbel(3, rng, k) + consts.c) / a
+                        for k in (ref_size, M)]
+        for name, null, perturbed in (
+                ("hopcount_clt", *(verify_hopcount_clt({0: z + s}, th) for s in (0.0, 0.5))),
+                ("weight_limit", *(verify_weight_limit(q + s, ref, th) for s in (0.0, wrong_c))),
+                ("ppp_marks", *(verify_ppp(x, M, consts, residual.cdf, th) for x in marks)),
+                ("ranked_paths", *(verify_ranked(ranked + s, refs, th) for s in (0.0, wrong_c)))):
+            null_ok[name] += bool(null.passed)
+            power_ok[name] += not perturbed.passed
     return CalibrationResult(
         n_meta=n_meta,
         null_rates={k: v / n_meta for k, v in null_ok.items()},

@@ -55,8 +55,7 @@ def emit(num, ok, detail):
 
 def base_config():
     return mc.ExperimentConfig(n_ladder=LADDER, trials=M_TRIALS,
-                               ranked_m=RANKED_M, master_seed=SEED,
-                               q_reference_size=10_000)
+                               ranked_m=RANKED_M, master_seed=SEED)
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +97,8 @@ def ranked_reference(consts):
 
 
 @pytest.fixture(scope="module")
-def residual_table(consts):
-    residual = ctbp.residual_density(weights.exponential(1.0), consts.alpha)
-    return mc.residual_cdf_table(residual, 20.0)
+def residual(consts):
+    return ctbp.residual_density(weights.exponential(1.0), consts.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +183,9 @@ def test_criterion_03_residual_identities():
     assert elapsed < 10.0
 
 
-def test_criterion_04_hopcount_clt(ladder, consts):
-    entry = mc.verify_hopcount_clt(ladder["outcomes"], consts, {"hop_ks": 0.06})
+def test_criterion_04_hopcount_clt(ladder):
+    z_by_n = {n: mc.column(o, "Z_hat") for n, o in ladder["outcomes"].items()}
+    entry = mc.verify_hopcount_clt(z_by_n, {"hop_ks": 0.06})
     s = entry.statistics
     detail = (f"KS {s['ks_n1000']:.3f}/{s['ks_n10000']:.3f}/{s['ks_n100000']:.3f} "
               f"(monotone={int(s['ladder_monotone'])}, need <0.06 at top), "
@@ -213,13 +212,12 @@ def test_criterion_05_weight_limit(ladder, consts, q_reference):
     assert d_power > 0.15
 
 
-def test_criterion_06_ppp_structure(ladder, consts, residual_table):
-    residual_cdf, residual_inverse = residual_table
+def test_criterion_06_ppp_structure(ladder, consts, residual):
     top = ladder["outcomes"][LADDER[-1]]
-    entry = mc.verify_ppp(top, consts, residual_cdf)
+    entry = mc.verify_ppp(mc.pool_marks(top), len(top), consts, residual.cdf)
     s = entry.statistics
-    cal = mc.calibrate_verifiers(consts, residual_cdf, residual_inverse,
-                                 n_meta=100, M=M_TRIALS, ref_size=10_000)
+    cal = mc.calibrate_verifiers(consts, residual, n_meta=100, M=M_TRIALS,
+                                 ref_size=10_000)
     rates = {**{f"null_{k}": v for k, v in cal.null_rates.items()},
              **{f"power_{k}": v for k, v in cal.power_rates.items()}}
     source_sigmas = s["source_dev"] / (0.5 / math.sqrt(s["marks_in_window"]))
@@ -283,7 +281,7 @@ def test_criterion_08_rank1_degree_law():
 
 def test_criterion_09_ranked_paths(ladder, consts, ranked_reference):
     top = ladder["outcomes"][LADDER[-1]]
-    entry = mc.verify_ranked(top, consts, RANKED_M, ranked_reference,
+    entry = mc.verify_ranked(mc.ranked_matrix(top, consts, RANKED_M), ranked_reference,
                              {"ranked_ks": 0.1})
     s = entry.statistics
     ks = [s[f"ks_rank{j + 1}"] for j in range(RANKED_M)]

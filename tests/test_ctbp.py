@@ -410,6 +410,22 @@ def test_residual_cdf_far_out_is_finite(dist):
         assert r.cdf(far) == 1.0
 
 
+@pytest.mark.parametrize("dist", (weights.exponential(1.0), weights.uniform(2.0),
+                                  weights.power_exponential(1.3)),
+                         ids=lambda d: d.kind)
+def test_residual_sample_follows_cdf(dist):
+    # the rejection sampler shares no code with the quadrature cdf; for
+    # exp(1) the law is memoryless, so the test reads 1 - e^{-x} directly
+    alpha = ctbp.solve_malthusian(3.0, dist)
+    r = ctbp.residual_density(dist, alpha)
+    x = r.sample(np.random.Generator(np.random.Philox(key=41)), 20_000)
+    assert x.shape == (20_000,) and x.min() > 0.0
+    cdf = (lambda q: 1.0 - np.exp(-q)) if dist.kind == "exponential" else r.cdf
+    d, _ = ks_one_sample(x, cdf)
+    assert d < 1.94947 / math.sqrt(x.size)      # the p = 0.001 critical value
+    assert r.sample(np.random.Generator(np.random.Philox(key=41)), 0).shape == (0,)
+
+
 def test_gauss_legendre_matches_leggauss():
     from numpy.polynomial.legendre import leggauss
     for m in (1, 2, 7, 20):

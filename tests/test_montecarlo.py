@@ -94,10 +94,9 @@ def test_kolmogorov_sf_matches_scipy():
 def test_kolmogorov_quantile_inverts_sf():
     # default hopcount threshold: the p = 0.001 Kolmogorov critical value,
     # 1.94947 to five figures, over sqrt(M); a sample at that D has p = 0.001
-    consts = mc.constants_for_config(mc.ExperimentConfig())
     for m in (600, 2500):
         z = philox(2).standard_normal(m)
-        entry = mc.verify_hopcount_clt({1000: z}, consts)
+        entry = mc.verify_hopcount_clt({1000: z})
         d_crit = entry.thresholds["ks"]
         assert d_crit * math.sqrt(m) == pytest.approx(1.94947, abs=1e-4)
         assert ks_p_at(d_crit * math.sqrt(m), n=m)[1] == pytest.approx(
@@ -440,39 +439,35 @@ def test_residual_table_matches_density():
 
 
 def test_hopcount_verifier_null_and_power():
-    consts, _ = four_regular()
     z = philox(8).standard_normal(2000)
-    ok = mc.verify_hopcount_clt({10 ** 5: z}, consts, {"hop_ks": 0.06})
+    ok = mc.verify_hopcount_clt({10 ** 5: z}, {"hop_ks": 0.06})
     assert ok.passed is True
-    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, consts, {"hop_ks": 0.06})
+    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, {"hop_ks": 0.06})
     assert bad.passed is False
     assert bad.statistics["mean_top"] > 0.5
 
 
 def test_partial_thresholds_are_merged_over_the_defaults():
-    consts, _ = four_regular()
     z = philox(8).standard_normal(2000)
     full = dict(mc.DEFAULT_THRESHOLDS, hop_ks=0.06)
-    assert (mc.verify_hopcount_clt({1000: z}, consts, {"hop_ks": 0.06})
-            == mc.verify_hopcount_clt({1000: z}, consts, full))
-    assert (mc.verify_hopcount_clt({1000: z}, consts)
-            == mc.verify_hopcount_clt({1000: z}, consts, mc.DEFAULT_THRESHOLDS))
+    assert (mc.verify_hopcount_clt({1000: z}, {"hop_ks": 0.06})
+            == mc.verify_hopcount_clt({1000: z}, full))
+    assert (mc.verify_hopcount_clt({1000: z})
+            == mc.verify_hopcount_clt({1000: z}, mc.DEFAULT_THRESHOLDS))
     with pytest.raises(mc.MonteCarloError, match="hop_kz"):
-        mc.verify_hopcount_clt({1000: z}, consts, {"hop_kz": 0.06})
+        mc.verify_hopcount_clt({1000: z}, {"hop_kz": 0.06})
 
 
 def test_hopcount_verifier_checks_ladder_monotonicity():
-    consts, _ = four_regular()
     rng = philox(9)
     z1 = rng.standard_normal(1500)
     z2 = rng.standard_normal(1500) * 1.6      # worse fit at the larger n
-    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, consts, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, {"hop_ks": 0.06})
     assert entry.passed is False
 
 
 def test_hopcount_verifier_skips_small_samples():
-    consts, _ = four_regular()
-    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, consts, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, {"hop_ks": 0.06})
     assert entry.passed is None
 
 
@@ -482,38 +477,26 @@ def test_weight_verifier_null_and_power():
     a = consts.alpha
     ref = (consts.c - ctbp.standard_gumbel(rng, 10000)) / a
     q = (consts.c - ctbp.standard_gumbel(rng, 2000)) / a
-    assert mc.verify_weight_limit(q, consts, ref).passed is True
-    shifted = mc.verify_weight_limit(q + math.log(2.0) / a, consts, ref)
+    assert mc.verify_weight_limit(q, ref).passed is True
+    shifted = mc.verify_weight_limit(q + math.log(2.0) / a, ref)
     assert shifted.passed is False
     assert shifted.statistics["ks"] > 0.15
 
 
-def exact_ppp_marks(rng, consts, n_trials, slope, window=(-1.5, 0.5)):
-    lam = n_trials * 2.0 * consts.nu * consts.f_R0 / consts.mu
-    total = lam * (math.exp(slope * window[1]) - math.exp(slope * window[0])) / slope
-    count = int(rng.poisson(total))
-    u = rng.random(count)
-    lo_e, hi_e = math.exp(slope * window[0]), math.exp(slope * window[1])
-    tbar = np.log(lo_e + u * (hi_e - lo_e)) / slope
-    return np.column_stack([
-        tbar,
-        rng.integers(1, 3, count).astype(float),
-        rng.standard_normal(count),
-        rng.standard_normal(count),
-        -np.log(1.0 - rng.random(count)),     # exp(1) residual law
-    ])
+def four_regular_residual():
+    consts, _ = four_regular()
+    return consts, ctbp.residual_density(weights.exponential(1.0), consts.alpha)
 
 
 def test_ppp_verifier_null_and_power():
-    consts, _ = four_regular()
-    residual_cdf = lambda x: 1.0 - np.exp(-np.asarray(x, dtype=float))
-    marks = exact_ppp_marks(philox(11), consts, 2000, 2.0 * consts.alpha)
-    entry = mc.verify_ppp(None, consts, residual_cdf, marks=marks, n_trials=2000)
+    consts, residual = four_regular_residual()
+    marks = mc.exact_marks(philox(11), consts, residual, 2000, 2.0 * consts.alpha)
+    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf)
     assert entry.passed is True
     assert entry.statistics["slope"] == pytest.approx(2 * consts.alpha, rel=0.15)
     # wrong growth rate: half the true slope must be flagged
-    bad = exact_ppp_marks(philox(12), consts, 2000, consts.alpha)
-    entry_bad = mc.verify_ppp(None, consts, residual_cdf, marks=bad, n_trials=2000)
+    bad = mc.exact_marks(philox(12), consts, residual, 2000, consts.alpha)
+    entry_bad = mc.verify_ppp(bad, 2000, consts, residual.cdf)
     assert entry_bad.passed is False
 
 
@@ -525,16 +508,43 @@ def test_ranked_verifier_null_and_power():
             + consts.c) / a
     t = (np.log(np.cumsum(rng.standard_exponential((2000, 3)), axis=1))
          + consts.c) / a
-    assert mc.verify_ranked(t, consts, 3, refs).passed is True
+    assert mc.verify_ranked(t, refs).passed is True
     shift = math.log(2.0) / a
-    assert mc.verify_ranked(t + shift, consts, 3, refs).passed is False
+    assert mc.verify_ranked(t + shift, refs).passed is False
+
+
+def test_ranked_matrix_counts_short_trials():
+    # every fifth trial stops after two records: ranked_matrix reads NaN in
+    # its third column, and the verifier drops and counts those rows
+    consts, _ = four_regular()
+    rng = philox(15)
+    a = consts.alpha
+    n = 1000
+    refs = (ctbp.sample_ranked_gumbel(3, rng, 10000) + consts.c) / a
+    w = (ctbp.sample_ranked_gumbel(3, rng, 2500) + consts.c) / a + math.log(n) / a
+    outcomes = [mc.TrialOutcome(trial=i, seed=0, n=n, H_n=1, L_n=row[0], Z_hat=0.0,
+                                Q_hat=0.0, W1=1.0, W2=1.0, connected=True,
+                                resamples=0, marks=np.empty((0, 5)),
+                                ranked=tuple((x, 1) for x in row[:2 if i % 5 == 0 else 3]))
+                for i, row in enumerate(w)]
+    ranked = mc.ranked_matrix(outcomes, consts, 3)
+    assert ranked.shape == (2500, 3)
+    short = np.isnan(ranked).any(axis=1)
+    assert short.sum() == 500 and np.isnan(ranked[short, 2]).all()
+    assert not np.isnan(ranked[:, :2]).any()
+    entry = mc.verify_ranked(ranked, refs)
+    assert entry.statistics["short_trials"] == 500.0
+    assert entry.statistics["complete_trials"] == 2000.0
+    assert entry.sample_size == 2000
+    complete = mc.verify_ranked(ranked[~short], refs)
+    assert complete.statistics["short_trials"] == 0.0
+    for j in (1, 2, 3):
+        assert entry.statistics[f"ks_rank{j}"] == complete.statistics[f"ks_rank{j}"]
 
 
 def test_calibration_smoke():
-    consts, _ = four_regular()
-    residual = ctbp.residual_density(weights.exponential(1.0), consts.alpha)
-    cdf, inverse = mc.residual_cdf_table(residual, 15.0)
-    cal = mc.calibrate_verifiers(consts, cdf, inverse, n_meta=2, M=1200)
+    consts, residual = four_regular_residual()
+    cal = mc.calibrate_verifiers(consts, residual, n_meta=2, M=1200)
     assert cal.passed
     assert set(cal.null_rates) == {"hopcount_clt", "weight_limit",
                                    "ppp_marks", "ranked_paths"}
@@ -547,9 +557,8 @@ def test_calibration_smoke():
 
 
 def test_report_json_and_text(tmp_path):
-    consts, _ = four_regular()
     z = philox(14).standard_normal(1000)
-    entry = mc.verify_hopcount_clt({1000: z}, consts, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: z}, {"hop_ks": 0.06})
     report = mc.VerificationReport(master_seed=1, config={"n": 1000},
                                    entries=(entry,))
     text = report.to_text()
@@ -563,8 +572,7 @@ def test_report_json_and_text(tmp_path):
 
 
 def test_report_skips_do_not_fail():
-    consts, _ = four_regular()
-    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, consts, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, {"hop_ks": 0.06})
     report = mc.VerificationReport(master_seed=1, config={}, entries=(entry,))
     assert entry.passed is None
     assert report.passed          # a skip is not a failure
