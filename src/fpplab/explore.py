@@ -19,7 +19,11 @@ over collision records is the optimal weight between the sources, because
 the two balls have jointly swept all paths of weight < 2T and every
 inter-cluster bridge edge produces exactly one record. Processing events
 past min(weight)/2 can only add records with larger weight, so early
-stopping at that point is exact (and tested).
+stopping at that point is exact (and tested). A record also needs an alive
+half-edge on the far side, so once either cluster is closed (every
+half-edge it has is consumed: a degree-1 endpoint whose edge met the other
+cluster, or a small component explored to its end) no event can add one,
+and the ranked run stops there too, before any min_horizon.
 
 Why the partner of a dying half-edge is always free: a found vertex has
 every half-edge alive or consumed, never free, and pairing consumption
@@ -328,13 +332,18 @@ def _run(state: SwgState, until: float, m: int) -> None:
 
     Stops before the next event, at time t, when t is inf, or when t > until
     and, for m >= 1, at least m records exist and t exceeds half the m-th
-    best path weight.
+    best path weight. For m >= 1 it also stops, whatever until is, once
+    either cluster is closed (no alive half-edge left): a record needs an
+    alive half-edge on the far side, so no event can add one.
     """
     heap = state.heap
     he_state = state.he_state
     ws = state.weights_sorted
+    alive = state.alive
     inf = math.inf
     while heap:
+        if m and not (alive[1] and alive[2]):
+            return
         entry = heap[0]
         if he_state[entry[1]] is None:   # consumed since it was pushed
             heappop(heap)
@@ -358,7 +367,10 @@ def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
     Exact stopping rule: any record born at time T has weight >= 2T, so
     once the m-th best weight w satisfies next_time > w/2 the ranking is
     final. min_horizon forces exploration at least that far regardless
-    (probe and mark windows need it); passing 0 gives the pure rule.
+    (probe and mark windows need it); passing 0 gives the pure rule. Neither
+    outlasts a closed cluster: once either cluster has no alive half-edge,
+    no record can arise, so the run returns at once. advance(state, inf)
+    is the exhaustive run.
     """
     if m < 1:
         raise ExploreError(f"need m >= 1, got {m}")
@@ -381,7 +393,10 @@ def result(state: SwgState, m: int = 1) -> PathResult:
 
 def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
         min_horizon: float = 0.0, log_details: bool = False) -> PathResult:
-    """Full exploration with the exact early stop; the one-call entry point."""
+    """Exploration with the exact early stops; the one-call entry point.
+
+    min_horizon does not outlast a closed cluster (see advance_ranked).
+    """
     state = init(g, u1, u2, log_details=log_details)
     advance_ranked(state, m, min_horizon)
     return result(state, m)

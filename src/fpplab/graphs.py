@@ -426,15 +426,27 @@ def build_from_edges(n: int, edges: np.ndarray) -> WeightedGraph:
 
     The ends of the edge list, in the order u0, v0, u1, v1, ..., take their
     owner's half-edge ids in that order: a stable sort of the ends by owner.
+    That sort is one plain sort of the distinct keys owner * size + position,
+    whose order decodes as key % size, several times faster than a stable
+    argsort.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise GraphError("edge endpoint out of range")
     ends = edges.ravel()
+    size = ends.size
+    if int(n) * size > np.iinfo(np.int64).max:
+        raise GraphError(f"{size} half-edges on {n} vertices overflow the "
+                         "int64 sort key")
     off = _offsets(np.bincount(ends, minlength=n).astype(np.int64))
-    he = np.empty(ends.size, dtype=np.int64)
-    he[np.argsort(ends, kind="stable")] = np.arange(ends.size)
-    partner = np.empty(ends.size, dtype=np.int64)
+    he = np.empty(size, dtype=np.int64)
+    if size:
+        positions = np.arange(size, dtype=np.int64)
+        keys = ends * size
+        keys += positions
+        keys.sort()
+        he[keys % size] = positions
+    partner = np.empty(size, dtype=np.int64)
     _pair_off(he, partner)
     return WeightedGraph(n=n, he_offset=off, he_owner=_owners(off), partner=partner)
 

@@ -169,15 +169,95 @@ def test_exploration_matches_dijkstra_on_mini_corpus():
     assert checked >= 20
 
 
+def exhausted(g, u, v):
+    """A state advanced to inf: no early stop of any kind."""
+    state = explore.init(g, u, v)
+    explore.advance(state, math.inf)
+    return state
+
+
 def test_early_stop_equals_exhaustive():
     for key in range(25):
         g, u, v = random_weighted_graph(key + 1000)
         fast = explore.run(g, u, v)
-        full = explore.run(g, u, v, min_horizon=math.inf)
+        full = explore.result(exhausted(g, u, v))
         assert fast.connected == full.connected
         if fast.connected:
             assert fast.weight == full.weight
             assert fast.hops == full.hops
+
+
+def weighted_graph(n, edges, w):
+    """build_from_edges, with edge i weighing w[i] on both its half-edges."""
+    g = graphs.build_from_edges(n, edges)
+    ends = np.asarray(edges, dtype=np.int64).ravel()
+    he = np.empty(ends.size, dtype=np.int64)
+    he[np.argsort(ends, kind="stable")] = np.arange(ends.size)
+    g.edge_weight_by_he = np.empty(ends.size)
+    g.edge_weight_by_he[he] = np.repeat(np.asarray(w, dtype=float), 2)
+    return g
+
+
+def test_degree_one_endpoint_closes_on_its_only_edge():
+    # endpoint 0 has one edge, to vertex 2; the far cluster reaches 2 first
+    # (t = 1) and consumes that edge, so cluster 1 is closed with one record
+    # and the 7-cycle behind endpoint 1 holds no other
+    ring = [(3 + i, 3 + (i + 1) % 7) for i in range(7)]
+    g = weighted_graph(10, [(0, 2), (1, 2), (1, 3)] + ring, [5.0, 1.0, 1.5] + [1.0] * 7)
+    state = explore.init(g, 0, 1)
+    explore.advance_ranked(state, 3)
+    res = explore.result(state, 3)
+    full = exhausted(g, 0, 1)
+    assert state.alive[1] == 0 and state.alive[2] > 0
+    assert len(res.records) == 1 and not res.ranked_complete
+    assert (res.weight, res.hops) == (6.0, 2)
+    assert state.k == 1 and full.k == 8
+    assert res == explore.result(full, 3)
+    # min_horizon does not outlast a closed cluster
+    assert explore.run(g, 0, 1, m=3, min_horizon=math.inf) == res
+
+
+@pytest.mark.parametrize("u, v, closing", [(0, 3, 1), (3, 0, 2)])
+def test_closed_small_component_ends_the_run(u, v, closing):
+    # vertex 0 sits on a 3-vertex path, vertex 3 on a 30-cycle: no record
+    # can exist, and the run ends once the path's cluster is closed
+    edges = [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 30) for i in range(30)]
+    g = weighted_graph(33, edges, philox(5).exponential(size=len(edges)))
+    state = explore.init(g, u, v)
+    explore.advance_ranked(state, 1, min_horizon=math.inf)
+    full = exhausted(g, u, v)
+    assert state.alive[closing] == 0 and state.alive[3 - closing] > 0
+    assert 2 <= state.k < full.k == 31
+    assert explore.result(state) == explore.result(full)
+    assert not explore.result(state).connected
+
+
+def test_lazy_closed_cluster_run_equals_exhaustive_materialized():
+    # iid degrees with many 1s: endpoints often close. A closed run must
+    # equal exhausting the completed graph outright; a ranked stop must
+    # agree on the ranked paths. With fewer than m records the ranked stop
+    # cannot fire, so only the closed-cluster stop saves events there
+    closed = saved = 0
+    for key in range(40):
+        rng = philox(3000 + key)
+        seq = degrees.build_iid({1: 0.4, 2: 0.2, 3: 0.4}, 300, rng)
+        g = graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq),
+                               weights.exponential(1.0), rng)
+        u = int(rng.integers(g.n))
+        v = int(rng.integers(g.n - 1))
+        v += v >= u
+        state = explore.init(g, u, v)
+        explore.advance_ranked(state, 3)
+        lazy = explore.result(state, 3)
+        full = exhausted(g.materialize(), u, v)
+        if state.alive[1] and state.alive[2]:
+            assert lazy.ranked == explore.result(full, 3).ranked
+            continue
+        closed += 1
+        if len(lazy.records) < 3:
+            saved += full.k - state.k
+        assert lazy == explore.result(full, 3)
+    assert closed >= 10 and saved > 0
 
 
 def test_ranked_paths_on_cycle():
@@ -344,6 +424,8 @@ def test_step_alone_matches_advance_ranked(name):
         t = explore.next_event_time(stepped)
         w = sorted(r.path_weight for r in stepped.collisions)
         if t == math.inf or (len(w) >= m and t > 0.5 * w[m - 1]):
+            break
+        if not (stepped.alive[1] and stepped.alive[2]):
             break
         assert explore.step(stepped)
     ranked = explore.init(*event_log_instance(name), log_details=True)

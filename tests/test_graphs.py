@@ -222,6 +222,38 @@ def test_build_from_edges_matches_cursor_loop():
     assert loops > 0 and multi > 0
 
 
+def stable_argsort_partner(edges):
+    """Reference pairing: a stable argsort of the ends by owner numbers them."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2).ravel()
+    he = np.empty(ends.size, dtype=np.int64)
+    he[np.argsort(ends, kind="stable")] = np.arange(ends.size)
+    partner = np.empty(ends.size, dtype=np.int64)
+    partner[he[0::2]] = he[1::2]
+    partner[he[1::2]] = he[0::2]
+    return partner
+
+
+def test_build_from_edges_matches_stable_argsort():
+    rng = philox(12)
+    loops = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        edges = rng.integers(0, n, size=(int(rng.integers(1, 2000)), 2))
+        g = graphs.build_from_edges(n, edges)
+        np.testing.assert_array_equal(g.partner, stable_argsort_partner(edges))
+        loops += g.self_loop_count
+    assert loops > 0
+    empty = graphs.build_from_edges(4, np.empty((0, 2), dtype=np.int64))
+    assert empty.half_edge_count == 0
+    np.testing.assert_array_equal(empty.he_offset, np.zeros(5))
+
+
+def test_build_from_edges_refuses_an_overflowing_sort_key():
+    # n * (number of ends) = 2**62 * 8 does not fit an int64 key
+    with pytest.raises(graphs.GraphError, match="overflow"):
+        graphs.build_from_edges(2 ** 62, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
 # ---------------------------------------------------------------------------
 # uniform simple graphs by rejection
 
