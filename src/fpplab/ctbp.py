@@ -189,6 +189,9 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
         raise QuadratureError("could not bracket the growth rate by doubling")
 
     alpha = _brent(excess, lo, hi, _ROOT_REL_WIDTH * hi, _ROOT_REL_WIDTH)
+    if not alpha > 0.0:   # nu within the bracket's width of 1, e.g. E W^2 = E W
+        raise SubcriticalError(f"offspring mean nu={nu!r} is critical to the root's "
+                               "resolution: the growth rate rounds to 0")
     resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
     if resid > _ROOT_RESIDUAL_TOL:
         raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "

@@ -493,12 +493,17 @@ def export_edge_list(g: WeightedGraph, path, seed: int = 0) -> None:
 
 
 _PMF_ROWS = 32  # values of k summed in one pass, which bounds its temporaries
-_PMF_MAX_K = 100_000  # power:3 vertex weights need 52,000 rows and take 27 s
+# power:3 vertex weights need 52,000 rows and take 27 s; the limit constants
+# take two moments instead, so this bounds only bp_config_for's references
+# (fpplab run, bp-sim) and gate 8
+_PMF_MAX_K = 100_000
 
 
 def mixed_poisson_pmf(dist: WeightDistribution) -> np.ndarray:
     """Limiting degree law of rank-1 graphs, P(D = k) = E[e^{-W} W^k / k!],
     up to the first k whose remaining mass is below 1e-15, renormalised.
+    Read by montecarlo.bp_config_for (the references' offspring draws) and
+    gate 8; the limit constants need only weights.moments.
 
     k runs to hi + 10 sqrt(hi) + 40, hi the 1 - 2^-53 quantile of W (at most
     _PMF_MAX_K, else GraphError). Each k is a row of the log-space Poisson

@@ -284,9 +284,15 @@ def _mixed_poisson_cached(spec: tuple) -> tuple:
     return tuple(enumerate(graphs.mixed_poisson_pmf(_dist_cached(spec)).tolist()))
 
 
+@lru_cache(maxsize=64)
+def _moments_cached(spec: tuple) -> tuple[float, float]:
+    return weights.moments(_dist_cached(spec))
+
+
 def _limit_pmf(config: ExperimentConfig) -> dict[int, float]:
     """Limiting degree pmf: the degree model's, or for rank-1 kinds the mixed
-    Poisson law of the vertex weights, computed once per weight spec."""
+    Poisson law of the vertex weights, computed once per weight spec. Only the
+    references' offspring draws need it; constants_for_config does not."""
     if config.graph_kind in graphs.RANK1_KINDS:
         return dict(_mixed_poisson_cached(config.vertex_weight_spec))
     return pmf_of_model(config.degree_model)
@@ -302,8 +308,13 @@ def bp_config_for(config: ExperimentConfig) -> ctbp.BpConfig:
 
 
 def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
-    """Limiting constants from the limiting degree pmf."""
-    pmf = _limit_pmf(config)
+    """Limiting constants from mu = E D and nu = E D(D-1) / E D of the limiting
+    degree law D. For rank-1 kinds D is mixed Poisson(W), so mu = E W and
+    nu = E W^2 / E W come from two moments of the vertex weights, not the pmf."""
+    if config.graph_kind in graphs.RANK1_KINDS:
+        m1, m2 = _moments_cached(config.vertex_weight_spec)
+        return _constants_cached(config.weight_spec, m1, m2 / m1)
+    pmf = pmf_of_model(config.degree_model)
     mu = sum(k * p for k, p in pmf.items())
     nu = sum(k * (k - 1) * p for k, p in pmf.items()) / mu
     return _constants_cached(config.weight_spec, mu, nu)
@@ -847,6 +858,9 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
 
     consts = constants_for_config(config)
     th = config.thresholds
+    # the references' offspring laws, built before any rung so that a degree
+    # law they cannot sum fails at once (a top rung has at most trials outcomes)
+    bp = bp_config_for(config) if config.trials >= th["min_outcomes"] else None
     outcomes_by_n = {}
     for n in config.n_ladder:
         csv_path = out / f"outcomes_n{n}.csv" if out is not None else None
@@ -858,9 +872,8 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     entries = [verify_hopcount_clt(z_by_n, th)]
     q_ref = None
     if q.size >= th["min_outcomes"]:
-        ranked_refs = build_ranked_reference(consts, bp_config_for(config),
-                                             config.ranked_m, _REFERENCE_SIZE,
-                                             config.master_seed)
+        ranked_refs = build_ranked_reference(consts, bp, config.ranked_m,
+                                             _REFERENCE_SIZE, config.master_seed)
         q_ref = ranked_refs[:, 0]
         residual = ctbp.residual_density(_dist_cached(config.weight_spec), consts.alpha)
         ranked = ranked_matrix(top_outcomes, consts, config.ranked_m)

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,12 +20,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def scipy_modules_after_cli_import(prefix):
-    """Modules at or under prefix that a fresh `import fpplab.cli` loads."""
+def scipy_modules_after_cli_import(prefix, then="pass"):
+    """Modules at or under prefix that a fresh `import fpplab.cli`, followed
+    by the statements then, loads."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    script = ("import fpplab.cli, sys; "
+    script = (f"import fpplab.cli, sys; {then}; "
               f"print(sorted(m for m in sys.modules if m == {prefix!r} "
               f"or m.startswith({prefix + '.'!r})))")
     done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -48,6 +51,15 @@ def test_cli_import_loads_no_scipy():
     # ctbp's own Brent port, and scipy.special is imported by the rank-1
     # degree law and the verifiers, where they use it
     assert scipy_modules_after_cli_import("scipy") == "[]"
+
+
+def test_rank1_constants_load_no_scipy():
+    # nr constants come from two vertex-weight moments, not from the
+    # mixed-Poisson pmf that needs scipy.special
+    then = ("from fpplab import montecarlo as mc; mc.constants_for_config("
+            "mc.ExperimentConfig(graph_kind='nr', "
+            "vertex_weight_spec=('exponential', (1.0 / 3.0,))))")
+    assert scipy_modules_after_cli_import("scipy", then) == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +96,31 @@ def test_nr_constants_come_from_the_vertex_weights(capsys):
     doc = json.loads(out)
     assert doc["mu"] == pytest.approx(3.0, rel=1e-12)
     assert doc["nu"] == pytest.approx(6.0, rel=1e-12)
+
+
+def test_nr_constants_of_heavy_vertex_weights(capsys):
+    # power:3 vertex weights took 27 s while the constants summed the
+    # mixed-Poisson pmf, and power:4 was refused; two moments need neither
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, "constants", "--kind", "nr", "--vertex-weights",
+                           "power:3", "--json")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["nu"] == pytest.approx(120.0, rel=1e-12)   # Gamma(7)/Gamma(4)
+    code, out, _ = run_cli(capsys, "constants", "--kind", "nr", "--vertex-weights",
+                           "power:4", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert all(math.isfinite(v) for v in doc.values())
+    assert doc["mu"] == pytest.approx(24.0, rel=1e-12)                # Gamma(5)
+
+
+def test_critical_nr_vertex_weights_are_config_error(capsys):
+    # Exp(rate 2) vertex weights have E W^2 = E W, so nu is 1 to the last
+    # bit: the growth rate is 0, which is a subcritical model, not a crash
+    code, _, err = run_cli(capsys, "constants", "--kind", "nr", "--vertex-weights", "exp:2")
+    assert code == 2
+    assert "critical" in err
 
 
 @pytest.mark.parametrize("route", ["flag", "file"])
@@ -160,6 +197,19 @@ def test_zero_ranked_m_in_config_file_is_config_error(tmp_path, capsys):
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert "ranked_m" in err
+
+
+def test_run_refuses_references_it_cannot_build_before_any_trial(tmp_path, capsys):
+    # 500 trials draw references, whose offspring law is the mixed-Poisson
+    # pmf; power:4 vertex weights are too heavy to sum, and that must stop
+    # the run before its first rung, not after every rung has run
+    out_dir = tmp_path / "exp"
+    code, _, err = run_cli(capsys, "run", "--kind", "nr", "--vertex-weights", "power:4",
+                           "--n-ladder", "100", "--trials", "500", "--threads", "1",
+                           "--out", str(out_dir))
+    assert code == 2
+    assert "mixed-Poisson" in err
+    assert not list(out_dir.glob("outcomes_n*.csv"))
 
 
 def test_run_requires_out(capsys):

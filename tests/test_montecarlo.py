@@ -155,6 +155,24 @@ def test_rank1_config_derives_its_degree_law():
                                (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(5), rtol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [("exponential", (1.0 / 3.0,)), ("exponential", (2.0,)),
+                                  ("power_exponential", (2.0,))])
+def test_rank1_moments_are_the_offspring_laws(spec):
+    # constants take mu = E W and nu = E W^2 / E W from two vertex-weight
+    # moments; the references draw offspring from the mixed-Poisson pmf, so
+    # its sums must give the same mu and nu. The pmf stops at the first k_max
+    # whose remaining mass is below 1e-15 and renormalises, so its
+    # E D(D - 1) lacks up to about k_max^2 1e-15: 2e-12 of it for exp:2
+    # (k_max = 31; 1.1e-12 seen), 6e-11 for power:2 (k_max = 1,201; 6.7e-11)
+    cfg = mc.ExperimentConfig(graph_kind="nr", vertex_weight_spec=spec)
+    pmf = mc._limit_pmf(cfg)
+    mu = sum(k * p for k, p in pmf.items())
+    nu = sum(k * (k - 1) * p for k, p in pmf.items()) / mu
+    m1, m2 = mc._moments_cached(cfg.vertex_weight_spec)
+    assert m1 == pytest.approx(mu, rel=1e-12, abs=0)
+    assert m2 / m1 == pytest.approx(nu, rel=1e-12 + 2e-15 * max(pmf) ** 2 / (mu * nu), abs=0)
+
+
 @pytest.mark.parametrize("name", ["trials", "ranked_m", "threads"])
 def test_config_counts_must_be_positive(name):
     with pytest.raises(mc.MonteCarloError, match=name):

@@ -136,6 +136,60 @@ def test_density_off_by_a_tenth_of_a_percent_is_rejected():
             weights._validate(scaled)
 
 
+# ---------------------------------------------------------------------------
+# moments
+
+
+MOMENT_LAWS = {
+    "exp_third": (weights.exponential(1.0 / 3.0), 3.0, 18.0),
+    "exp_2": (weights.exponential(2.0), 0.5, 0.5),
+    # W = 1 + E/3
+    "shifted_3": (weights.shifted_exponential(3.0), 4.0 / 3.0, 1.0 + 2.0 / 3.0 + 2.0 / 9.0),
+    "uniform_2": (weights.uniform(2.0), 1.0, 4.0 / 3.0),
+    # W = E^s: E W^k = Gamma(1 + ks)
+    **{f"power_{s}": (weights.power_exponential(s), math.gamma(1.0 + s),
+                      math.gamma(1.0 + 2.0 * s)) for s in (0.5, 1.0, 2.0, 3.0, 4.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_LAWS))
+def test_moments_match_closed_forms(name):
+    # power:3 and power:4 leave 4.5e-10 and 1.2e-8 of E W^2 past the
+    # 1 - 2^-53 quantile where _mass_edges stops: the doubling cells past it
+    # must carry that
+    dist, m1, m2 = MOMENT_LAWS[name]
+    assert weights.moments(dist) == pytest.approx((m1, m2), rel=1e-12, abs=0)
+
+
+def test_moments_of_a_user_table_vs_mpmath():
+    # E W^k = integral over u in (0, 1) of Q(u)^k, Q piecewise linear; the
+    # table starts at 0.5, so the first cell's support_lo^k G-mass counts
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    p, q = (0.0, 0.3, 0.9, 0.99, 1.0), (0.5, 1.0, 4.0, 9.0, 30.0)
+    dist = weights.user_table(p, q)
+
+    def quantile(u):
+        i = max(j for j in range(len(p) - 1) if p[j] <= u)
+        return q[i] + (u - p[i]) * (q[i + 1] - q[i]) / (p[i + 1] - p[i])
+
+    want = [float(mpmath.quad(lambda u: quantile(u) ** k, p)) for k in (1, 2)]
+    assert weights.moments(dist) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_moments_certification_is_a_named_error(monkeypatch):
+    # a density ripple between the cell edges moves the sum on halved cells;
+    # power:4's W^2 tail is not done one doubling past the quantile
+    e = weights.exponential(1.0)
+    rough = dataclasses.replace(
+        e, density=lambda x: e.density(x) * (1.0 + 0.01 * np.cos(400.0 * np.asarray(x))))
+    with pytest.raises(weights.QuadratureError, match="halving"):
+        weights.moments(rough)
+    monkeypatch.setattr(weights, "_DOUBLINGS", 1)
+    with pytest.raises(weights.QuadratureError, match="does not fall off"):
+        weights.moments(weights.power_exponential(4.0))
+
+
 def test_user_table_interpolates():
     # piecewise-linear quantile through (0,0) (0.4,1) (1,3)
     d = weights.user_table((0.0, 0.4, 1.0), (0.0, 1.0, 3.0))
