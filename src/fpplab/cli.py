@@ -197,9 +197,15 @@ def cmd_run(args) -> int:
         config, out_dir=args.out, plot_dir=plot_dir)
     elapsed = time.monotonic() - t0
     if args.log:
+        # stage times count from the start of the run; the references are
+        # built while the rungs run, so their seconds overlap the rungs'
+        seconds = report.seconds
         lines = [f"total_seconds {elapsed!r}"]
+        if "references" in seconds:
+            lines.append(f"references_seconds {seconds['references']!r}")
         for n in sorted(outcomes_by_n):
-            lines.append(f"rung {n}: {len(outcomes_by_n[n])} trials")
+            lines.append(f"rung {n}: {len(outcomes_by_n[n])} trials, "
+                         f"finished_seconds {seconds[f'rung {n}']!r}")
         (pathlib.Path(args.out) / "runtimes.txt").write_text(
             "\n".join(lines) + "\n", encoding="utf-8")
     print(report.to_text(), end="")

@@ -16,8 +16,10 @@ own thresholds are.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -438,31 +440,71 @@ def _trial_chunk(args) -> list[TrialOutcome]:
 _CHUNK = 64   # fixed chunk size: scheduling granularity, never affects results
 
 
-def _map_chunks(task: _TrialTask, spans, threads: int):
-    """Yield the outcomes of every trial range spans[i] = (lo, hi), in order.
+def _map_chunks(args, threads: int, meanwhile=None):
+    """Yield the outcomes of every trial chunk args[i] = (task, lo, hi), in order.
 
-    Serial when threads <= 1 or there is one chunk; otherwise a process
-    pool, whose map yields in submission order. A dead worker becomes a
-    MonteCarloError naming the first chunk lost, its trial range, the
-    master seed and the serial call that replays it.
+    Serial when threads <= 1 or there is one chunk: each chunk runs when it
+    is asked for, and meanwhile(), if given, once the last has been taken.
+    Otherwise one process pool of `threads` workers gets every chunk at once
+    (under fork every worker starts at the first submit, so none inherits
+    what the parent builds next), meanwhile() runs in the parent while they
+    work, and outcomes are yielded in order as they arrive. However the
+    generator ends, chunks not yet started are cancelled and the running
+    ones awaited, so an error surfaces at once and no worker outlives it. A
+    dead worker becomes a MonteCarloError naming the first chunk lost: its
+    rung n, index and trial range, the master seed, and the serial call
+    that replays it.
     """
-    args = [(task, lo, hi) for lo, hi in spans]
     if threads <= 1 or len(args) <= 1:
         yield from map(_trial_chunk, args)
+        if meanwhile is not None:
+            meanwhile()
         return
-    done = 0
+    ex = ProcessPoolExecutor(max_workers=threads)
     try:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(_trial_chunk, args):
-                yield part
-                done += 1
-    except BrokenProcessPool as exc:
-        lo, hi = spans[done]
-        raise MonteCarloError(
-            f"a worker process died; the first chunk lost is chunk {done} "
-            f"(trials {lo}..{hi - 1}) of master seed {task.master_seed}. Replay "
-            f"it serially with run_trials(config, M={hi}, master_seed="
-            f"{task.master_seed}, n={task.n}, threads=1)") from exc
+        futures = [ex.submit(_trial_chunk, a) for a in args]
+        if meanwhile is not None:
+            meanwhile()
+        for (task, lo, hi), fut in zip(args, futures):
+            try:
+                yield fut.result()
+            except BrokenProcessPool as exc:
+                raise MonteCarloError(
+                    f"a worker process died; the first chunk lost is chunk "
+                    f"{lo // _CHUNK} (trials {lo}..{hi - 1}) of rung n={task.n}, "
+                    f"master seed {task.master_seed}. Replay it serially with "
+                    f"run_trials(config, M={hi}, master_seed={task.master_seed}, "
+                    f"n={task.n}, threads=1)") from exc
+    finally:
+        ex.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
+    """Trials 0..M-1 of every task, one task per rung, through one _map_chunks
+    call; returns (outcome lists, the time.monotonic() each rung finished).
+
+    Each rung's CSV, where its path is not None, is written in trial order as
+    its chunks arrive.
+    """
+    spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    parts = _map_chunks([(task, lo, hi) for task in tasks for lo, hi in spans],
+                        threads, meanwhile)
+    outcomes, finished = [], []
+    with contextlib.closing(parts):
+        for path in csv_paths:
+            rung: list[TrialOutcome] = []
+            with (open(path, "w", encoding="utf-8", newline="\n") if path
+                  else contextlib.nullcontext()) as fh:
+                if fh:
+                    fh.write(CSV_HEADER + "\n")
+                for batch in itertools.islice(parts, len(spans)):
+                    rung.extend(batch)
+                    if fh:
+                        fh.writelines(_csv_row(o) + "\n" for o in batch)
+            outcomes.append(rung)
+            finished.append(time.monotonic())
+        next(parts, None)   # past the last chunk: a serial meanwhile() runs here
+    return outcomes, finished
 
 
 def run_trials(config: ExperimentConfig, M: int | None = None,
@@ -472,7 +514,9 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     """Run M seeded trials at one ladder rung; optionally stream a CSV.
 
     Results are a pure function of (config, master_seed, n, M); threads only
-    changes wall time. The CSV is written in trial order as chunks finish.
+    changes wall time: more than one runs the chunks in a process pool of
+    that many workers (see _map_chunks). The CSV is written in trial order
+    as chunks finish.
     """
     M = config.trials if M is None else int(M)
     master = config.master_seed if master_seed is None else int(master_seed)
@@ -484,17 +528,7 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
 
     task = _TrialTask(config, int(n), master, constants_for_config(config),
                       collect_marks)
-
-    spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    outcomes: list[TrialOutcome] = []
-    with (open(csv_path, "w", encoding="utf-8", newline="\n") if csv_path
-          else contextlib.nullcontext()) as fh:
-        if fh:
-            fh.write(CSV_HEADER + "\n")
-        for batch in _map_chunks(task, spans, threads):
-            outcomes.extend(batch)
-            if fh:
-                fh.writelines(_csv_row(o) + "\n" for o in batch)
+    (outcomes,), _ = _run_rungs([task], M, threads, [csv_path])
     return outcomes
 
 
@@ -801,6 +835,9 @@ class VerificationReport:
     master_seed: int
     config: dict
     entries: list
+    # wall-clock stage times of the run; kept out of to_json and to_text,
+    # whose bytes are a pure function of the config and master seed
+    seconds: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -846,40 +883,64 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                    plot_dir=None) -> tuple[VerificationReport, dict]:
     """Ladder of trial runs plus all four verifiers; optionally writes files.
 
-    Returns (report, outcomes_by_n). References are only drawn when the
-    top rung has enough outcomes for the verifiers to run at all. plot_dir,
-    if given, receives the two-column figure files.
+    Returns (report, outcomes_by_n). Every chunk of every rung goes to one
+    _map_chunks call, so with config.threads > 1 one process pool of that
+    many workers runs the whole ladder while the parent builds the ranked
+    reference and the residual law and loads the verifiers' scipy.special;
+    with one thread the rungs run first and the references after, in this
+    process. References are only drawn when the top rung has enough outcomes
+    for the verifiers to run at all; they depend on the constants and the
+    master seed alone, so the outputs are the same at any thread count.
+    report.seconds holds wall-clock seconds from the start: "references"
+    (their build) and "rung {n}" (when each rung's last chunk arrived).
+    plot_dir, if given, receives the two-column figure files.
     """
     import pathlib
 
+    start = time.monotonic()
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     consts = constants_for_config(config)
     th = config.thresholds
-    # the references' offspring laws, built before any rung so that a degree
-    # law they cannot sum fails at once (a top rung has at most trials outcomes)
+    # every trial gives one outcome, so the top rung will have config.trials;
+    # the references' offspring laws are built before any rung so that a
+    # degree law they cannot sum fails at once
     bp = bp_config_for(config) if config.trials >= th["min_outcomes"] else None
-    outcomes_by_n = {}
-    for n in config.n_ladder:
-        csv_path = out / f"outcomes_n{n}.csv" if out is not None else None
-        outcomes_by_n[n] = run_trials(config, n=n, csv_path=csv_path)
+    seconds = {}
+    refs = {}
+
+    def build_references():
+        if bp is not None:
+            t0 = time.monotonic()
+            refs["ranked"] = build_ranked_reference(consts, bp, config.ranked_m,
+                                                    _REFERENCE_SIZE, config.master_seed)
+            refs["residual"] = ctbp.residual_density(_dist_cached(config.weight_spec),
+                                                     consts.alpha)
+            seconds["references"] = time.monotonic() - t0
+        import scipy.special  # noqa: F401  (the verifiers' p-values)
+
+    tasks = [_TrialTask(config, n, config.master_seed, consts, True)
+             for n in config.n_ladder]
+    csv_paths = [out / f"outcomes_n{n}.csv" if out is not None else None
+                 for n in config.n_ladder]
+    by_rung, finished = _run_rungs(tasks, config.trials, config.threads, csv_paths,
+                                   build_references)
+    outcomes_by_n = dict(zip(config.n_ladder, by_rung))
+    seconds.update((f"rung {n}", t - start) for n, t in zip(config.n_ladder, finished))
 
     top_outcomes = outcomes_by_n[max(config.n_ladder)]
     z_by_n = {n: column(o, "Z_hat") for n, o in outcomes_by_n.items()}
-    q = column(top_outcomes, "Q_hat")
     entries = [verify_hopcount_clt(z_by_n, th)]
     q_ref = None
-    if q.size >= th["min_outcomes"]:
-        ranked_refs = build_ranked_reference(consts, bp, config.ranked_m,
-                                             _REFERENCE_SIZE, config.master_seed)
+    if bp is not None:
+        ranked_refs = refs["ranked"]
         q_ref = ranked_refs[:, 0]
-        residual = ctbp.residual_density(_dist_cached(config.weight_spec), consts.alpha)
         ranked = ranked_matrix(top_outcomes, consts, config.ranked_m)
-        entries += [verify_weight_limit(q, q_ref, th),
+        entries += [verify_weight_limit(column(top_outcomes, "Q_hat"), q_ref, th),
                     verify_ppp(pool_marks(top_outcomes), len(top_outcomes), consts,
-                               residual.cdf, th),
+                               refs["residual"].cdf, th),
                     verify_ranked(ranked, ranked_refs, th)]
     else:
         entries += [ReportEntry(name, None, {}, {}, 0,
@@ -887,7 +948,8 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                     for name in ("weight_limit", "ppp_marks", "ranked_paths")]
 
     report = VerificationReport(master_seed=config.master_seed,
-                                config=config.echo(), entries=entries)
+                                config=config.echo(), entries=entries,
+                                seconds=seconds)
     if out is not None:
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")

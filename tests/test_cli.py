@@ -175,9 +175,43 @@ def test_run_smoke_and_rerun_identical(tmp_path, capsys):
 
     out_dir2 = tmp_path / "exp2"
     code2, _, _ = run_cli(capsys, "run", "--n-ladder", "200", "--trials", "8",
-                          "--threads", "2", "--seed", "42", "--out", str(out_dir2))
+                          "--threads", "2", "--seed", "42", "--out", str(out_dir2),
+                          "--log")
     assert code2 == 0
     assert (out_dir2 / "outcomes_n200.csv").read_bytes() == csv1
+    # 8 trials draw no references, so the sidecar times the rung alone
+    text = (out_dir2 / "runtimes.txt").read_text()
+    assert "rung 200: 8 trials, finished_seconds " in text
+    log = runtimes(out_dir2)
+    assert set(log) == {"total_seconds", "rung 200"}
+    assert 0.0 < log["rung 200"] <= log["total_seconds"]
+
+
+def runtimes(out_dir) -> dict:
+    """runtimes.txt as {name: seconds}; a rung's finish is under "rung n"."""
+    rows = {}
+    for line in (out_dir / "runtimes.txt").read_text().splitlines():
+        words = line.split()
+        key = f"rung {words[1].rstrip(':')}" if words[0] == "rung" else words[0]
+        rows[key] = float(words[-1])
+    return rows
+
+
+def test_run_log_times_references_and_rungs(tmp_path, capsys):
+    # with min_outcomes lowered the parent builds the references while the
+    # pool runs the rungs; --log gives their seconds and each rung's finish,
+    # counted from the start
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[weights]\nspec = exp:1\n\n[thresholds]\nmin_outcomes = 70\n")
+    out_dir = tmp_path / "exp"
+    code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--n-ladder", "100,200",
+                         "--trials", "70", "--threads", "2", "--seed", "5",
+                         "--out", str(out_dir), "--log")
+    assert code in (0, 1)
+    log = runtimes(out_dir)
+    assert list(log) == ["total_seconds", "references_seconds", "rung 100", "rung 200"]
+    assert 0.0 < log["references_seconds"] < log["total_seconds"]
+    assert 0.0 < log["rung 100"] <= log["rung 200"] <= log["total_seconds"]
 
 
 def test_zero_trials_flag_is_config_error(tmp_path, capsys):

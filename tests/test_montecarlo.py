@@ -9,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +252,28 @@ def test_run_trials_deterministic_across_threads(tmp_path):
         assert a.Z_hat == b.Z_hat and a.Q_hat == b.Q_hat
 
 
+def test_run_experiment_identical_across_threads(tmp_path):
+    # one pool runs every rung while the parent builds the references; with
+    # min_outcomes lowered the references and all four verifiers run, and
+    # every file must match the serial run's bytes, but for the echo of the
+    # thread count in report.json's config
+    cfg = mc.ExperimentConfig(n_ladder=(150, 300), trials=130, ranked_m=2,
+                              master_seed=611, thresholds={"min_outcomes": 100})
+    names = ("outcomes_n150.csv", "outcomes_n300.csv", "report.json", "report.txt")
+    files = {}
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        report, _ = mc.run_experiment(replace(cfg, threads=threads), out_dir=out)
+        assert all(e.skipped is False for e in report.entries)
+        assert set(report.seconds) == {"references", "rung 150", "rung 300"}
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        files[threads] = [(out / name).read_bytes() for name in names]
+    echo = files[1][2].replace(b'"threads": 1,', b'"threads": 3,')
+    assert echo != files[1][2]
+    assert files[1][:2] + [echo] + files[1][3:] == files[3]
+    assert multiprocessing.active_children() == []
+
+
 def test_run_trials_outcome_sanity():
     out = mc.run_trials(small_config(), threads=2)
     assert len(out) == 24
@@ -395,6 +419,57 @@ def test_dead_worker_is_named_error(monkeypatch):
     msg = str(err.value)
     assert "master seed 611" in msg and "chunk" in msg and "trials" in msg
     assert "master_seed=611, n=100, threads=1)" in msg
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the workers only by fork")
+def test_dead_worker_in_a_later_rung_names_it(monkeypatch):
+    # the whole ladder shares one pool; the worker on the last chunk of the
+    # second rung dies after the other chunks have had time to finish, so
+    # that chunk is the first lost
+    real = mc._run_single_trial
+
+    def dying(task, index):
+        if task.n == 200 and index == 128:
+            time.sleep(1.5)
+            os._exit(3)
+        return real(task, index)
+
+    monkeypatch.setattr(mc, "_run_single_trial", dying)
+    cfg = mc.ExperimentConfig(n_ladder=(100, 200), trials=130, master_seed=611,
+                              threads=2)
+    with pytest.raises(mc.MonteCarloError) as err:
+        mc.run_experiment(cfg)
+    msg = str(err.value)
+    assert "chunk 2 (trials 128..129) of rung n=200, master seed 611" in msg
+    assert "run_trials(config, M=130, master_seed=611, n=200, threads=1)" in msg
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the workers only by fork")
+def test_reference_error_cancels_queued_chunks(monkeypatch, tmp_path):
+    # the parent builds the references while the pool runs the ladder; when
+    # that raises, the chunks still queued must be dropped, not run
+    real = mc._run_single_trial
+
+    def slow(task, index):
+        (tmp_path / f"{task.n}_{index}").touch()
+        time.sleep(0.005)
+        return real(task, index)
+
+    def broken(*args):
+        raise RuntimeError("reference failed")
+
+    monkeypatch.setattr(mc, "_run_single_trial", slow)
+    monkeypatch.setattr(mc, "build_ranked_reference", broken)
+    cfg = mc.ExperimentConfig(n_ladder=(100, 150), trials=512, master_seed=611,
+                              threads=2, thresholds={"min_outcomes": 100})
+    with pytest.raises(RuntimeError, match="reference failed"):
+        mc.run_experiment(cfg)
+    # at most the two running chunks and the three the pool had queued ran
+    assert len(list(tmp_path.iterdir())) <= 5 * mc._CHUNK < 2 * 512
+    assert multiprocessing.active_children() == []
 
 
 def test_persistent_disconnection(monkeypatch):
