@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -375,6 +375,13 @@ class _TrialTask:
 
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
+    """Trial `index` of the task: explore to the probe, then to the ranked stop
+    for task.config.ranked_m paths, and past the mark window t_bar + 0.5 only
+    where the task collects marks. Both stops are exact and a disconnected
+    endpoint pair explores until a cluster closes at any m, so the best path,
+    the probe's W1 and W2, the resample count and every draw of the trial's
+    generator are the same at any ranked_m, with or without marks.
+    """
     seed = trial_seed(task.master_seed, index)
     rng = rng_for(seed)
     n = task.n
@@ -402,7 +409,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
         explore.advance(state, s_probe)
         _, w1, w2 = explore.measure_martingale(state, g, alpha_n)
         horizon = 0.0
-        if w1 > 0.0 and w2 > 0.0:
+        if task.collect_marks and w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
             horizon = tbar + _MARK_WINDOW[1]
         explore.advance_ranked(state, m, min_horizon=horizon)
@@ -441,33 +448,39 @@ _CHUNK = 64   # fixed chunk size: scheduling granularity, never affects results
 
 
 def _map_chunks(args, threads: int, meanwhile=None):
-    """Yield the outcomes of every trial chunk args[i] = (task, lo, hi), in order.
+    """Yield (outcomes, done) for every trial chunk args[i] = (task, lo, hi), in
+    order, where done is the time.monotonic() at which the chunk completed.
 
     Serial when threads <= 1 or there is one chunk: each chunk runs when it
     is asked for, and meanwhile(), if given, once the last has been taken.
     Otherwise one process pool of `threads` workers gets every chunk at once
     (under fork every worker starts at the first submit, so none inherits
     what the parent builds next), meanwhile() runs in the parent while they
-    work, and outcomes are yielded in order as they arrive. However the
-    generator ends, chunks not yet started are cancelled and the running
-    ones awaited, so an error surfaces at once and no worker outlives it. A
-    dead worker becomes a MonteCarloError naming the first chunk lost: its
-    rung n, index and trial range, the master seed, and the serial call
-    that replays it.
+    work, and outcomes are yielded in order as they arrive; a done callback
+    stamps each chunk as its result reaches the parent, so the stamps do not
+    wait for meanwhile(). However the generator ends, chunks not yet started
+    are cancelled and the running ones awaited, so an error surfaces at once
+    and no worker outlives it. A dead worker becomes a MonteCarloError
+    naming the first chunk lost: its rung n, index and trial range, the
+    master seed, and the serial call that replays it.
     """
     if threads <= 1 or len(args) <= 1:
-        yield from map(_trial_chunk, args)
+        for a in args:
+            yield _trial_chunk(a), time.monotonic()
         if meanwhile is not None:
             meanwhile()
         return
     ex = ProcessPoolExecutor(max_workers=threads)
     try:
         futures = [ex.submit(_trial_chunk, a) for a in args]
+        done: dict[int, float] = {}
+        for i, fut in enumerate(futures):
+            fut.add_done_callback(lambda _, i=i: done.setdefault(i, time.monotonic()))
         if meanwhile is not None:
             meanwhile()
-        for (task, lo, hi), fut in zip(args, futures):
+        for i, ((task, lo, hi), fut) in enumerate(zip(args, futures)):
             try:
-                yield fut.result()
+                part = fut.result()
             except BrokenProcessPool as exc:
                 raise MonteCarloError(
                     f"a worker process died; the first chunk lost is chunk "
@@ -475,13 +488,16 @@ def _map_chunks(args, threads: int, meanwhile=None):
                     f"master seed {task.master_seed}. Replay it serially with "
                     f"run_trials(config, M={hi}, master_seed={task.master_seed}, "
                     f"n={task.n}, threads=1)") from exc
+            # result() can return before the callback has run: then it is now
+            yield part, done.setdefault(i, time.monotonic())
     finally:
         ex.shutdown(wait=True, cancel_futures=True)
 
 
 def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     """Trials 0..M-1 of every task, one task per rung, through one _map_chunks
-    call; returns (outcome lists, the time.monotonic() each rung finished).
+    call; returns (outcome lists, the time.monotonic() at which each rung's
+    last chunk completed).
 
     Each rung's CSV, where its path is not None, is written in trial order as
     its chunks arrive.
@@ -493,16 +509,18 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     with contextlib.closing(parts):
         for path in csv_paths:
             rung: list[TrialOutcome] = []
+            last = -math.inf
             with (open(path, "w", encoding="utf-8", newline="\n") if path
                   else contextlib.nullcontext()) as fh:
                 if fh:
                     fh.write(CSV_HEADER + "\n")
-                for batch in itertools.islice(parts, len(spans)):
+                for batch, done in itertools.islice(parts, len(spans)):
                     rung.extend(batch)
+                    last = max(last, done)
                     if fh:
                         fh.writelines(_csv_row(o) + "\n" for o in batch)
             outcomes.append(rung)
-            finished.append(time.monotonic())
+            finished.append(last)
         next(parts, None)   # past the last chunk: a serial meanwhile() runs here
     return outcomes, finished
 
@@ -516,7 +534,11 @@ def run_trials(config: ExperimentConfig, M: int | None = None,
     Results are a pure function of (config, master_seed, n, M); threads only
     changes wall time: more than one runs the chunks in a process pool of
     that many workers (see _map_chunks). The CSV is written in trial order
-    as chunks finish.
+    as chunks finish. Each outcome's ranked holds up to config.ranked_m
+    paths. With collect_marks the exploration also covers the mark window
+    and marks holds its (k, 5) collision marks; without, the exploration
+    stops at the ranked stop and marks is empty, and every other field,
+    ranked included, is the same.
     """
     M = config.trials if M is None else int(M)
     master = config.master_seed if master_seed is None else int(master_seed)
@@ -883,16 +905,23 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                    plot_dir=None) -> tuple[VerificationReport, dict]:
     """Ladder of trial runs plus all four verifiers; optionally writes files.
 
-    Returns (report, outcomes_by_n). Every chunk of every rung goes to one
-    _map_chunks call, so with config.threads > 1 one process pool of that
-    many workers runs the whole ladder while the parent builds the ranked
-    reference and the residual law and loads the verifiers' scipy.special;
-    with one thread the rungs run first and the references after, in this
-    process. References are only drawn when the top rung has enough outcomes
-    for the verifiers to run at all; they depend on the constants and the
-    master seed alone, so the outputs are the same at any thread count.
-    report.seconds holds wall-clock seconds from the start: "references"
-    (their build) and "rung {n}" (when each rung's last chunk arrived).
+    Returns (report, outcomes_by_n). The verifiers read the ranked paths and
+    the marks of the top rung only, so a rung below it runs at ranked_m = 1
+    without marks: its trials stop at the best path, with the same outcome
+    fields, CSV rows and random streams as a full run_trials call, but its
+    outcomes hold at most the best path in ranked and no marks.
+
+    Every chunk of every rung goes to one _map_chunks call, so with
+    config.threads > 1 one process pool of that many workers runs the whole
+    ladder while the parent builds the ranked reference and the residual law
+    and loads the verifiers' scipy.special; with one thread the rungs run
+    first and the references after, in this process. References are only
+    drawn when the top rung has enough outcomes for the verifiers to run at
+    all; they depend on the constants and the master seed alone, so the
+    outputs are the same at any thread count.
+    report.seconds holds wall-clock seconds: "references" (their build
+    time) and "rung {n}" (when each rung's last chunk completed, counted
+    from the start).
     plot_dir, if given, receives the two-column figure files.
     """
     import pathlib
@@ -921,7 +950,10 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
             seconds["references"] = time.monotonic() - t0
         import scipy.special  # noqa: F401  (the verifiers' p-values)
 
-    tasks = [_TrialTask(config, n, config.master_seed, consts, True)
+    top = max(config.n_ladder)
+    lower = replace(config, ranked_m=1)
+    tasks = [_TrialTask(config, n, config.master_seed, consts, True) if n == top
+             else _TrialTask(lower, n, config.master_seed, consts, False)
              for n in config.n_ladder]
     csv_paths = [out / f"outcomes_n{n}.csv" if out is not None else None
                  for n in config.n_ladder]
@@ -930,7 +962,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     outcomes_by_n = dict(zip(config.n_ladder, by_rung))
     seconds.update((f"rung {n}", t - start) for n, t in zip(config.n_ladder, finished))
 
-    top_outcomes = outcomes_by_n[max(config.n_ladder)]
+    top_outcomes = outcomes_by_n[top]
     z_by_n = {n: column(o, "Z_hat") for n, o in outcomes_by_n.items()}
     entries = [verify_hopcount_clt(z_by_n, th)]
     q_ref = None

@@ -274,6 +274,88 @@ def test_run_experiment_identical_across_threads(tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def same_outcome(a, b) -> bool:
+    """Every field equal, the marks array by value."""
+    return (mc._csv_row(a) == mc._csv_row(b) and a.resamples == b.resamples
+            and a.ranked == b.ranked and np.array_equal(a.marks, b.marks))
+
+
+def test_lower_rungs_stop_at_the_best_path(tmp_path):
+    # a rung below the top runs at m = 1 without marks, and must write the
+    # CSV of a full run_trials call at that n byte for byte; the top rung's
+    # outcomes, ranked paths and marks included, are run_trials' own
+    cfg = mc.ExperimentConfig(n_ladder=(150, 300, 600), trials=130, ranked_m=3,
+                              master_seed=611, thresholds={"min_outcomes": 100})
+    full = {}
+    for n in cfg.n_ladder:
+        full[n] = mc.run_trials(cfg, n=n, threads=1, csv_path=tmp_path / f"full{n}.csv")
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        report, by_n = mc.run_experiment(replace(cfg, threads=threads), out_dir=out)
+        assert all(e.skipped is False for e in report.entries)
+        for n in cfg.n_ladder:
+            assert ((out / f"outcomes_n{n}.csv").read_bytes()
+                    == (tmp_path / f"full{n}.csv").read_bytes())
+        for n in (150, 300):
+            assert all(len(o.ranked) <= 1 and o.marks.shape == (0, 5) for o in by_n[n])
+            assert [o.ranked for o in by_n[n]] == [o.ranked[:1] for o in full[n]]
+        assert all(same_outcome(a, b) for a, b in zip(by_n[600], full[600], strict=True))
+    assert multiprocessing.active_children() == []
+
+
+BEST_PATH_CASES = {
+    "nr": mc.ExperimentConfig(graph_kind="nr",
+                              vertex_weight_spec=("exponential", (1.0 / 3.0,))),
+    "cm_iid": mc.ExperimentConfig(degree_model=("iid", ((1, 0.2), (3, 0.5), (6, 0.3)))),
+    "cm_uniform": mc.ExperimentConfig(weight_spec=("uniform", (1.0,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEST_PATH_CASES))
+def test_best_path_stop_keeps_every_csv_field(name):
+    # the m = 1 stop without the mark window is exact, and a disconnected
+    # endpoint pair explores until a cluster closes at any m, so the CSV row,
+    # the resample count and the best path match the full trial's
+    cfg = replace(BEST_PATH_CASES[name], ranked_m=3)
+    consts = mc.constants_for_config(cfg)
+    full = mc._TrialTask(cfg, 1000, 23, consts, True)
+    best = mc._TrialTask(replace(cfg, ranked_m=1), 1000, 23, consts, False)
+    for i in range(300):
+        a, b = mc._run_single_trial(full, i), mc._run_single_trial(best, i)
+        assert (mc._csv_row(a), a.resamples, a.ranked[:1]) == \
+            (mc._csv_row(b), b.resamples, b.ranked), i
+        assert b.marks.shape == (0, 5)
+
+
+def test_run_trials_without_marks_keeps_the_ranked_paths():
+    cfg = replace(small_config(), ranked_m=3)
+    with_marks = mc.run_trials(cfg, threads=1)
+    without = mc.run_trials(cfg, threads=1, collect_marks=False)
+    assert [o.ranked for o in without] == [o.ranked for o in with_marks]
+    assert [mc._csv_row(o) for o in without] == [mc._csv_row(o) for o in with_marks]
+    assert all(o.marks.shape == (0, 5) for o in without)
+    assert any(o.marks.size for o in with_marks)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the slow reference must run beside forked workers")
+def test_rung_stamps_are_completion_times(monkeypatch):
+    # the parent takes no chunk until the references are built, yet a small
+    # rung that completed long before must be stamped when it completed
+    real = mc.build_ranked_reference
+
+    def slow(*args):
+        time.sleep(1.0)
+        return real(*args)
+
+    monkeypatch.setattr(mc, "build_ranked_reference", slow)
+    cfg = mc.ExperimentConfig(n_ladder=(100, 150), trials=64, master_seed=611,
+                              threads=2, thresholds={"min_outcomes": 50})
+    report, _ = mc.run_experiment(cfg)
+    assert report.seconds["rung 100"] < report.seconds["references"]
+    assert multiprocessing.active_children() == []
+
+
 def test_run_trials_outcome_sanity():
     out = mc.run_trials(small_config(), threads=2)
     assert len(out) == 24
