@@ -2,9 +2,10 @@
 
 Determinism is load-bearing here. Trial i of a run draws its own counter-based
 generator keyed by a splittable hash of (master seed, i), so outcomes are a
-pure function of (config, master seed) regardless of thread count, chunking,
-or rerun; the CSV writer emits rows in trial order with repr() floats, making
-output files byte-identical across reruns and worker pools.
+pure function of the config (its master seed included) and the rung n,
+regardless of thread count, chunking, or rerun; the CSV writer emits rows in
+trial order with repr() floats, making output files byte-identical across
+reruns and worker pools.
 
 ExperimentConfig is the one model record. sample_graph(config, n, rng) is
 the one graph sampler, shared with gen-graph and the oracle corpus. Every
@@ -369,7 +370,6 @@ def sample_graph(config: ExperimentConfig, n: int, rng):
 class _TrialTask:
     config: ExperimentConfig
     n: int
-    master_seed: int
     consts_limit: ctbp.CtbpConstants
     collect_marks: bool
 
@@ -382,7 +382,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     the probe's W1 and W2, the resample count and every draw of the trial's
     generator are the same at any ranked_m, with or without marks.
     """
-    seed = trial_seed(task.master_seed, index)
+    seed = trial_seed(task.config.master_seed, index)
     rng = rng_for(seed)
     n = task.n
     m = task.config.ranked_m
@@ -485,9 +485,9 @@ def _map_chunks(args, threads: int, meanwhile=None):
                 raise MonteCarloError(
                     f"a worker process died; the first chunk lost is chunk "
                     f"{lo // _CHUNK} (trials {lo}..{hi - 1}) of rung n={task.n}, "
-                    f"master seed {task.master_seed}. Replay it serially with "
-                    f"run_trials(config, M={hi}, master_seed={task.master_seed}, "
-                    f"n={task.n}, threads=1)") from exc
+                    f"master seed {task.config.master_seed}. Replay it serially "
+                    f"with run_trials(replace(config, trials={hi}), n={task.n}, "
+                    f"threads=1)") from exc
             # result() can return before the callback has run: then it is now
             yield part, done.setdefault(i, time.monotonic())
     finally:
@@ -525,32 +525,28 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     return outcomes, finished
 
 
-def run_trials(config: ExperimentConfig, M: int | None = None,
-               master_seed: int | None = None, *, n: int | None = None,
+def run_trials(config: ExperimentConfig, *, n: int | None = None,
                threads: int | None = None, csv_path=None,
                collect_marks: bool = True) -> list[TrialOutcome]:
-    """Run M seeded trials at one ladder rung; optionally stream a CSV.
+    """Run config.trials seeded trials at one ladder rung; optionally stream a CSV.
 
-    Results are a pure function of (config, master_seed, n, M); threads only
-    changes wall time: more than one runs the chunks in a process pool of
-    that many workers (see _map_chunks). The CSV is written in trial order
-    as chunks finish. Each outcome's ranked holds up to config.ranked_m
-    paths. With collect_marks the exploration also covers the mark window
-    and marks holds its (k, 5) collision marks; without, the exploration
-    stops at the ranked stop and marks is empty, and every other field,
-    ranked included, is the same.
+    Results are a pure function of (config, n), config.master_seed included;
+    threads only changes wall time: more than one runs the chunks in a process
+    pool of that many workers (see _map_chunks). The CSV is written in trial
+    order as chunks finish. Each outcome's ranked holds up to config.ranked_m
+    paths. With collect_marks the exploration also covers the mark window and
+    marks holds its (k, 5) collision marks; without, the exploration stops at
+    the ranked stop and marks is empty, and every other field, ranked
+    included, is the same.
     """
-    M = config.trials if M is None else int(M)
-    master = config.master_seed if master_seed is None else int(master_seed)
     if n is None:
         if len(config.n_ladder) != 1:
             raise MonteCarloError("config has a ladder; pass the rung n explicitly")
         n = config.n_ladder[0]
     threads = config.threads if threads is None else int(threads)
 
-    task = _TrialTask(config, int(n), master, constants_for_config(config),
-                      collect_marks)
-    (outcomes,), _ = _run_rungs([task], M, threads, [csv_path])
+    task = _TrialTask(config, int(n), constants_for_config(config), collect_marks)
+    (outcomes,), _ = _run_rungs([task], config.trials, threads, [csv_path])
     return outcomes
 
 
@@ -952,8 +948,8 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
 
     top = max(config.n_ladder)
     lower = replace(config, ranked_m=1)
-    tasks = [_TrialTask(config, n, config.master_seed, consts, True) if n == top
-             else _TrialTask(lower, n, config.master_seed, consts, False)
+    tasks = [_TrialTask(config, n, consts, True) if n == top
+             else _TrialTask(lower, n, consts, False)
              for n in config.n_ladder]
     csv_paths = [out / f"outcomes_n{n}.csv" if out is not None else None
                  for n in config.n_ladder]

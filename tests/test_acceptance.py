@@ -1,10 +1,14 @@
 """The ten acceptance gates, one test each, at their stated tolerances.
 
-A shared three-rung ladder (2000 trials per rung, 4-regular pairing with
-unit-rate exponential weights, master seed 20260817) feeds gates 4, 5, 6,
-9 and 10; the remaining gates build their own small data. Each test prints
-one "criterion N: PASS/FAIL" line before asserting, so the log always
-carries the verdict and the measured numbers.
+Gates 4, 5, 6, 9 and 10 share one `run_experiment` call, the pipeline that
+`fpplab run` ships: a three-rung ladder (2000 trials per rung, 4-regular
+pairing with unit-rate exponential weights, master seed 20260817) in one
+process pool, whose rungs below the top stop at the best path. Gates 4, 6
+and 9 read their entries from its report. Gate 5 recomputes the weight KS,
+and a wrong-constant control, against the ranked reference the run draws.
+Gate 10 reruns the lowest rung serially. The remaining gates build their
+own small data. Each test prints one "criterion N: PASS/FAIL" line before
+asserting, so the log always carries the verdict and the measured numbers.
 
 Gates 4 and 6 state limit-law tolerances that this model family does not
 reach at desk scale: the hopcount ladder tops out at n = 1e5 with an O(1)
@@ -16,6 +20,7 @@ Do not soften them to make the suite green.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +60,8 @@ def emit(num, ok, detail):
 
 def base_config():
     return mc.ExperimentConfig(n_ladder=LADDER, trials=M_TRIALS,
-                               ranked_m=RANKED_M, master_seed=SEED)
+                               ranked_m=RANKED_M, master_seed=SEED,
+                               thresholds={"hop_ks": 0.06})
 
 
 @pytest.fixture(scope="module")
@@ -72,22 +78,16 @@ def consts():
 
 @pytest.fixture(scope="module")
 def ladder(threads, tmp_path_factory):
-    cfg = base_config()
-    root = tmp_path_factory.mktemp("ladder")
-    outcomes, csvs = {}, {}
+    out = tmp_path_factory.mktemp("ladder")
     t0 = time.monotonic()
-    for n in LADDER:
-        path = root / f"outcomes_n{n}.csv"
-        outcomes[n] = mc.run_trials(cfg, n=n, threads=threads, csv_path=path)
-        csvs[n] = path
+    report, outcomes = mc.run_experiment(replace(base_config(), threads=threads),
+                                         out_dir=out)
     elapsed = time.monotonic() - t0
-    return {"outcomes": outcomes, "csv": csvs, "elapsed": elapsed}
+    return {"report": report, "outcomes": outcomes, "out": out, "elapsed": elapsed}
 
 
-@pytest.fixture(scope="module")
-def q_reference(consts):
-    bp = mc.bp_config_for(base_config())
-    return mc.build_q_reference(consts, bp, 10_000, SEED)
+def report_entry(ladder, name):
+    return next(e for e in ladder["report"].entries if e.name == name)
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +184,7 @@ def test_criterion_03_residual_identities():
 
 
 def test_criterion_04_hopcount_clt(ladder):
-    z_by_n = {n: mc.column(o, "Z_hat") for n, o in ladder["outcomes"].items()}
-    entry = mc.verify_hopcount_clt(z_by_n, {"hop_ks": 0.06})
+    entry = report_entry(ladder, "hopcount_clt")
     s = entry.statistics
     detail = (f"KS {s['ks_n1000']:.3f}/{s['ks_n10000']:.3f}/{s['ks_n100000']:.3f} "
               f"(monotone={int(s['ladder_monotone'])}, need <0.06 at top), "
@@ -200,21 +199,21 @@ def test_criterion_04_hopcount_clt(ladder):
         "'Two gates fail, on purpose'")
 
 
-def test_criterion_05_weight_limit(ladder, consts, q_reference):
-    top = ladder["outcomes"][LADDER[-1]]
-    q = np.array([o.Q_hat for o in top if o.connected])
+def test_criterion_05_weight_limit(ladder, consts, ranked_reference):
+    q = mc.column(ladder["outcomes"][LADDER[-1]], "Q_hat")
+    q_reference = ranked_reference[:, 0]
     d_null, p_null = mc.ks_two_sample(q, q_reference)
     d_power, _ = mc.ks_two_sample(q, q_reference + math.log(2.0) / consts.alpha)
     ok = d_null < 0.08 and d_power > 0.15
     emit(5, ok, f"two-sample KS {d_null:.4f} (p={p_null:.3f}, need <0.08); "
          f"wrong-constant check {d_power:.4f} (need >0.15)")
+    assert d_null == report_entry(ladder, "weight_limit").statistics["ks"]
     assert d_null < 0.08
     assert d_power > 0.15
 
 
 def test_criterion_06_ppp_structure(ladder, consts, residual):
-    top = ladder["outcomes"][LADDER[-1]]
-    entry = mc.verify_ppp(mc.pool_marks(top), len(top), consts, residual.cdf)
+    entry = report_entry(ladder, "ppp_marks")
     s = entry.statistics
     cal = mc.calibrate_verifiers(consts, residual, n_meta=100, M=M_TRIALS,
                                  ref_size=10_000)
@@ -279,10 +278,8 @@ def test_criterion_08_rank1_degree_law():
     assert elapsed < 60.0
 
 
-def test_criterion_09_ranked_paths(ladder, consts, ranked_reference):
-    top = ladder["outcomes"][LADDER[-1]]
-    entry = mc.verify_ranked(mc.ranked_matrix(top, consts, RANKED_M), ranked_reference,
-                             {"ranked_ks": 0.1})
+def test_criterion_09_ranked_paths(ladder):
+    entry = report_entry(ladder, "ranked_paths")
     s = entry.statistics
     ks = [s[f"ks_rank{j + 1}"] for j in range(RANKED_M)]
     detail = (f"per-rank KS {'/'.join(f'{d:.3f}' for d in ks)} (<0.1), "
@@ -297,7 +294,7 @@ def test_criterion_10_determinism(ladder, threads, tmp_path_factory):
     n = LADDER[0]
     rerun = tmp_path_factory.mktemp("rerun") / "again.csv"
     mc.run_trials(base_config(), n=n, threads=1, csv_path=rerun)
-    same = rerun.read_bytes() == ladder["csv"][n].read_bytes()
+    same = rerun.read_bytes() == (ladder["out"] / f"outcomes_n{n}.csv").read_bytes()
     emit(10, same, f"rung n={n} rerun single-threaded: outcome CSV "
          f"{'byte-identical' if same else 'DIFFERS'} vs {threads}-worker run")
     assert same

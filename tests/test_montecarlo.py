@@ -1,11 +1,13 @@
 """Seeding, KS statistics, trial harness determinism, verifier spot checks."""
 
+import functools
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +21,8 @@ from scipy.special import ndtr
 
 from fpplab import ctbp, degrees, explore, graphs, weights
 from fpplab import montecarlo as mc
+
+from conftest import suite_threads
 
 
 def philox(key):
@@ -316,10 +320,10 @@ def test_best_path_stop_keeps_every_csv_field(name):
     # the m = 1 stop without the mark window is exact, and a disconnected
     # endpoint pair explores until a cluster closes at any m, so the CSV row,
     # the resample count and the best path match the full trial's
-    cfg = replace(BEST_PATH_CASES[name], ranked_m=3)
+    cfg = replace(BEST_PATH_CASES[name], ranked_m=3, master_seed=23)
     consts = mc.constants_for_config(cfg)
-    full = mc._TrialTask(cfg, 1000, 23, consts, True)
-    best = mc._TrialTask(replace(cfg, ranked_m=1), 1000, 23, consts, False)
+    full = mc._TrialTask(cfg, 1000, consts, True)
+    best = mc._TrialTask(replace(cfg, ranked_m=1), 1000, consts, False)
     for i in range(300):
         a, b = mc._run_single_trial(full, i), mc._run_single_trial(best, i)
         assert (mc._csv_row(a), a.resamples, a.ranked[:1]) == \
@@ -405,7 +409,7 @@ def test_realised_degree_trials_match_recorded_outcomes(name, tmp_path):
     # one-ulp drift in alpha_n fails here
     cfg, n = REALISED_CASES[name]
     path = tmp_path / "trials.csv"
-    out = mc.run_trials(cfg, 30, 9, n=n, csv_path=path)
+    out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, csv_path=path)
     assert path.read_bytes() == (DATA / f"trials_{name}_seed9.csv").read_bytes()
     recorded = json.loads((DATA / "trials_marks_seed9.json").read_text())[name]
     assert [hashlib.sha256(o.marks.tobytes()).hexdigest() for o in out] == recorded
@@ -434,7 +438,8 @@ def test_lazy_trials_match_eager_law():
     dist = weights.exponential(1.0)
     for model in (("regular", 4), ("iid", IID_PMF)):
         lazy = mc.run_trials(mc.ExperimentConfig(degree_model=model, n_ladder=(n,),
-                                                 trials=M, master_seed=71), threads=1)
+                                                 trials=M, master_seed=71),
+                             threads=suite_threads())
         hops, lengths = [], []
         for i in range(M):
             rng = philox(50_000 + i)
@@ -466,10 +471,10 @@ def test_trial_chunks_import_nothing():
         if "numpy.random" not in sys.modules:
             sys.exit("numpy.random not loaded by import fpplab.cli")
         tasks = []
-        for cfg in (mc.ExperimentConfig(),
-                    mc.ExperimentConfig(graph_kind="nr",
+        for cfg in (mc.ExperimentConfig(master_seed=5),
+                    mc.ExperimentConfig(graph_kind="nr", master_seed=5,
                                         vertex_weight_spec=("exponential", (1 / 3,)))):
-            tasks.append(mc._TrialTask(cfg, 300, 5, mc.constants_for_config(cfg), True))
+            tasks.append(mc._TrialTask(cfg, 300, mc.constants_for_config(cfg), True))
         before = set(sys.modules)
         for task in tasks:
             mc._trial_chunk((task, 0, 3))
@@ -500,7 +505,8 @@ def test_dead_worker_is_named_error(monkeypatch):
         mc.run_trials(cfg, threads=2)
     msg = str(err.value)
     assert "master seed 611" in msg and "chunk" in msg and "trials" in msg
-    assert "master_seed=611, n=100, threads=1)" in msg
+    assert re.search(r"run_trials\(replace\(config, trials=\d+\), n=100, threads=1\)",
+                     msg), msg
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -524,7 +530,42 @@ def test_dead_worker_in_a_later_rung_names_it(monkeypatch):
         mc.run_experiment(cfg)
     msg = str(err.value)
     assert "chunk 2 (trials 128..129) of rung n=200, master seed 611" in msg
-    assert "run_trials(config, M=130, master_seed=611, n=200, threads=1)" in msg
+    assert "run_trials(replace(config, trials=130), n=200, threads=1)" in msg
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the workers only by fork")
+def test_dead_worker_replay_hint_rewrites_the_lost_rows(monkeypatch, tmp_path):
+    # the hint, run as printed with config bound to the run's config, must
+    # write the lost chunk's rows as the pooled run does, byte for byte; the
+    # chunk sits on a lower rung, which the run explores at m = 1 without
+    # marks while the replay runs the full config
+    cfg = mc.ExperimentConfig(n_ladder=(100, 200), trials=130, ranked_m=3,
+                              master_seed=611, threads=2)
+    mc.run_experiment(cfg, out_dir=tmp_path / "pooled")
+    real = mc._run_single_trial
+
+    def dying(task, index):
+        if task.n == 100 and index == 70:
+            os._exit(3)
+        return real(task, index)
+
+    monkeypatch.setattr(mc, "_run_single_trial", dying)
+    with pytest.raises(mc.MonteCarloError) as err:
+        mc.run_experiment(cfg)
+    monkeypatch.undo()
+    msg = str(err.value)
+    lo, last, n = map(int, re.search(r"trials (\d+)\.\.(\d+)\) of rung n=(\d+)",
+                                     msg).groups())
+    replay = tmp_path / "replay.csv"
+    eval(re.search(r"run_trials\(.*\)", msg).group(0),
+         {"run_trials": functools.partial(mc.run_trials, csv_path=replay),
+          "replace": replace, "config": cfg})
+    rows = replay.read_bytes().splitlines(keepends=True)
+    pooled = (tmp_path / "pooled" / f"outcomes_n{n}.csv").read_bytes()
+    assert len(rows) == last + 2
+    assert rows[lo + 1:] == pooled.splitlines(keepends=True)[lo + 1:last + 2]
     assert multiprocessing.active_children() == []
 
 
@@ -562,8 +603,8 @@ def test_persistent_disconnection(monkeypatch):
     consts = mc.constants_for_config(mc.ExperimentConfig())
     monkeypatch.setattr(mc, "_centring_cached", lambda spec, nu_n: consts)
     monkeypatch.setattr(mc, "_MAX_RESAMPLES", 3)
-    task = mc._TrialTask(mc.ExperimentConfig(degree_model=("regular", 1)), 100, 2,
-                         consts, False)
+    task = mc._TrialTask(mc.ExperimentConfig(degree_model=("regular", 1), master_seed=2),
+                         100, consts, False)
     with pytest.raises(mc.PersistentDisconnection):
         mc._run_single_trial(task, 0)
 
