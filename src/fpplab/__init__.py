@@ -26,6 +26,7 @@ from .degrees import (
     build_deterministic,
     build_iid,
     diagnostics,
+    limit_pmf,
     regular,
 )
 from .explore import (
@@ -36,7 +37,6 @@ from .explore import (
     standardize_marks,
 )
 from .graphs import (
-    HalfEdgeLayout,
     LazyPairing,
     WeightedGraph,
     assign_weights,

@@ -10,25 +10,24 @@ exploration reads a vertex's half-edges only through reveal(v), a list of
 A configuration model can also be paired lazily (LazyPairing): partners and
 weights are drawn only for the vertices an exploration reaches, and its
 reveal(v) returns the same triples a WeightedGraph of that pairing would.
-Its half-edge ids come from a HalfEdgeLayout, which keeps the degree blocks
-only, so a lazily paired graph holds no array whose size grows with n.
+Its half-edge ids come from the DegreeSequence itself, which keeps the
+degree blocks only, so a lazily paired graph holds no array whose size
+grows with n.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import weights
-from .degrees import DegreeSequence, expand
+from .degrees import DegreeSequence
 from .weights import QuadratureError, WeightDistribution, sample as sample_weight
 
 __all__ = [
     "GraphError",
     "WeightedGraph",
-    "HalfEdgeLayout",
     "LazyPairing",
     "pair_configuration",
     "sample_uniform_simple",
@@ -161,74 +160,6 @@ def _pair_off(he: np.ndarray, partner: np.ndarray) -> None:
     partner[he[1::2]] = he[0::2]
 
 
-class HalfEdgeLayout:
-    """Half-edge id ranges of a degree sequence, without any pairing.
-
-    Holds the degree blocks only. Block j = (k_j, c_j) starts at vertex v_j
-    and half-edge first_j; its vertex v owns the k_j ids from
-    first_j + k_j (v - v_j) on. degree(v) and half_edges(v) bisect the block
-    starts by vertex, owner(h) by half-edge, and a one-block (regular)
-    layout answers all three with one multiply or divide. Memory is
-    O(blocks) at any n; degrees() expands the blocks per vertex on demand.
-    Built once per degree sequence and shared by every LazyPairing on it.
-    """
-
-    __slots__ = ("n", "blocks", "half_edge_count", "regular_degree",
-                 "_vertex_starts", "_he_starts")
-
-    def __init__(self, n: int, blocks):
-        blocks = tuple((int(k), int(c)) for k, c in blocks)
-        vertex_starts, he_starts = [], []
-        v = h = 0
-        for k, c in blocks:
-            if k < 0 or c < 1:
-                raise GraphError(f"bad degree block ({k}, {c}): need degree >= 0 "
-                                 "and at least one vertex")
-            vertex_starts.append(v)
-            he_starts.append(h)
-            v += c
-            h += k * c
-        if v != n:
-            raise GraphError(f"degree blocks cover {v} vertices, not n = {n}")
-        if h % 2:
-            raise GraphError(f"degree blocks hold an odd number {h} of half-edges")
-        self.n = n
-        self.blocks = blocks
-        self.half_edge_count = h
-        self.regular_degree = blocks[0][0] if len(blocks) == 1 else 0
-        self._vertex_starts = vertex_starts
-        self._he_starts = he_starts
-
-    @classmethod
-    def of(cls, seq: DegreeSequence) -> "HalfEdgeLayout":
-        return cls(seq.n, seq.blocks)
-
-    def degrees(self) -> np.ndarray:
-        """Per-vertex degrees (n entries)."""
-        return expand(self.blocks)
-
-    def degree(self, v: int) -> int:
-        if self.regular_degree:
-            return self.regular_degree
-        return self.blocks[bisect_right(self._vertex_starts, v) - 1][0]
-
-    def half_edges(self, v: int) -> tuple[int, int]:
-        """(lo, hi): vertex v owns the half-edge ids lo .. hi - 1."""
-        r = self.regular_degree
-        if r:
-            return v * r, v * r + r
-        j = bisect_right(self._vertex_starts, v) - 1
-        k = self.blocks[j][0]
-        lo = self._he_starts[j] + k * (v - self._vertex_starts[j])
-        return lo, lo + k
-
-    def owner(self, h: int) -> int:
-        if self.regular_degree:
-            return h // self.regular_degree
-        j = bisect_right(self._he_starts, h) - 1
-        return self._vertex_starts[j] + (h - self._he_starts[j]) // self.blocks[j][0]
-
-
 _DRAW_BLOCK = 256   # partner ids / weights drawn per rng call
 
 
@@ -256,16 +187,17 @@ class LazyPairing:
     the lower id of each revealed edge to its weight: one entry per edge,
     as these two dicts are most of what a large lazy trial holds.
     materialize() completes both into the arrays of a WeightedGraph. Vertex
-    ranges, degrees and owners come from the layout's blocks, so the
-    memory is O(blocks + half-edges revealed) at any n.
+    ranges, degrees and owners come from the sequence's blocks, so the
+    memory is O(blocks + half-edges revealed) at any n. One sequence may be
+    shared by any number of pairings.
     """
 
-    def __init__(self, layout: HalfEdgeLayout, dist: WeightDistribution,
+    def __init__(self, seq: DegreeSequence, dist: WeightDistribution,
                  rng: np.random.Generator):
-        self.n = layout.n
-        self.layout = layout
-        self.owner = layout.owner
-        self.degree = layout.degree
+        self.n = seq.n
+        self.seq = seq
+        self.owner = seq.owner
+        self.degree = seq.degree
         self.partner: dict[int, int] = {}
         self.edge_weight_by_he: dict[int, float] = {}
         self._dist = dist
@@ -282,12 +214,12 @@ class LazyPairing:
         weight = self.edge_weight_by_he
         ids = self._ids
         draws = self._weights
-        r = self.layout.regular_degree
+        r = self.seq.regular_degree
         if r:                  # half_edges(v) inlined: reveal runs once per event
             lo = v * r
             hi = lo + r
         else:
-            lo, hi = self.layout.half_edges(v)
+            lo, hi = self.seq.half_edges(v)
         half = []
         for x in range(lo, hi):
             y = partner.get(x)
@@ -295,7 +227,7 @@ class LazyPairing:
                 while True:
                     if not ids:
                         ids.extend(self._rng.integers(
-                            self.layout.half_edge_count, size=_DRAW_BLOCK).tolist())
+                            self.seq.total, size=_DRAW_BLOCK).tolist())
                     y = ids.pop()
                     if y != x and y not in partner:
                         break
@@ -318,7 +250,7 @@ class LazyPairing:
         permutation pairing as pair_configuration) and one weight per new
         edge, by ascending lower half-edge id, from this pairing's rng.
         """
-        ell = self.layout.half_edge_count
+        ell = self.seq.total
         partner = np.full(ell, -1, dtype=np.int64)
         by_he = np.empty(ell, dtype=float)
         if self.partner:
@@ -330,7 +262,7 @@ class LazyPairing:
         free = np.nonzero(partner < 0)[0]
         _pair_uniformly(free, self._rng, partner)
         _weigh_edges(by_he, partner, free[free < partner[free]], self._dist, self._rng)
-        off = _offsets(self.layout.degrees())
+        off = _offsets(self.seq.degrees)
         return WeightedGraph(n=self.n, he_offset=off, he_owner=_owners(off),
                              partner=partner, edge_weight_by_he=by_he)
 

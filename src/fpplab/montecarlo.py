@@ -7,8 +7,10 @@ regardless of thread count, chunking, or rerun; the CSV writer emits rows in
 trial order with repr() floats, making output files byte-identical across
 reruns and worker pools.
 
-ExperimentConfig is the one model record. sample_graph(config, n, rng) is
-the one graph sampler, shared with gen-graph and the oracle corpus. Every
+ExperimentConfig is the one model record, and building one checks its
+degree model (degrees.limit_pmf), so a bad degree law fails before any
+trial runs. sample_graph(config, n, rng) is the one graph sampler, shared
+with gen-graph and the oracle corpus. Every
 verifier reads arrays, which column, pool_marks and ranked_matrix extract
 from trial outcomes, and takes its thresholds as one mapping th of
 DEFAULT_THRESHOLDS names, merged over the defaults exactly as the config's
@@ -46,7 +48,6 @@ __all__ = [
     "derived_seed",
     "trial_seed",
     "rng_for",
-    "pmf_of_model",
     "size_biased_from_pmf",
     "bp_config_for",
     "constants_for_config",
@@ -165,7 +166,8 @@ def _merge_thresholds(th: dict | None) -> dict:
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; flags and files both build one of these. Rank-1
-    kinds take their degree law from the vertex weights: degree_model is cleared.
+    kinds take their degree law from the vertex weights: degree_model is
+    cleared. Every other kind's degree_model is checked by degrees.limit_pmf.
     The weight specs are stored hashable, and thresholds merged over
     DEFAULT_THRESHOLDS, so graphs and verdicts read this record directly."""
 
@@ -187,6 +189,8 @@ class ExperimentConfig:
             if self.vertex_weight_spec is None:
                 raise MonteCarloError(f"{self.graph_kind} graphs need vertex_weight_spec")
             self.degree_model = None
+        else:
+            degrees.limit_pmf(self.degree_model)
         self.weight_spec = _hashable_spec(self.weight_spec)
         if self.vertex_weight_spec is not None:
             self.vertex_weight_spec = _hashable_spec(self.vertex_weight_spec)
@@ -240,25 +244,6 @@ def write_outcomes_csv(outcomes, path) -> None:
 # model plumbing: degree laws, offspring laws, constants
 
 
-def pmf_of_model(model: tuple) -> dict[int, float]:
-    """Limiting degree pmf of a degree model."""
-    kind, param = model
-    if kind == "regular":
-        return {int(param): 1.0}
-    if kind == "iid":
-        return {int(k): float(v) for k, v in dict(param).items()}
-    if kind == "deterministic":
-        items = sorted((int(k), float(v)) for k, v in dict(param).items())
-        out = {}
-        prev = 0.0
-        for k, v in items:
-            if v > prev:
-                out[k] = v - prev
-            prev = v
-        return out
-    raise MonteCarloError(f"unknown degree model {kind!r}")
-
-
 def size_biased_from_pmf(pmf: dict[int, float]) -> dict[int, float]:
     """Forward-degree law: pick an edge end by size bias, count siblings."""
     mu = sum(k * p for k, p in pmf.items())
@@ -298,7 +283,7 @@ def _limit_pmf(config: ExperimentConfig) -> dict[int, float]:
     references' offspring draws need it; constants_for_config does not."""
     if config.graph_kind in graphs.RANK1_KINDS:
         return dict(_mixed_poisson_cached(config.vertex_weight_spec))
-    return pmf_of_model(config.degree_model)
+    return degrees.limit_pmf(config.degree_model)
 
 
 def bp_config_for(config: ExperimentConfig) -> ctbp.BpConfig:
@@ -317,7 +302,7 @@ def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
     if config.graph_kind in graphs.RANK1_KINDS:
         m1, m2 = _moments_cached(config.vertex_weight_spec)
         return _constants_cached(config.weight_spec, m1, m2 / m1)
-    pmf = pmf_of_model(config.degree_model)
+    pmf = degrees.limit_pmf(config.degree_model)
     mu = sum(k * p for k, p in pmf.items())
     nu = sum(k * (k - 1) * p for k, p in pmf.items()) / mu
     return _constants_cached(config.weight_spec, mu, nu)
@@ -351,19 +336,11 @@ def sample_graph(config: ExperimentConfig, n: int, rng):
         g = graphs.assign_weights(graphs.sample_rank1(w, kind, rng), dist, rng)
         d = g.degrees()   # a tiny rank-1 graph may have no edge: nu_n = 0
         return g, int((d * (d - 1)).sum()) / max(int(d.sum()), 1)
-    model, param = config.degree_model
-    if model == "regular":
-        seq = degrees.regular(int(param), n)
-    elif model == "deterministic":
-        seq = degrees.build_deterministic(param, n)
-    elif model == "iid":
-        seq = degrees.build_iid(param, n, rng)
-    else:
-        raise MonteCarloError(f"unknown degree model {model!r}")
+    seq = degrees.build(config.degree_model, n, rng)
     if kind == "simple":
         g, _ = graphs.sample_uniform_simple(seq, rng)
         return graphs.assign_weights(g, dist, rng), seq.nu_n
-    return graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, rng), seq.nu_n
+    return graphs.LazyPairing(seq, dist, rng), seq.nu_n
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def test_invariant_checks_raise_under_optimize():
         import math
         import sys
         import numpy as np
-        from fpplab import ctbp, degrees, graphs, weights
+        from fpplab import ctbp, degrees, weights
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
@@ -153,13 +153,13 @@ def test_invariant_checks_raise_under_optimize():
             sys.exit("no CtbpError")
         ctbp.np = np
 
-        for n, blocks in ((6, [(2, 3), (4, 2)]), (3, [(3, 3)])):
+        for blocks in (((2, 3), (4, 0)), ((3, 3),)):
             try:
-                graphs.HalfEdgeLayout(n, blocks)
-            except graphs.GraphError as exc:
+                degrees.DegreeSequence(blocks)
+            except degrees.DegreeModelError as exc:
                 print(exc)
             else:
-                sys.exit("no GraphError")
+                sys.exit("no DegreeModelError")
     """)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -167,11 +167,11 @@ def test_invariant_checks_raise_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    ceiling, bookkeeping, cover, odd = done.stdout.splitlines()
+    ceiling, bookkeeping, empty, odd = done.stdout.splitlines()
     assert "ceiling rule must exhaust all vertices" in ceiling
     assert "population bookkeeping drifted" in bookkeeping
-    assert "cover 5 vertices, not n = 6" in cover
-    assert "odd number 9 of half-edges" in odd
+    assert "every block needs at least one vertex" in empty
+    assert "total degree must be even" in odd
 
 
 def test_iid_rejects_invalid_pmf():
@@ -182,6 +182,47 @@ def test_iid_rejects_invalid_pmf():
         degrees.build_iid({0: 0.5, 2: 0.5}, 100, rng)
     with pytest.raises(degrees.DegreeModelError):
         degrees.build_iid({1: -0.1, 2: 1.1}, 100, rng)
+
+
+@pytest.mark.parametrize("model", [
+    ("iid", {1: 0.4, 2: 0.4}),                        # mass 0.8
+    ("iid", {0: 0.5, 2: 0.5}),                        # degree zero
+    ("iid", {1: -0.1, 2: 1.1}),                       # negative mass
+    ("iid", {1: float("nan"), 2: 1.0}),
+    ("deterministic", {1: 0.7, 2: 0.3, 3: 1.0}),      # not monotone
+    ("deterministic", {1: 0.5, 2: 0.9}),              # never reaches 1
+    ("deterministic", {1: -0.5, 2: 1.0}),             # negative start
+    ("deterministic", {0: 0.2, 2: 1.0}),              # degree zero
+    ("deterministic", {}),
+    ("regular", 0),
+    ("regular", -2),
+], ids=repr)
+def test_limit_pmf_refuses_what_the_builder_refuses(model):
+    # one set of rules: a law the limit constants would read is one whose
+    # sequence the trials could build
+    with pytest.raises(degrees.DegreeModelError):
+        degrees.limit_pmf(model)
+    with pytest.raises(degrees.DegreeModelError):
+        degrees.build(model, 100, np.random.Generator(np.random.Philox(key=1)))
+
+
+@pytest.mark.parametrize("model", [None, ("poisson", 3), ("regular",), "regular:4"])
+def test_unknown_degree_model_is_named(model):
+    with pytest.raises(degrees.DegreeModelError, match="unknown degree model"):
+        degrees.limit_pmf(model)
+    with pytest.raises(degrees.DegreeModelError, match="unknown degree model"):
+        degrees.build(model, 100, np.random.Generator(np.random.Philox(key=1)))
+
+
+def test_build_dispatches_to_the_builders():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    assert degrees.build(("regular", 3), 9, rng) == degrees.regular(3, 9)
+    cdf = {1: 0.3, 2: 1.0}
+    assert degrees.build(("deterministic", cdf), 10, rng) == \
+        degrees.build_deterministic(cdf, 10)
+    pmf = ((1, 0.2), (3, 0.8))
+    assert degrees.build(("iid", pmf), 50, np.random.Generator(np.random.Philox(key=4))) == \
+        degrees.build_iid(pmf, 50, np.random.Generator(np.random.Philox(key=4)))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=60))

@@ -241,8 +241,7 @@ def test_lazy_closed_cluster_run_equals_exhaustive_materialized():
     for key in range(40):
         rng = philox(3000 + key)
         seq = degrees.build_iid({1: 0.4, 2: 0.2, 3: 0.4}, 300, rng)
-        g = graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq),
-                               weights.exponential(1.0), rng)
+        g = graphs.LazyPairing(seq, weights.exponential(1.0), rng)
         u = int(rng.integers(g.n))
         v = int(rng.integers(g.n - 1))
         v += v >= u
@@ -377,15 +376,14 @@ EVENT_LOG_CASES = ("lazy_regular", "lazy_iid", "unit_edges")
 def event_log_instance(name):
     """(graph, u1, u2) of one seeded guard instance, built afresh."""
     if name == "lazy_regular":
-        layout = graphs.HalfEdgeLayout.of(degrees.regular(4, 500))
-        return graphs.LazyPairing(layout, weights.exponential(1.0), philox(901)), 0, 250
+        seq = degrees.regular(4, 500)
+        return graphs.LazyPairing(seq, weights.exponential(1.0), philox(901)), 0, 250
     if name == "lazy_iid":
         # few vertices, high degrees: the explored part has self-loops and
         # multi-edges
         rng = philox(902)
         seq = degrees.build_iid({1: 0.2, 3: 0.3, 6: 0.5}, 80, rng)
-        layout = graphs.HalfEdgeLayout.of(seq)
-        return graphs.LazyPairing(layout, weights.exponential(1.0), rng), 0, 1
+        return graphs.LazyPairing(seq, weights.exponential(1.0), rng), 0, 1
     # every weight 1.0: death times tie all the time, so the id tie-break
     # decides the event order
     g = graphs.build_from_edges(60, philox(903).integers(60, size=(150, 2)))
@@ -444,6 +442,6 @@ def test_reveal_triples_agree_with_materialized():
     np.testing.assert_equal(g._rng.bit_generator.state, rng_state)
     full = g.materialize()
     for w, half in triples.items():
-        assert [x for x, _, _ in half] == list(range(*g.layout.half_edges(w)))
+        assert [x for x, _, _ in half] == list(range(*g.seq.half_edges(w)))
         assert g.reveal(w) == half
         assert full.reveal(w) == half

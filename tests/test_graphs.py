@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 from fpplab import degrees, explore, graphs, weights
@@ -61,13 +61,12 @@ def test_lazy_partner_uniform():
     # the other seven, whatever was revealed first; vertex 2 goes first here
     # so the draw for half-edge 0 has to redraw paired ids
     seq = degrees.DegreeSequence.from_degrees(np.array([2, 1, 3, 2]))
-    layout = graphs.HalfEdgeLayout.of(seq)
-    assert layout.regular_degree == 0
+    assert seq.regular_degree == 0
     dist = weights.exponential(1.0)
     rng = philox(17)
     counts = np.zeros(8)
     for _ in range(3500):
-        g = graphs.LazyPairing(layout, dist, rng)
+        g = graphs.LazyPairing(seq, dist, rng)
         g.reveal(2)
         g.reveal(0)
         counts[g.partner[0]] += 1
@@ -80,8 +79,7 @@ def test_lazy_partner_uniform():
     degrees.build_iid({1: 0.3, 3: 0.4, 4: 0.3}, 60, philox(23)),
 ])
 def test_materialize_keeps_revealed_pairs(seq):
-    layout = graphs.HalfEdgeLayout.of(seq)
-    g = graphs.LazyPairing(layout, weights.exponential(1.0), philox(24))
+    g = graphs.LazyPairing(seq, weights.exponential(1.0), philox(24))
     for v in (0, 5, 17, 39):
         g.reveal(v)
     revealed = dict(g.partner)
@@ -96,7 +94,7 @@ def test_materialize_keeps_revealed_pairs(seq):
     w = full.edge_weight_by_he
     np.testing.assert_array_equal(w, w[p])
     assert np.unique(w).size == p.size // 2
-    assert [layout.owner(h) for h in range(p.size)] == full.he_owner.tolist()
+    assert [seq.owner(h) for h in range(p.size)] == full.he_owner.tolist()
 
 
 @pytest.mark.parametrize("seq", [
@@ -108,7 +106,7 @@ def test_unrevealed_materialize_is_pair_then_weigh(seq):
     # which returns a LazyPairing: completed before any reveal, it must draw
     # the very permutation and weights of pair_configuration + assign_weights
     dist = weights.exponential(1.0)
-    full = graphs.LazyPairing(graphs.HalfEdgeLayout.of(seq), dist, philox(25)).materialize()
+    full = graphs.LazyPairing(seq, dist, philox(25)).materialize()
     rng = philox(25)
     ref = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
     for name in ("he_offset", "he_owner", "partner", "edge_weight_by_he"):
@@ -116,37 +114,41 @@ def test_unrevealed_materialize_is_pair_then_weigh(seq):
     assert ref.materialize() is ref
 
 
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=7),
                           st.integers(min_value=1, max_value=12)),
                 min_size=1, max_size=8))
 def test_layout_matches_expanded_offsets(raw):
     # blocks in any degree order; an odd total gets the builders' parity
-    # bump, the last vertex moved into a final (k + 1, 1) block
+    # bump, the last vertex moved into a final (k + 1, 1) block. A sequence
+    # needs two vertices and degrees >= 1
     blocks = list(raw)
+    assume(sum(c for _, c in blocks) >= 2)
     if sum(k * c for k, c in blocks) % 2:
         k, c = blocks.pop()
         blocks += [(k, c - 1)] * (c > 1) + [(k + 1, 1)]
-    n = sum(c for _, c in blocks)
-    layout = graphs.HalfEdgeLayout(n, blocks)
+    seq = degrees.DegreeSequence(tuple(blocks))
     deg = np.repeat([k for k, _ in blocks], [c for _, c in blocks])
     off = graphs._offsets(deg)
     owner = graphs._owners(off)
-    np.testing.assert_array_equal(layout.degrees(), deg)
-    assert layout.half_edge_count == int(off[-1])
+    np.testing.assert_array_equal(seq.degrees, deg)
+    assert seq.total == int(off[-1])
+    assert seq.regular_degree == (blocks[0][0] if len(blocks) == 1 else 0)
     # every vertex and half-edge, so both sides of each block boundary
-    for v in range(n):
-        assert layout.degree(v) == deg[v]
-        assert layout.half_edges(v) == (off[v], off[v + 1])
-    assert [layout.owner(h) for h in range(owner.size)] == owner.tolist()
+    for v in range(seq.n):
+        assert seq.degree(v) == deg[v]
+        assert seq.half_edges(v) == (off[v], off[v + 1])
+    assert [seq.owner(h) for h in range(owner.size)] == owner.tolist()
 
 
-def test_layout_rejects_blocks_that_do_not_cover_n():
-    with pytest.raises(graphs.GraphError, match="cover 5 vertices"):
-        graphs.HalfEdgeLayout(6, [(2, 3), (4, 2)])
-    with pytest.raises(graphs.GraphError, match="odd number 9"):
-        graphs.HalfEdgeLayout(3, [(3, 3)])
-    with pytest.raises(graphs.GraphError, match="at least one vertex"):
-        graphs.HalfEdgeLayout(3, [(2, 3), (4, 0)])
+def test_layout_rejects_bad_blocks():
+    with pytest.raises(degrees.DegreeModelError, match="total degree must be even"):
+        degrees.DegreeSequence(((3, 3),))
+    with pytest.raises(degrees.DegreeModelError, match="at least one vertex"):
+        degrees.DegreeSequence(((2, 3), (4, 0)))
+    with pytest.raises(degrees.DegreeModelError, match="degree-0"):
+        degrees.DegreeSequence(((0, 2), (2, 2)))
+    with pytest.raises(degrees.DegreeModelError, match="two vertices"):
+        degrees.DegreeSequence(((2, 1),))
 
 
 def test_layout_at_1e9_vertices_allocates_no_n_sized_array():
@@ -158,15 +160,14 @@ def test_layout_at_1e9_vertices_allocates_no_n_sized_array():
     try:
         seq = degrees.regular(4, n)
         diag = degrees.diagnostics(seq)
-        layout = graphs.HalfEdgeLayout.of(seq)
-        assert layout.owner(4 * n - 1) == n - 1
-        assert layout.half_edges(n - 1) == (4 * n - 4, 4 * n)
-        assert layout.degree(n // 2) == 4
-        bumped = graphs.HalfEdgeLayout.of(degrees.regular(3, n + 1))
+        assert seq.owner(4 * n - 1) == n - 1
+        assert seq.half_edges(n - 1) == (4 * n - 4, 4 * n)
+        assert seq.degree(n // 2) == 4
+        bumped = degrees.regular(3, n + 1)
         assert bumped.blocks == ((3, n), (4, 1))
         assert bumped.owner(3 * n) == n and bumped.owner(3 * n - 1) == n - 1
         assert bumped.half_edges(n) == (3 * n, 3 * n + 4)
-        g = graphs.LazyPairing(layout, weights.exponential(1.0), philox(31))
+        g = graphs.LazyPairing(seq, weights.exponential(1.0), philox(31))
         assert len(g.reveal(n - 1)) == 4
         state = explore.init(g, 0, n - 1)
         explore.advance(state, 1.5)

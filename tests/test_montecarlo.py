@@ -19,7 +19,7 @@ import pytest
 import scipy.stats
 from scipy.special import ndtr
 
-from fpplab import ctbp, degrees, explore, graphs, weights
+from fpplab import ctbp, degrees, explore, graphs, oracle, weights
 from fpplab import montecarlo as mc
 
 from conftest import suite_threads
@@ -143,16 +143,48 @@ def test_ks_two_sample_matches_scipy():
 # model plumbing
 
 
-def test_pmf_of_model():
-    assert mc.pmf_of_model(("regular", 4)) == {4: 1.0}
-    pmf = {1: 0.5, 3: 0.5}
-    assert mc.pmf_of_model(("iid", pmf)) == pmf
+def pmf_of_model(model):
+    """Reference limit pmf, unchecked: the floats every recorded constant and
+    reference was computed from, which limit_pmf must return exactly."""
+    kind, param = model
+    if kind == "regular":
+        return {int(param): 1.0}
+    if kind == "iid":
+        return {int(k): float(v) for k, v in dict(param).items()}
+    out = {}
+    prev = 0.0
+    for k, v in sorted((int(k), float(v)) for k, v in dict(param).items()):
+        if v > prev:
+            out[k] = v - prev
+        prev = v
+    return out
+
+
+def test_limit_pmf_matches_pmf_of_model():
+    # same keys, same order, same floats: no constant or reference moves
+    models = [model for kind, model in oracle._GRAPH_MODELS
+              if kind not in graphs.RANK1_KINDS]
+    models += [("regular", 4), ("iid", {1: 0.5, 3: 0.5}), ("iid", IID_PMF),
+               REALISED_CASES["cm_iid"][0].degree_model,
+               ("deterministic", {2: 0.1, 1: 0.1, 4: 0.7, 3: 0.7, 6: 1.0})]
+    for model in models:
+        got = degrees.limit_pmf(model)
+        assert list(got.items()) == list(pmf_of_model(model).items()), model
+
+
+@pytest.mark.parametrize("kind", ["cm", "simple"])
+def test_config_checks_its_degree_model(kind):
+    for model in (None, ("poisson", 3), ("regular", 0), ("iid", {1: 0.4, 2: 0.4}),
+                  ("deterministic", {1: 0.7, 2: 0.3, 3: 1.0})):
+        with pytest.raises(degrees.DegreeModelError):
+            mc.ExperimentConfig(graph_kind=kind, degree_model=model)
 
 
 def test_rank1_config_derives_its_degree_law():
-    # a degree model given with a rank-1 kind is cleared, not read: the
-    # limit law is the mixed Poisson of the vertex weights
-    cfg = mc.ExperimentConfig(graph_kind="nr", degree_model=("iid", {1: 1.0}),
+    # a degree model given with a rank-1 kind is cleared before any check,
+    # not read: the limit law is the mixed Poisson of the vertex weights,
+    # which has mass at degree 0 where no cm builder takes any
+    cfg = mc.ExperimentConfig(graph_kind="nr", degree_model=("iid", {0: 0.5, 1: 0.5}),
                               vertex_weight_spec=("exponential", (2.0,)))
     assert cfg.degree_model is None
     assert cfg.echo()["degree_model"] is None
@@ -418,15 +450,20 @@ def test_realised_degree_trials_match_recorded_outcomes(name, tmp_path):
 IID_PMF = {2: 0.2, 3: 0.3, 4: 0.3, 6: 0.2}
 
 
-def eager_degrees(model, n, rng):
-    """The control's degree sequence: regular, or n i.i.d. per-vertex draws
-    with the last vertex bumped for parity."""
+def eager_graph(model, n, rng):
+    """The control graph, paired in full before any weight is drawn: regular,
+    or n i.i.d. per-vertex degree draws with the last vertex bumped for
+    parity, paired off their offsets as pair_configuration does."""
     if model[0] == "regular":
-        return degrees.regular(model[1], n)
+        return graphs.pair_configuration(degrees.regular(model[1], n), rng)
     support = sorted(model[1])
     d = rng.choice(support, size=n, p=[model[1][k] for k in support])
     d[-1] += int(d.sum()) % 2
-    return degrees.DegreeSequence.from_degrees(d)
+    off = graphs._offsets(d)
+    partner = np.empty(int(off[-1]), dtype=np.int64)
+    graphs._pair_uniformly(np.arange(partner.size), rng, partner)
+    return graphs.WeightedGraph(n=n, he_offset=off, he_owner=graphs._owners(off),
+                                partner=partner)
 
 
 def test_lazy_trials_match_eager_law():
@@ -443,8 +480,7 @@ def test_lazy_trials_match_eager_law():
         hops, lengths = [], []
         for i in range(M):
             rng = philox(50_000 + i)
-            seq = eager_degrees(model, n, rng)
-            g = graphs.assign_weights(graphs.pair_configuration(seq, rng), dist, rng)
+            g = graphs.assign_weights(eager_graph(model, n, rng), dist, rng)
             while True:
                 u1, u2 = rng.choice(n, size=2, replace=False)
                 res = explore.run(g, int(u1), int(u2))
