@@ -180,10 +180,10 @@ def _unpack(model) -> tuple:
 def limit_pmf(model) -> dict[int, float]:
     """Limiting degree pmf of a degree model, checked by its builder's rules.
 
-    A regular degree must be >= 1; an iid pmf passes _check_pmf and comes
-    back as given, a deterministic CDF passes _check_cdf and comes back as
-    its positive steps F(k) - F(k-), ascending. ("regular", r) is the CDF
-    {r: 1.0}, so it gives {r: 1.0}.
+    A regular degree must be an integer >= 1; an iid pmf passes _check_pmf
+    and comes back as given, a deterministic CDF passes _check_cdf and comes
+    back as its positive steps F(k) - F(k-), ascending. ("regular", r) is
+    the CDF {r: 1.0}, so it gives {r: 1.0}.
     """
     kind, param = _unpack(model)
     if kind == "iid":
@@ -191,7 +191,7 @@ def limit_pmf(model) -> dict[int, float]:
         return {int(k): float(v) for k, v in dict(param).items()}
     out = {}
     prev = 0.0
-    for k, v in _check_cdf({int(param): 1.0} if kind == "regular" else param):
+    for k, v in _check_cdf({param: 1.0} if kind == "regular" else param):
         if v > prev:
             out[k] = v - prev
         prev = v
@@ -202,16 +202,25 @@ def build(model, n: int, rng: np.random.Generator) -> DegreeSequence:
     """The degree sequence of a model on n vertices; only iid draws from rng."""
     kind, param = _unpack(model)
     if kind == "regular":
-        return regular(int(param), n)
+        return regular(param, n)
     if kind == "deterministic":
         return build_deterministic(param, n)
     return build_iid(param, n, rng)
 
 
+def _degree(k) -> int:
+    """A table's degree as an int; a non-integer degree is refused, not
+    truncated."""
+    d = int(k)
+    if d != k:
+        raise DegreeModelError(f"degree {k!r} is not an integer")
+    return d
+
+
 def _check_cdf(cdf_values) -> list[tuple[int, float]]:
-    """(degree, F) rows of a CDF table, ascending: degrees >= 1, and values
-    nondecreasing from >= 0 to exactly 1 at the largest listed degree."""
-    items = sorted((int(k), float(v)) for k, v in dict(cdf_values).items())
+    """(degree, F) rows of a CDF table, ascending: integer degrees >= 1, and
+    values nondecreasing from >= 0 to exactly 1 at the largest listed degree."""
+    items = sorted((_degree(k), float(v)) for k, v in dict(cdf_values).items())
     if not items:
         raise DegreeModelError("empty CDF table")
     if items[0][0] < 1:
@@ -229,8 +238,8 @@ def _check_cdf(cdf_values) -> list[tuple[int, float]]:
 
 def _check_pmf(pmf) -> tuple[np.ndarray, np.ndarray]:
     """(support, probabilities) of a pmf table, ascending: masses >= 0 that
-    sum to 1 within 1e-9, renormalised, on degrees >= 1."""
-    items = sorted((int(k), float(v)) for k, v in dict(pmf).items())
+    sum to 1 within 1e-9, renormalised, on integer degrees >= 1."""
+    items = sorted((_degree(k), float(v)) for k, v in dict(pmf).items())
     support = np.array([k for k, _ in items], dtype=np.int64)
     probs = np.array([v for _, v in items], dtype=float)
     if np.any(probs < 0):

@@ -6,7 +6,9 @@ height, partner id); the next event is always the alive half-edge with the
 smallest death time, popped from one shared heap. Dying at time T means:
 the edge it sits on is traversed, its partner's vertex joins the dying
 half-edge's cluster at height +1, and the new vertex's remaining half-edges
-are classified against the current state:
+are classified against the current state. An endpoint is the root of its
+cluster: it joins at time 0 and height 0 with no half-edge spent, through
+the same body, so all of its half-edges are classified:
 
   free partner elsewhere   -> alive, death = T + that edge's weight
   partner among siblings   -> self-loop at the new vertex, both consumed
@@ -14,7 +16,10 @@ are classified against the current state:
   alive partner, far side  -> collision: the clusters now see each other
 
 A collision via an alive far-side half-edge with death time d certifies a
-path of weight 2T + (d - T) and hops h_origin + h_dest + 1; the minimum
+path of weight 2T + (d - T) and hops h_origin + h_dest + 1. A direct edge
+between the endpoints is such a collision at time 0: u1 joins first and
+makes the edge alive, and u2's half-edge meets it with the whole edge
+weight remaining, so the record belongs to source 2. The minimum
 over collision records is the optimal weight between the sources, because
 the two balls have jointly swept all paths of weight < 2T and every
 inter-cluster bridge edge produces exactly one record. Processing events
@@ -29,8 +34,10 @@ Why the partner of a dying half-edge is always free: a found vertex has
 every half-edge alive or consumed, never free, and pairing consumption
 always takes both sides of an edge together; so a free partner means an
 unexplored vertex. Every event checks that invariant on the partner its
-tuple carries, and raises ExploreError, naming the half-edges, when a
-pairing breaks it.
+tuple carries. The one body that classifies a joining vertex, endpoint or
+not, checks that no partner it reaches is already consumed and that the
+classes add up to the vertex's free half-edges. ExploreError, naming the
+half-edges, is raised when a pairing breaks any of these.
 
 The graph is either a WeightedGraph or a LazyPairing. The exploration reads
 a vertex's half-edges only through graph.reveal(v), called when v joins a
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -134,16 +141,12 @@ class SwgState:
     """
 
     __slots__ = (
-        "graph", "n", "sources", "he_state", "heap", "alive",
-        "collisions", "weights_sorted", "k", "last_time",
-        "log_details", "detail_rows", "_owner", "_reveal",
+        "graph", "he_state", "heap", "alive", "collisions", "weights_sorted",
+        "k", "last_time", "log_details", "detail_rows", "_owner", "_reveal",
     )
 
-    def __init__(self, graph: WeightedGraph | LazyPairing, u1: int, u2: int,
-                 log_details: bool):
+    def __init__(self, graph: WeightedGraph | LazyPairing, log_details: bool):
         self.graph = graph
-        self.n = graph.n
-        self.sources = (u1, u2)
         self.he_state: dict = {}
         self.heap: list = []
         self.alive = [0, 0, 0]          # index by source id 1/2
@@ -156,12 +159,6 @@ class SwgState:
         self._owner = graph.owner
         self._reveal = graph.reveal
 
-    # -- bookkeeping helpers ------------------------------------------------
-
-    def _record_collision(self, rec: CollisionRecord) -> None:
-        self.collisions.append(rec)
-        insort(self.weights_sorted, rec.path_weight)
-
     def dump_events(self, fh) -> None:
         """Write the detail log, one line per logged item: k t type payload."""
         if not self.log_details:
@@ -172,13 +169,15 @@ class SwgState:
 
 def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
          log_details: bool = False) -> SwgState:
-    """Seed the state: endpoints join at height 0, their edges classified.
+    """Seed the state: u1, then u2, joins at time 0 and height 0.
 
-    Self-loops at an endpoint are consumed outright. A direct u1-u2 edge is
-    already a collision at time 0 with heights (0, 0) and the full edge
-    weight remaining (recorded on the second cluster by convention; labels
-    are exchangeable). Everything else becomes alive with death time equal
-    to the incident edge's weight.
+    Each endpoint runs the event body with no half-edge spent, so its edges
+    are classified as every later vertex's are: a self-loop is consumed and
+    logged as a cycle, any other edge becomes alive with death time equal to
+    its weight, and a direct u1-u2 edge, alive since u1 joined, is an
+    ordinary collision when u2 joins: time 0, heights (0, 0), the full edge
+    weight remaining, source 2. The direct edge leaves u1's consumed entry in
+    the heap, which the event loop skips.
     """
     if g.edge_weight_by_he is None:
         raise ExploreError("assign_weights() must run before exploration")
@@ -190,38 +189,9 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
         if g.degree(u) == 0:
             raise IsolatedEndpointError(f"vertex {u} has no half-edges")
 
-    state = SwgState(g, u1, u2, log_details)
-    half1 = g.reveal(u1)
-    half2 = g.reveal(u2)
-    he_state = state.he_state
-    if log_details:
-        state.detail_rows.append((0, 0.0, "vertex", u1, 1, 0))
-        state.detail_rows.append((0, 0.0, "vertex", u2, 2, 0))
-
-    for source, half, other in ((1, half1, half2), (2, half2, half1)):
-        lo, hi = half[0][0], half[-1][0] + 1
-        other_lo, other_hi = other[0][0], other[-1][0] + 1
-        for x, px, w in half:
-            if x in he_state:            # consumed by an earlier classification
-                continue
-            if lo <= px < hi:
-                # self-loop at the endpoint: burn both halves
-                he_state[x] = None
-                he_state[px] = None
-            elif other_lo <= px < other_hi:
-                # direct edge between the sources: collision at time zero
-                he_state[x] = None
-                he_state[px] = None
-                rec = CollisionRecord(time=0.0, source=2, h_origin=0, h_dest=0,
-                                      remaining=w)
-                state._record_collision(rec)
-                if log_details:
-                    state.detail_rows.append((0, 0.0, "collision", x, px, rec.remaining))
-            else:
-                entry = (w, x, source, 0, px)
-                he_state[x] = entry
-                heappush(state.heap, entry)
-                state.alive[source] += 1
+    state = SwgState(g, log_details)
+    _event(state, (0.0, None, 1, -1, None), u1)
+    _event(state, (0.0, None, 2, -1, None), u2)
     return state
 
 
@@ -252,26 +222,31 @@ def step(state: SwgState) -> bool:
     return True
 
 
-def _event(state: SwgState, entry: tuple) -> None:
-    """The event body: the alive half-edge `entry`, just popped, dies."""
+def _event(state: SwgState, entry: tuple, v: int | None = None) -> None:
+    """The event body: the alive half-edge `entry`, just popped, dies.
+
+    An endpoint joins through the same body: init passes the entry
+    (0.0, None, source, -1, None) and the vertex v, which arrives at height 0
+    with no half-edge spent and is not counted as an event.
+    """
     t, y, src, h, z = entry
     he_state = state.he_state
-    he_state[y] = None
     alive = state.alive
-    alive[src] -= 1
     state.last_time = t
-
-    # the partner of a dying half-edge leads to fresh territory (see module
-    # docstring): every half-edge of a found vertex is touched, so this one
-    # check is the disjointness invariant
-    if z in he_state:
-        raise ExploreError(f"half-edge {y} died into half-edge {z}, which was "
-                           "already touched")
-    v = state._owner(z)
+    if y is not None:
+        he_state[y] = None
+        alive[src] -= 1
+        # the partner of a dying half-edge leads to fresh territory (see
+        # module docstring): every half-edge of a found vertex is touched, so
+        # this one check is the disjointness invariant
+        if z in he_state:
+            raise ExploreError(f"half-edge {y} died into half-edge {z}, which "
+                               "was already touched")
+        v = state._owner(z)
+        he_state[z] = None
+        state.k += 1
     half = state._reveal(v)
     hv = h + 1
-    he_state[z] = None
-    state.k += 1
     log = state.detail_rows if state.log_details else None
     if log is not None:
         log.append((state.k, t, "vertex", v, src, hv))
@@ -281,7 +256,7 @@ def _event(state: SwgState, entry: tuple) -> None:
     lo, hi = half[0][0], half[-1][0] + 1
     for x, px, w in half:
         if x in he_state:
-            continue                     # z, or the 2nd half of a sibling self-loop
+            continue                     # z, or the 2nd half of a self-loop
         if px not in he_state:
             if lo <= px < hi:
                 he_state[x] = None       # self-loop at the new vertex
@@ -315,16 +290,18 @@ def _event(state: SwgState, entry: tuple) -> None:
                     raise ExploreError(
                         f"half-edge {px} died at {pd!r}, before the event at "
                         f"{t!r} that reached its partner {x}")
-                state._record_collision(rec)
+                state.collisions.append(rec)
+                insort(state.weights_sorted, rec.path_weight)
                 if log is not None:
                     log.append((state.k, t, "collision", x, px, rec.remaining))
     alive[src] += n_added
-    if n_added + n_cycle + n_collision + 2 * n_self != len(half) - 1:
+    free = len(half) - (z is not None)
+    if n_added + n_cycle + n_collision + 2 * n_self != free:
         raise ExploreError(
-            f"the siblings of half-edge {z} at vertex {v} (half-edges "
+            f"the free half-edges of vertex {v} (half-edges "
             f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} cycle, "
             f"{n_collision} collision and {n_self} self-loop, which does not "
-            f"add up to {len(half) - 1}")
+            f"add up to {free}")
 
 
 def _run(state: SwgState, until: float, m: int) -> None:
@@ -402,7 +379,7 @@ def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
     return result(state, m)
 
 
-def measure_martingale(state: SwgState, g: WeightedGraph, alpha_n: float
+def measure_martingale(state: SwgState, alpha_n: float
                        ) -> tuple[float, float, float]:
     """(s_n, W1, W2): rescaled cluster sizes at the probe time.
 
@@ -411,7 +388,7 @@ def measure_martingale(state: SwgState, g: WeightedGraph, alpha_n: float
     the probe, i.e. advance(state, s_n) ran and nothing after it: the last
     event at or before s_n and the next one after it.
     """
-    n = g.n
+    n = state.graph.n
     if n < 3:
         raise ExploreError("probe time needs log(log n) > 0, so n >= 3")
     s_n = math.log(math.log(n)) / alpha_n

@@ -151,6 +151,7 @@ _PPP_BINS = 8
 _MIN_MARKS = 200
 _MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
 _REFERENCE_SIZE = 10_000   # limit-law draws the weight verifier needs at least
+_CALIBRATION_SEED = 7      # master seed of calibrate_verifiers' meta-seeds
 
 
 def _merge_thresholds(th: dict | None) -> dict:
@@ -384,7 +385,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
             resamples += 1
             continue
         explore.advance(state, s_probe)
-        _, w1, w2 = explore.measure_martingale(state, g, alpha_n)
+        _, w1, w2 = explore.measure_martingale(state, alpha_n)
         horizon = 0.0
         if task.collect_marks and w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
@@ -1035,9 +1036,7 @@ def exact_marks(rng, consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife,
 
 
 def calibrate_verifiers(consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife, *,
-                        n_meta: int = 100, master_seed: int = 7, M: int = 2000,
-                        ref_size: int = _REFERENCE_SIZE,
-                        thresholds: dict | None = None) -> CalibrationResult:
+                        n_meta: int = 100, M: int = 2000) -> CalibrationResult:
     """Null/power rates of every verifier on exact-law synthetic data.
 
     Null data follow the limit laws exactly (hopcount: standard normal;
@@ -1045,19 +1044,22 @@ def calibrate_verifiers(consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife,
     to one; marks: exact_marks). Perturbations: hopcount mean shifted by 0.5;
     weight and ranked shifted by log(2)/alpha (the wrong-constant failure);
     mark times generated with half the true log-rate slope. Hopcount nulls
-    are single rung: exact-law data has no ladder to decrease along.
+    are single rung: exact-law data has no ladder to decrease along. Meta-seed
+    i draws from derived_seed(_CALIBRATION_SEED, 3, i), every verifier runs
+    at DEFAULT_THRESHOLDS, and the references have _REFERENCE_SIZE draws.
     """
-    th = _merge_thresholds({**(thresholds or {}), "min_outcomes": min(500, M)})
+    th = {**DEFAULT_THRESHOLDS, "min_outcomes": min(500, M)}
     a = consts.alpha
     wrong_c = math.log(2.0) / a
     null_ok, power_ok = Counter(), Counter()
     for i in range(n_meta):
-        rng = rng_for(derived_seed(master_seed, 3, i))
+        rng = rng_for(derived_seed(_CALIBRATION_SEED, 3, i))
         z = rng.standard_normal(M)
-        ref, q = [(consts.c - ctbp.standard_gumbel(rng, k)) / a for k in (ref_size, M)]
+        ref, q = [(consts.c - ctbp.standard_gumbel(rng, k)) / a
+                  for k in (_REFERENCE_SIZE, M)]
         marks = [exact_marks(rng, consts, residual, M, slope) for slope in (2.0 * a, a)]
         refs, ranked = [(ctbp.sample_ranked_gumbel(3, rng, k) + consts.c) / a
-                        for k in (ref_size, M)]
+                        for k in (_REFERENCE_SIZE, M)]
         for name, null, perturbed in (
                 ("hopcount_clt", *(verify_hopcount_clt({0: z + s}, th) for s in (0.0, 0.5))),
                 ("weight_limit", *(verify_weight_limit(q + s, ref, th) for s in (0.0, wrong_c))),

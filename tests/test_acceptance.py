@@ -215,8 +215,7 @@ def test_criterion_05_weight_limit(ladder, consts, ranked_reference):
 def test_criterion_06_ppp_structure(ladder, consts, residual):
     entry = report_entry(ladder, "ppp_marks")
     s = entry.statistics
-    cal = mc.calibrate_verifiers(consts, residual, n_meta=100, M=M_TRIALS,
-                                 ref_size=10_000)
+    cal = mc.calibrate_verifiers(consts, residual, n_meta=100, M=M_TRIALS)
     rates = {**{f"null_{k}": v for k, v in cal.null_rates.items()},
              **{f"power_{k}": v for k, v in cal.power_rates.items()}}
     source_sigmas = s["source_dev"] / (0.5 / math.sqrt(s["marks_in_window"]))

@@ -94,7 +94,10 @@ def test_broken_pairing_raises_under_optimize():
     # half-edge 1 of source 0 is re-pointed at vertex 1's second half-edge,
     # which is alive by the time half-edge 1 dies into it. Third: the same
     # half-edge is re-pointed at vertex 1's first half-edge, consumed when
-    # vertex 1 was found, so it dies into a found vertex through a dead end
+    # vertex 1 was found, so it dies into a found vertex through a dead end.
+    # Fourth: source 0's only edge is a self-loop, and half-edge 2 of source
+    # 1 points at half-edge 1 of that loop; the endpoints join through the
+    # event body, so the broken pairing is caught before any event runs
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -112,9 +115,12 @@ def test_broken_pairing_raises_under_optimize():
         found = graphs.build_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         found.edge_weight_by_he = chord.edge_weight_by_he
         found.partner[1] = 2
-        for g in (path, chord, found):
+        loop = graphs.build_from_edges(3, [(0, 0), (1, 2), (1, 2)])
+        loop.edge_weight_by_he = np.ones(6)
+        loop.partner[:] = [1, 0, 1, 4, 3, 2]
+        for g, u, v in ((path, 0, 3), (chord, 0, 3), (found, 0, 3), (loop, 0, 1)):
             try:
-                explore.run(g, 0, 3)
+                explore.run(g, u, v)
             except explore.ExploreError as exc:
                 print(exc)
             else:
@@ -126,11 +132,13 @@ def test_broken_pairing_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    path_msg, chord_msg, found_msg = done.stdout.splitlines()
+    path_msg, chord_msg, found_msg, loop_msg = done.stdout.splitlines()
     assert "free half-edge 2 of vertex 1" in path_msg
     assert "half-edge 0" in path_msg
     assert "half-edge 1 died into half-edge 3, which was already touched" in chord_msg
     assert "half-edge 1 died into half-edge 2, which was already touched" in found_msg
+    assert ("free half-edge 2 of vertex 1 is paired to half-edge 1, which was "
+            "already consumed") in loop_msg
 
 
 def test_weights_required():
@@ -302,7 +310,7 @@ def test_martingale_probe_values():
     g = triangle()
     state = explore.init(g, 0, 2)
     explore.advance(state, math.log(math.log(3.0)))
-    s_n, w1, w2 = explore.measure_martingale(state, g, 1.0)
+    s_n, w1, w2 = explore.measure_martingale(state, 1.0)
     assert s_n == pytest.approx(math.log(math.log(3.0)))
     scale = math.exp(-s_n)
     assert w1 == pytest.approx(scale)
@@ -316,7 +324,7 @@ def test_martingale_probe_rejects_state_past_probe():
     state = explore.init(g, 0, 2)
     explore.advance(state, math.inf)
     with pytest.raises(explore.HorizonError):
-        explore.measure_martingale(state, g, 1.0)
+        explore.measure_martingale(state, 1.0)
 
 
 def test_martingale_probe_window_enforced():
@@ -324,12 +332,12 @@ def test_martingale_probe_window_enforced():
     state = explore.init(g, 0, 2)
     # probe at alpha = 0.05 sits at t = 1.88 but nothing has been processed
     with pytest.raises(explore.HorizonError):
-        explore.measure_martingale(state, g, 0.05)
+        explore.measure_martingale(state, 0.05)
     tiny = graphs.build_from_edges(2, [(0, 1)])
     tiny.edge_weight_by_he = np.array([1.0, 1.0])
     state2 = explore.init(tiny, 0, 1)
     with pytest.raises(explore.ExploreError):
-        explore.measure_martingale(state2, tiny, 1.0)   # needs n >= 3
+        explore.measure_martingale(state2, 1.0)   # needs n >= 3
 
 
 def test_standardize_marks_columns():
@@ -349,6 +357,30 @@ def test_standardize_marks_columns():
     assert out[0, 2] == pytest.approx((7 - center) / spread)
     assert out[0, 3] == pytest.approx((6 - center) / spread)
     assert out[0, 4] == 0.8
+
+
+def test_endpoints_join_through_the_event_body():
+    # vertex 0: a self-loop (half-edges 0, 1) and half-edge 2 to vertex 1;
+    # vertex 1: half-edge 3 back to 0 and half-edge 4 to vertex 2
+    g = graphs.build_from_edges(3, [(0, 0), (0, 1), (1, 2)])
+    g.edge_weight_by_he = np.array([0.5, 0.5, 2.0, 2.0, 1.0, 1.0])
+    state = explore.init(g, 0, 1, log_details=True)
+    explore.advance(state, math.inf)
+    # the endpoint's self-loop is a cycle row, as at any other vertex, and
+    # the direct edge, alive since u1 joined, is a collision when u2 joins,
+    # logged with u2's half-edge first and recorded on source 2
+    assert state.detail_rows == [
+        (0, 0.0, "vertex", 0, 1, 0),
+        (0, 0.0, "cycle", 0, 1),
+        (0, 0.0, "vertex", 1, 2, 0),
+        (0, 0.0, "collision", 3, 2, 2.0),
+        (1, 1.0, "vertex", 2, 2, 1),
+    ]
+    rec, = state.collisions
+    assert (rec.time, rec.source, rec.h_origin, rec.h_dest, rec.remaining) == (
+        0.0, 2, 0, 0, 2.0)
+    assert state.k == 1 and state.alive == [0, 0, 0]
+    assert len(state.he_state) == 6
 
 
 def test_event_log_round_trip():

@@ -180,6 +180,21 @@ def test_config_checks_its_degree_model(kind):
             mc.ExperimentConfig(graph_kind=kind, degree_model=model)
 
 
+def test_non_integer_degree_is_refused_not_truncated():
+    # truncated through int(), ("regular", 4.5) would build 4-regular graphs
+    # with mu = 4 while the report echoes 4.5
+    with pytest.raises(degrees.DegreeModelError, match="degree 4.5 is not an integer"):
+        mc.ExperimentConfig(degree_model=("regular", 4.5))
+    for model in (("regular", 4.5), ("deterministic", {2: 0.5, 3.5: 1.0}),
+                  ("iid", {2: 0.5, 3.5: 0.5})):
+        with pytest.raises(degrees.DegreeModelError, match="not an integer"):
+            degrees.limit_pmf(model)
+        with pytest.raises(degrees.DegreeModelError, match="not an integer"):
+            degrees.build(model, 10, np.random.default_rng(0))
+    assert degrees.build(("regular", 4), 10, None).blocks == ((4, 10),)
+    assert degrees.limit_pmf(("regular", 4)) == {4: 1.0}
+
+
 def test_rank1_config_derives_its_degree_law():
     # a degree model given with a rank-1 kind is cleared before any check,
     # not read: the limit law is the mixed Poisson of the vertex weights,
