@@ -56,7 +56,6 @@ __all__ = [
     "ResidualLife",
     "OffspringLaw",
     "BpConfig",
-    "BpTrajectory",
     "laplace_stieltjes",
     "solve_malthusian",
     "stable_age_mean",
@@ -425,86 +424,46 @@ class BpConfig:
     dist: WeightDistribution
 
 
-@dataclass(frozen=True)
-class BpTrajectory:
-    """One simulated population path, observed on [0, horizon].
-
-    event_times/alive_counts list every death epoch (each death births the
-    dying individual's offspring simultaneously) with the population size
-    after the event. w_estimate = e^{-alpha*horizon} * alive(horizon).
-    """
-
-    event_times: np.ndarray
-    alive_counts: np.ndarray
-    w_estimate: float
-    extinct: bool
-    total_born: int
-    horizon: float
+# Total births allowed in one simulate_bp run, a guard against horizons
+# that would exhaust memory.
+_MAX_POPULATION = 10_000_000
 
 
 def simulate_bp(root_law: OffspringLaw, later_law: OffspringLaw,
-                dist: WeightDistribution, horizon: float, rng: np.random.Generator,
-                *, alpha: float, max_population: int = 10_000_000,
-                record_trajectory: bool = True) -> BpTrajectory:
-    """Simulate the two-stage process generation by generation.
+                dist: WeightDistribution, horizon: float,
+                rng: np.random.Generator) -> int:
+    """Simulate the two-stage process generation by generation and return
+    the number of individuals alive at the horizon (0 if it died out).
 
     Children's clocks start at the parent's death, so drawing a whole
     generation's lifetimes and offspring in batches is exact; no event heap
     is needed. Individuals dying beyond the horizon stay alive in-window
-    and spawn nothing. Raises if total births exceed max_population.
+    and spawn nothing. Raises if total births exceed _MAX_POPULATION.
     """
     if horizon < 0:
         raise CtbpError(f"horizon must be >= 0, got {horizon}")
     root_children = int(root_law.draw(rng, 1)[0])
-
-    event_times = [np.zeros(1)]
-    deltas = [np.array([root_children - 1.0])]
     total_born = root_children
-    survivors = 0
+    alive = 0
 
     pending = sample_weight(dist, rng, root_children) if root_children else np.empty(0)
     while pending.size:
-        in_window = pending <= horizon
-        dead_times = pending[in_window]
-        survivors += int(pending.size - dead_times.size)
+        dead_times = pending[pending <= horizon]
+        alive += int(pending.size - dead_times.size)
         if dead_times.size == 0:
             break
         # every pending individual is now accounted for: survivor or dying
         counts = later_law.draw(rng, dead_times.size)
-        if record_trajectory:
-            event_times.append(dead_times)
-            deltas.append(counts.astype(float) - 1.0)
         n_children = int(counts.sum())
         total_born += n_children
-        if total_born > max_population:
-            raise CtbpError(f"population exceeded the cap of {max_population} "
+        if total_born > _MAX_POPULATION:
+            raise CtbpError(f"population exceeded the cap of {_MAX_POPULATION} "
                             f"before the horizon {horizon}")
         if n_children == 0:
-            pending = np.empty(0)
-            continue
+            break
         births = np.repeat(dead_times, counts)
         pending = births + sample_weight(dist, rng, n_children)
-
-    alive_end = survivors
-    times_arr, alive_arr = np.empty(0), np.empty(0, dtype=np.int64)
-    if record_trajectory:
-        times = np.concatenate(event_times)
-        order = np.argsort(times, kind="stable")
-        alive = 1.0 + np.cumsum(np.concatenate(deltas)[order])
-        if int(alive[-1]) != alive_end:
-            raise CtbpError(f"population bookkeeping drifted: the trajectory "
-                            f"ends at {int(alive[-1])} alive, the survivors "
-                            f"number {alive_end}")
-        times_arr, alive_arr = times[order], alive.astype(np.int64)
-
-    return BpTrajectory(
-        event_times=times_arr,
-        alive_counts=alive_arr,
-        w_estimate=math.exp(-alpha * horizon) * alive_end,
-        extinct=alive_end == 0,
-        total_born=total_born,
-        horizon=float(horizon),
-    )
+    return alive
 
 
 def default_w_horizon(consts: CtbpConstants, target_population: float = 1e4) -> float:
@@ -513,22 +472,24 @@ def default_w_horizon(consts: CtbpConstants, target_population: float = 1e4) -> 
     return math.log(target_population / scale) / consts.alpha
 
 
-def sample_w(consts: CtbpConstants, bp: BpConfig, rng: np.random.Generator, *,
-             horizon: float | None = None, max_extinct_streak: int = 10_000) -> float:
-    """One draw of the growth limit W conditioned on survival.
+# Consecutive extinct runs after which sample_w gives up: the configuration
+# is then not really supercritical.
+_MAX_EXTINCT_STREAK = 10_000
 
-    Rejection on extinct runs; errors out after max_extinct_streak
-    consecutive extinctions (a sign the configuration is not really
-    supercritical).
+
+def sample_w(consts: CtbpConstants, bp: BpConfig, rng: np.random.Generator, *,
+             horizon: float | None = None) -> float:
+    """One draw of the growth limit W conditioned on survival:
+    e^{-alpha*horizon} times the alive count of the first run that
+    survives to the horizon.
     """
     if horizon is None:
         horizon = default_w_horizon(consts)
-    for _ in range(max_extinct_streak):
-        traj = simulate_bp(bp.root_law, bp.later_law, bp.dist, horizon, rng,
-                           alpha=consts.alpha, record_trajectory=False)
-        if not traj.extinct:
-            return traj.w_estimate
-    raise CtbpError(f"{max_extinct_streak} consecutive extinct runs while "
+    for _ in range(_MAX_EXTINCT_STREAK):
+        alive = simulate_bp(bp.root_law, bp.later_law, bp.dist, horizon, rng)
+        if alive > 0:
+            return math.exp(-consts.alpha * horizon) * alive
+    raise CtbpError(f"{_MAX_EXTINCT_STREAK} consecutive extinct runs while "
                     "sampling W; check supercriticality")
 
 

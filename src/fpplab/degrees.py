@@ -211,10 +211,9 @@ def build(model, n: int, rng: np.random.Generator) -> DegreeSequence:
 def _degree(k) -> int:
     """A table's degree as an int; a non-integer degree is refused, not
     truncated."""
-    d = int(k)
-    if d != k:
+    if not float(k).is_integer():
         raise DegreeModelError(f"degree {k!r} is not an integer")
-    return d
+    return int(k)
 
 
 def _check_cdf(cdf_values) -> list[tuple[int, float]]:
@@ -345,12 +344,13 @@ def _degree_counts(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_pmf_table(path) -> dict[int, float]:
-    """Two-column text (degree, value) -> {degree: value}. The rows are
-    checked as a pmf or a CDF when a config built on them is (limit_pmf)."""
+    """Two-column text (degree, value) -> {degree: value}. A non-integer
+    degree is refused here; the rows are checked as a pmf or a CDF when a
+    config built on them is (limit_pmf)."""
     try:
         rows = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:
         raise DegreeModelError(f"{path}: {exc}") from exc
     if rows.shape[1] != 2:
         raise DegreeModelError(f"{path}: expected two columns, got {rows.shape[1]}")
-    return {int(k): float(v) for k, v in rows}
+    return {_degree(k): v for k, v in rows.tolist()}

@@ -402,23 +402,22 @@ def measure_martingale(state: SwgState, alpha_n: float
 
 
 def standardize_marks(records, consts: Centring, n: int, w1: float, w2: float,
-                      *, limit_consts: CtbpConstants | None = None) -> np.ndarray:
+                      *, limit_consts: CtbpConstants) -> np.ndarray:
     """Collision records -> (k, 5) array of standardized marks.
 
     Columns: recentred time T - tbar_n with tbar_n = t_n - log(w1 w2)/(2 alpha_n)
     and t_n = log(n)/(2 alpha_n); source label; both heights centered at
     t_n/nu_bar_n and scaled by sqrt(sigma_bar_sq * t_n / nu_bar^3) using the
-    limiting constants (limit_consts, default consts); and the raw remaining
-    lifetime. Only alpha and nu_bar are read from consts (the n-level ones).
+    limiting constants (limit_consts); and the raw remaining lifetime. Only
+    alpha and nu_bar are read from consts (the n-level ones).
     """
     if w1 <= 0.0 or w2 <= 0.0:
         raise ExploreError("mark centering needs both growth limits positive "
                            f"(got W1={w1!r}, W2={w2!r})")
-    lim = limit_consts if limit_consts is not None else consts
     t_n = math.log(n) / (2.0 * consts.alpha)
     tbar = t_n - math.log(w1 * w2) / (2.0 * consts.alpha)
     center_h = t_n / consts.nu_bar
-    spread_h = math.sqrt(lim.sigma_bar_sq * t_n / lim.nu_bar ** 3)
+    spread_h = math.sqrt(limit_consts.sigma_bar_sq * t_n / limit_consts.nu_bar ** 3)
     out = np.empty((len(records), 5))
     for i, rec in enumerate(records):
         out[i, 0] = rec.time - tbar

@@ -267,23 +267,25 @@ class LazyPairing:
                              partner=partner, edge_weight_by_he=by_he)
 
 
-def sample_uniform_simple(seq: DegreeSequence, rng: np.random.Generator,
-                          max_attempts: int = 10_000) -> tuple[WeightedGraph, int]:
+# Pairings sample_uniform_simple draws before it gives up.
+_MAX_SIMPLE_ATTEMPTS = 10_000
+
+
+def sample_uniform_simple(seq: DegreeSequence,
+                          rng: np.random.Generator) -> tuple[WeightedGraph, int]:
     """Rejection-sample a uniform simple graph with the given degrees.
 
     Repeated pairing conditioned on no self-loops and no multi-edges is
     uniform over simple realizations. Returns (graph, attempts used).
-    Raises after max_attempts, reporting the observed acceptance rate.
+    Raises after _MAX_SIMPLE_ATTEMPTS, reporting the observed acceptance rate.
     """
-    if max_attempts < 1:
-        raise GraphError(f"max_attempts must be >= 1, got {max_attempts}")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_SIMPLE_ATTEMPTS + 1):
         g = pair_configuration(seq, rng)
         if g.is_simple:
             return g, attempt
     raise GraphError(
-        f"no simple pairing in {max_attempts} attempts "
-        f"(acceptance so far 0/{max_attempts}); the degree sequence may admit "
+        f"no simple pairing in {_MAX_SIMPLE_ATTEMPTS} attempts "
+        f"(acceptance so far 0/{_MAX_SIMPLE_ATTEMPTS}); the degree sequence may admit "
         "no or vanishingly few simple realizations"
     )
 

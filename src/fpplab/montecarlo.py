@@ -649,12 +649,13 @@ def pool_marks(outcomes) -> np.ndarray:
     return np.vstack([np.empty((0, 5))] + [o.marks for o in outcomes])
 
 
-def ranked_matrix(outcomes, consts: ctbp.CtbpConstants, m: int) -> np.ndarray:
-    """(trials, m) ranked path weights recentred by log(n)/alpha; a trial
-    with fewer than m records reads NaN past its last one."""
+def ranked_matrix(outcomes, m: int) -> np.ndarray:
+    """(trials, m) ranked path weights recentred as Q_hat is, by
+    log(n)/alpha_n, so column 0 is Q_hat; a trial with fewer than m records
+    reads NaN past its last one."""
     mat = np.full((len(outcomes), m), np.nan)
     for row, o in zip(mat, outcomes):
-        w = [r[0] - math.log(o.n) / consts.alpha for r in o.ranked[:m]]
+        w = [r[0] - o.L_n + o.Q_hat for r in o.ranked[:m]]
         row[:len(w)] = w
     return mat
 
@@ -943,7 +944,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     if bp is not None:
         ranked_refs = refs["ranked"]
         q_ref = ranked_refs[:, 0]
-        ranked = ranked_matrix(top_outcomes, consts, config.ranked_m)
+        ranked = ranked_matrix(top_outcomes, config.ranked_m)
         entries += [verify_weight_limit(column(top_outcomes, "Q_hat"), q_ref, th),
                     verify_ppp(pool_marks(top_outcomes), len(top_outcomes), consts,
                                refs["residual"].cdf, th),

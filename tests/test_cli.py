@@ -158,6 +158,9 @@ def test_bad_degree_spec(capsys):
 
 BAD_DEGREES = {
     "iid_mass_0.8": ("iid", "1 0.4\n2 0.4\n", "sums to 0.8"),
+    "iid_fractional_degree": ("iid", "1 0.2\n2.5 0.5\n6 0.3\n",
+                              "degree 2.5 is not an integer"),
+    "iid_nan_degree": ("iid", "nan 1.0\n", "degree nan is not an integer"),
     "decreasing_cdf": ("deterministic", "1 0.7\n2 0.3\n3 1.0\n", "nondecreasing"),
     "regular_0": ("regular", None, "degree 0"),
 }
@@ -432,12 +435,20 @@ def test_gen_graph_requires_n(capsys):
     assert "--n" in err
 
 
-def test_bp_sim_reports_growth(capsys):
+def test_bp_sim_reports_growth(tmp_path, capsys):
+    out_file = tmp_path / "bp.csv"
     code, out, _ = run_cli(capsys, "bp-sim", "--reps", "40", "--seed", "11",
-                           "--target", "200")
+                           "--target", "200", "--out", str(out_file))
     assert code == 0
     assert "w_estimate" in out
     assert "predicted" in out
+    # the CSV holds plain numbers, not numpy scalar reprs
+    header, *rows = out_file.read_text().splitlines()
+    assert header == "rep,alive_end,w_estimate"
+    assert len(rows) == 40
+    for row in rows:
+        _, alive, west = row.split(",")
+        assert int(alive) >= 0 and float(west) >= 0.0
 
 
 def test_ranked_summary_and_csv(tmp_path, capsys):

@@ -447,7 +447,7 @@ def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# simulation: martingale mean, offspring bookkeeping
+# simulation: martingale mean, alive counts
 
 
 def test_simulated_population_martingale_mean():
@@ -457,36 +457,30 @@ def test_simulated_population_martingale_mean():
     later = ctbp.OffspringLaw(np.array([2]), np.array([1.0]))
     d = weights.exponential(1.0)
     rng = np.random.Generator(np.random.Philox(key=42))
-    west = [
-        ctbp.simulate_bp(root, later, d, 5.0, rng, alpha=1.0,
-                         record_trajectory=False).w_estimate
-        for _ in range(3000)
-    ]
+    west = [math.exp(-5.0) * ctbp.simulate_bp(root, later, d, 5.0, rng)
+            for _ in range(3000)]
     assert not any(math.isnan(w) for w in west)
     assert abs(float(np.mean(west)) - 3.0) < 0.12
 
 
-def test_trajectory_bookkeeping():
+def test_alive_count():
     root = ctbp.OffspringLaw(np.array([3]), np.array([1.0]))
     later = ctbp.OffspringLaw(np.array([2]), np.array([1.0]))
-    tr = ctbp.simulate_bp(root, later, weights.exponential(1.0), 4.0,
-                          np.random.Generator(np.random.Philox(key=9)), alpha=1.0)
-    assert tr.alive_counts[0] == 3          # root splits at time zero
-    assert tr.event_times[0] == 0.0
-    assert np.all(np.diff(tr.event_times) >= 0)
-    assert np.all(tr.alive_counts >= 0)
-    assert not tr.extinct                   # two children each, cannot die out
-    assert tr.total_born >= tr.alive_counts[-1]
+    d = weights.exponential(1.0)
+    # at horizon 0 the root has split and none of its children has died
+    assert ctbp.simulate_bp(root, later, d, 0.0,
+                            np.random.Generator(np.random.Philox(key=9))) == 3
+    # two children each: the population cannot die out
+    assert ctbp.simulate_bp(root, later, d, 4.0,
+                            np.random.Generator(np.random.Philox(key=9))) > 0
 
 
 def test_extinction_flag():
     # root produces nothing: immediate extinction
     root = ctbp.OffspringLaw(np.array([0]), np.array([1.0]))
     later = ctbp.OffspringLaw(np.array([2]), np.array([1.0]))
-    tr = ctbp.simulate_bp(root, later, weights.exponential(1.0), 2.0,
-                          np.random.Generator(np.random.Philox(key=1)), alpha=1.0)
-    assert tr.extinct
-    assert tr.w_estimate == 0.0
+    assert ctbp.simulate_bp(root, later, weights.exponential(1.0), 2.0,
+                            np.random.Generator(np.random.Philox(key=1))) == 0
 
 
 # ---------------------------------------------------------------------------

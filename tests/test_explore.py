@@ -346,7 +346,7 @@ def test_standardize_marks_columns():
     n = 10 ** 4
     rec = explore.CollisionRecord(time=2.5, source=2, h_origin=7, h_dest=6,
                                   remaining=0.8)
-    out = explore.standardize_marks([rec], consts, n, 1.5, 0.5)
+    out = explore.standardize_marks([rec], consts, n, 1.5, 0.5, limit_consts=consts)
     t_n = math.log(n) / (2.0 * consts.alpha)
     tbar = t_n - math.log(1.5 * 0.5) / (2.0 * consts.alpha)
     center = t_n / consts.nu_bar

@@ -259,13 +259,14 @@ def test_build_from_edges_refuses_an_overflowing_sort_key():
 # uniform simple graphs by rejection
 
 
-def test_two_vertices_degree_two_never_simple():
+def test_two_vertices_degree_two_never_simple(monkeypatch):
     # every pairing of [2, 2] is a double edge or a pair of self-loops, so
     # rejection can never terminate; the sampler must say so instead of
     # spinning forever
+    monkeypatch.setattr(graphs, "_MAX_SIMPLE_ATTEMPTS", 200)
     seq = degrees.DegreeSequence.from_degrees(np.array([2, 2]))
-    with pytest.raises(graphs.GraphError):
-        graphs.sample_uniform_simple(seq, philox(3), max_attempts=200)
+    with pytest.raises(graphs.GraphError, match="no simple pairing in 200 attempts"):
+        graphs.sample_uniform_simple(seq, philox(3))
 
 
 def test_uniform_simple_returns_simple_graph():

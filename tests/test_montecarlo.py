@@ -271,7 +271,7 @@ def test_centring_record_equals_full_constants(law, tmp_path):
         assert (rec.alpha, rec.nu_bar, rec.gamma) == (full.alpha, full.nu_bar, full.gamma)
         np.testing.assert_array_equal(
             explore.standardize_marks(recs, rec, 5000, 1.3, 0.6, limit_consts=full),
-            explore.standardize_marks(recs, full, 5000, 1.3, 0.6))
+            explore.standardize_marks(recs, full, 5000, 1.3, 0.6, limit_consts=full))
 
 
 def test_experiment_config_threshold_validation():
@@ -780,6 +780,23 @@ def test_ranked_verifier_null_and_power():
     assert mc.verify_ranked(t + shift, refs).passed is False
 
 
+def test_ranked_matrix_centres_as_q_hat():
+    # on realised iid degrees alpha_n differs from alpha; the rank-1 column
+    # gate 9 tests must still be the Q_hat gate 5 tests, to the bit
+    cfg, n = REALISED_CASES["cm_iid"]
+    out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, threads=1,
+                        collect_marks=False)
+    consts = mc.constants_for_config(cfg)
+    q_hat = mc.column(out, "Q_hat")
+    limit_centred = mc.column(out, "L_n") - math.log(n) / consts.alpha
+    assert np.abs(q_hat - limit_centred).max() > 1e-3
+    ranked = mc.ranked_matrix(out, 3)
+    np.testing.assert_array_equal(ranked[:, 0], q_hat)
+    for row, o in zip(ranked, out):
+        gaps = [r[0] - o.L_n for r in o.ranked]
+        np.testing.assert_allclose(row[:len(gaps)] - row[0], gaps, rtol=0, atol=1e-12)
+
+
 def test_ranked_matrix_counts_short_trials():
     # every fifth trial stops after two records: ranked_matrix reads NaN in
     # its third column, and the verifier drops and counts those rows
@@ -790,11 +807,12 @@ def test_ranked_matrix_counts_short_trials():
     refs = (ctbp.sample_ranked_gumbel(3, rng, 10000) + consts.c) / a
     w = (ctbp.sample_ranked_gumbel(3, rng, 2500) + consts.c) / a + math.log(n) / a
     outcomes = [mc.TrialOutcome(trial=i, seed=0, n=n, H_n=1, L_n=row[0], Z_hat=0.0,
-                                Q_hat=0.0, W1=1.0, W2=1.0, connected=True,
+                                Q_hat=row[0] - math.log(n) / a, W1=1.0, W2=1.0,
+                                connected=True,
                                 resamples=0, marks=np.empty((0, 5)),
                                 ranked=tuple((x, 1) for x in row[:2 if i % 5 == 0 else 3]))
                 for i, row in enumerate(w)]
-    ranked = mc.ranked_matrix(outcomes, consts, 3)
+    ranked = mc.ranked_matrix(outcomes, 3)
     assert ranked.shape == (2500, 3)
     short = np.isnan(ranked).any(axis=1)
     assert short.sum() == 500 and np.isnan(ranked[short, 2]).all()
