@@ -392,8 +392,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, configparser.Error, ctbp.SubcriticalError,
-            weights.WeightModelError, degrees.DegreeModelError,
-            graphs.GraphError) as exc:
+            ctbp.NearCriticalError, weights.WeightModelError,
+            degrees.DegreeModelError, graphs.GraphError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ctbp.CtbpError, ctbp.QuadratureError, explore.ExploreError,

@@ -50,6 +50,7 @@ from .weights import QuadratureError, WeightDistribution, sample as sample_weigh
 __all__ = [
     "CtbpError",
     "SubcriticalError",
+    "NearCriticalError",
     "QuadratureError",
     "CtbpConstants",
     "Centring",
@@ -66,6 +67,7 @@ __all__ = [
     "default_w_horizon",
     "simulate_bp",
     "sample_w",
+    "pool_steps",
     "sample_w_pool",
     "q_formula",
     "standard_gumbel",
@@ -79,6 +81,11 @@ class CtbpError(ValueError):
 
 class SubcriticalError(CtbpError):
     """Offspring mean nu <= 1: no exponential growth, no limit constants."""
+
+
+class NearCriticalError(CtbpError):
+    """nu so close to 1 that the W pool (sample_w_pool) would need more than
+    _MAX_POOL_STEPS steps to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +501,30 @@ def sample_w(consts: CtbpConstants, bp: BpConfig, rng: np.random.Generator, *,
 
 
 # Population dynamics: the pool size sets the O(1/size) bias of the pooled
-# law; each step contracts the distance to the fixed point by the factor
-# nu E e^{-2 alpha X} < 1 (0.6 for 4-regular exp(1), 0.76 for power s = 2);
-# blocks bound the index temporaries of a step, and with them peak memory.
+# law; each step contracts the Mallows distance to the fixed point by the
+# factor rho = E[D'] E e^{-2 alpha X} < 1 (0.6 for 4-regular exp(1), 0.76
+# for power s = 2), and pool_steps takes as many steps as shrink it below
+# that bias, up to _MAX_POOL_STEPS (about 25 s of pool); blocks bound the
+# index temporaries of a step, and with them peak memory.
 _POOL_SIZE = 200_000
-_POOL_STEPS = 40
+_MAX_POOL_STEPS = 2_000
 _POOL_BLOCK = 25_000
+
+
+def pool_steps(consts: CtbpConstants, bp: BpConfig) -> int:
+    """Steps of sample_w_pool: the least k with rho^k <= 1/_POOL_SIZE, where
+    rho = E[D'] LS(2 alpha). rho < 1 for every supercritical law with a
+    density, since nu LS(alpha) = 1 and LS decreases strictly, but it nears
+    1 with nu; a law needing more than _MAX_POOL_STEPS raises
+    NearCriticalError."""
+    rho = bp.later_law.mean * laplace_stieltjes(bp.dist, 2.0 * consts.alpha)
+    steps = math.ceil(math.log(_POOL_SIZE) / -math.log(rho)) if rho < 1.0 else math.inf
+    if steps > _MAX_POOL_STEPS:
+        raise NearCriticalError(
+            f"offspring mean nu={consts.nu:.6g} is too close to critical for the W "
+            f"reference: its pool contracts by rho={rho:.6g} per step and needs "
+            f"{steps} steps, above the cap of {_MAX_POOL_STEPS}")
+    return steps
 
 
 def _sum_pool_draws(pool: np.ndarray, counts: np.ndarray,
@@ -517,13 +542,14 @@ def sample_w_pool(consts: CtbpConstants, bp: BpConfig, size: int,
     A newborn individual's limit solves V = e^{-alpha X} (V_1 + ... + V_D')
     in law, X ~ G and D' from the later law; E V = A (mean_growth_constant)
     picks the solution among its multiples. A pool of V's is iterated on
-    that equation, rescaled to mean A after each step; then W = V_1 + ... +
-    V_{D_root} with W = 0 (extinction) rejected. A block of _POOL_BLOCK
-    root draws without a survivor raises.
+    that equation from the point mass at A for pool_steps steps, rescaled to
+    mean A after each; then W = V_1 + ... + V_{D_root} with W = 0
+    (extinction) rejected. A block of _POOL_BLOCK root draws without a
+    survivor raises, and so does a law pool_steps refuses.
     """
     target = mean_growth_constant(consts)
     pool = np.full(_POOL_SIZE, target)
-    for _ in range(_POOL_STEPS):
+    for _ in range(pool_steps(consts, bp)):
         nxt = np.empty_like(pool)
         for lo in range(0, _POOL_SIZE, _POOL_BLOCK):
             k = min(_POOL_BLOCK, _POOL_SIZE - lo)

@@ -433,14 +433,17 @@ def _map_chunks(args, threads: int, meanwhile=None):
     is asked for, and meanwhile(), if given, once the last has been taken.
     Otherwise one process pool of `threads` workers gets every chunk at once
     (under fork every worker starts at the first submit, so none inherits
-    what the parent builds next), meanwhile() runs in the parent while they
-    work, and outcomes are yielded in order as they arrive; a done callback
-    stamps each chunk as its result reaches the parent, so the stamps do not
-    wait for meanwhile(). However the generator ends, chunks not yet started
-    are cancelled and the running ones awaited, so an error surfaces at once
-    and no worker outlives it. A dead worker becomes a MonteCarloError
-    naming the first chunk lost: its rung n, index and trial range, the
-    master seed, and the serial call that replays it.
+    what the parent builds next). The largest rung's chunks are submitted
+    first, each rung's in order: they take longest, and run last they would
+    leave a worker idle at the end. meanwhile() runs in the parent while the
+    workers run, and outcomes are yielded in input order as they arrive; a
+    done callback stamps each chunk as its result reaches the parent, so the
+    stamps do not wait for meanwhile(). However the generator ends, chunks
+    not yet started are cancelled and the running ones awaited, so an error
+    surfaces at once and no worker outlives it. A dead worker becomes a
+    MonteCarloError naming the first chunk lost in input order: its rung n,
+    index and trial range, the master seed, and the serial call that
+    replays it.
     """
     if threads <= 1 or len(args) <= 1:
         for a in args:
@@ -450,7 +453,9 @@ def _map_chunks(args, threads: int, meanwhile=None):
         return
     ex = ProcessPoolExecutor(max_workers=threads)
     try:
-        futures = [ex.submit(_trial_chunk, a) for a in args]
+        futures = [None] * len(args)
+        for i in sorted(range(len(args)), key=lambda i: -args[i][0].n):
+            futures[i] = ex.submit(_trial_chunk, args[i])
         done: dict[int, float] = {}
         for i, fut in enumerate(futures):
             fut.add_done_callback(lambda _, i=i: done.setdefault(i, time.monotonic()))
@@ -909,9 +914,12 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     consts = constants_for_config(config)
     th = config.thresholds
     # every trial gives one outcome, so the top rung will have config.trials;
-    # the references' offspring laws are built before any rung so that a
-    # degree law they cannot sum fails at once
+    # the references' offspring laws and pool step count are worked out before
+    # any rung, so that a degree law they cannot sum, or one too near critical
+    # for the pool, fails at once
     bp = bp_config_for(config) if config.trials >= th["min_outcomes"] else None
+    if bp is not None:
+        ctbp.pool_steps(consts, bp)
     seconds = {}
     refs = {}
 

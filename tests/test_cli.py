@@ -190,6 +190,21 @@ def test_bad_degree_law_is_config_error_before_any_output(argv, bad, tmp_path, c
     assert not out.exists()
 
 
+def test_run_refuses_a_near_critical_law_before_any_rung(tmp_path, capsys):
+    # iid {2: .999, 3: .001} has nu = 1.0015, too near critical for the W
+    # reference: the run fails before its first rung and writes no CSV
+    table = tmp_path / "table.txt"
+    table.write_text("2 0.999\n3 0.001\n")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--degrees", f"iid:{table}",
+                                "--n-ladder", "100", "--trials", "600",
+                                "--threads", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("config error:") and "too close to critical" in err
+    assert stdout == ""
+    assert not list(out.glob("outcomes_n*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # run
 

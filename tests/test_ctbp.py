@@ -557,6 +557,44 @@ def test_sample_w_pool_deterministic():
     assert not np.array_equal(a, other)
 
 
+def test_pool_steps_of_the_gate_model():
+    # rho = E[D'] LS(2 alpha) = 3 * 1/(1 + 4) = 0.6, and 0.6^24 < 1/200,000 < 0.6^23
+    c, bp = four_regular()
+    assert ctbp.pool_steps(c, bp) == 24
+
+
+def near_critical(p3):
+    """iid degrees {2: 1 - p3, 3: p3} with exp(1) weights: nu = 1 + 3 p3/(2 + p3)."""
+    cfg = ExperimentConfig(degree_model=("iid", ((2, 1.0 - p3), (3, p3))))
+    return constants_for_config(cfg), bp_config_for(cfg)
+
+
+def test_sample_w_pool_second_moment_near_critical():
+    # nu = 1.044, so the pool contracts by rho = 0.959 per step and needs 294
+    # steps; E V^2 solves its own fixed-point equation exactly, and with
+    # no degree below 2 no line dies out, so E W^2 is unconditioned
+    c, bp = near_critical(0.03)
+    a = ctbp.mean_growth_constant(c)
+    ls2 = ctbp.laplace_stieltjes(bp.dist, 2.0 * c.alpha)
+
+    def falling(law):
+        return float((law.support * (law.support - 1) * law.probs).sum())
+
+    ev2 = ls2 * falling(bp.later_law) * a * a / (1.0 - bp.later_law.mean * ls2)
+    ew2 = bp.root_law.mean * ev2 + falling(bp.root_law) * a * a
+    w2 = ctbp.sample_w_pool(c, bp, 20_000, np.random.Generator(np.random.Philox(key=5))) ** 2
+    assert abs(w2.mean() - ew2) < 4.0 * w2.std() / math.sqrt(w2.size)
+
+
+def test_sample_w_pool_refuses_a_near_critical_law():
+    # nu = 1.0015 would need 8,160 steps: the pool refuses before taking one
+    c, bp = near_critical(0.001)
+    with pytest.raises(ctbp.NearCriticalError, match=r"nu=1\.0015.*rho=0\.99.*8160 steps"):
+        ctbp.pool_steps(c, bp)
+    with pytest.raises(ctbp.NearCriticalError):
+        ctbp.sample_w_pool(c, bp, 10, np.random.Generator(np.random.Philox(key=1)))
+
+
 def test_q_formula_reduces_to_c_over_alpha():
     c, _ = four_regular()
     assert ctbp.q_formula(c, 1.0, 1.0, 0.0) == pytest.approx(c.c / c.alpha, rel=1e-12)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +408,28 @@ def test_rung_stamps_are_completion_times(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched trial reaches the workers only by fork")
+def test_top_rung_chunks_start_first(monkeypatch, tmp_path):
+    # the top rung's chunks take longest, so the pool gets them first; a
+    # chunk starts with its first trial, which stamps a file per chunk
+    real = mc._run_single_trial
+
+    def stamped(task, index):
+        if index % mc._CHUNK == 0:
+            (tmp_path / f"{task.n}_{index}").write_text(repr(time.monotonic()))
+        return real(task, index)
+
+    monkeypatch.setattr(mc, "_run_single_trial", stamped)
+    cfg = mc.ExperimentConfig(n_ladder=(100, 200), trials=130, master_seed=611,
+                              threads=2)
+    mc.run_experiment(cfg)
+    starts = sorted((float(p.read_text()), p.name) for p in tmp_path.iterdir())
+    assert len(starts) == 6
+    assert {name for _, name in starts[:2]} == {"200_0", "200_64"}, starts
+    assert multiprocessing.active_children() == []
+
+
 def test_run_trials_outcome_sanity():
     out = mc.run_trials(small_config(), threads=2)
     assert len(out) == 24
@@ -481,28 +504,32 @@ def eager_graph(model, n, rng):
                                 partner=partner)
 
 
+def eager_trial(model, n, seed):
+    """(hops, weight) of one eager control trial: an eager_graph with Exp(1)
+    weights, explored between uniform endpoint pairs until one connects."""
+    rng = philox(seed)
+    g = graphs.assign_weights(eager_graph(model, n, rng), weights.exponential(1.0), rng)
+    while True:
+        u1, u2 = rng.choice(n, size=2, replace=False)
+        res = explore.run(g, int(u1), int(u2))
+        if res.connected:
+            return res.hops, res.weight
+
+
 def test_lazy_trials_match_eager_law():
     # cm trials pair lazily, and an iid trial draws its degree counts at
     # once and lays them out sorted; H_n and L_n must have the law of
     # exploring a graph on per-vertex degrees, paired and weighted in full
-    # beforehand (Exp(1) weights)
+    # beforehand (Exp(1) weights); the seeded control trials run in a pool
     n, M = 10_000, 1000
-    dist = weights.exponential(1.0)
     for model in (("regular", 4), ("iid", IID_PMF)):
         lazy = mc.run_trials(mc.ExperimentConfig(degree_model=model, n_ladder=(n,),
                                                  trials=M, master_seed=71),
                              threads=suite_threads())
-        hops, lengths = [], []
-        for i in range(M):
-            rng = philox(50_000 + i)
-            g = graphs.assign_weights(eager_graph(model, n, rng), dist, rng)
-            while True:
-                u1, u2 = rng.choice(n, size=2, replace=False)
-                res = explore.run(g, int(u1), int(u2))
-                if res.connected:
-                    break
-            hops.append(res.hops)
-            lengths.append(res.weight)
+        with ProcessPoolExecutor(suite_threads(),
+                                 mp_context=multiprocessing.get_context("spawn")) as ex:
+            hops, lengths = zip(*ex.map(functools.partial(eager_trial, model, n),
+                                        range(50_000, 50_000 + M), chunksize=50))
         _, p_hops = mc.ks_two_sample(np.array([o.H_n for o in lazy]), np.array(hops))
         _, p_len = mc.ks_two_sample(np.array([o.L_n for o in lazy]), np.array(lengths))
         assert p_hops > 1e-3 and p_len > 1e-3, (model[0], p_hops, p_len)
