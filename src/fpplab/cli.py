@@ -1,11 +1,14 @@
 """Command line wiring: constants tables, experiment runs, oracle checks.
 
+`run` is the one front end for trials: it runs the ladder, writes each
+rung's outcome CSV and the top rung's ranked paths, and verifies them.
 Everything a subcommand writes is a pure function of (argv, config file,
 master seed); wall-clock timings only ever land in the opt-in --log sidecar.
-Config precedence: built-in defaults < config file < flags.
+Config precedence: built-in defaults < config file < flags. _FIELDS names
+each config field once, with its flag and its INI section and key.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
-3 runtime error.
+3 runtime error (a trial that raises among them, named with its seed).
 """
 from __future__ import annotations
 
@@ -102,34 +105,35 @@ def _parse_ladder(text: str) -> tuple:
 # config assembly
 
 
+# each config field once: (config field, flag attribute, INI section, INI
+# key, parser); a flag set to anything, 0 included, overrides the file
+_FIELDS = (
+    ("graph_kind", "kind", "graph", "kind", str.lower),
+    ("degree_model", "degrees", "graph", "degrees", parse_degree_model),
+    ("vertex_weight_spec", "vertex_weights", "graph", "vertex_weights", parse_weight_spec),
+    ("weight_spec", "weights", "weights", "spec", parse_weight_spec),
+    ("n_ladder", "n_ladder", "experiment", "n_ladder", _parse_ladder),
+    ("trials", "trials", "experiment", "trials", int),
+    ("ranked_m", "ranked_m", "experiment", "ranked_m", int),
+    ("master_seed", "seed", "experiment", "master_seed", int),
+    ("threads", "threads", "experiment", "threads", int),
+)
+
+
 def _read_config_file(path: str) -> dict:
     """INI sections [graph] [weights] [experiment] [thresholds] -> flat dict."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"config file not found: {path}")
-    out: dict = {}
-    if cp.has_section("graph"):
-        g = cp["graph"]
-        if "kind" in g:
-            out["graph_kind"] = g["kind"].strip().lower()
-        if "degrees" in g:
-            out["degree_model"] = parse_degree_model(g["degrees"])
-        if "vertex_weights" in g:
-            out["vertex_weight_spec"] = parse_weight_spec(g["vertex_weights"])
     if not cp.has_section("weights") or "spec" not in cp["weights"]:
         raise ConfigError(f"{path}: missing [weights] section with a 'spec' field")
-    out["weight_spec"] = parse_weight_spec(cp["weights"]["spec"])
-    if cp.has_section("experiment"):
-        e = cp["experiment"]
-        try:
-            if "n_ladder" in e:
-                out["n_ladder"] = _parse_ladder(e["n_ladder"])
-            for key in ("trials", "ranked_m", "master_seed", "threads"):
-                if key in e:
-                    out[key] = int(e[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [experiment] {exc}")
+    out: dict = {}
+    for name, _, section, key, parse in _FIELDS:
+        if cp.has_option(section, key):
+            try:
+                out[name] = parse(cp[section][key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}")
     if cp.has_section("thresholds"):
         th = {}
         for key, raw in cp["thresholds"].items():
@@ -141,25 +145,14 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-# flag attribute, config field, parser; a flag set to anything, 0 included,
-# overrides the file
-_FLAGS = (
-    ("kind", "graph_kind", str), ("degrees", "degree_model", parse_degree_model),
-    ("weights", "weight_spec", parse_weight_spec),
-    ("vertex_weights", "vertex_weight_spec", parse_weight_spec),
-    ("n_ladder", "n_ladder", _parse_ladder), ("trials", "trials", int),
-    ("ranked_m", "ranked_m", int), ("seed", "master_seed", int), ("threads", "threads", int),
-)
-
-
 def _assemble_config(args) -> montecarlo.ExperimentConfig:
     """defaults < config file < flags."""
     fields: dict = {"graph_kind": "cm", "weight_spec": ("exponential", (1.0,))}
     if getattr(args, "config", None):
         fields.update(_read_config_file(args.config))
-    for attr, key, parse in _FLAGS:
+    for name, attr, *_, parse in _FIELDS:
         if getattr(args, attr, None) is not None:
-            fields[key] = parse(getattr(args, attr))
+            fields[name] = parse(getattr(args, attr))
     fields.setdefault("threads", os.cpu_count() or 1)
     if fields["graph_kind"] in graphs.RANK1_KINDS and "degree_model" in fields:
         raise ConfigError(f"{fields['graph_kind']} graphs take their degree law from "
@@ -276,35 +269,6 @@ def cmd_bp_sim(args) -> int:
     return 0
 
 
-def cmd_ranked(args) -> int:
-    config = _assemble_config(args)
-    n = args.n if args.n is not None else max(config.n_ladder)
-    if n < 3:
-        raise ConfigError(f"ranked: --n must be >= 3 (the probe time needs "
-                          f"log(log n) > 0), got {n}")
-    outcomes = montecarlo.run_trials(config, n=n, threads=config.threads,
-                                     collect_marks=False)
-    m = config.ranked_m
-    complete = [o for o in outcomes if len(o.ranked) >= m]
-    print(f"n={n} trials={len(outcomes)} with_{m}_paths={len(complete)}")
-    if complete:
-        mat = np.array([[r[0] for r in o.ranked[:m]] for o in complete])
-        for j in range(m):
-            print(f"rank {j + 1}: mean={mat[:, j].mean():.6g} "
-                  f"sd={mat[:, j].std(ddof=1):.6g}")
-        gaps = np.diff(mat, axis=1)
-        if gaps.size:
-            means = " ".join(f"{gm:.6g}" for gm in gaps.mean(axis=0))
-            print(f"gap means: {means} (min gap {gaps.min():.6g})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,rank,weight,hops\n")
-            for o in outcomes:
-                for j, (w, h) in enumerate(o.ranked):
-                    fh.write(f"{o.trial},{j + 1},{w!r},{h}\n")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -373,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: time at which the mean size hits --target")
     p.add_argument("--target", type=float, default=1e3, metavar="SIZE")
     p.set_defaults(func=cmd_bp_sim)
-
-    p = sub.add_parser("ranked", parents=[common],
-                       help="collect the m best paths per trial at one size")
-    p.add_argument("--n", type=int, metavar="N", help="graph size (single rung)")
-    p.add_argument("--trials", type=int, metavar="M")
-    p.add_argument("--ranked-m", type=int, metavar="m")
-    p.set_defaults(func=cmd_ranked)
 
     return parser
 

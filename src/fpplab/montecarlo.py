@@ -22,6 +22,7 @@ import contextlib
 import itertools
 import json
 import math
+import pathlib
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,7 @@ from . import ctbp, degrees, explore, graphs, weights
 __all__ = [
     "MonteCarloError",
     "PersistentDisconnection",
+    "TrialError",
     "ExperimentConfig",
     "TrialOutcome",
     "ReportEntry",
@@ -84,6 +86,11 @@ class PersistentDisconnection(MonteCarloError):
     Almost surely means the configuration has no giant component, i.e. the
     degree sequence is subcritical or the graph is shattered.
     """
+
+
+class TrialError(MonteCarloError):
+    """A trial raised; the message names its rung, index and seeds, and the
+    serial call that replays it."""
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +426,18 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
 
 def _trial_chunk(args) -> list[TrialOutcome]:
     task, lo, hi = args
-    return [_run_single_trial(task, i) for i in range(lo, hi)]
+    outcomes = []
+    for i in range(lo, hi):
+        try:
+            outcomes.append(_run_single_trial(task, i))
+        except Exception as exc:
+            master = task.config.master_seed
+            raise TrialError(
+                f"trial {i} of rung n={task.n} (trial seed {trial_seed(master, i)}, "
+                f"master seed {master}) raised {type(exc).__name__}: {exc}. Replay "
+                f"it serially with run_trials(replace(config, trials={i + 1}), "
+                f"n={task.n}, threads=1)") from exc
+    return outcomes
 
 
 _CHUNK = 64   # fixed chunk size: scheduling granularity, never affects results
@@ -483,7 +501,8 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     last chunk completed).
 
     Each rung's CSV, where its path is not None, is written in trial order as
-    its chunks arrive.
+    its chunks arrive; if an error comes while it is written, it is deleted,
+    so no partial CSV reads like a complete rung.
     """
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
     parts = _map_chunks([(task, lo, hi) for task in tasks for lo, hi in spans],
@@ -493,15 +512,20 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
         for path in csv_paths:
             rung: list[TrialOutcome] = []
             last = -math.inf
-            with (open(path, "w", encoding="utf-8", newline="\n") if path
-                  else contextlib.nullcontext()) as fh:
-                if fh:
-                    fh.write(CSV_HEADER + "\n")
-                for batch, done in itertools.islice(parts, len(spans)):
-                    rung.extend(batch)
-                    last = max(last, done)
+            try:
+                with (open(path, "w", encoding="utf-8", newline="\n") if path
+                      else contextlib.nullcontext()) as fh:
                     if fh:
-                        fh.writelines(_csv_row(o) + "\n" for o in batch)
+                        fh.write(CSV_HEADER + "\n")
+                    for batch, done in itertools.islice(parts, len(spans)):
+                        rung.extend(batch)
+                        last = max(last, done)
+                        if fh:
+                            fh.writelines(_csv_row(o) + "\n" for o in batch)
+            except BaseException:
+                if path:
+                    pathlib.Path(path).unlink(missing_ok=True)
+                raise
             outcomes.append(rung)
             finished.append(last)
         next(parts, None)   # past the last chunk: a serial meanwhile() runs here
@@ -509,18 +533,16 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
 
 
 def run_trials(config: ExperimentConfig, *, n: int | None = None,
-               threads: int | None = None, csv_path=None,
-               collect_marks: bool = True) -> list[TrialOutcome]:
+               threads: int | None = None, csv_path=None) -> list[TrialOutcome]:
     """Run config.trials seeded trials at one ladder rung; optionally stream a CSV.
 
     Results are a pure function of (config, n), config.master_seed included;
     threads only changes wall time: more than one runs the chunks in a process
     pool of that many workers (see _map_chunks). The CSV is written in trial
     order as chunks finish. Each outcome's ranked holds up to config.ranked_m
-    paths. With collect_marks the exploration also covers the mark window and
-    marks holds its (k, 5) collision marks; without, the exploration stops at
-    the ranked stop and marks is empty, and every other field, ranked
-    included, is the same.
+    paths, and marks the (k, 5) collision marks of the mark window, which the
+    exploration also covers. A trial that raises becomes a TrialError naming
+    it, and the CSV is then deleted.
     """
     if n is None:
         if len(config.n_ladder) != 1:
@@ -528,7 +550,7 @@ def run_trials(config: ExperimentConfig, *, n: int | None = None,
         n = config.n_ladder[0]
     threads = config.threads if threads is None else int(threads)
 
-    task = _TrialTask(config, int(n), constants_for_config(config), collect_marks)
+    task = _TrialTask(config, int(n), constants_for_config(config), True)
     (outcomes,), _ = _run_rungs([task], config.trials, threads, [csv_path])
     return outcomes
 
@@ -902,10 +924,11 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     report.seconds holds wall-clock seconds: "references" (their build
     time) and "rung {n}" (when each rung's last chunk completed, counted
     from the start).
+    out_dir, if given, receives outcomes_n{n}.csv per rung, ranked_n{top}.csv
+    (a trial,rank,weight,hops row per ranked path of the top rung, in trial
+    and rank order, repr weights), report.json and report.txt.
     plot_dir, if given, receives the two-column figure files.
     """
-    import pathlib
-
     start = time.monotonic()
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -966,6 +989,10 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                                 config=config.echo(), entries=entries,
                                 seconds=seconds)
     if out is not None:
+        with open(out / f"ranked_n{top}.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("trial,rank,weight,hops\n")
+            fh.writelines(f"{o.trial},{j},{w!r},{h}\n" for o in top_outcomes
+                          for j, (w, h) in enumerate(o.ranked, 1))
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if plot_dir is not None:
@@ -975,7 +1002,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
 
 def write_plot_data(out_dir, outcomes_by_n, q_ref=None) -> list:
     """Two-column text files for the standard figures; returns paths written."""
-    import pathlib
     from scipy.special import ndtr
 
     out = pathlib.Path(out_dir)

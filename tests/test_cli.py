@@ -220,7 +220,7 @@ def test_run_smoke_and_rerun_identical(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["master_seed"] == 42
     assert (out_dir / "report.txt").exists()
-    assert len(list(out_dir.iterdir())) == 3
+    assert len(list(out_dir.iterdir())) == 4
 
     out_dir2 = tmp_path / "exp2"
     code2, _, _ = run_cli(capsys, "run", "--n-ladder", "200", "--trials", "8",
@@ -285,6 +285,25 @@ def test_zero_ranked_m_in_config_file_is_config_error(tmp_path, capsys):
     assert "ranked_m" in err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_realised_subcritical_draw_names_its_trial(tmp_path, capsys, threads):
+    # iid {2: .9, 3: .1} is supercritical (nu = 1.1), but at n = 40 trial 95
+    # draws every degree 2 (nu_n = 1): a runtime error naming that trial and
+    # its seed, not a config error, and no outcome CSV is left
+    table = tmp_path / "table.txt"
+    table.write_text("2 0.9\n3 0.1\n")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--degrees", f"iid:{table}",
+                                "--n-ladder", "40,100", "--trials", "200",
+                                "--threads", threads, "--out", str(out))
+    assert code == 3
+    assert err.startswith("runtime error:")
+    assert ("trial 95 of rung n=40 (trial seed 1953786514014019177, master seed 1)"
+            in err)
+    assert stdout == ""
+    assert not list(out.glob("outcomes_n*.csv"))
+
+
 def test_run_refuses_references_it_cannot_build_before_any_trial(tmp_path, capsys):
     # 500 trials draw references, whose offspring law is the mixed-Poisson
     # pmf; power:4 vertex weights are too heavy to sum, and that must stop
@@ -343,6 +362,14 @@ def test_config_file_unknown_threshold(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_bad_config_file_value_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[weights]\nspec = exp:1\n\n[experiment]\ntrials = x\n")
+    code, _, err = run_cli(capsys, "constants", "--config", str(cfg))
+    assert code == 2
+    assert "trials" in err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -389,7 +416,7 @@ def test_oracle_describe_instance(capsys):
 
 
 # ---------------------------------------------------------------------------
-# gen-graph / bp-sim / ranked
+# gen-graph / bp-sim
 
 
 def test_gen_graph_deterministic(tmp_path, capsys):
@@ -417,7 +444,7 @@ def test_gen_graph_bytes_are_pinned(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (["run", "--n-ladder", "2", "--trials", "5"], "n_ladder"),
-    (["ranked", "--n", "2", "--trials", "5"], "--n"),
+    (["run", "--n-ladder", "2,1000", "--trials", "5"], "n_ladder"),
     (["oracle", "--instances", "0"], "--instances"),
     (["oracle", "--instances", "-3"], "--instances"),
     (["bp-sim", "--reps", "0"], "--reps"),
@@ -466,16 +493,16 @@ def test_bp_sim_reports_growth(tmp_path, capsys):
         assert int(alive) >= 0 and float(west) >= 0.0
 
 
-def test_ranked_summary_and_csv(tmp_path, capsys):
-    out_file = tmp_path / "ranked.csv"
-    code, out, _ = run_cli(capsys, "ranked", "--n", "300", "--trials", "10",
-                           "--ranked-m", "2", "--seed", "8", "--threads", "1",
-                           "--out", str(out_file))
+def test_run_writes_the_top_rungs_ranked_paths(tmp_path, capsys):
+    # these bytes are the ones the retired `fpplab ranked --n 300 --out` wrote
+    out = tmp_path / "exp"
+    code, _, _ = run_cli(capsys, "run", "--n-ladder", "300", "--trials", "10",
+                         "--ranked-m", "2", "--seed", "8", "--threads", "1",
+                         "--out", str(out))
     assert code == 0
-    assert "rank" in out
-    lines = out_file.read_text().strip().split("\n")
-    assert lines[0] == "trial,rank,weight,hops"
-    assert len(lines) > 10
+    data = (out / "ranked_n300.csv").read_bytes()
+    assert data.startswith(b"trial,rank,weight,hops\n")
+    assert hashlib.sha256(data).hexdigest().startswith("c4011c25d99c8034")
 
 
 # ---------------------------------------------------------------------------

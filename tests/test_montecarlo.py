@@ -307,11 +307,12 @@ def test_run_trials_deterministic_across_threads(tmp_path):
 def test_run_experiment_identical_across_threads(tmp_path):
     # one pool runs every rung while the parent builds the references; with
     # min_outcomes lowered the references and all four verifiers run, and
-    # every file must match the serial run's bytes, but for the echo of the
-    # thread count in report.json's config
+    # every file, the top rung's ranked paths included, must match the serial
+    # run's bytes, but for the echo of the thread count in report.json's config
     cfg = mc.ExperimentConfig(n_ladder=(150, 300), trials=130, ranked_m=2,
                               master_seed=611, thresholds={"min_outcomes": 100})
-    names = ("outcomes_n150.csv", "outcomes_n300.csv", "report.json", "report.txt")
+    names = ("outcomes_n150.csv", "outcomes_n300.csv", "report.json", "report.txt",
+             "ranked_n300.csv")
     files = {}
     for threads in (1, 3):
         out = tmp_path / f"t{threads}"
@@ -382,7 +383,8 @@ def test_best_path_stop_keeps_every_csv_field(name):
 def test_run_trials_without_marks_keeps_the_ranked_paths():
     cfg = replace(small_config(), ranked_m=3)
     with_marks = mc.run_trials(cfg, threads=1)
-    without = mc.run_trials(cfg, threads=1, collect_marks=False)
+    task = mc._TrialTask(cfg, 300, mc.constants_for_config(cfg), False)
+    without = mc._trial_chunk((task, 0, cfg.trials))
     assert [o.ranked for o in without] == [o.ranked for o in with_marks]
     assert [mc._csv_row(o) for o in without] == [mc._csv_row(o) for o in with_marks]
     assert all(o.marks.shape == (0, 5) for o in without)
@@ -673,6 +675,33 @@ def test_reference_error_cancels_queued_chunks(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_trial_names_itself(monkeypatch, tmp_path, threads):
+    # whatever a trial raises, serially or in a forked worker, surfaces as a
+    # TrialError naming its rung, index and seeds and the serial replay call;
+    # the CSV it was writing is deleted
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched trial reaches the workers only by fork")
+    real = mc._run_single_trial
+
+    def failing(task, index):
+        if index == 70:
+            raise ZeroDivisionError("injected")
+        return real(task, index)
+
+    monkeypatch.setattr(mc, "_run_single_trial", failing)
+    cfg = mc.ExperimentConfig(n_ladder=(100,), trials=130, master_seed=611)
+    csv = tmp_path / "out.csv"
+    with pytest.raises(mc.TrialError) as err:
+        mc.run_trials(cfg, threads=threads, csv_path=csv)
+    msg = str(err.value)
+    assert (f"trial 70 of rung n=100 (trial seed {mc.trial_seed(611, 70)}, "
+            "master seed 611) raised ZeroDivisionError: injected") in msg
+    assert "run_trials(replace(config, trials=71), n=100, threads=1)" in msg
+    assert not csv.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_persistent_disconnection(monkeypatch):
     # degree-1 vertices pair into a perfect matching, so two random
     # endpoints are almost never connected; with the resample budget cut to
@@ -811,8 +840,7 @@ def test_ranked_matrix_centres_as_q_hat():
     # on realised iid degrees alpha_n differs from alpha; the rank-1 column
     # gate 9 tests must still be the Q_hat gate 5 tests, to the bit
     cfg, n = REALISED_CASES["cm_iid"]
-    out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, threads=1,
-                        collect_marks=False)
+    out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, threads=1)
     consts = mc.constants_for_config(cfg)
     q_hat = mc.column(out, "Q_hat")
     limit_centred = mc.column(out, "L_n") - math.log(n) / consts.alpha
