@@ -39,12 +39,13 @@ not, checks that no partner it reaches is already consumed and that the
 classes add up to the vertex's free half-edges. ExploreError, naming the
 half-edges, is raised when a pairing breaks any of these.
 
-The graph is either a WeightedGraph or a LazyPairing. The exploration reads
-a vertex's half-edges only through graph.reveal(v), called when v joins a
-cluster: a list of (id, partner, weight) triples over v's half-edge ids, in
-order, which a lazy pairing draws at that moment. advance() and
-advance_ranked() drive one shared loop, and every event, from that loop or
-from step(), runs one shared body.
+The graph is either a WeightedGraph or a LazyPairing. The state binds the
+graph's lookups() once: a vertex's half-edge range, a half-edge's owner and
+partner, an edge's weight and, on a lazy pairing, the blocks of partner ids
+and weights that a half-edge not yet paired draws from. A joining vertex is
+walked once: each of its half-edges is looked up (or paired), classified and
+pushed in the same pass. That pass is the body of one loop, which init's
+endpoint joins, step(), advance() and advance_ranked() all run.
 """
 from __future__ import annotations
 
@@ -142,7 +143,7 @@ class SwgState:
 
     __slots__ = (
         "graph", "he_state", "heap", "alive", "collisions", "weights_sorted",
-        "k", "last_time", "log_details", "detail_rows", "_owner", "_reveal",
+        "k", "last_time", "log_details", "detail_rows", "_lookups",
     )
 
     def __init__(self, graph: WeightedGraph | LazyPairing, log_details: bool):
@@ -156,8 +157,7 @@ class SwgState:
         self.last_time = 0.0
         self.log_details = log_details
         self.detail_rows: list[tuple] = []
-        self._owner = graph.owner
-        self._reveal = graph.reveal
+        self._lookups = graph.lookups()
 
     def dump_events(self, fh) -> None:
         """Write the detail log, one line per logged item: k t type payload."""
@@ -171,13 +171,13 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
          log_details: bool = False) -> SwgState:
     """Seed the state: u1, then u2, joins at time 0 and height 0.
 
-    Each endpoint runs the event body with no half-edge spent, so its edges
-    are classified as every later vertex's are: a self-loop is consumed and
-    logged as a cycle, any other edge becomes alive with death time equal to
-    its weight, and a direct u1-u2 edge, alive since u1 joined, is an
-    ordinary collision when u2 joins: time 0, heights (0, 0), the full edge
-    weight remaining, source 2. The direct edge leaves u1's consumed entry in
-    the heap, which the event loop skips.
+    Each endpoint runs the event loop's pass with no half-edge spent, so its
+    edges are classified as every later vertex's are: a self-loop is
+    consumed and logged as a cycle, any other edge becomes alive with death
+    time equal to its weight, and a direct u1-u2 edge, alive since u1
+    joined, is an ordinary collision when u2 joins: time 0, heights (0, 0),
+    the full edge weight remaining, source 2. The direct edge leaves u1's
+    consumed entry in the heap, which the event loop skips.
     """
     if g.edge_weight_by_he is None:
         raise ExploreError("assign_weights() must run before exploration")
@@ -190,8 +190,7 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
             raise IsolatedEndpointError(f"vertex {u} has no half-edges")
 
     state = SwgState(g, log_details)
-    _event(state, (0.0, None, 1, -1, None), u1)
-    _event(state, (0.0, None, 2, -1, None), u2)
+    _run(state, 0.0, 0, 0, [(1, u1), (2, u2)])
     return state
 
 
@@ -218,124 +217,140 @@ def step(state: SwgState) -> bool:
     _prune(state)
     if not state.heap:
         return False
-    _event(state, heappop(state.heap))
+    _run(state, math.inf, 0, 1, [])
     return True
 
 
-def _event(state: SwgState, entry: tuple, v: int | None = None) -> None:
-    """The event body: the alive half-edge `entry`, just popped, dies.
+def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> None:
+    """The event loop of init, step, advance (m = 0) and advance_ranked (m >= 1).
 
-    An endpoint joins through the same body: init passes the entry
-    (0.0, None, source, -1, None) and the vertex v, which arrives at height 0
-    with no half-edge spent and is not counted as an event.
+    Each (source, vertex) of roots first joins at time 0 and height 0, with
+    no half-edge spent and no event counted. Then the loop stops before the
+    next event, at time t, once it has run `events` events, or when
+    t > until and, for m >= 1, at least m records exist and t exceeds half
+    the m-th best path weight. For m >= 1 it also stops, whatever until is,
+    once either cluster is closed (no alive half-edge left): a record needs
+    an alive half-edge on the far side, so no event can add one.
+
+    A joining vertex v is walked once: each free half-edge x is looked up,
+    or paired on a lazy pairing, and classified at once (see the module
+    docstring); then the classes must add up to v's free half-edges.
     """
-    t, y, src, h, z = entry
-    he_state = state.he_state
-    alive = state.alive
-    state.last_time = t
-    if y is not None:
-        he_state[y] = None
-        alive[src] -= 1
-        # the partner of a dying half-edge leads to fresh territory (see
-        # module docstring): every half-edge of a found vertex is touched, so
-        # this one check is the disjointness invariant
-        if z in he_state:
-            raise ExploreError(f"half-edge {y} died into half-edge {z}, which "
-                               "was already touched")
-        v = state._owner(z)
-        he_state[z] = None
-        state.k += 1
-    half = state._reveal(v)
-    hv = h + 1
-    log = state.detail_rows if state.log_details else None
-    if log is not None:
-        log.append((state.k, t, "vertex", v, src, hv))
-
-    heap = state.heap
-    n_added = n_self = n_cycle = n_collision = 0
-    lo, hi = half[0][0], half[-1][0] + 1
-    for x, px, w in half:
-        if x in he_state:
-            continue                     # z, or the 2nd half of a self-loop
-        if px not in he_state:
-            if lo <= px < hi:
-                he_state[x] = None       # self-loop at the new vertex
-                he_state[px] = None
-                n_self += 1
-                if log is not None:
-                    log.append((state.k, t, "cycle", x, px))
-            else:
-                new = (t + w, x, src, hv, px)
-                he_state[x] = new
-                heappush(heap, new)
-                n_added += 1
-        else:
-            pst = he_state[px]
-            if pst is None:
-                raise ExploreError(f"free half-edge {x} of vertex {v} is paired to "
-                                   f"half-edge {px}, which was already consumed")
-            pd, _, psrc, ph, _ = pst
-            he_state[x] = None
-            he_state[px] = None
-            alive[psrc] -= 1
-            if psrc == src:
-                n_cycle += 1
-                if log is not None:
-                    log.append((state.k, t, "cycle", x, px))
-            else:
-                n_collision += 1
-                rec = CollisionRecord(time=t, source=src, h_origin=hv,
-                                      h_dest=ph, remaining=pd - t)
-                if not rec.remaining >= 0.0:
-                    raise ExploreError(
-                        f"half-edge {px} died at {pd!r}, before the event at "
-                        f"{t!r} that reached its partner {x}")
-                state.collisions.append(rec)
-                insort(state.weights_sorted, rec.path_weight)
-                if log is not None:
-                    log.append((state.k, t, "collision", x, px, rec.remaining))
-    alive[src] += n_added
-    free = len(half) - (z is not None)
-    if n_added + n_cycle + n_collision + 2 * n_self != free:
-        raise ExploreError(
-            f"the free half-edges of vertex {v} (half-edges "
-            f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} cycle, "
-            f"{n_collision} collision and {n_self} self-loop, which does not "
-            f"add up to {free}")
-
-
-def _run(state: SwgState, until: float, m: int) -> None:
-    """The event loop of advance (m = 0) and advance_ranked (m >= 1).
-
-    Stops before the next event, at time t, when t is inf, or when t > until
-    and, for m >= 1, at least m records exist and t exceeds half the m-th
-    best path weight. For m >= 1 it also stops, whatever until is, once
-    either cluster is closed (no alive half-edge left): a record needs an
-    alive half-edge on the far side, so no event can add one.
-    """
+    half_edges, owner, partner_of, weight_of, partner, weight, ids, draws = state._lookups
     heap = state.heap
     he_state = state.he_state
     ws = state.weights_sorted
     alive = state.alive
-    inf = math.inf
-    while heap:
-        if m and not (alive[1] and alive[2]):
-            return
-        entry = heap[0]
-        if he_state[entry[1]] is None:   # consumed since it was pushed
-            heappop(heap)
-            continue
-        t = entry[0]
-        if t == inf or (t > until and (not m or (len(ws) >= m
-                                                 and t > 0.5 * ws[m - 1]))):
-            return
-        heappop(heap)
-        _event(state, entry)
+    log = state.detail_rows if state.log_details else None
+    k = state.k
+    t = state.last_time
+    try:
+        while True:
+            if roots:
+                src, v = roots.pop(0)
+                hv, z = 0, None
+            else:
+                if not events or not heap or (m and not (alive[1] and alive[2])):
+                    return
+                entry = heap[0]
+                _, y, src, h, z = entry
+                if he_state[y] is None:      # consumed since it was pushed
+                    heappop(heap)
+                    continue
+                if entry[0] > until and (not m or (len(ws) >= m
+                                                   and entry[0] > 0.5 * ws[m - 1])):
+                    return
+                heappop(heap)
+                events -= 1
+                t = entry[0]
+                he_state[y] = None
+                alive[src] -= 1
+                # the partner of a dying half-edge leads to fresh territory
+                # (see module docstring): every half-edge of a found vertex is
+                # touched, so this one check is the disjointness invariant
+                if z in he_state:
+                    raise ExploreError(f"half-edge {y} died into half-edge {z}, "
+                                       "which was already touched")
+                he_state[z] = None
+                v = owner(z)
+                k += 1
+                hv = h + 1
+            if log is not None:
+                log.append((k, t, "vertex", v, src, hv))
+            lo, hi = half_edges(v)
+            n_added = n_self = n_cycle = n_collision = 0
+            for x in range(lo, hi):
+                if x in he_state:
+                    continue                 # z, or the 2nd half of a self-loop
+                px = partner_of(x)
+                if px is None:               # a lazy pairing draws an untouched px
+                    while True:
+                        if not ids:
+                            state.graph.draw_ids()
+                        px = ids.pop()
+                        if px not in partner and px != x:
+                            break
+                    if not draws:
+                        state.graph.draw_weights()
+                    w = draws.pop()
+                    partner[x] = px
+                    partner[px] = x
+                    weight[x if x < px else px] = w
+                elif px in he_state:
+                    pst = he_state[px]
+                    if pst is None:
+                        raise ExploreError(
+                            f"free half-edge {x} of vertex {v} is paired to "
+                            f"half-edge {px}, which was already consumed")
+                    he_state[x] = None
+                    he_state[px] = None
+                    alive[pst[2]] -= 1
+                    if pst[2] == src:
+                        n_cycle += 1
+                        if log is not None:
+                            log.append((k, t, "cycle", x, px))
+                        continue
+                    n_collision += 1
+                    rec = CollisionRecord(time=t, source=src, h_origin=hv,
+                                          h_dest=pst[3], remaining=pst[0] - t)
+                    if not rec.remaining >= 0.0:
+                        raise ExploreError(
+                            f"half-edge {px} died at {pst[0]!r}, before the "
+                            f"event at {t!r} that reached its partner {x}")
+                    state.collisions.append(rec)
+                    insort(ws, rec.path_weight)
+                    if log is not None:
+                        log.append((k, t, "collision", x, px, rec.remaining))
+                    continue
+                else:
+                    w = weight_of(x if x < px else px)
+                if lo <= px < hi:
+                    he_state[x] = None       # self-loop at the new vertex
+                    he_state[px] = None
+                    n_self += 1
+                    if log is not None:
+                        log.append((k, t, "cycle", x, px))
+                else:
+                    new = (t + w, x, src, hv, px)
+                    he_state[x] = new
+                    heappush(heap, new)
+                    n_added += 1
+            alive[src] += n_added
+            free = hi - lo - (z is not None)
+            if n_added + n_cycle + n_collision + 2 * n_self != free:
+                raise ExploreError(
+                    f"the free half-edges of vertex {v} (half-edges "
+                    f"{lo}..{hi - 1}) classified as {n_added} alive, {n_cycle} "
+                    f"cycle, {n_collision} collision and {n_self} self-loop, "
+                    f"which does not add up to {free}")
+    finally:
+        state.k = k
+        state.last_time = t
 
 
 def advance(state: SwgState, until: float) -> None:
     """Process every event with time <= until (inf runs to exhaustion)."""
-    _run(state, until, 0)
+    _run(state, until, 0, math.inf, [])
 
 
 def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
@@ -351,7 +366,7 @@ def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
     """
     if m < 1:
         raise ExploreError(f"need m >= 1, got {m}")
-    _run(state, min_horizon, m)
+    _run(state, min_horizon, m, math.inf, [])
 
 
 def result(state: SwgState, m: int = 1) -> PathResult:

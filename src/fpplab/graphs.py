@@ -4,15 +4,16 @@ The storage model is half-edge based: vertex v owns the half-edge ids
 offset[v] .. offset[v+1]-1 (vertex-major), and partner[] is the pairing
 involution. Edge weights live on edges: both half-edges of an edge expose
 the same draw. The reference shortest path works off these arrays; the
-exploration reads a vertex's half-edges only through reveal(v), a list of
-(id, partner, weight) triples in id order.
+exploration binds lookups() once: a vertex's half-edge range, a half-edge's
+owner and partner, and the weight of an edge by its lower half-edge id.
 
 A configuration model can also be paired lazily (LazyPairing): partners and
-weights are drawn only for the vertices an exploration reaches, and its
-reveal(v) returns the same triples a WeightedGraph of that pairing would.
-Its half-edge ids come from the DegreeSequence itself, which keeps the
-degree blocks only, so a lazily paired graph holds no array whose size
-grows with n.
+weights are drawn only for the vertices an exploration reaches. Its partner
+lookup answers None for a half-edge not yet paired, and the exploration then
+draws the partner and the weight from the pairing's blocks, so it reads the
+same pairs and weights a WeightedGraph of that pairing holds. Its half-edge
+ids come from the DegreeSequence itself, which keeps the degree blocks only,
+so a lazily paired graph holds no array whose size grows with n.
 """
 from __future__ import annotations
 
@@ -95,11 +96,19 @@ class WeightedGraph:
     def owner(self, h: int) -> int:
         return int(self.he_owner[h])
 
-    def reveal(self, v: int) -> list[tuple[int, int, float]]:
-        """(id, partner, weight) of each half-edge of vertex v, in id order."""
-        lo, hi = self.he_offset[v:v + 2].tolist()
-        return list(zip(range(lo, hi), self.partner[lo:hi].tolist(),
-                        self.edge_weight_by_he[lo:hi].tolist()))
+    def half_edges(self, v: int) -> tuple[int, int]:
+        """(lo, hi): vertex v owns the half-edge ids lo .. hi - 1."""
+        return self.he_offset.item(v), self.he_offset.item(v + 1)
+
+    def lookups(self) -> tuple:
+        """What an exploration binds, laid out as in LazyPairing.lookups.
+
+        partner_of and weight_of are .item of the live arrays, so a pairing
+        edited in place is read as it stands. Every half-edge is paired
+        already, so the four entries that draw pairs are None.
+        """
+        return (self.half_edges, self.he_owner.item, self.partner.item,
+                self.edge_weight_by_he.item, None, None, None, None)
 
     def materialize(self) -> "WeightedGraph":
         """The whole graph, which this already is (see LazyPairing.materialize)."""
@@ -166,30 +175,32 @@ _DRAW_BLOCK = 256   # partner ids / weights drawn per rng call
 class LazyPairing:
     """Configuration model paired and weighted only where it is explored.
 
-    reveal(v) pairs each still-unpaired half-edge x of v with a partner
-    drawn uniformly from the other unpaired half-edges, and draws the new
-    edge's weight at once. Pairing any unpaired half-edge with a uniform
-    unpaired partner, in whatever order, builds a uniform perfect matching,
-    so every revealed neighbourhood has the law of pair_configuration
-    followed by assign_weights. Memory and time are O(half-edges revealed).
+    An exploration pairs each unpaired half-edge x it reaches with a
+    partner drawn uniformly from the other unpaired half-edges, and draws
+    the new edge's weight at once. Pairing any unpaired half-edge with a
+    uniform unpaired partner, in whatever order, builds a uniform perfect
+    matching, so every explored neighbourhood has the law of
+    pair_configuration followed by assign_weights. Memory and time are
+    O(half-edges paired).
 
     The partner draw redraws a uniform id from [0, ell) while it is paired
     already or is x itself. With the paired fraction f that costs
     1/(1 - f) draws per pair: near 1 for trials on large graphs, and only
     small graphs explored to exhaustion pay more. A sparse Fisher-Yates
     shuffle would need draws with a shrinking bound, which cannot come
-    from fixed blocks. Ids and weights come from rng in blocks of fixed
-    size, so the stream consumed is a pure function of the reveal history.
+    from fixed blocks. Ids and weights come from rng in blocks of
+    _DRAW_BLOCK, so the stream consumed is a pure function of the order in
+    which half-edges are paired.
 
-    reveal(v) returns v's (id, partner, weight) triples, as a
-    WeightedGraph does; a vertex revealed before costs no draw. partner is
-    a dict over the revealed half-edges and edge_weight_by_he a dict from
-    the lower id of each revealed edge to its weight: one entry per edge,
-    as these two dicts are most of what a large lazy trial holds.
-    materialize() completes both into the arrays of a WeightedGraph. Vertex
-    ranges, degrees and owners come from the sequence's blocks, so the
-    memory is O(blocks + half-edges revealed) at any n. One sequence may be
-    shared by any number of pairings.
+    The draws run in the exploration's loop, through lookups(); the block
+    refills, draw_ids() and draw_weights(), stay here. A half-edge paired
+    before costs no draw. partner is a dict over the paired half-edges and
+    edge_weight_by_he a dict from the lower id of each paired edge to its
+    weight: one entry per edge, as these two dicts are most of what a large
+    lazy trial holds. materialize() completes both into the arrays of a
+    WeightedGraph. Vertex ranges, degrees and owners come from the
+    sequence's blocks, so the memory is O(blocks + half-edges paired) at
+    any n. One sequence may be shared by any number of pairings.
     """
 
     def __init__(self, seq: DegreeSequence, dist: WeightDistribution,
@@ -205,46 +216,32 @@ class LazyPairing:
         self._ids: list[int] = []
         self._weights: list[float] = []
 
-    def reveal(self, v: int) -> list[tuple[int, int, float]]:
-        """Pair and weigh every still-unpaired half-edge of vertex v.
+    def lookups(self) -> tuple:
+        """(half_edges, owner, partner_of, weight_of, partner, weight, ids,
+        draws), bound once per exploration.
 
-        Returns (id, partner, weight) of each half-edge of v, in id order.
+        half_edges(v) is v's id range, owner(h) the vertex of h,
+        partner_of(h) the partner of h (None while h is unpaired) and
+        weight_of(h) the weight of the edge whose lower id is h. To pair h
+        the exploration pops partner ids from the end of ids and a weight
+        from the end of draws, calling draw_ids() or draw_weights() when one
+        is empty, and writes the pair into the dicts partner and weight.
         """
-        partner = self.partner
-        weight = self.edge_weight_by_he
-        ids = self._ids
-        draws = self._weights
-        r = self.seq.regular_degree
-        if r:                  # half_edges(v) inlined: reveal runs once per event
-            lo = v * r
-            hi = lo + r
-        else:
-            lo, hi = self.seq.half_edges(v)
-        half = []
-        for x in range(lo, hi):
-            y = partner.get(x)
-            if y is None:
-                while True:
-                    if not ids:
-                        ids.extend(self._rng.integers(
-                            self.seq.total, size=_DRAW_BLOCK).tolist())
-                    y = ids.pop()
-                    if y != x and y not in partner:
-                        break
-                if not draws:
-                    draws.extend(np.atleast_1d(
-                        sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
-                w = draws.pop()
-                partner[x] = y
-                partner[y] = x
-                weight[x if x < y else y] = w
-            else:
-                w = weight[x if x < y else y]
-            half.append((x, y, w))
-        return half
+        return (self.seq.half_edges, self.owner, self.partner.get,
+                self.edge_weight_by_he.get, self.partner,
+                self.edge_weight_by_he, self._ids, self._weights)
+
+    def draw_ids(self) -> None:
+        """Refill the empty block of partner ids, uniform on [0, ell)."""
+        self._ids.extend(self._rng.integers(self.seq.total, size=_DRAW_BLOCK).tolist())
+
+    def draw_weights(self) -> None:
+        """Refill the empty block of edge weights."""
+        self._weights.extend(np.atleast_1d(
+            sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
 
     def materialize(self) -> WeightedGraph:
-        """The whole graph: revealed pairs and weights kept, the rest drawn.
+        """The whole graph: drawn pairs and weights kept, the rest drawn.
 
         The unpaired half-edges get a uniform perfect matching (the same
         permutation pairing as pair_configuration) and one weight per new

@@ -931,9 +931,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     """
     start = time.monotonic()
     out = pathlib.Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
     consts = constants_for_config(config)
     th = config.thresholds
     # every trial gives one outcome, so the top rung will have config.trials;
@@ -963,8 +960,18 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
              for n in config.n_ladder]
     csv_paths = [out / f"outcomes_n{n}.csv" if out is not None else None
                  for n in config.n_ladder]
-    by_rung, finished = _run_rungs(tasks, config.trials, config.threads, csv_paths,
-                                   build_references)
+    # out is made only here, where nothing before the first rung can fail,
+    # and a run that fails leaves no empty directory of its own making
+    made = out is not None and not out.exists()
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    try:
+        by_rung, finished = _run_rungs(tasks, config.trials, config.threads,
+                                       csv_paths, build_references)
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     outcomes_by_n = dict(zip(config.n_ladder, by_rung))
     seconds.update((f"rung {n}", t - start) for n, t in zip(config.n_ladder, finished))
 

@@ -205,6 +205,25 @@ def test_run_refuses_a_near_critical_law_before_any_rung(tmp_path, capsys):
     assert not list(out.glob("outcomes_n*.csv"))
 
 
+@pytest.mark.parametrize("table, trials, code", [
+    ("2 0.9\n3 0.1\n", "200", 3),       # a TrialError at the first rung
+    ("2 0.999\n3 0.001\n", "500", 2),   # the near-critical refusal
+], ids=["trial_error", "near_critical"])
+def test_a_failed_run_leaves_no_empty_output_directory(tmp_path, capsys, table,
+                                                       trials, code):
+    path = tmp_path / "table.txt"
+    path.write_text(table)
+    out = tmp_path / "out"
+    assert run_cli(capsys, "run", "--degrees", f"iid:{path}", "--n-ladder", "40,100",
+                   "--trials", trials, "--threads", "1", "--out", str(out))[0] == code
+    assert not out.exists()
+    # a directory that was there before the run stays, even when empty
+    out.mkdir()
+    assert run_cli(capsys, "run", "--degrees", f"iid:{path}", "--n-ladder", "40,100",
+                   "--trials", trials, "--threads", "1", "--out", str(out))[0] == code
+    assert out.is_dir() and not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # run
 

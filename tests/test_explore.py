@@ -97,11 +97,14 @@ def test_broken_pairing_raises_under_optimize():
     # vertex 1 was found, so it dies into a found vertex through a dead end.
     # Fourth: source 0's only edge is a self-loop, and half-edge 2 of source
     # 1 points at half-edge 1 of that loop; the endpoints join through the
-    # event body, so the broken pairing is caught before any event runs
+    # event body, so the broken pairing is caught before any event runs.
+    # Fifth: a lazy pairing on the path 0-1-2 whose dicts are seeded so that
+    # vertex 1's second half-edge points back at half-edge 0, which died
+    # into vertex 1: its partner lookup meets a consumed half-edge
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from fpplab import explore, graphs
+        from fpplab import degrees, explore, graphs, weights
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
@@ -118,7 +121,13 @@ def test_broken_pairing_raises_under_optimize():
         loop = graphs.build_from_edges(3, [(0, 0), (1, 2), (1, 2)])
         loop.edge_weight_by_he = np.ones(6)
         loop.partner[:] = [1, 0, 1, 4, 3, 2]
-        for g, u, v in ((path, 0, 3), (chord, 0, 3), (found, 0, 3), (loop, 0, 1)):
+        lazy = graphs.LazyPairing(degrees.DegreeSequence.from_degrees([1, 2, 1]),
+                                  weights.exponential(1.0),
+                                  np.random.default_rng(0))
+        lazy.partner.update({0: 1, 1: 0, 2: 0, 3: 2})
+        lazy.edge_weight_by_he.update({0: 1.0, 2: 5.0})
+        for g, u, v in ((path, 0, 3), (chord, 0, 3), (found, 0, 3), (loop, 0, 1),
+                        (lazy, 0, 2)):
             try:
                 explore.run(g, u, v)
             except explore.ExploreError as exc:
@@ -132,13 +141,15 @@ def test_broken_pairing_raises_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    path_msg, chord_msg, found_msg, loop_msg = done.stdout.splitlines()
+    path_msg, chord_msg, found_msg, loop_msg, lazy_msg = done.stdout.splitlines()
     assert "free half-edge 2 of vertex 1" in path_msg
     assert "half-edge 0" in path_msg
     assert "half-edge 1 died into half-edge 3, which was already touched" in chord_msg
     assert "half-edge 1 died into half-edge 2, which was already touched" in found_msg
     assert ("free half-edge 2 of vertex 1 is paired to half-edge 1, which was "
             "already consumed") in loop_msg
+    assert ("free half-edge 2 of vertex 1 is paired to half-edge 0, which was "
+            "already consumed") in lazy_msg
 
 
 def test_weights_required():
@@ -465,15 +476,21 @@ def test_step_alone_matches_advance_ranked(name):
     assert stepped.detail_rows == ranked.detail_rows
 
 
-def test_reveal_triples_agree_with_materialized():
+def test_lazy_exploration_reads_its_materialized_graph():
+    # exploring a lazy pairing again draws nothing; its materialized graph
+    # keeps every pair and weight drawn, so exploring that reads the same
     g, u, v = event_log_instance("lazy_iid")
-    state = explore.init(g, u, v)
+    state = explore.init(g, u, v, log_details=True)
     explore.advance_ranked(state, 3)
     rng_state = g._rng.bit_generator.state
-    triples = {w: g.reveal(w) for w in sorted({g.owner(x) for x in state.he_state})}
+    again = explore.init(g, u, v, log_details=True)
+    explore.advance_ranked(again, 3)
     np.testing.assert_equal(g._rng.bit_generator.state, rng_state)
+    assert again.detail_rows == state.detail_rows
     full = g.materialize()
-    for w, half in triples.items():
-        assert [x for x, _, _ in half] == list(range(*g.seq.half_edges(w)))
-        assert g.reveal(w) == half
-        assert full.reveal(w) == half
+    for x, y in g.partner.items():
+        assert full.partner[x] == y
+        assert full.edge_weight_by_he[x] == g.edge_weight_by_he[min(x, y)]
+    on_full = explore.init(full, u, v, log_details=True)
+    explore.advance_ranked(on_full, 3)
+    assert on_full.detail_rows == state.detail_rows

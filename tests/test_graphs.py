@@ -58,8 +58,9 @@ def test_matching_uniform_over_three_pairings():
 
 def test_lazy_partner_uniform():
     # a uniform perfect matching gives half-edge 0 a uniform partner among
-    # the other seven, whatever was revealed first; vertex 2 goes first here
-    # so the draw for half-edge 0 has to redraw paired ids
+    # the other seven, whatever was paired first; an exploration from vertex
+    # 2 to vertex 0 pairs vertex 2 first, so the draw for half-edge 0 has to
+    # redraw paired ids
     seq = degrees.DegreeSequence.from_degrees(np.array([2, 1, 3, 2]))
     assert seq.regular_degree == 0
     dist = weights.exponential(1.0)
@@ -67,8 +68,7 @@ def test_lazy_partner_uniform():
     counts = np.zeros(8)
     for _ in range(3500):
         g = graphs.LazyPairing(seq, dist, rng)
-        g.reveal(2)
-        g.reveal(0)
+        explore.init(g, 2, 0)
         counts[g.partner[0]] += 1
     assert counts[0] == 0
     assert stats.chisquare(counts[1:]).pvalue > 1e-3
@@ -80,8 +80,9 @@ def test_lazy_partner_uniform():
 ])
 def test_materialize_keeps_revealed_pairs(seq):
     g = graphs.LazyPairing(seq, weights.exponential(1.0), philox(24))
-    for v in (0, 5, 17, 39):
-        g.reveal(v)
+    state = explore.init(g, 0, 39)
+    explore.advance(state, 0.5)          # a few events past the endpoints
+    assert state.k >= 3
     revealed = dict(g.partner)
     assert len(g.edge_weight_by_he) == len(revealed) // 2   # one entry per edge
     full = g.materialize()
@@ -103,7 +104,7 @@ def test_materialize_keeps_revealed_pairs(seq):
 ])
 def test_unrevealed_materialize_is_pair_then_weigh(seq):
     # gen-graph and the oracle build cm graphs through the trials' sampler,
-    # which returns a LazyPairing: completed before any reveal, it must draw
+    # which returns a LazyPairing: completed before any exploration, it must draw
     # the very permutation and weights of pair_configuration + assign_weights
     dist = weights.exponential(1.0)
     full = graphs.LazyPairing(seq, dist, philox(25)).materialize()
@@ -168,8 +169,8 @@ def test_layout_at_1e9_vertices_allocates_no_n_sized_array():
         assert bumped.owner(3 * n) == n and bumped.owner(3 * n - 1) == n - 1
         assert bumped.half_edges(n) == (3 * n, 3 * n + 4)
         g = graphs.LazyPairing(seq, weights.exponential(1.0), philox(31))
-        assert len(g.reveal(n - 1)) == 4
         state = explore.init(g, 0, n - 1)
+        assert all(h in g.partner for h in range(4 * n - 4, 4 * n))
         explore.advance(state, 1.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
