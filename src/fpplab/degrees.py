@@ -39,6 +39,7 @@ __all__ = [
     "build_deterministic",
     "build_iid",
     "regular",
+    "subcritical_bound",
     "diagnostics",
     "load_pmf_table",
 ]
@@ -206,6 +207,36 @@ def build(model, n: int, rng: np.random.Generator) -> DegreeSequence:
     if kind == "deterministic":
         return build_deterministic(param, n)
     return build_iid(param, n, rng)
+
+
+def subcritical_bound(model, n: int) -> float:
+    """An upper bound on P(nu_n <= 1) for the sequence build(model, n, rng)
+    draws; nu_n <= 1 is sum d(d - 2) <= 0 over its degrees.
+
+    A regular or deterministic sequence draws nothing: 0 or 1 from its exact
+    nu_n. An iid law with no mass at degree 1 has d(d - 2) >= 0, with
+    equality at d = 2 only, so the chance is p_2^n, every degree 2. Any
+    other iid law gets the Chernoff bound M(theta)^n, M(theta) the mean of
+    e^(-theta d(d - 2)), at the theta in [0, -log p_1] where the convex M
+    is least (M(0) = 1 and M(-log p_1) >= 1), found by bisection on M'. A
+    parity bump adds 2d - 1 > 0 to the sum, so it only lowers the chance.
+    """
+    kind, param = _unpack(model)
+    if kind != "iid":
+        return float(build(model, n, None).nu_n <= 1.0)
+    support, probs = _check_pmf(param)
+    p1 = float(probs[support == 1].sum())
+    if p1 == 0.0:
+        return float(probs[support == 2].sum()) ** n
+    x = (support * (support - 2)).astype(float)
+    lo, hi = 0.0, -math.log(p1)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if (probs * x * np.exp(-mid * x)).sum() > 0.0:   # M'(mid) < 0
+            lo = mid
+        else:
+            hi = mid
+    return min(1.0, float((probs * np.exp(-lo * x)).sum()) ** n)
 
 
 def _degree(k) -> int:

@@ -41,10 +41,15 @@ half-edges, is raised when a pairing breaks any of these.
 
 The graph is either a WeightedGraph or a LazyPairing. The state binds the
 graph's lookups() once: a vertex's half-edge range, a half-edge's owner and
-partner, an edge's weight and, on a lazy pairing, the blocks of partner ids
-and weights that a half-edge not yet paired draws from. A joining vertex is
-walked once: each of its half-edges is looked up (or paired), classified and
-pushed in the same pass. That pass is the body of one loop, which init's
+partner, an edge's weight and, on a lazy pairing, its partner dict and the
+blocks of partner ids and weights that a half-edge not yet paired draws
+from. A lazy pairing's lookups() first folds in the pairs an earlier
+exploration drew. Pairing a half-edge x writes the one entry partner[px] = x:
+x itself is in he_state from then on, so this exploration never looks its
+partner up, and a drawn id is unpaired when it is neither a key of partner
+nor in he_state (every half-edge that drew here is), nor x. A joining vertex
+is walked once: each of its half-edges is looked up (or paired), classified
+and pushed in the same pass. That pass is the body of one loop, which init's
 endpoint joins, step(), advance() and advance_ranked() all run.
 """
 from __future__ import annotations
@@ -236,7 +241,7 @@ def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> N
     or paired on a lazy pairing, and classified at once (see the module
     docstring); then the classes must add up to v's free half-edges.
     """
-    half_edges, owner, partner_of, weight_of, partner, weight, ids, draws = state._lookups
+    half_edges, owner, partner_of, weight_of, partner, ids, draws = state._lookups
     heap = state.heap
     he_state = state.he_state
     ws = state.weights_sorted
@@ -283,19 +288,20 @@ def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> N
                 if x in he_state:
                     continue                 # z, or the 2nd half of a self-loop
                 px = partner_of(x)
-                if px is None:               # a lazy pairing draws an untouched px
+                if px is None:
+                    # a lazy pairing draws an unpaired px: not a key of
+                    # partner, not a drawer of this exploration (those are
+                    # all in he_state) and not x
                     while True:
                         if not ids:
                             state.graph.draw_ids()
                         px = ids.pop()
-                        if px not in partner and px != x:
+                        if px not in partner and px not in he_state and px != x:
                             break
                     if not draws:
                         state.graph.draw_weights()
                     w = draws.pop()
-                    partner[x] = px
                     partner[px] = x
-                    weight[x if x < px else px] = w
                 elif px in he_state:
                     pst = he_state[px]
                     if pst is None:

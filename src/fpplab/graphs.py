@@ -11,14 +11,20 @@ A configuration model can also be paired lazily (LazyPairing): partners and
 weights are drawn only for the vertices an exploration reaches. Its partner
 lookup answers None for a half-edge not yet paired, and the exploration then
 draws the partner and the weight from the pairing's blocks, so it reads the
-same pairs and weights a WeightedGraph of that pairing holds. Its half-edge
-ids come from the DegreeSequence itself, which keeps the degree blocks only,
-so a lazily paired graph holds no array whose size grows with n.
+same pairs and weights a WeightedGraph of that pairing holds. The
+exploration records each new edge once, from the drawn half-edge to the one
+that drew it, and keeps its weight only as the state's death time; the
+pairing folds in the reverse entries and the weights (from the weight
+blocks it keeps) when the next exploration binds it or it is materialized.
+Its half-edge ids come from the DegreeSequence itself, which keeps the
+degree blocks only, so a lazily paired graph holds no array whose size
+grows with n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -105,10 +111,10 @@ class WeightedGraph:
 
         partner_of and weight_of are .item of the live arrays, so a pairing
         edited in place is read as it stands. Every half-edge is paired
-        already, so the four entries that draw pairs are None.
+        already, so the three entries that draw pairs are None.
         """
         return (self.half_edges, self.he_owner.item, self.partner.item,
-                self.edge_weight_by_he.item, None, None, None, None)
+                self.edge_weight_by_he.item, None, None, None)
 
     def materialize(self) -> "WeightedGraph":
         """The whole graph, which this already is (see LazyPairing.materialize)."""
@@ -194,13 +200,21 @@ class LazyPairing:
 
     The draws run in the exploration's loop, through lookups(); the block
     refills, draw_ids() and draw_weights(), stay here. A half-edge paired
-    before costs no draw. partner is a dict over the paired half-edges and
-    edge_weight_by_he a dict from the lower id of each paired edge to its
-    weight: one entry per edge, as these two dicts are most of what a large
-    lazy trial holds. materialize() completes both into the arrays of a
-    WeightedGraph. Vertex ranges, degrees and owners come from the
-    sequence's blocks, so the memory is O(blocks + half-edges paired) at
-    any n. One sequence may be shared by any number of pairings.
+    before costs no draw. An exploration writes one dict entry per edge it
+    pairs, partner[px] = x from the drawn half-edge px to the half-edge x
+    that drew it; it reads nothing else of a pair it drew, since x is in
+    its own state by then. The k-th pair drawn took the k-th weight popped,
+    and partner keeps insertion order, so the weight blocks drawn are kept
+    and _fold() gives every pair drawn since the last fold its reverse
+    entry and its weight in edge_weight_by_he, the dict from the lower id
+    of each edge to its weight. lookups() folds, so an exploration binding
+    a pairing explored before reads those pairs two ways; materialize()
+    folds, then completes both dicts into the arrays of a WeightedGraph.
+    A pairing serves the exploration that bound it last. Vertex ranges,
+    degrees and owners come from the sequence's blocks, so a large lazy
+    trial holds the partner dict (one entry per edge), the weight blocks
+    (8 bytes per edge) and O(blocks), at any n. One sequence may be shared
+    by any number of pairings.
     """
 
     def __init__(self, seq: DegreeSequence, dist: WeightDistribution,
@@ -215,21 +229,24 @@ class LazyPairing:
         self._rng = rng
         self._ids: list[int] = []
         self._weights: list[float] = []
+        self._popped_blocks: list[np.ndarray] = []   # each block in pop order
+        self._folded = 0                             # pairs folded so far
 
     def lookups(self) -> tuple:
-        """(half_edges, owner, partner_of, weight_of, partner, weight, ids,
-        draws), bound once per exploration.
+        """(half_edges, owner, partner_of, weight_of, partner, ids, draws),
+        bound once per exploration, after a fold.
 
         half_edges(v) is v's id range, owner(h) the vertex of h,
-        partner_of(h) the partner of h (None while h is unpaired) and
-        weight_of(h) the weight of the edge whose lower id is h. To pair h
-        the exploration pops partner ids from the end of ids and a weight
-        from the end of draws, calling draw_ids() or draw_weights() when one
-        is empty, and writes the pair into the dicts partner and weight.
+        partner_of(h) the partner of h (None while h is unpaired, and for a
+        half-edge that drew its partner in the exploration now bound) and
+        weight_of(h) the weight of a folded edge whose lower id is h. To
+        pair x the exploration pops partner ids from the end of ids and a
+        weight from the end of draws, calling draw_ids() or draw_weights()
+        when one is empty, and writes partner[px] = x.
         """
+        self._fold()
         return (self.seq.half_edges, self.owner, self.partner.get,
-                self.edge_weight_by_he.get, self.partner,
-                self.edge_weight_by_he, self._ids, self._weights)
+                self.edge_weight_by_he.get, self.partner, self._ids, self._weights)
 
     def draw_ids(self) -> None:
         """Refill the empty block of partner ids, uniform on [0, ell)."""
@@ -237,8 +254,23 @@ class LazyPairing:
 
     def draw_weights(self) -> None:
         """Refill the empty block of edge weights."""
-        self._weights.extend(np.atleast_1d(
-            sample_weight(self._dist, self._rng, _DRAW_BLOCK)).tolist())
+        block = np.atleast_1d(sample_weight(self._dist, self._rng, _DRAW_BLOCK))
+        self._popped_blocks.append(block[::-1])
+        self._weights.extend(block.tolist())
+
+    def _fold(self) -> None:
+        """Give each pair drawn since the last fold, the last entries of
+        partner, its reverse entry and its weight."""
+        drawn = sum(b.size for b in self._popped_blocks) - len(self._weights)
+        new = drawn - self._folded
+        if not new:
+            return
+        pairs = list(islice(reversed(self.partner.items()), new))[::-1]
+        popped = np.concatenate(self._popped_blocks)[self._folded:drawn].tolist()
+        for (px, x), w in zip(pairs, popped):
+            self.partner[x] = px
+            self.edge_weight_by_he[x if x < px else px] = w
+        self._folded = drawn
 
     def materialize(self) -> WeightedGraph:
         """The whole graph: drawn pairs and weights kept, the rest drawn.
@@ -247,6 +279,7 @@ class LazyPairing:
         permutation pairing as pair_configuration) and one weight per new
         edge, by ascending lower half-edge id, from this pairing's rng.
         """
+        self._fold()
         ell = self.seq.total
         partner = np.full(ell, -1, dtype=np.int64)
         by_he = np.empty(ell, dtype=float)
@@ -327,26 +360,31 @@ def sample_rank1(weights_w, kind: str, rng: np.random.Generator) -> WeightedGrap
     n = w.size
     ell = float(w.sum())
 
-    order = np.argsort(-w, kind="stable")   # decreasing; stable for determinism
+    # decreasing; a tie between weights takes the stable order, so the order
+    # is a function of w alone, and without a tie the faster sort gives it
+    order = np.argsort(-w)
     ws = w[order]
+    if np.any(ws[1:] == ws[:-1]):
+        order = np.argsort(-w, kind="stable")
+        ws = w[order]
     rows = np.arange(n - 1)
     cand = rows + 1
     us, vs = [], []
-    while rows.size:
-        q = np.minimum(ws[rows] * ws[cand] / ell, 1.0)
-        # geometric skip: the number of consecutive rejections under q;
-        # r = 0 gives an infinite skip, and the row drops out
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # geometric skip: the number of consecutive rejections under q; r = 0
+    # gives an infinite skip, and the row drops out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            q = np.minimum(ws[rows] * ws[cand] / ell, 1.0)
             skip = np.where(q < 1.0, np.log(rng.random(rows.size)) / np.log1p(-q), 0.0)
-        stay = skip < n - cand
-        rows, q = rows[stay], q[stay]
-        cand = cand[stay] + skip[stay].astype(np.int64)
-        hit = rng.random(rows.size) * q < _rank1_prob(kind, ws[rows], ws[cand], ell)
-        us.append(rows[hit])
-        vs.append(cand[hit])
-        cand += 1
-        stay = cand < n
-        rows, cand = rows[stay], cand[stay]
+            stay = skip < n - cand
+            rows, q = rows[stay], q[stay]
+            cand = cand[stay] + skip[stay].astype(np.int64)
+            hit = rng.random(rows.size) * q < _rank1_prob(kind, ws[rows], ws[cand], ell)
+            us.append(rows[hit])
+            vs.append(cand[hit])
+            cand += 1
+            stay = cand < n
+            rows, cand = rows[stay], cand[stay]
 
     edges = np.column_stack([order[np.concatenate(us)], order[np.concatenate(vs)]])
     return build_from_edges(n, edges)
@@ -358,8 +396,8 @@ def build_from_edges(n: int, edges: np.ndarray) -> WeightedGraph:
     The ends of the edge list, in the order u0, v0, u1, v1, ..., take their
     owner's half-edge ids in that order: a stable sort of the ends by owner.
     That sort is one plain sort of the distinct keys owner * size + position,
-    whose order decodes as key % size, several times faster than a stable
-    argsort.
+    whose order decodes as divmod(key, size): the owner of each half-edge
+    and the position of its end, several times faster than a stable argsort.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
@@ -370,16 +408,16 @@ def build_from_edges(n: int, edges: np.ndarray) -> WeightedGraph:
         raise GraphError(f"{size} half-edges on {n} vertices overflow the "
                          "int64 sort key")
     off = _offsets(np.bincount(ends, minlength=n).astype(np.int64))
+    positions = np.arange(size, dtype=np.int64)
+    keys = ends * size
+    keys += positions
+    keys.sort()
+    owner, at = np.divmod(keys, size)
     he = np.empty(size, dtype=np.int64)
-    if size:
-        positions = np.arange(size, dtype=np.int64)
-        keys = ends * size
-        keys += positions
-        keys.sort()
-        he[keys % size] = positions
+    he[at] = positions
     partner = np.empty(size, dtype=np.int64)
     _pair_off(he, partner)
-    return WeightedGraph(n=n, he_offset=off, he_owner=_owners(off), partner=partner)
+    return WeightedGraph(n=n, he_offset=off, he_owner=owner, partner=partner)
 
 
 def assign_weights(g: WeightedGraph, dist: WeightDistribution,

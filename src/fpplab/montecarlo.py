@@ -159,6 +159,9 @@ _MIN_MARKS = 200
 _MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
 _REFERENCE_SIZE = 10_000   # limit-law draws the weight verifier needs at least
 _CALIBRATION_SEED = 7      # master seed of calibrate_verifiers' meta-seeds
+# the chance a rung may carry, trials x degrees.subcritical_bound, that one of
+# its degree sequences has nu_n <= 1 and so no n-level Malthusian parameter
+_SUBCRITICAL_RISK = 1e-3
 
 
 def _merge_thresholds(th: dict | None) -> dict:
@@ -323,6 +326,22 @@ def _centring_cached(spec: tuple, nu_n: float) -> ctbp.Centring:
     alpha = ctbp.solve_malthusian(nu_n, dist)
     nu_bar = ctbp.stable_age_mean(nu_n, alpha, dist)
     return ctbp.Centring(alpha, nu_bar, 1.0 / (alpha * nu_bar))
+
+
+def _refuse_subcritical_draws(config: ExperimentConfig, ns) -> None:
+    """DegreeModelError, before any trial, when config.trials sequences of a
+    rung n in ns would include one with nu_n <= 1 with a chance above
+    _SUBCRITICAL_RISK. Rank-1 kinds have no degree model and are not checked."""
+    if config.degree_model is None:
+        return
+    for n in ns:
+        bound = degrees.subcritical_bound(config.degree_model, n)
+        if config.trials * bound > _SUBCRITICAL_RISK:
+            raise degrees.DegreeModelError(
+                f"at n={n} a degree sequence of {config.degree_model[0]} law has "
+                f"nu_n <= 1, and so no Malthusian parameter, with probability up "
+                f"to {bound:.3g}; {config.trials} trials at that rung exceed the "
+                f"{_SUBCRITICAL_RISK:g} a run may risk: raise n or lower the trials")
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +561,8 @@ def run_trials(config: ExperimentConfig, *, n: int | None = None,
     order as chunks finish. Each outcome's ranked holds up to config.ranked_m
     paths, and marks the (k, 5) collision marks of the mark window, which the
     exploration also covers. A trial that raises becomes a TrialError naming
-    it, and the CSV is then deleted.
+    it, and the CSV is then deleted. A degree law that may draw nu_n <= 1 at
+    n is refused first (_refuse_subcritical_draws).
     """
     if n is None:
         if len(config.n_ladder) != 1:
@@ -551,6 +571,7 @@ def run_trials(config: ExperimentConfig, *, n: int | None = None,
     threads = config.threads if threads is None else int(threads)
 
     task = _TrialTask(config, int(n), constants_for_config(config), True)
+    _refuse_subcritical_draws(config, [task.n])
     (outcomes,), _ = _run_rungs([task], config.trials, threads, [csv_path])
     return outcomes
 
@@ -936,10 +957,11 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     # every trial gives one outcome, so the top rung will have config.trials;
     # the references' offspring laws and pool step count are worked out before
     # any rung, so that a degree law they cannot sum, or one too near critical
-    # for the pool, fails at once
+    # for the pool, fails at once, as does one whose rungs may draw nu_n <= 1
     bp = bp_config_for(config) if config.trials >= th["min_outcomes"] else None
     if bp is not None:
         ctbp.pool_steps(consts, bp)
+    _refuse_subcritical_draws(config, config.n_ladder)
     seconds = {}
     refs = {}
 

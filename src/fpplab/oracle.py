@@ -13,10 +13,14 @@ config built from the model tables below. Lazy instances explore its
 LazyPairing first, then materialize() it and run every check on the
 completed graph, which keeps each pair and weight the exploration revealed.
 Exploring the completed graph must reproduce the lazy run's PathResult
-exactly. Every other instance is materialized at once.
+exactly. A deep copy of the explored pairing is also explored again, from a
+second endpoint pair, as a trial's resample does, and then materialized:
+exploring that graph must reproduce both lazy runs, and Dijkstra on it must
+match the second. Every other instance is materialized at once.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -103,23 +107,53 @@ def _build_instance(index: int, rng):
     return (g if kind == "lazy" else g.materialize()), f"{label} weights={wspec[0]}"
 
 
+def _endpoints(n: int, rng) -> tuple[int, int]:
+    """Two distinct uniform vertices."""
+    u = int(rng.integers(n))
+    v = int(rng.integers(n - 1))
+    return u, v + (v >= u)
+
+
 def _instance(index: int, master_seed: int):
-    """(graph, label, u, v, lazy PathResult or None) of one corpus instance.
+    """(graph, label, u, v, lazy, rebound) of one corpus instance; lazy and
+    rebound are None unless the instance is lazy.
 
     A lazy instance is explored first, from endpoints drawn before any
-    pairing draw, and then completed by materialize().
+    pairing draw, and then completed by materialize(). rebound is (a deep
+    copy of the pairing as that exploration left it, u2, v2), the second
+    endpoint pair drawn from the instance's own second seed.
     """
     rng = rng_for(derived_seed(master_seed, 4, index))
     g, label = _build_instance(index, rng)
-    u = int(rng.integers(g.n))
-    v = int(rng.integers(g.n - 1))
-    if v >= u:
-        v += 1
-    lazy = None
+    u, v = _endpoints(g.n, rng)
+    lazy = rebound = None
     if isinstance(g, graphs.LazyPairing):
         lazy = explore.run(g, u, v)
+        rebound = (copy.deepcopy(g),
+                   *_endpoints(g.n, rng_for(derived_seed(master_seed, 4, index, 1))))
         g = g.materialize()
-    return g, label, u, v, lazy
+    return g, label, u, v, lazy, rebound
+
+
+def _rebound_failure(again, u2: int, v2: int, lazy, u: int, v: int) -> str | None:
+    """Why the explored pairing `again`, explored from (u2, v2) and then
+    materialized, disagrees with Dijkstra or with either lazy run on that
+    graph; None when it agrees."""
+    where = f"the copy re-bound at pair ({u2},{v2})"
+    try:
+        second = explore.run(again, u2, v2)
+        full = again.materialize()
+        if explore.run(full, u, v) != lazy or explore.run(full, u2, v2) != second:
+            return f"{where} and materialized explores differently from the lazy runs"
+    except Exception as exc:     # a pairing the fold broke: counted, not fatal
+        return f"{where} raised {type(exc).__name__}: {exc}"
+    ours = (float(second.weight), int(second.hops)) if second.connected else None
+    ref = dijkstra.shortest_path(full, u2, v2)
+    if ours is None or ref is None:
+        same = ours == ref
+    else:
+        same = ours[1] == ref[1] and abs(ours[0] - ref[0]) < 1e-9 * max(ref[0], 1e-12)
+    return None if same else f"{where} gave {ours}, dijkstra {ref}"
 
 
 def _explore_answer(g, u, v, *, exhaustive: bool = False):
@@ -140,7 +174,7 @@ def _explore_answer(g, u, v, *, exhaustive: bool = False):
 
 def describe_instance(index: int, master_seed: int = 20260817) -> str:
     """Rebuild one corpus instance and print both solvers' answers."""
-    g, label, u, v, _ = _instance(index, master_seed)
+    g, label, u, v, _, _ = _instance(index, master_seed)
     ours = _explore_answer(g, u, v)
     ref = dijkstra.shortest_path(g, u, v)
     return (f"instance {index}: {label} pair=({u},{v})\n"
@@ -162,7 +196,7 @@ def run_corpus(n_instances: int = 500, master_seed: int = 20260817, *,
     """
     res = CorpusResult(0, 0, 0, 0.0, 0, 0, 0)
     for i in range(n_instances):
-        g, label, u, v, lazy = _instance(i, master_seed)
+        g, label, u, v, lazy, rebound = _instance(i, master_seed)
         ref = dijkstra.shortest_path(g, u, v)
         if corrupt and g.edge_weight_by_he is not None and g.half_edge_count:
             g.edge_weight_by_he[0] += 1e-3
@@ -196,7 +230,13 @@ def run_corpus(n_instances: int = 500, master_seed: int = 20260817, *,
         if full != ours:
             res.early_stop_mismatches += 1
             fail(f"early stop changed the answer: exhaustive={full}")
-        if lazy is not None and explore.run(g, u, v) != lazy:
+        if lazy is None:
+            continue
+        if explore.run(g, u, v) != lazy:
             res.lazy_mismatches += 1
             fail("the materialized graph explores differently from the lazy run")
+        why = _rebound_failure(*rebound, lazy, u, v)
+        if why is not None:
+            res.lazy_mismatches += 1
+            fail(why)
     return res

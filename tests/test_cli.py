@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from fpplab import cli
+from fpplab import cli, ctbp, montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -206,11 +207,19 @@ def test_run_refuses_a_near_critical_law_before_any_rung(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("table, trials, code", [
-    ("2 0.9\n3 0.1\n", "200", 3),       # a TrialError at the first rung
+    ("2 0.5\n3 0.5\n", "200", 3),       # a TrialError at the first rung
     ("2 0.999\n3 0.001\n", "500", 2),   # the near-critical refusal
 ], ids=["trial_error", "near_critical"])
-def test_a_failed_run_leaves_no_empty_output_directory(tmp_path, capsys, table,
-                                                       trials, code):
+def test_a_failed_run_leaves_no_empty_output_directory(monkeypatch, tmp_path, capsys,
+                                                       table, trials, code):
+    real = montecarlo._run_single_trial
+
+    def failing(task, index):
+        if task.n == 40 and index == 7:
+            raise ZeroDivisionError("injected")
+        return real(task, index)
+
+    monkeypatch.setattr(montecarlo, "_run_single_trial", failing)
     path = tmp_path / "table.txt"
     path.write_text(table)
     out = tmp_path / "out"
@@ -305,22 +314,47 @@ def test_zero_ranked_m_in_config_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_realised_subcritical_draw_names_its_trial(tmp_path, capsys, threads):
-    # iid {2: .9, 3: .1} is supercritical (nu = 1.1), but at n = 40 trial 95
-    # draws every degree 2 (nu_n = 1): a runtime error naming that trial and
-    # its seed, not a config error, and no outcome CSV is left
+def test_realised_subcritical_draw_names_its_trial(monkeypatch, tmp_path, capsys,
+                                                   threads):
+    # a trial whose realised degrees have nu_n = 1 raises SubcriticalError
+    # from its n-level constants; injected into trial 95 of rung n = 40, it
+    # is a runtime error naming that trial and its seed, not a config error,
+    # and no outcome CSV is left
+    if threads != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched trial reaches the workers only by fork")
+    real = montecarlo._run_single_trial
+
+    def failing(task, index):
+        if task.n == 40 and index == 95:
+            raise ctbp.SubcriticalError("offspring mean nu=1.0 is not supercritical")
+        return real(task, index)
+
+    monkeypatch.setattr(montecarlo, "_run_single_trial", failing)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--n-ladder", "40,100", "--trials",
+                                "200", "--threads", threads, "--out", str(out))
+    assert code == 3
+    assert err.startswith("runtime error:")
+    assert ("trial 95 of rung n=40 (trial seed 1953786514014019177, master seed 1) "
+            "raised SubcriticalError" in err)
+    assert stdout == ""
+    assert not list(out.glob("outcomes_n*.csv"))
+
+
+def test_run_refuses_a_likely_subcritical_draw_before_any_rung(tmp_path, capsys):
+    # iid {2: .9, 3: .1} is supercritical (nu = 1.1), but at n = 40 every
+    # degree is 2 (nu_n = 1) with probability 0.9^40 = 1.5 %: 200 trials
+    # would likely meet one, so the run is refused before its first rung
     table = tmp_path / "table.txt"
     table.write_text("2 0.9\n3 0.1\n")
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, "run", "--degrees", f"iid:{table}",
                                 "--n-ladder", "40,100", "--trials", "200",
-                                "--threads", threads, "--out", str(out))
-    assert code == 3
-    assert err.startswith("runtime error:")
-    assert ("trial 95 of rung n=40 (trial seed 1953786514014019177, master seed 1)"
-            in err)
+                                "--threads", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("config error: at n=40 ") and "up to 0.0148;" in err
     assert stdout == ""
-    assert not list(out.glob("outcomes_n*.csv"))
+    assert not out.exists()
 
 
 def test_run_refuses_references_it_cannot_build_before_any_trial(tmp_path, capsys):

@@ -245,3 +245,43 @@ def test_load_pmf_table_rejects_bad_rows(tmp_path):
     path.write_text("1 0.5\nx 0.5\n")
     with pytest.raises(degrees.DegreeModelError):
         degrees.load_pmf_table(path)
+
+
+def exact_subcritical_chance(pmf, n):
+    """P(sum of n iid d(d - 2) <= 0), the sum's law convolved one vertex at a
+    time over its integer values."""
+    law = {0: 1.0}
+    for _ in range(n):
+        nxt = {}
+        for s, p in law.items():
+            for k, q in pmf.items():
+                x = s + k * (k - 2)
+                nxt[x] = nxt.get(x, 0.0) + p * q
+        law = {s: p for s, p in nxt.items() if p > 1e-300}
+    return sum(p for s, p in law.items() if s <= 0)
+
+
+@pytest.mark.parametrize("pmf, n", [
+    ({1: 0.45, 3: 0.35, 6: 0.2}, 10),
+    ({1: 0.6, 3: 0.4}, 12),
+    ({1: 0.2, 2: 0.3, 3: 0.3, 5: 0.2}, 15),
+    ({1: 0.3, 2: 0.6, 4: 0.1}, 20),
+    ({2: 0.9, 3: 0.1}, 40),
+])
+def test_subcritical_bound_covers_the_exact_chance(pmf, n):
+    # before the parity bump, which only raises the sum; a law with no mass at
+    # degree 1 is bounded by p_2^n, the exact chance
+    exact = exact_subcritical_chance(pmf, n)
+    bound = degrees.subcritical_bound(("iid", pmf), n)
+    assert 0.0 < exact <= bound < 1.0
+    if 1 not in pmf:
+        assert bound == pytest.approx(exact, rel=1e-12)
+
+
+def test_subcritical_bound_of_built_laws_is_exact():
+    assert degrees.subcritical_bound(("regular", 2), 40) == 1.0
+    assert degrees.subcritical_bound(("regular", 3), 41) == 0.0
+    # ceil(10 * 0.5) = 5 vertices of degree 1 and 5 of degree 3: nu_n = 1.5
+    assert degrees.subcritical_bound(("deterministic", {1: 0.5, 3: 1.0}), 10) == 0.0
+    assert degrees.subcritical_bound(("deterministic", {1: 0.8, 3: 1.0}), 10) == 1.0
+    assert degrees.subcritical_bound(("iid", {3: 0.5, 4: 0.5}), 10) == 0.0

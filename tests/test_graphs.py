@@ -69,6 +69,7 @@ def test_lazy_partner_uniform():
     for _ in range(3500):
         g = graphs.LazyPairing(seq, dist, rng)
         explore.init(g, 2, 0)
+        g._fold()
         counts[g.partner[0]] += 1
     assert counts[0] == 0
     assert stats.chisquare(counts[1:]).pvalue > 1e-3
@@ -83,6 +84,7 @@ def test_materialize_keeps_revealed_pairs(seq):
     state = explore.init(g, 0, 39)
     explore.advance(state, 0.5)          # a few events past the endpoints
     assert state.k >= 3
+    g._fold()
     revealed = dict(g.partner)
     assert len(g.edge_weight_by_he) == len(revealed) // 2   # one entry per edge
     full = g.materialize()
@@ -96,6 +98,31 @@ def test_materialize_keeps_revealed_pairs(seq):
     np.testing.assert_array_equal(w, w[p])
     assert np.unique(w).size == p.size // 2
     assert [seq.owner(h) for h in range(p.size)] == full.he_owner.tolist()
+
+
+def test_fresh_pairing_holds_one_entry_per_edge():
+    # an exploration of a fresh 4-regular pairing writes partner[px] = x, from
+    # each drawn half-edge to the one that drew it, and no weight; the fold
+    # adds every reverse entry and gives the k-th pair the k-th weight drawn,
+    # which each alive half-edge's death time (join time + weight) shows
+    g = graphs.LazyPairing(degrees.regular(4, 10_000), weights.exponential(1.0),
+                           philox(26))
+    state = explore.init(g, 0, 5_000, log_details=True)
+    explore.advance(state, 2.0)
+    drawn = dict(g.partner)
+    assert len(drawn) > 100
+    assert not drawn.keys() & set(drawn.values())
+    assert all(x in state.he_state for x in drawn.values())
+    assert g.edge_weight_by_he == {}
+    g._fold()
+    assert len(g.partner) == 2 * len(drawn)
+    assert len(g.edge_weight_by_he) == len(drawn)
+    assert all(g.partner[x] == px for px, x in drawn.items())
+    joined = {row[3]: row[1] for row in state.detail_rows if row[2] == "vertex"}
+    alive = [e for e in state.he_state.values() if e is not None]
+    assert len(alive) > 100
+    for death, x, _, _, px in alive:
+        assert death == joined[g.owner(x)] + g.edge_weight_by_he[min(x, px)]
 
 
 @pytest.mark.parametrize("seq", [
@@ -170,7 +197,8 @@ def test_layout_at_1e9_vertices_allocates_no_n_sized_array():
         assert bumped.half_edges(n) == (3 * n, 3 * n + 4)
         g = graphs.LazyPairing(seq, weights.exponential(1.0), philox(31))
         state = explore.init(g, 0, n - 1)
-        assert all(h in g.partner for h in range(4 * n - 4, 4 * n))
+        paired = g.partner.keys() | g.partner.values()
+        assert all(h in paired for h in range(4 * n - 4, 4 * n))
         explore.advance(state, 1.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
