@@ -1,7 +1,10 @@
 """Edge-weight distribution round trips and frozen values."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -242,3 +245,38 @@ def test_sample_mean_matches_exponential():
     x = weights.sample(d, np.random.Generator(np.random.Philox(key=3)), size=20000)
     # mean 1/2, sd 1/2: 5 sigma of the sample mean is about 0.018
     assert abs(x.mean() - 0.5) < 0.018
+
+
+# ---------------------------------------------------------------------------
+# quadrature golden values: every float the cell engine returns, to the bit
+
+GOLDEN_LAWS = {
+    "exp1": ("exponential", (1.0,)),
+    "shifted5": ("shifted_exponential", (5.0,)),
+    "power0.5": ("power_exponential", (0.5,)),
+    "power2": ("power_exponential", (2.0,)),
+    "uniform2": ("uniform", (2.0,)),
+    "table": ("user_table", ((0.0, 0.4, 0.9, 1.0), (0.1, 0.5, 1.0, 2.5))),
+}
+
+
+def quadrature_golden(spec) -> dict:
+    """float.hex of moments and of constants(4, 3, law).report(), and the
+    sha256 of the law's mixed-Poisson pmf as vertex weights (read through
+    the references' own path, montecarlo._limit_pmf)."""
+    from fpplab import ctbp, montecarlo as mc
+    law = weights.from_spec(*spec)
+    config = mc.ExperimentConfig(graph_kind="nr", vertex_weight_spec=spec)
+    pmf = np.array(list(mc._limit_pmf(config).values()))
+    return {
+        "moments": [float.hex(v) for v in weights.moments(law)],
+        "constants": {k: float.hex(v) for k, v in ctbp.constants(4, 3, law).report().items()},
+        "pmf_sha256": hashlib.sha256(pmf.tobytes()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LAWS))
+def test_quadrature_matches_golden_bits(name):
+    path = pathlib.Path(__file__).parent / "data" / "quadrature_golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert quadrature_golden(GOLDEN_LAWS[name]) == golden[name]
