@@ -28,9 +28,9 @@ the returned record as a self-check.
 
 Every integral is summed over 20-point Gauss-Legendre cells and certified
 on halved cells by the engine in weights (weights._integral, whose edges
-come from the law's kinks and quantiles); LS and the stable-age moments
-integrate against the density, K, D and B against 1 - G or G, so the
-identities compare different integrals.
+come from the law's kinks and quantiles, through weights._certified); LS
+and the stable-age moments integrate against the density, K, D and B
+against 1 - G or G, so the identities compare different integrals.
 alpha is a bracketed Brent root of LS, memoised per (law, s). No closed forms
 are wired in, so the closed-form test cases genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
@@ -94,13 +94,12 @@ class NearCriticalError(CtbpError):
 
 def _moment(k: int, s: float, dist: WeightDistribution, **tol) -> float:
     """integral w dG for w(t) = t^k e^{-s t}, against the density; the innermost
-    graded cell [lo, b] is w(lo) (G(b) - G(lo)), off by < |w'| (b - lo) G(b)."""
+    graded cell is w(support_lo) times its G-mass (weights._sum)."""
     def w(t):
         return t ** k * np.exp(-s * t)
 
-    lo = dist.support_lo
     return weights._integral(lambda t: w(t) * dist.density(t), dist, s,
-                             head=lambda b: w(lo) * (dist.cdf(b) - dist.cdf(lo)), **tol)
+                             w_lo=w(dist.support_lo), **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +396,10 @@ class OffspringLaw:
         probs = np.array([v for _, v in items], dtype=float)
         if support.size == 0 or np.any(support < 0):
             raise CtbpError("offspring law needs nonnegative integer support")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise CtbpError(f"offspring pmf must sum to 1, got {probs.sum()!r}")
+        # written so that a NaN probability fails too
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+            raise CtbpError(f"offspring pmf must be nonnegative and sum to 1, got "
+                            f"sum {probs.sum()!r}, least {probs.min()!r}")
         return cls(support=support, probs=probs / probs.sum())
 
     @classmethod

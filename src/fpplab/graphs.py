@@ -22,15 +22,13 @@ grows with n.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from . import weights
 from .degrees import DegreeSequence
-from .weights import QuadratureError, WeightDistribution, sample as sample_weight
+from .weights import WeightDistribution, sample as sample_weight
 
 __all__ = [
     "GraphError",
@@ -43,7 +41,6 @@ __all__ = [
     "assign_weights",
     "build_from_edges",
     "export_edge_list",
-    "mixed_poisson_pmf",
 ]
 
 
@@ -459,59 +456,3 @@ def export_edge_list(g: WeightedGraph, path, seed: int = 0) -> None:
             v = int(g.he_owner[g.partner[h]]) + 1
             w = 1.0 if g.edge_weight_by_he is None else float(g.edge_weight_by_he[h])
             fh.write(f"{u} {v} {w!r}\n")
-
-
-_PMF_ROWS = 32  # values of k summed in one pass, which bounds its temporaries
-# power:3 vertex weights need 52,000 rows and take 27 s; the limit constants
-# take two moments instead, so this bounds only bp_config_for's references
-# (fpplab run, bp-sim) and gate 8
-_PMF_MAX_K = 100_000
-
-
-def mixed_poisson_pmf(dist: WeightDistribution) -> np.ndarray:
-    """Limiting degree law of rank-1 graphs, P(D = k) = E[e^{-W} W^k / k!],
-    up to the first k whose remaining mass is below 1e-15, renormalised.
-    Read by montecarlo.bp_config_for (the references' offspring draws) and
-    gate 8; the limit constants need only weights.moments.
-
-    k runs to hi + 10 sqrt(hi) + 40, hi the 1 - 2^-53 quantile of W (at most
-    _PMF_MAX_K, else GraphError). Each k is a row of the log-space Poisson
-    kernel (p_{k-1} w/k underflows through e^{-w} for w > 745) on one layout,
-    weights._mass_edges plus edges (j/2)^2 at the kernel's width, certified
-    on halved cells to 1e-15 absolute or 1e-10 relative."""
-    from scipy.special import gammaln, xlogy
-    lo = dist.support_lo
-    hi = weights._mass_edges(dist)[-1]
-    if not hi + 10.0 * math.sqrt(hi) + 40.0 <= _PMF_MAX_K:
-        raise GraphError(f"{dist!r} vertex weights put degree mass out to k = {hi:.3g}; "
-                         f"the mixed-Poisson law is summed to k = {_PMF_MAX_K} at most")
-    k = np.arange(int(hi + 10.0 * math.sqrt(hi)) + 41)
-    lgk = gammaln(k + 1.0)[:, None, None]
-    edges = weights._mass_edges(dist, (np.arange(1.0, 2.0 * math.sqrt(k[-1]) + 2.0) / 2.0) ** 2)
-
-    def sums(e: np.ndarray) -> np.ndarray:
-        out = np.empty(k.size)
-        for r in range(0, k.size, _PMF_ROWS):
-            rows = slice(r, r + _PMF_ROWS)
-
-            def kernel(a, y):
-                t = a + y
-                with np.errstate(divide="ignore"):
-                    x = np.multiply.outer(k[rows], np.log(t)) + (np.log(dist.density(t)) - t)
-                return np.exp(x - lgk[rows])
-
-            cells = weights._cells(kernel, e)
-            head = dist.cdf(e[1]) - dist.cdf(lo)
-            cells[:, 0] = np.exp(xlogy(k[rows], lo) - lo - lgk[rows, 0, 0]) * head
-            out[rows] = cells.sum(axis=1)
-        return out
-
-    coarse, pmf = sums(edges), sums(weights._halved(edges))
-    worst = np.abs(pmf - coarse) - np.maximum(1e-15, 1e-10 * pmf)
-    if not worst.max() <= 0.0:
-        i = int(np.argmax(worst))
-        raise QuadratureError(f"mixed-Poisson pmf of {dist!r}: halving the cells moved "
-                              f"P(D = {i}) from {coarse[i]:.6e} to {pmf[i]:.6e}")
-    remaining = np.cumsum(pmf[::-1])[::-1] - pmf
-    pmf = pmf[:int(np.argmax(remaining < 1e-15)) + 1]
-    return pmf / pmf.sum()

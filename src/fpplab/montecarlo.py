@@ -174,6 +174,14 @@ def _merge_thresholds(th: dict | None) -> dict:
     return {**DEFAULT_THRESHOLDS, **(th or {})}
 
 
+def _count(name: str, value, least: float) -> int:
+    """A config count as an int; one that is not an integer >= least is
+    refused by name, not truncated or left to fail in a trial."""
+    if not (float(value).is_integer() and value >= least):
+        raise MonteCarloError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; flags and files both build one of these. Rank-1
@@ -205,13 +213,13 @@ class ExperimentConfig:
         self.weight_spec = _hashable_spec(self.weight_spec)
         if self.vertex_weight_spec is not None:
             self.vertex_weight_spec = _hashable_spec(self.vertex_weight_spec)
-        self.n_ladder = tuple(int(n) for n in self.n_ladder)
-        if not self.n_ladder or any(n < 3 for n in self.n_ladder):
-            raise MonteCarloError("n_ladder must list sizes >= 3: the probe time "
-                                  "needs log(log n) > 0")
+        # sizes >= 3: the probe time needs log(log n) > 0
+        self.n_ladder = tuple(_count("n_ladder", n, 3) for n in self.n_ladder)
+        if not self.n_ladder:
+            raise MonteCarloError("n_ladder must list at least one size")
         for name in ("trials", "ranked_m", "threads"):
-            if not getattr(self, name) >= 1:
-                raise MonteCarloError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            setattr(self, name, _count(name, getattr(self, name), 1))
+        self.master_seed = _count("master_seed", self.master_seed, -math.inf)
         self.thresholds = _merge_thresholds(self.thresholds)
 
     def echo(self) -> dict:
@@ -280,7 +288,7 @@ def _constants_cached(spec: tuple, mu: float, nu: float) -> ctbp.CtbpConstants:
 
 @lru_cache(maxsize=64)
 def _mixed_poisson_cached(spec: tuple) -> tuple:
-    return tuple(enumerate(graphs.mixed_poisson_pmf(_dist_cached(spec)).tolist()))
+    return tuple(enumerate(weights.mixed_poisson_pmf(_dist_cached(spec)).tolist()))
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,5 @@
-"""Continuous edge-weight distributions, and the quadrature over them.
+"""Continuous edge-weight distributions, the quadrature over them, and the
+mixed-Poisson degree law they give rank-1 graphs as vertex weights.
 
 Each distribution bundles its CDF, density, and quantile function as plain
 callables that accept scalars or numpy arrays. Sampling is inverse-CDF
@@ -9,10 +10,12 @@ Distributions must be continuous with support on [0, inf). Atoms are
 rejected at construction time, as is any law whose density fails to
 integrate to one.
 
-Every integral over a law in the package is a sum of 20-point Gauss-Legendre
-cells at the law's kinks and quantiles (_cells; _edges and _integral for
-ctbp, _mass_edges for the density check, moments and
-graphs.mixed_poisson_pmf).
+Every integral over a law in the package is one cell sum (_sum): 20-point
+Gauss-Legendre cells at the law's kinks and quantiles (_cells), the innermost
+one at support_lo taken from its G-mass, certified by one halving check
+(_certified). Its callers: _integral on _edges for ctbp's transforms,
+stable-age moments and residual law; and on _mass_edges the density check,
+moments and mixed_poisson_pmf.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ __all__ = [
     "load_table",
     "save_table",
     "moments",
+    "mixed_poisson_pmf",
     "sample",
 ]
 
@@ -111,9 +115,9 @@ _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
 
 # Steps of 1/rate cover the first 40/rate of a gap (e^{-40} of the decay is
 # left past them); the cell from support_lo is halved 60 times toward it, and
-# ctbp._moment takes the innermost one, home to any density cusp, from its
-# G-mass. Quantile edges 1 - 2^-j resolve peaked laws (power:S, S <= 0.2)
-# below 1/rate.
+# _sum takes the innermost one, home to any density cusp, from its G-mass.
+# Quantile edges 1 - 2^-j resolve peaked laws (power:S, S <= 0.2) below
+# 1/rate.
 _STEPS = 40
 _GRADE = 60
 _LEVELS = 1.0 - 0.5 ** np.arange(1, 51)
@@ -176,36 +180,43 @@ def _cells(fn, edges: np.ndarray) -> np.ndarray:
     return (2.0 * h * _GL_S * fn(a, h * _GL_S ** 2)) @ _GL_W
 
 
-def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
-              head=None, epsabs: float, epsrel: float, what: str) -> float:
-    """integral over v >= 0 of fn(v), the integrand at start + v (the offset
-    keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
-    geometric cells to 640/rate; head(b) replaces the innermost graded cell
-    [support_lo, b] (start = 0 only). If the sum on halved cells differs by
-    more than max(epsabs, epsrel |value|), QuadratureError is raised."""
-    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
-    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
+def _sum(fn, dist: WeightDistribution, edges: np.ndarray, w_lo) -> np.ndarray:
+    """_cells of fn on edges, summed over the last axis. Given w_lo, the
+    innermost graded cell [support_lo, b], home to any density cusp, is
+    w_lo (G(b) - G(support_lo)) instead: for an integrand w(t) g(t) with
+    w(support_lo) = w_lo that is off by < |w'| (b - support_lo) G(b)."""
+    cells = _cells(fn, edges)
+    lo = dist.support_lo
+    i = np.searchsorted(edges, lo)
+    if w_lo is not None and i + 1 < edges.size and edges[i] == lo:
+        cells[..., i] = w_lo * (dist.cdf(edges[i + 1]) - dist.cdf(lo))
+    return cells.sum(axis=-1)
 
-    def total(e: np.ndarray) -> float:
-        cells = _cells(lambda a, y: fn(a + y), e)
-        i = np.searchsorted(e, dist.support_lo)
-        if head is not None and i + 1 < e.size and e[i] == dist.support_lo:
-            cells[i] = head(e[i + 1])
-        return float(cells.sum())
 
-    coarse = total(edges)
-    value = total(_halved(edges))
+def _certified(fn, dist: WeightDistribution, edges: np.ndarray, w_lo, *,
+               epsabs: float, epsrel: float, what: str) -> np.ndarray:
+    """_sum on edges with every cell halved; QuadratureError if any entry is
+    more than max(epsabs, epsrel |value|) from _sum on edges, or is NaN."""
+    coarse = _sum(fn, dist, edges, w_lo)
+    value = _sum(fn, dist, np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])), w_lo)
+    moved = np.abs(value - coarse)
     # written so that a NaN sum fails too
-    if not abs(value - coarse) <= max(epsabs, epsrel * abs(value)):
-        raise QuadratureError(f"{what}: halving the cells moved the sum by "
-                              f"{abs(value - coarse):.3e} (requested abs {epsabs:.1e} "
+    if not np.all(moved <= np.maximum(epsabs, epsrel * np.abs(value))):
+        raise QuadratureError(f"{what}: halving the cells moved the sum by up to "
+                              f"{np.max(moved):.3e} (requested abs {epsabs:.1e} "
                               f"/ rel {epsrel:.1e})")
     return value
 
 
-def _halved(edges: np.ndarray) -> np.ndarray:
-    """edges with every cell split at its midpoint."""
-    return np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
+def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
+              w_lo=None, epsabs: float, epsrel: float, what: str) -> float:
+    """integral over v >= 0 of fn(v), the integrand at start + v (the offset
+    keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
+    geometric cells to 640/rate, _certified; w_lo is _sum's (start = 0 only)."""
+    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
+    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
+    return float(_certified(lambda a, y: fn(a + y), dist, edges, w_lo,
+                            epsabs=epsabs, epsrel=epsrel, what=what))
 
 
 # moments(): the W^2 mass of the first doubling cell left out, relative to the
@@ -223,44 +234,76 @@ def moments(dist: WeightDistribution) -> tuple[float, float]:
     _mass_edges stops at the 1 - 2^-53 quantile, which leaves 1e-8 of E W^2
     of power:4 beyond it, so cells that double the distance from support_lo
     carry the edges on, up to the first one whose W^2 mass is below _TAIL of
-    the mass before it. The sum is certified on halved cells to _MOMENT_TOL
-    relative; a failure, or a tail still heavy after _DOUBLINGS cells, raises
+    the mass before it. The sum is _certified to _MOMENT_TOL relative; a
+    failure, or a tail still heavy after _DOUBLINGS cells, raises
     QuadratureError."""
-    k = np.array([1.0, 2.0])[:, None, None]
+    k = np.array([1.0, 2.0])
     lo = dist.support_lo
 
-    def mass(e: np.ndarray) -> np.ndarray:   # (2, cells): W and W^2 mass per cell
-        with np.errstate(all="ignore"):   # far doubling cells may overflow to NaN
-            return _cells(lambda a, y: (a + y) ** k * dist.density(a + y), e)
-
-    def head(e: np.ndarray) -> np.ndarray:
-        return lo ** k[:, 0, 0] * (dist.cdf(e[1]) - dist.cdf(e[0]))
+    def mass(a, y):   # (2, cells, 20): W and W^2 mass density
+        return (a + y) ** k[:, None, None] * dist.density(a + y)
 
     edges = _mass_edges(dist)
-    body = mass(edges)
-    body[:, 0] = head(edges)
-    if edges[-1] < dist.support_hi:
-        far = lo + (edges[-1] - lo) * 2.0 ** np.arange(_DOUBLINGS + 1)
-        tail = mass(far)
-        before = body[1].sum() + np.cumsum(tail[1]) - tail[1]
-        small = tail[1] <= _TAIL * before   # NaN is never small
-        if not small.any():
-            raise QuadratureError(f"moments of {dist!r}: the W^2 mass of {_DOUBLINGS} "
-                                  "cells doubling past the 1 - 2^-53 quantile does not "
-                                  "fall off")
-        cut = int(np.argmax(small))
-        edges = np.append(edges, far[1:cut + 1])
-        body = np.concatenate([body, tail[:, :cut]], axis=1)
-    coarse = body.sum(axis=1)
-    half = _halved(edges)
-    fine = mass(half)
-    fine[:, 0] = head(half)
-    value = fine.sum(axis=1)
-    # written so that a NaN sum fails too
-    if not np.all(np.abs(value - coarse) <= _MOMENT_TOL * np.abs(value)):
-        raise QuadratureError(f"moments of {dist!r}: halving the cells moved (E W, E W^2) "
-                              f"from {tuple(coarse)} to {tuple(value)}")
+    with np.errstate(all="ignore"):   # far doubling cells may overflow to NaN
+        if edges[-1] < dist.support_hi:
+            far = lo + (edges[-1] - lo) * 2.0 ** np.arange(_DOUBLINGS + 1)
+            tail = _cells(mass, far)[1]
+            before = _sum(mass, dist, edges, lo ** k)[1] + np.cumsum(tail) - tail
+            small = tail <= _TAIL * before   # NaN is never small
+            if not small.any():
+                raise QuadratureError(f"moments of {dist!r}: the W^2 mass of {_DOUBLINGS} "
+                                      "cells doubling past the 1 - 2^-53 quantile does not "
+                                      "fall off")
+            edges = np.append(edges, far[1:int(np.argmax(small)) + 1])
+        value = _certified(mass, dist, edges, lo ** k, epsabs=0.0, epsrel=_MOMENT_TOL,
+                           what=f"moments (E W, E W^2) of {dist!r}")
     return float(value[0]), float(value[1])
+
+
+_PMF_ROWS = 32  # values of k summed in one pass, which bounds its temporaries
+# power:3 vertex weights need 52,000 rows and take 27 s; the limit constants
+# take two moments instead, so this bounds only bp_config_for's references
+# (fpplab run, bp-sim) and gate 8
+_PMF_MAX_K = 100_000
+
+
+def mixed_poisson_pmf(dist: WeightDistribution) -> np.ndarray:
+    """Limiting degree law of rank-1 graphs with vertex weights W ~ dist,
+    P(D = k) = E[e^{-W} W^k / k!], up to the first k whose remaining mass is
+    below 1e-15, renormalised. Read by montecarlo.bp_config_for (the
+    references' offspring draws) and gate 8; the limit constants need only
+    moments.
+
+    k runs to hi + 10 sqrt(hi) + 40, hi the 1 - 2^-53 quantile of W (at most
+    _PMF_MAX_K, else WeightModelError). Each k is a row of the log-space
+    Poisson kernel (p_{k-1} w/k underflows through e^{-w} for w > 745) on one
+    layout, _mass_edges plus edges (j/2)^2 at the kernel's width, _certified
+    per block of _PMF_ROWS rows to 1e-15 absolute or 1e-10 relative."""
+    from scipy.special import gammaln, xlogy
+    hi = _mass_edges(dist)[-1]
+    if not hi + 10.0 * math.sqrt(hi) + 40.0 <= _PMF_MAX_K:
+        raise WeightModelError(f"{dist!r} vertex weights put degree mass out to k = "
+                               f"{hi:.3g}; the mixed-Poisson law is summed to k = "
+                               f"{_PMF_MAX_K} at most")
+    k = np.arange(int(hi + 10.0 * math.sqrt(hi)) + 41)
+    lgk = gammaln(k + 1.0)
+    edges = _mass_edges(dist, (np.arange(1.0, 2.0 * math.sqrt(k[-1]) + 2.0) / 2.0) ** 2)
+    pmf = np.empty(k.size)
+    for r in range(0, k.size, _PMF_ROWS):
+        rows = slice(r, r + _PMF_ROWS)
+
+        def kernel(a, y):
+            t = a + y
+            with np.errstate(divide="ignore"):
+                x = np.multiply.outer(k[rows], np.log(t)) + (np.log(dist.density(t)) - t)
+            return np.exp(x - lgk[rows, None, None])
+
+        w_lo = np.exp(xlogy(k[rows], dist.support_lo) - dist.support_lo - lgk[rows])
+        pmf[rows] = _certified(kernel, dist, edges, w_lo, epsabs=1e-15, epsrel=1e-10,
+                               what=f"mixed-Poisson pmf of {dist!r}")
+    remaining = np.cumsum(pmf[::-1])[::-1] - pmf
+    pmf = pmf[:int(np.argmax(remaining < 1e-15)) + 1]
+    return pmf / pmf.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +322,7 @@ def _validate(dist: WeightDistribution) -> WeightDistribution:
             f"{dist.kind}: {_MASS_LEVELS[0]:.3g} of the mass lies within "
             f"{edges[1] - edges[0]:.3g} of the support's left edge, below the "
             "smallest normal float64; the density's mass cannot be summed")
-    cells = _cells(lambda a, y: dist.density(a + y), edges)
-    cells[0] = dist.cdf(edges[1]) - dist.cdf(edges[0])
-    total = float(cells.sum())
+    total = float(_sum(lambda a, y: dist.density(a + y), dist, edges, 1.0))
     if not abs(total - 1.0) <= _DENSITY_INTEGRAL_TOL:
         raise WeightModelError(
             f"{dist.kind}: density integrates to {total!r}, not 1 "

@@ -261,7 +261,7 @@ def test_criterion_08_rank1_degree_law():
     g = graphs.sample_rank1(w, "nr", rng)
     deg = g.degrees()
     k_max = 40
-    law = graphs.mixed_poisson_pmf(dist)   # stops at k = 31, below 1e-15
+    law = weights.mixed_poisson_pmf(dist)   # stops at k = 31, below 1e-15
     want = np.zeros(k_max + 1)
     want[:min(law.size, k_max + 1)] = law[:k_max + 1]
     got = np.bincount(deg, minlength=k_max + 1).astype(float) / n

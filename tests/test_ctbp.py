@@ -446,6 +446,13 @@ def test_residual_norm_check_sees_lost_cell_mass(monkeypatch):
         ctbp.residual_density(dist, 2.0)
 
 
+@pytest.mark.parametrize("pmf", [{1: math.nan, 2: 1.0}, {1: -0.5, 2: 1.5}, {1: 0.5, 2: 0.6}])
+def test_offspring_pmf_must_be_a_probability_law(pmf):
+    # NaN must fail too: draw() would return the first support point forever
+    with pytest.raises(ctbp.CtbpError, match="offspring pmf"):
+        ctbp.OffspringLaw.from_pmf(pmf)
+
+
 # ---------------------------------------------------------------------------
 # simulation: martingale mean, alive counts
 

@@ -378,7 +378,7 @@ def test_mixed_poisson_pmf_matches_geometric():
     # exponential(2) vertex weights make the mixed-Poisson law exactly
     # geometric: p(k) = (2/3) (1/3)^k, with (1/3)^(k+1) beyond k; the first
     # remainder below 1e-15 is (1/3)^32, so the pmf stops at k = 31
-    pmf = graphs.mixed_poisson_pmf(weights.exponential(2.0))
+    pmf = weights.mixed_poisson_pmf(weights.exponential(2.0))
     assert pmf.size == 32
     want = (2.0 / 3.0) * (1.0 / 3.0) ** np.arange(32)
     np.testing.assert_allclose(pmf, want, atol=1e-12)
@@ -388,8 +388,8 @@ def test_mixed_poisson_pmf_matches_geometric():
 def test_mixed_poisson_pmf_refuses_weights_too_heavy_to_sum():
     # power:4 vertex weights put 2^-53 of their mass beyond 1.8e6; summing the
     # kernel that far would take hours, so the law is refused by name
-    with pytest.raises(graphs.GraphError, match="mixed-Poisson"):
-        graphs.mixed_poisson_pmf(weights.power_exponential(4.0))
+    with pytest.raises(weights.WeightModelError, match="mixed-Poisson"):
+        weights.mixed_poisson_pmf(weights.power_exponential(4.0))
 
 
 def test_mixed_poisson_pmf_of_power_weights_vs_mpmath():
@@ -399,7 +399,7 @@ def test_mixed_poisson_pmf_of_power_weights_vs_mpmath():
     # are both in play
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    pmf = graphs.mixed_poisson_pmf(weights.power_exponential(2.0))
+    pmf = weights.mixed_poisson_pmf(weights.power_exponential(2.0))
     assert pmf.size > 1000
     for k in (0, 5, 40):
         want = mpmath.quad(lambda u: mpmath.exp(-u * u - u) * u ** (2 * k),

@@ -233,6 +233,19 @@ def test_config_counts_must_be_positive(name):
         mc.ExperimentConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("name, value", [("n_ladder", (1000.7,)), ("trials", 2.5),
+                                         ("ranked_m", 1.5), ("threads", 2.5),
+                                         ("master_seed", 1.5)])
+def test_config_counts_must_be_integers(name, value):
+    # refused by name, not truncated (n_ladder) or left to fail in a trial;
+    # integral floats are counts
+    with pytest.raises(mc.MonteCarloError, match=name):
+        mc.ExperimentConfig(**{name: value})
+    config = mc.ExperimentConfig(**{name: (1000.0,) if name == "n_ladder" else 2.0})
+    got = config.n_ladder[0] if name == "n_ladder" else getattr(config, name)
+    assert type(got) is int
+
+
 def test_size_biased_from_pmf():
     sb = mc.size_biased_from_pmf({2: 0.5, 3: 0.5})
     assert sb[1] == pytest.approx(0.4)

@@ -193,6 +193,16 @@ def test_moments_certification_is_a_named_error(monkeypatch):
         weights.moments(weights.power_exponential(4.0))
 
 
+def test_mixed_poisson_pmf_certification_is_a_named_error():
+    # a density that is NaN above 3 makes every P(D = k) NaN, which the
+    # halving certificate must refuse by name
+    e = weights.exponential(2.0)
+    broken = dataclasses.replace(
+        e, density=lambda x: np.where(np.asarray(x) > 3.0, np.nan, e.density(x)))
+    with pytest.raises(weights.QuadratureError, match="mixed-Poisson pmf.*halving"):
+        weights.mixed_poisson_pmf(broken)
+
+
 def test_user_table_interpolates():
     # piecewise-linear quantile through (0,0) (0.4,1) (1,3)
     d = weights.user_table((0.0, 0.4, 1.0), (0.0, 1.0, 3.0))
