@@ -186,9 +186,7 @@ def cmd_run(args) -> int:
     if not args.out:
         raise ConfigError("run: --out DIR is required")
     t0 = time.monotonic()
-    plot_dir = pathlib.Path(args.out) / "plots" if args.plot_data else None
-    report, outcomes_by_n = montecarlo.run_experiment(
-        config, out_dir=args.out, plot_dir=plot_dir)
+    report, outcomes_by_n = montecarlo.run_experiment(config, out_dir=args.out)
     elapsed = time.monotonic() - t0
     if args.log:
         # stage times count from the start of the run; the references are
@@ -310,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-ladder", metavar="LIST", help="comma-separated sizes")
     p.add_argument("--trials", type=int, metavar="M")
     p.add_argument("--ranked-m", type=int, metavar="m")
-    p.add_argument("--plot-data", action="store_true",
-                   help="also write two-column figure files")
     p.add_argument("--log", action="store_true",
                    help="write a wall-clock sidecar (the only timestamped file)")
     p.set_defaults(func=cmd_run)

@@ -94,14 +94,14 @@ class DegreeSequence:
         object.__setattr__(self, "_he_starts", he_starts)
 
     @classmethod
-    def from_degrees(cls, degrees, parity_bumped: bool = False) -> "DegreeSequence":
+    def from_degrees(cls, degrees) -> "DegreeSequence":
         """The runs of a per-vertex degree array, vertex order kept."""
         arr = np.asarray(degrees, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 2:
             raise DegreeModelError("need at least two vertices")
         starts = np.flatnonzero(np.diff(arr, prepend=arr[0] - 1))
         counts = np.diff(starts, append=arr.size)
-        return cls(tuple(zip(arr[starts].tolist(), counts.tolist())), parity_bumped)
+        return cls(tuple(zip(arr[starts].tolist(), counts.tolist())))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -380,7 +380,7 @@ def load_pmf_table(path) -> dict[int, float]:
     config built on them is (limit_pmf)."""
     try:
         rows = np.loadtxt(path, dtype=float, ndmin=2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DegreeModelError(f"{path}: {exc}") from exc
     if rows.shape[1] != 2:
         raise DegreeModelError(f"{path}: expected two columns, got {rows.shape[1]}")

@@ -390,12 +390,12 @@ def result(state: SwgState, m: int = 1) -> PathResult:
 
 
 def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
-        min_horizon: float = 0.0, log_details: bool = False) -> PathResult:
+        min_horizon: float = 0.0) -> PathResult:
     """Exploration with the exact early stops; the one-call entry point.
 
     min_horizon does not outlast a closed cluster (see advance_ranked).
     """
-    state = init(g, u1, u2, log_details=log_details)
+    state = init(g, u1, u2)
     advance_ranked(state, m, min_horizon)
     return result(state, m)
 

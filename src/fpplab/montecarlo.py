@@ -71,7 +71,6 @@ __all__ = [
     "verify_ppp",
     "verify_ranked",
     "run_experiment",
-    "write_plot_data",
     "calibrate_verifiers",
 ]
 
@@ -578,7 +577,7 @@ def run_trials(config: ExperimentConfig, *, n: int | None = None,
         n = config.n_ladder[0]
     threads = config.threads if threads is None else int(threads)
 
-    task = _TrialTask(config, int(n), constants_for_config(config), True)
+    task = _TrialTask(config, _count("n", n, 3), constants_for_config(config), True)
     _refuse_subcritical_draws(config, [task.n])
     (outcomes,), _ = _run_rungs([task], config.trials, threads, [csv_path])
     return outcomes
@@ -932,8 +931,8 @@ def _json_default(o):
     raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
-def run_experiment(config: ExperimentConfig, *, out_dir=None,
-                   plot_dir=None) -> tuple[VerificationReport, dict]:
+def run_experiment(config: ExperimentConfig, *,
+                   out_dir=None) -> tuple[VerificationReport, dict]:
     """Ladder of trial runs plus all four verifiers; optionally writes files.
 
     Returns (report, outcomes_by_n). The verifiers read the ranked paths and
@@ -956,7 +955,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     out_dir, if given, receives outcomes_n{n}.csv per rung, ranked_n{top}.csv
     (a trial,rank,weight,hops row per ranked path of the top rung, in trial
     and rank order, repr weights), report.json and report.txt.
-    plot_dir, if given, receives the two-column figure files.
     """
     start = time.monotonic()
     out = pathlib.Path(out_dir) if out_dir is not None else None
@@ -1008,12 +1006,10 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
     top_outcomes = outcomes_by_n[top]
     z_by_n = {n: column(o, "Z_hat") for n, o in outcomes_by_n.items()}
     entries = [verify_hopcount_clt(z_by_n, th)]
-    q_ref = None
     if bp is not None:
         ranked_refs = refs["ranked"]
-        q_ref = ranked_refs[:, 0]
         ranked = ranked_matrix(top_outcomes, config.ranked_m)
-        entries += [verify_weight_limit(column(top_outcomes, "Q_hat"), q_ref, th),
+        entries += [verify_weight_limit(column(top_outcomes, "Q_hat"), ranked_refs[:, 0], th),
                     verify_ppp(pool_marks(top_outcomes), len(top_outcomes), consts,
                                refs["residual"].cdf, th),
                     verify_ranked(ranked, ranked_refs, th)]
@@ -1032,42 +1028,7 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None,
                           for j, (w, h) in enumerate(o.ranked, 1))
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    if plot_dir is not None:
-        write_plot_data(plot_dir, outcomes_by_n, q_ref)
     return report, outcomes_by_n
-
-
-def write_plot_data(out_dir, outcomes_by_n, q_ref=None) -> list:
-    """Two-column text files for the standard figures; returns paths written."""
-    from scipy.special import ndtr
-
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    top_outcomes = outcomes_by_n[max(outcomes_by_n)]
-    z = np.sort(column(top_outcomes, "Z_hat"))
-    path = out / "hopcount_cdf.txt"
-    _write_columns(path, z, ndtr(z))
-    written.append(path)
-    if q_ref is not None:
-        q = np.sort(column(top_outcomes, "Q_hat"))
-        ref = np.sort(np.asarray(q_ref, dtype=float))
-        ref_cdf = np.searchsorted(ref, q, side="right") / ref.size
-        path = out / "weight_cdf.txt"
-        _write_columns(path, q, ref_cdf)
-        written.append(path)
-    marks = pool_marks(top_outcomes)
-    if marks.size:
-        path = out / "ppp_rate.txt"
-        _write_columns(path, *_log_rate(marks[:, 0]))
-        written.append(path)
-    return written
-
-
-def _write_columns(path, a, b) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y in zip(a, b):
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -317,10 +317,11 @@ def _validate(dist: WeightDistribution) -> WeightDistribution:
     # The density must integrate to 1 on _mass_edges cells, the first one
     # (2^-50 of the mass, any cusp) from G; NaN fails too, as under -O.
     edges = _mass_edges(dist)
-    if not edges[1] - edges[0] >= np.finfo(float).tiny:
+    width = edges[1] - edges[0] if edges.size > 1 else 0.0
+    if not width >= np.finfo(float).tiny:
         raise WeightModelError(
             f"{dist.kind}: {_MASS_LEVELS[0]:.3g} of the mass lies within "
-            f"{edges[1] - edges[0]:.3g} of the support's left edge, below the "
+            f"{width:.3g} of the support's left edge, below the "
             "smallest normal float64; the density's mass cannot be summed")
     total = float(_sum(lambda a, y: dist.density(a + y), dist, edges, 1.0))
     if not abs(total - 1.0) <= _DENSITY_INTEGRAL_TOL:
@@ -335,7 +336,7 @@ def _validate(dist: WeightDistribution) -> WeightDistribution:
     back = dist.quantile(dist.cdf(x))
     scale = np.maximum(np.abs(x), 1.0)
     worst = float(np.max(np.abs(back - x) / scale))
-    if worst > _ROUND_TRIP_TOL:
+    if not worst <= _ROUND_TRIP_TOL:   # NaN fails too
         raise WeightModelError(
             f"{dist.kind}: quantile(cdf(x)) deviates by {worst:.3e} "
             f"(tolerance {_ROUND_TRIP_TOL})"
@@ -349,8 +350,8 @@ def _validate(dist: WeightDistribution) -> WeightDistribution:
 
 def exponential(rate: float = 1.0) -> WeightDistribution:
     """Exponential law with the given rate; mean 1/rate."""
-    if not rate > 0:
-        raise WeightModelError(f"exponential rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise WeightModelError(f"exponential rate must be positive and finite, got {rate}")
     r = float(rate)
 
     def cdf(x):
@@ -377,8 +378,8 @@ def shifted_exponential(k: float) -> WeightDistribution:
     Large k concentrates the law near 1, which is the deterministic-weight
     limit; the growth-rate solver is exercised against that limit in tests.
     """
-    if not k > 0:
-        raise WeightModelError(f"shifted_exponential k must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise WeightModelError(f"shifted_exponential k must be positive and finite, got {k}")
     kk = float(k)
 
     def cdf(x):
@@ -408,8 +409,8 @@ def power_exponential(s: float) -> WeightDistribution:
     returns inf there as a sentinel. s < 1 squeezes the law toward small
     weights and pushes the growth rate very high at large offspring means.
     """
-    if not s > 0:
-        raise WeightModelError(f"power_exponential s must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise WeightModelError(f"power_exponential s must be positive and finite, got {s}")
     ss = float(s)
     p = 1.0 / ss
     if ss > 1.0:
@@ -443,8 +444,8 @@ def power_exponential(s: float) -> WeightDistribution:
 
 def uniform(b: float) -> WeightDistribution:
     """Uniform law on (0, b)."""
-    if not b > 0:
-        raise WeightModelError(f"uniform upper endpoint must be positive, got {b}")
+    if not 0 < b < math.inf:
+        raise WeightModelError(f"uniform upper endpoint must be positive and finite, got {b}")
     bb = float(b)
 
     def cdf(x):
@@ -478,6 +479,8 @@ def user_table(levels, quantiles) -> WeightDistribution:
     q = np.asarray(quantiles, dtype=float)
     if p.ndim != 1 or q.ndim != 1 or p.size != q.size or p.size < 2:
         raise WeightModelError("user_table needs two equal-length columns, >= 2 rows")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise WeightModelError("user_table entries must be finite")
     if p[0] != 0.0 or p[-1] != 1.0:
         raise WeightModelError("user_table probability column must run 0.0 .. 1.0")
     if np.any(np.diff(p) <= 0):
@@ -537,7 +540,10 @@ def from_spec(kind: str, params) -> WeightDistribution:
 
 def load_table(path) -> WeightDistribution:
     """Read a two-column (probability, quantile) text table."""
-    rows = np.loadtxt(path, dtype=float, ndmin=2)
+    try:
+        rows = np.loadtxt(path, dtype=float, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise WeightModelError(f"{path}: {exc}") from exc
     if rows.shape[1] != 2:
         raise WeightModelError(f"{path}: expected two columns, got {rows.shape[1]}")
     return user_table(rows[:, 0], rows[:, 1])

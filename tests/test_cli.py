@@ -151,6 +151,29 @@ def test_unknown_weight_kind(capsys):
     assert "weights" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--weights", "exp:inf"], ["--weights", "shifted-exp:inf"], ["--weights", "power:inf"],
+    ["--weights", "uniform:inf"], ["--kind", "nr", "--vertex-weights", "exp:inf"],
+], ids=lambda argv: "_".join(argv[1::2]))
+def test_non_finite_weight_parameter_is_config_error(argv, capsys):
+    code, _, err = run_cli(capsys, "constants", *argv)
+    assert code == 2
+    assert err.startswith("config error:") and "finite" in err
+
+
+@pytest.mark.parametrize("flag, kind", [("--weights", "table"), ("--degrees", "iid")])
+@pytest.mark.parametrize("rows", [None, "0 0\nabc 1.0\n1 2\n"], ids=["missing", "abc"])
+def test_unreadable_table_is_config_error(flag, kind, rows, tmp_path, capsys):
+    # a table file that is missing or holds a non-number row is refused by
+    # path, as a missing --config file is
+    path = tmp_path / "table.txt"
+    if rows is not None:
+        path.write_text(rows)
+    code, _, err = run_cli(capsys, "constants", flag, f"{kind}:{path}")
+    assert code == 2
+    assert err.startswith(f"config error: {path}:")
+
+
 def test_bad_degree_spec(capsys):
     code, _, err = run_cli(capsys, "constants", "--degrees", "regular:x")
     assert code == 2
@@ -381,18 +404,6 @@ def test_run_rejects_unsorted_ladder(capsys):
                            "--trials", "4", "--out", "/tmp/nope")
     assert code == 2
     assert "ladder" in err.lower()
-
-
-def test_run_plot_data(tmp_path, capsys):
-    out_dir = tmp_path / "exp"
-    code, _, _ = run_cli(capsys, "run", "--n-ladder", "150", "--trials", "6",
-                         "--threads", "1", "--seed", "3", "--out", str(out_dir),
-                         "--plot-data")
-    assert code == 0
-    plots = out_dir / "plots"
-    assert (plots / "hopcount_cdf.txt").exists()
-    rows = (plots / "hopcount_cdf.txt").read_text().strip().split("\n")
-    assert all(len(r.split()) == 2 for r in rows if not r.startswith("#"))
 
 
 # ---------------------------------------------------------------------------

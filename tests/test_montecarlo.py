@@ -235,15 +235,20 @@ def test_config_counts_must_be_positive(name):
 
 @pytest.mark.parametrize("name, value", [("n_ladder", (1000.7,)), ("trials", 2.5),
                                          ("ranked_m", 1.5), ("threads", 2.5),
-                                         ("master_seed", 1.5)])
+                                         ("master_seed", 1.5),
+                                         ("n", 1000.7), ("n", 2)])   # run_trials' rung
 def test_config_counts_must_be_integers(name, value):
-    # refused by name, not truncated (n_ladder) or left to fail in a trial;
-    # integral floats are counts
-    with pytest.raises(mc.MonteCarloError, match=name):
-        mc.ExperimentConfig(**{name: value})
-    config = mc.ExperimentConfig(**{name: (1000.0,) if name == "n_ladder" else 2.0})
-    got = config.n_ladder[0] if name == "n_ladder" else getattr(config, name)
-    assert type(got) is int
+    # refused by name, not truncated (n_ladder, n) or left to fail in a trial
+    # (n = 2); integral floats are counts
+    def count(v):
+        if name == "n":
+            return mc.run_trials(mc.ExperimentConfig(trials=1), n=v, threads=1)[0].n
+        config = mc.ExperimentConfig(**{name: v})
+        return config.n_ladder[0] if name == "n_ladder" else getattr(config, name)
+
+    with pytest.raises(mc.MonteCarloError, match=f"^{name} must be an integer"):
+        count(value)
+    assert type(count({"n_ladder": (1000.0,), "n": 1000.0}.get(name, 2.0))) is int
 
 
 def test_size_biased_from_pmf():

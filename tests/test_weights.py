@@ -108,6 +108,21 @@ def test_from_spec_rejects_bad_params():
         weights.uniform(0.0)
     with pytest.raises(weights.WeightModelError):
         weights.power_exponential(0.0)
+    # quantiles of 0 and inf only: the round trip is NaN, which must fail
+    with np.errstate(all="ignore"), \
+            pytest.raises(weights.WeightModelError, match="deviates by nan"):
+        weights.power_exponential(1e200)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["exponential", "shifted_exponential",
+                                  "power_exponential", "uniform", "user_table"])
+def test_from_spec_refuses_non_finite_params_by_name(kind, value):
+    # inf once put every quantile on support_lo (an IndexError in _validate)
+    # or left a density that integrates to 0 or nan
+    params = ((0.0, 0.5, 1.0), (0.0, 1.0, value)) if kind == "user_table" else (value,)
+    with pytest.raises(weights.WeightModelError, match=f"^{kind} .*finite"):
+        weights.from_spec(kind, params)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.3, 1.0, 2.0, 5.0, 10.0, 20.0])
