@@ -90,15 +90,11 @@ def parse_degree_model(text: str) -> tuple:
 
 
 def _parse_ladder(text: str) -> tuple:
+    """'1000,10000' -> (1000, 10000); ExperimentConfig checks the sizes."""
     try:
-        rungs = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError:
         raise ConfigError(f"n-ladder: cannot parse {text!r}")
-    if not rungs:
-        raise ConfigError("n-ladder: empty")
-    if any(b <= a for a, b in zip(rungs, rungs[1:])):
-        raise ConfigError(f"n-ladder: must be strictly increasing, got {rungs}")
-    return rungs
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +143,12 @@ def _read_config_file(path: str) -> dict:
 
 def _assemble_config(args) -> montecarlo.ExperimentConfig:
     """defaults < config file < flags."""
-    fields: dict = {"graph_kind": "cm", "weight_spec": ("exponential", (1.0,))}
-    if getattr(args, "config", None):
-        fields.update(_read_config_file(args.config))
+    fields = _read_config_file(args.config) if args.config else {}
     for name, attr, *_, parse in _FIELDS:
         if getattr(args, attr, None) is not None:
             fields[name] = parse(getattr(args, attr))
     fields.setdefault("threads", os.cpu_count() or 1)
-    if fields["graph_kind"] in graphs.RANK1_KINDS and "degree_model" in fields:
+    if fields.get("graph_kind") in graphs.RANK1_KINDS and "degree_model" in fields:
         raise ConfigError(f"{fields['graph_kind']} graphs take their degree law from "
                           "the vertex weights; drop --degrees (or [graph] degrees) and "
                           "set --vertex-weights")
@@ -278,33 +272,38 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="config precedence: defaults < --config file < flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="INI experiment bundle ([graph] [weights] "
-                             "[experiment] [thresholds])")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    common.add_argument("--out", metavar="DIR", help="output location")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker processes (speed only, never results)")
-    common.add_argument("--degrees", metavar="SPEC",
-                        help="regular:R | iid:PATH | deterministic:PATH (cm and "
-                             "simple; rank-1 degrees follow --vertex-weights)")
-    common.add_argument("--weights", metavar="SPEC",
-                        help="exp:RATE | shifted-exp:K | power:S | uniform:B "
-                             "| table:PATH")
-    common.add_argument("--kind", choices=("cm", "simple", "nr", "grg", "cl"),
-                        help="graph model")
-    common.add_argument("--vertex-weights", metavar="SPEC",
-                        help="vertex weight law for nr/grg/cl, which sets their "
-                             "mixed-Poisson degree law")
+    # each subcommand takes only the flags it reads: the model flags, then
+    # --seed and --out where it draws and writes. oracle has its own --seed:
+    # subcommands share a parent's actions, so a default set on one would
+    # become every other's
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--config", metavar="PATH",
+                       help="INI experiment bundle ([graph] [weights] "
+                            "[experiment] [thresholds])")
+    model.add_argument("--degrees", metavar="SPEC",
+                       help="regular:R | iid:PATH | deterministic:PATH (cm and "
+                            "simple; rank-1 degrees follow --vertex-weights)")
+    model.add_argument("--weights", metavar="SPEC",
+                       help="exp:RATE | shifted-exp:K | power:S | uniform:B "
+                            "| table:PATH")
+    model.add_argument("--kind", choices=("cm", "simple", "nr", "grg", "cl"),
+                       help="graph model")
+    model.add_argument("--vertex-weights", metavar="SPEC",
+                       help="vertex weight law for nr/grg/cl, which sets their "
+                            "mixed-Poisson degree law")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, metavar="U64", help="master seed")
+    seeded.add_argument("--out", metavar="DIR", help="output location")
 
-    p = sub.add_parser("constants", parents=[common],
+    p = sub.add_parser("constants", parents=[model],
                        help="print every limit constant for a model")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[model, seeded],
                        help="trial ladder plus all verifiers")
+    p.add_argument("--threads", type=int, metavar="N",
+                   help="worker processes (speed only, never results)")
     p.add_argument("--n-ladder", metavar="LIST", help="comma-separated sizes")
     p.add_argument("--trials", type=int, metavar="M")
     p.add_argument("--ranked-m", type=int, metavar="m")
@@ -312,21 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a wall-clock sidecar (the only timestamped file)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="explore vs Dijkstra equivalence corpus")
+    p = sub.add_parser("oracle", help="explore vs Dijkstra equivalence corpus")
     p.add_argument("--instances", type=int, default=500, metavar="K")
     p.add_argument("--instance", type=int, metavar="IDX",
                    help="describe a single instance verbosely")
     p.add_argument("--corrupt", action="store_true",
                    help="test hook: perturb a weight so the corpus must fail")
-    p.set_defaults(func=cmd_oracle, seed_default=20260817)
+    p.add_argument("--seed", type=int, default=20260817, metavar="U64",
+                   help="corpus seed")
+    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gen-graph", parents=[common],
+    p = sub.add_parser("gen-graph", parents=[model, seeded],
                        help="write one weighted graph as an edge list")
     p.add_argument("--n", type=int, metavar="N", help="vertex count")
     p.set_defaults(func=cmd_gen_graph)
 
-    p = sub.add_parser("bp-sim", parents=[common],
+    p = sub.add_parser("bp-sim", parents=[model, seeded],
                        help="simulate the limit branching process")
     p.add_argument("--reps", type=int, default=200, metavar="K")
     p.add_argument("--horizon", type=float, metavar="T",
@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed_default"):
-        args.seed = args.seed_default
     try:
         return args.func(args)
     except (ConfigError, configparser.Error, ctbp.SubcriticalError,

@@ -50,6 +50,7 @@ __all__ = [
     "derived_seed",
     "trial_seed",
     "rng_for",
+    "endpoints",
     "size_biased_from_pmf",
     "bp_config_for",
     "constants_for_config",
@@ -125,6 +126,13 @@ def derived_seed(master: int, *path: int) -> int:
 
 def trial_seed(master: int, index: int) -> int:
     return derived_seed(master, 0, index)
+
+
+def endpoints(n: int, rng) -> tuple[int, int]:
+    """Two distinct uniform vertices: u, then v among the other n - 1."""
+    u = int(rng.integers(n))
+    v = int(rng.integers(n - 1))
+    return u, v + (v >= u)
 
 
 def rng_for(seed: int) -> Generator:
@@ -216,6 +224,9 @@ class ExperimentConfig:
         self.n_ladder = tuple(_count("n_ladder", n, 3) for n in self.n_ladder)
         if not self.n_ladder:
             raise MonteCarloError("n_ladder must list at least one size")
+        if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
+            raise MonteCarloError(
+                f"n_ladder must be strictly increasing, got {self.n_ladder}")
         for name in ("trials", "ranked_m", "threads"):
             setattr(self, name, _count(name, getattr(self, name), 1))
         self.master_seed = _count("master_seed", self.master_seed, -math.inf)
@@ -408,12 +419,8 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     res = None
     w1 = w2 = 0.0
     for _ in range(_MAX_RESAMPLES):
-        u1 = int(rng.integers(n))
-        u2 = int(rng.integers(n - 1))
-        if u2 >= u1:
-            u2 += 1
         try:
-            state = explore.init(g, u1, u2)
+            state = explore.init(g, *endpoints(n, rng))
         except explore.IsolatedEndpointError:
             resamples += 1
             continue
@@ -526,9 +533,8 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     call; returns (outcome lists, the time.monotonic() at which each rung's
     last chunk completed).
 
-    Each rung's CSV, where its path is not None, is written in trial order as
-    its chunks arrive; if an error comes while it is written, it is deleted,
-    so no partial CSV reads like a complete rung.
+    Each rung's CSV, where its path is not None, is written whole once its
+    chunks are in, so a rung that fails writes none.
     """
     spans = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
     parts = _map_chunks([(task, lo, hi) for task in tasks for lo, hi in spans],
@@ -536,40 +542,27 @@ def _run_rungs(tasks, M: int, threads: int, csv_paths, meanwhile=None):
     outcomes, finished = [], []
     with contextlib.closing(parts):
         for path in csv_paths:
-            rung: list[TrialOutcome] = []
-            last = -math.inf
-            try:
-                with (open(path, "w", encoding="utf-8", newline="\n") if path
-                      else contextlib.nullcontext()) as fh:
-                    if fh:
-                        fh.write(CSV_HEADER + "\n")
-                    for batch, done in itertools.islice(parts, len(spans)):
-                        rung.extend(batch)
-                        last = max(last, done)
-                        if fh:
-                            fh.writelines(_csv_row(o) + "\n" for o in batch)
-            except BaseException:
-                if path:
-                    pathlib.Path(path).unlink(missing_ok=True)
-                raise
-            outcomes.append(rung)
-            finished.append(last)
+            batches, done = zip(*itertools.islice(parts, len(spans)))
+            outcomes.append([o for batch in batches for o in batch])
+            finished.append(max(done))
+            if path:
+                write_outcomes_csv(outcomes[-1], path)
         next(parts, None)   # past the last chunk: a serial meanwhile() runs here
     return outcomes, finished
 
 
 def run_trials(config: ExperimentConfig, *, n: int | None = None,
                threads: int | None = None, csv_path=None) -> list[TrialOutcome]:
-    """Run config.trials seeded trials at one ladder rung; optionally stream a CSV.
+    """Run config.trials seeded trials at one ladder rung; optionally write a CSV.
 
     Results are a pure function of (config, n), config.master_seed included;
     threads only changes wall time: more than one runs the chunks in a process
     pool of that many workers (see _map_chunks). The CSV is written in trial
-    order as chunks finish. Each outcome's ranked holds up to config.ranked_m
-    paths, and marks the (k, 5) collision marks of the mark window, which the
-    exploration also covers. A trial that raises becomes a TrialError naming
-    it, and the CSV is then deleted. A degree law that may draw nu_n <= 1 at
-    n is refused first (_refuse_subcritical_draws).
+    order once every chunk is in. Each outcome's ranked holds up to
+    config.ranked_m paths, and marks the (k, 5) collision marks of the mark
+    window, which the exploration also covers. A trial that raises becomes a
+    TrialError naming it, and no CSV is written. A degree law that may draw
+    nu_n <= 1 at n is refused first (_refuse_subcritical_draws).
     """
     if n is None:
         if len(config.n_ladder) != 1:

@@ -9,7 +9,8 @@ exploration to exhaustion with advance(state, inf), which neither rule
 touches.
 
 Instances come from montecarlo.sample_graph, the trials' own sampler, on a
-config built from the model tables below. Lazy instances explore its
+config built from the model tables below, and their endpoints from
+montecarlo.endpoints, the trials' own draw. Lazy instances explore its
 LazyPairing first, then materialize() it and run every check on the
 completed graph, which keeps each pair and weight the exploration revealed.
 Exploring the completed graph must reproduce the lazy run's PathResult
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import dijkstra, explore, graphs
-from .montecarlo import ExperimentConfig, derived_seed, rng_for, sample_graph
+from .montecarlo import ExperimentConfig, derived_seed, endpoints, rng_for, sample_graph
 
 __all__ = ["CorpusResult", "run_corpus", "describe_instance"]
 
@@ -107,13 +108,6 @@ def _build_instance(index: int, rng):
     return (g if kind == "lazy" else g.materialize()), f"{label} weights={wspec[0]}"
 
 
-def _endpoints(n: int, rng) -> tuple[int, int]:
-    """Two distinct uniform vertices."""
-    u = int(rng.integers(n))
-    v = int(rng.integers(n - 1))
-    return u, v + (v >= u)
-
-
 def _instance(index: int, master_seed: int):
     """(graph, label, u, v, lazy, rebound) of one corpus instance; lazy and
     rebound are None unless the instance is lazy.
@@ -125,12 +119,12 @@ def _instance(index: int, master_seed: int):
     """
     rng = rng_for(derived_seed(master_seed, 4, index))
     g, label = _build_instance(index, rng)
-    u, v = _endpoints(g.n, rng)
+    u, v = endpoints(g.n, rng)
     lazy = rebound = None
     if isinstance(g, graphs.LazyPairing):
         lazy = explore.run(g, u, v)
         rebound = (copy.deepcopy(g),
-                   *_endpoints(g.n, rng_for(derived_seed(master_seed, 4, index, 1))))
+                   *endpoints(g.n, rng_for(derived_seed(master_seed, 4, index, 1))))
         g = g.materialize()
     return g, label, u, v, lazy, rebound
 

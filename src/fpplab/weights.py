@@ -156,6 +156,7 @@ def _fill(edges: np.ndarray, extra: np.ndarray, place) -> np.ndarray:
     return place(np.repeat(edges[:-1], extra), rank)
 
 
+@np.errstate(over="ignore")   # a quantile that overflows to inf is refused below
 def _mass_edges(dist: WeightDistribution, pts=()) -> np.ndarray:
     """Cell edges from support_lo to the 1 - 2^-53 quantile, or to pts[-1] if
     further (not past support_hi): kinks, _MASS_LEVELS quantiles and pts, and
@@ -166,7 +167,10 @@ def _mass_edges(dist: WeightDistribution, pts=()) -> np.ndarray:
     edges = np.union1d(np.union1d(_kinks(dist), dist.quantile(_MASS_LEVELS)), pts)
     edges = edges[(edges >= lo) & (edges <= top)]
     off = edges - lo   # off[0] = 0: the first cell is never split
-    extra = np.append(0, np.ceil(np.log2(off[2:] / off[1:-1])) - 1.0).astype(int)
+    ratio = off[2:] / off[1:-1]
+    if not np.isfinite(ratio).all():   # an inf edge that no geometric step reaches
+        raise WeightModelError(f"{dist.kind}: its 1 - 2^-53 quantile {top:.3g} is not finite")
+    extra = np.append(0, np.ceil(np.log2(ratio)) - 1.0).astype(int)
     return np.union1d(edges, lo + _fill(off, extra, lambda a, r: a * 2.0 ** r))
 
 

@@ -154,6 +154,8 @@ def test_unknown_weight_kind(capsys):
 @pytest.mark.parametrize("argv", [
     ["--weights", "exp:inf"], ["--weights", "shifted-exp:inf"], ["--weights", "power:inf"],
     ["--weights", "uniform:inf"], ["--kind", "nr", "--vertex-weights", "exp:inf"],
+    # finite, but the law's top quantile overflows to inf
+    ["--weights", "exp:1e-320"], ["--weights", "shifted-exp:1e-320"],
 ], ids=lambda argv: "_".join(argv[1::2]))
 def test_non_finite_weight_parameter_is_config_error(argv, capsys):
     code, _, err = run_cli(capsys, "constants", *argv)
@@ -193,7 +195,8 @@ BAD_DEGREES = {
 @pytest.mark.parametrize("argv", [
     ["constants"],
     ["bp-sim", "--reps", "2"],
-    ["run", "--n-ladder", "100", "--trials", "600"],   # above min_outcomes
+    # --trials above min_outcomes
+    ["run", "--n-ladder", "100", "--trials", "600", "--threads", "1"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("bad", sorted(BAD_DEGREES))
 def test_bad_degree_law_is_config_error_before_any_output(argv, bad, tmp_path, capsys):
@@ -206,8 +209,8 @@ def test_bad_degree_law_is_config_error_before_any_output(argv, bad, tmp_path, c
         path.write_text(table)
         spec = f"{kind}:{path}"
     out = tmp_path / "out"
-    code, stdout, err = run_cli(capsys, *argv, "--degrees", spec, "--threads", "1",
-                                "--out", str(out))
+    writes = [] if argv[0] == "constants" else ["--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv, "--degrees", spec, *writes)
     assert code == 2
     assert err.startswith("config error:") and reason in err
     assert stdout == ""
@@ -518,8 +521,9 @@ def test_gen_graph_bytes_are_pinned(tmp_path, capsys):
 ])
 def test_sizes_and_counts_that_cannot_run_are_config_errors(argv, name, tmp_path,
                                                              capsys):
-    code, out, err = run_cli(capsys, *argv, "--threads", "1",
-                             "--out", str(tmp_path / "out"))
+    out_flag = ["--out", str(tmp_path / "out")]
+    flags = {"run": ["--threads", "1", *out_flag], "bp-sim": out_flag}.get(argv[0], [])
+    code, out, err = run_cli(capsys, *argv, *flags)
     assert code == 2
     assert "config error" in err and name in err
     assert "PASS" not in out
@@ -589,6 +593,29 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--instances", "1", "--weights", "exp:2"],
+    ["oracle", "--instances", "1", "--config", "missing.ini"],
+    ["constants", "--seed", "3"],
+    ["gen-graph", "--threads", "2"],
+    ["bp-sim", "--threads", "2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_a_flag_the_subcommand_does_not_read_exits_two(argv, capsys):
+    # each subcommand accepts only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_run_and_oracle_keep_their_own_seed_defaults():
+    # argparse shares a parent parser's actions between subcommands, so a
+    # seed default set on one of them would become every other's
+    parser = cli.build_parser()
+    assert parser.parse_args(["run"]).seed is None
+    assert cli._assemble_config(parser.parse_args(["run"])).master_seed == 1
+    assert parser.parse_args(["oracle"]).seed == 20260817
 
 
 def test_no_subcommand_exits_two(capsys):

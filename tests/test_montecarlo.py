@@ -227,10 +227,14 @@ def test_rank1_moments_are_the_offspring_laws(spec):
     assert m2 / m1 == pytest.approx(nu, rel=1e-12 + 2e-15 * max(pmf) ** 2 / (mu * nu), abs=0)
 
 
-@pytest.mark.parametrize("name", ["trials", "ranked_m", "threads"])
-def test_config_counts_must_be_positive(name):
+@pytest.mark.parametrize("name, value", [
+    ("trials", 0), ("ranked_m", 0), ("threads", 0),
+    # a ladder that is not strictly increasing runs a rung twice or out of order
+    ("n_ladder", (300, 300)), ("n_ladder", (1000, 300)),
+], ids=["trials", "ranked_m", "threads", "n_ladder_repeated", "n_ladder_decreasing"])
+def test_config_counts_must_be_positive(name, value):
     with pytest.raises(mc.MonteCarloError, match=name):
-        mc.ExperimentConfig(**{name: 0})
+        mc.ExperimentConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name, value", [("n_ladder", (1000.7,)), ("trials", 2.5),
@@ -697,7 +701,7 @@ def test_reference_error_cancels_queued_chunks(monkeypatch, tmp_path):
 def test_a_failing_trial_names_itself(monkeypatch, tmp_path, threads):
     # whatever a trial raises, serially or in a forked worker, surfaces as a
     # TrialError naming its rung, index and seeds and the serial replay call;
-    # the CSV it was writing is deleted
+    # no CSV of the failed rung is left
     if threads > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched trial reaches the workers only by fork")
     real = mc._run_single_trial
