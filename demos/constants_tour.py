@@ -40,8 +40,8 @@ def main():
     # the same constants drive simulation of the limit process
     import numpy as np
 
-    bp = ctbp.BpConfig(root_law=ctbp.OffspringLaw.point(4),
-                       later_law=ctbp.OffspringLaw.point(3),
+    bp = ctbp.BpConfig(root_law=ctbp.OffspringLaw.from_pmf({4: 1.0}),
+                       later_law=ctbp.OffspringLaw.from_pmf({3: 1.0}),
                        dist=weights.exponential(1.0))
     horizon = ctbp.default_w_horizon(ref)
     print(f"\nsimulation horizon for ~1e4 expected alive: {horizon:.3f}")

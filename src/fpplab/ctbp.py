@@ -39,7 +39,7 @@ its fixed point by population dynamics (sample_w_pool).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,8 +60,8 @@ __all__ = [
     "laplace_stieltjes",
     "solve_malthusian",
     "stable_age_mean",
-    "stable_age_moments",
     "residual_density",
+    "centring",
     "constants",
     "mean_growth_constant",
     "default_w_horizon",
@@ -173,8 +173,11 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
 
     nu * LS(s) decreases from nu (> 1 required) toward 0, so the root is
     bracketed by doubling and then located by Brent's method to the
-    relative width _ROOT_REL_WIDTH. The returned root must satisfy
-    |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
+    relative width _ROOT_REL_WIDTH of the bracket. A root of the first
+    bracket [0, 1] that misses the residual check (a law slower than rate
+    1, whose alpha the bracket's width does not resolve) is solved once more
+    on [alpha/2, 2 alpha] to that relative width of alpha. The returned root
+    must satisfy |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
     """
     if not nu > 1.0:
         raise SubcriticalError(
@@ -197,32 +200,26 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     if not alpha > 0.0:   # nu within the bracket's width of 1, e.g. E W^2 = E W
         raise SubcriticalError(f"offspring mean nu={nu!r} is critical to the root's "
                                "resolution: the growth rate rounds to 0")
-    resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
+    if lo == 0.0 and abs(excess(alpha)) > _ROOT_RESIDUAL_TOL:   # a slow law
+        alpha = _brent(excess, alpha / 2, 2 * alpha, _ROOT_REL_WIDTH * alpha, _ROOT_REL_WIDTH)
+    resid = abs(excess(alpha))
     if resid > _ROOT_RESIDUAL_TOL:
         raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "
                               f"{_ROOT_RESIDUAL_TOL:.1e}")
     return alpha
 
 
+def _time_units(alpha: float, d: int) -> float:
+    """max(1, 1/alpha)^d: the factor on the absolute tolerance of an integral
+    carrying units of time^d, so a law slower than rate 1 (which only
+    rescales time) is certified as its rate-1 form is."""
+    return max(1.0, 1.0 / alpha) ** d
+
+
 def stable_age_mean(nu: float, alpha: float, dist: WeightDistribution) -> float:
     """nu_bar = nu * integral t e^{-alpha t} dG(t): the stable-age mean alone."""
-    return nu * _moment(1, alpha, dist, epsabs=5e-12, epsrel=5e-12, what="stable-age mean")
-
-
-def stable_age_moments(nu: float, alpha: float, dist: WeightDistribution
-                       ) -> tuple[float, float]:
-    """(nu_bar, sigma_bar_sq): mean and variance of the stable-age measure;
-    (nu, alpha, dist) must be consistent, i.e. nu*LS(alpha) ~ 1."""
-    resid = abs(nu * laplace_stieltjes(dist, alpha) - 1.0)
-    if resid > 1e-8:
-        raise CtbpError(f"(nu, alpha) inconsistent with the weight law: "
-                        f"|nu*LS(alpha)-1| = {resid:.3e}")
-    nu_bar = stable_age_mean(nu, alpha, dist)
-    m2 = _moment(2, alpha, dist, epsabs=5e-12, epsrel=5e-12, what="stable-age second moment")
-    sigma_sq = nu * m2 - nu_bar * nu_bar
-    if sigma_sq <= 0:
-        raise CtbpError(f"stable-age variance came out nonpositive ({sigma_sq!r})")
-    return nu_bar, sigma_sq
+    return nu * _moment(1, alpha, dist, epsabs=5e-12 * _time_units(alpha, 1),
+                        epsrel=5e-12, what="stable-age mean")
 
 
 def _tail_mass(dist: WeightDistribution, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -235,8 +232,8 @@ def _tail_mass(dist: WeightDistribution, alpha: float, x: np.ndarray) -> np.ndar
     nodes = weights._edges(dist, alpha, pts)
     x0 = nodes[-1]
     beyond = weights._integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(x0 + v)),
-                               dist, alpha, x0, epsabs=1e-15, epsrel=1e-11,
-                               what="residual tail mass")
+                               dist, alpha, x0, epsabs=1e-15 * _time_units(alpha, 1),
+                               epsrel=1e-11, what="residual tail mass")
     cells = weights._cells(lambda u, y: np.exp(-alpha * y) * (1.0 - dist.cdf(u + y)), nodes)
     mass = np.append(cells, beyond)
     decay = np.append(np.exp(-alpha * np.diff(nodes)), 0.0)
@@ -292,7 +289,8 @@ def residual_density(dist: WeightDistribution, alpha: float) -> ResidualLife:
     if not alpha > 0:
         raise CtbpError(f"alpha must be positive, got {alpha}")
     denom = weights._integral(lambda v: np.exp(-alpha * v) * (1.0 - dist.cdf(v)), dist, alpha,
-                              epsabs=1e-15, epsrel=1e-11, what="residual tail mass")
+                              epsabs=1e-15 * _time_units(alpha, 1), epsrel=1e-11,
+                              what="residual tail mass")
     norm_resid = abs(_tail_mass(dist, alpha, np.arange(46.0) / alpha)[0] / denom - 1.0)
     by_parts = abs(alpha * denom / (1.0 - laplace_stieltjes(dist, alpha)) - 1.0)
     if max(norm_resid, by_parts) > 1e-6:
@@ -341,6 +339,14 @@ class CtbpConstants(Centring):
         return out
 
 
+def centring(nu: float, dist: WeightDistribution) -> Centring:
+    """alpha, nu_bar and gamma = 1/(alpha nu_bar) at offspring mean nu: what
+    the trials centre by at their own nu_n, and the start of constants()."""
+    alpha = solve_malthusian(nu, dist)
+    nu_bar = stable_age_mean(nu, alpha, dist)
+    return Centring(alpha, nu_bar, 1.0 / (alpha * nu_bar))
+
+
 def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
     """Solve for the growth rate and assemble all limit constants.
 
@@ -349,17 +355,19 @@ def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
     """
     if not mu > 0:
         raise CtbpError(f"mean degree mu must be positive, got {mu}")
-    alpha = solve_malthusian(nu, dist)
-    nu_bar, sigma_sq = stable_age_moments(nu, alpha, dist)
+    alpha, nu_bar, gamma = astuple(centring(nu, dist))
+    sigma_sq = nu * _moment(2, alpha, dist, epsabs=5e-12 * _time_units(alpha, 2), epsrel=5e-12,
+                            what="stable-age second moment") - nu_bar * nu_bar
+    if sigma_sq <= 0:
+        raise CtbpError(f"stable-age variance came out nonpositive ({sigma_sq!r})")
     res = residual_density(dist, alpha)
     f0 = (1.0 - alpha * res.denom) / res.denom
     # B = int F_R(z) e^{-az} dz; pushing the residual cdf's own integral
     # through by Fubini collapses the double integral to a single damped
     # integral of (u - 1/a) e^{-au} G(u)
     b_val = weights._integral(lambda u: (u - 1.0 / alpha) * np.exp(-alpha * u) * dist.cdf(u),
-                              dist, alpha, epsabs=1e-13, epsrel=1e-9,
-                              what="damped residual mass") / res.denom
-    gamma = 1.0 / (alpha * nu_bar)
+                              dist, alpha, epsabs=1e-13 * _time_units(alpha, 2),
+                              epsrel=1e-9, what="damped residual mass") / res.denom
     beta = sigma_sq / (nu_bar ** 3 * alpha)
     c = math.log(mu * (nu - 1.0) ** 2 / (nu * alpha * nu_bar))
     checks = (
@@ -401,10 +409,6 @@ class OffspringLaw:
             raise CtbpError(f"offspring pmf must be nonnegative and sum to 1, got "
                             f"sum {probs.sum()!r}, least {probs.min()!r}")
         return cls(support=support, probs=probs / probs.sum())
-
-    @classmethod
-    def point(cls, k: int) -> "OffspringLaw":
-        return cls.from_pmf({k: 1.0})
 
     @property
     def mean(self) -> float:

@@ -17,8 +17,9 @@ Two constructions emit one block per degree, ascending: a deterministic
 quantile-matching build from a target CDF (vertex counts per degree are
 consecutive differences of ceil(n * F(k)), so empirical marginals converge
 to F as n grows), and an i.i.d. draw from a pmf, which draws the counts at
-once. Either way the total degree is forced even by bumping one vertex,
-with a flag recording that the bump happened.
+once. Either way the total degree is forced even by giving one vertex one
+more half-edge; the deterministic build bumps a vertex of the top degree k,
+so its bump shows as the final block (k + 1, 1).
 """
 from __future__ import annotations
 
@@ -65,7 +66,6 @@ class DegreeSequence:
     """
 
     blocks: tuple
-    parity_bumped: bool = False
     n: int = field(init=False)
     total: int = field(init=False)      # number of half-edges, twice the edges
     regular_degree: int = field(init=False)   # the degree of a one-block sequence, else 0
@@ -158,8 +158,7 @@ def _finish(counts: dict[int, int], bumped: int | None) -> DegreeSequence:
         counts = dict(counts)
         counts[bumped] -= 1
         counts[bumped + 1] = counts.get(bumped + 1, 0) + 1
-    return DegreeSequence(tuple((k, c) for k, c in sorted(counts.items()) if c),
-                          parity_bumped=bumped is not None)
+    return DegreeSequence(tuple((k, c) for k, c in sorted(counts.items()) if c))
 
 
 def _odd_total(counts: dict[int, int]) -> bool:

@@ -50,7 +50,8 @@ partner up, and a drawn id is unpaired when it is neither a key of partner
 nor in he_state (every half-edge that drew here is), nor x. A joining vertex
 is walked once: each of its half-edges is looked up (or paired), classified
 and pushed in the same pass. That pass is the body of one loop, which init's
-endpoint joins, step(), advance() and advance_ranked() all run.
+endpoint joins, advance() and advance_ranked() all run; one event at a time
+is advance(state, next_event_time(state)).
 """
 from __future__ import annotations
 
@@ -72,7 +73,6 @@ __all__ = [
     "PathResult",
     "SwgState",
     "init",
-    "step",
     "advance",
     "advance_ranked",
     "next_event_time",
@@ -127,14 +127,13 @@ class PathResult:
     connected: bool
     weight: float | None
     hops: int | None
-    winner: CollisionRecord | None
     records: tuple
     ranked: tuple            # up to m records, ascending path weight
-    ranked_complete: bool
 
 
 class SwgState:
-    """Mutable exploration state; build with init(), drive with step()/advance().
+    """Mutable exploration state; build with init(), drive with advance()
+    and advance_ranked().
 
     An alive half-edge is one tuple (death, id, source, height, partner):
     he_state maps its id to that tuple, and the same tuple sits in the heap,
@@ -195,47 +194,32 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
             raise IsolatedEndpointError(f"vertex {u} has no half-edges")
 
     state = SwgState(g, log_details)
-    _run(state, 0.0, 0, 0, [(1, u1), (2, u2)])
+    _run(state, -math.inf, 0, [(1, u1), (2, u2)])
     return state
 
 
-def _prune(state: SwgState) -> None:
-    heap = state.heap
-    he_state = state.he_state
+def next_event_time(state: SwgState) -> float:
+    """Death time of the next alive half-edge; inf when exploration is done.
+    Entries consumed since they were pushed are popped on the way."""
+    heap, he_state = state.heap, state.he_state
     while heap and he_state[heap[0][1]] is None:
         heappop(heap)
+    return heap[0][0] if heap else math.inf
 
 
-def next_event_time(state: SwgState) -> float:
-    """Death time of the next alive half-edge; inf when exploration is done."""
-    _prune(state)
-    return state.heap[0][0] if state.heap else math.inf
-
-
-def step(state: SwgState) -> bool:
-    """Process one event; False when no alive half-edge remains.
-
-    Ties on death time break toward the smaller half-edge id (the heap
-    orders on the (time, id) pair). Raises ExploreError when the pairing
-    breaks the cluster invariant (see the module docstring).
-    """
-    _prune(state)
-    if not state.heap:
-        return False
-    _run(state, math.inf, 0, 1, [])
-    return True
-
-
-def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> None:
-    """The event loop of init, step, advance (m = 0) and advance_ranked (m >= 1).
+def _run(state: SwgState, until: float, m: int, roots: list) -> None:
+    """The event loop of init (until = -inf, so the roots join and no event
+    runs), advance (m = 0) and advance_ranked (m >= 1).
 
     Each (source, vertex) of roots first joins at time 0 and height 0, with
     no half-edge spent and no event counted. Then the loop stops before the
-    next event, at time t, once it has run `events` events, or when
+    next event, at time t, when no alive half-edge is left, or when
     t > until and, for m >= 1, at least m records exist and t exceeds half
     the m-th best path weight. For m >= 1 it also stops, whatever until is,
     once either cluster is closed (no alive half-edge left): a record needs
-    an alive half-edge on the far side, so no event can add one.
+    an alive half-edge on the far side, so no event can add one. Ties on
+    death time break toward the smaller half-edge id (the heap orders on
+    the (time, id) pair).
 
     A joining vertex v is walked once: each free half-edge x is looked up,
     or paired on a lazy pairing, and classified at once (see the module
@@ -255,7 +239,7 @@ def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> N
                 src, v = roots.pop(0)
                 hv, z = 0, None
             else:
-                if not events or not heap or (m and not (alive[1] and alive[2])):
+                if not heap or (m and not (alive[1] and alive[2])):
                     return
                 entry = heap[0]
                 _, y, src, h, z = entry
@@ -266,7 +250,6 @@ def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> N
                                                    and entry[0] > 0.5 * ws[m - 1])):
                     return
                 heappop(heap)
-                events -= 1
                 t = entry[0]
                 he_state[y] = None
                 alive[src] -= 1
@@ -356,7 +339,7 @@ def _run(state: SwgState, until: float, m: int, events: float, roots: list) -> N
 
 def advance(state: SwgState, until: float) -> None:
     """Process every event with time <= until (inf runs to exhaustion)."""
-    _run(state, until, 0, math.inf, [])
+    _run(state, until, 0, [])
 
 
 def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
@@ -372,31 +355,25 @@ def advance_ranked(state: SwgState, m: int, min_horizon: float = 0.0) -> None:
     """
     if m < 1:
         raise ExploreError(f"need m >= 1, got {m}")
-    _run(state, min_horizon, m, math.inf, [])
+    _run(state, min_horizon, m, [])
 
 
 def result(state: SwgState, m: int = 1) -> PathResult:
-    """Summarize: winner, all records, and the m best (weight, hops) paths."""
+    """Summarize: all records, and the m best (weight, hops) paths, of which
+    ranked[0] is the optimal one; fewer than m when no more exist."""
     records = tuple(state.collisions)
     if not records:
-        return PathResult(connected=False, weight=None, hops=None, winner=None,
-                          records=(), ranked=(), ranked_complete=False)
+        return PathResult(connected=False, weight=None, hops=None, records=(), ranked=())
     order = sorted(range(len(records)), key=lambda i: (records[i].path_weight, i))
     ranked = tuple(records[i] for i in order[:m])
-    winner = ranked[0]
-    return PathResult(connected=True, weight=winner.path_weight,
-                      hops=winner.path_hops, winner=winner, records=records,
-                      ranked=ranked, ranked_complete=len(ranked) >= m)
+    return PathResult(connected=True, weight=ranked[0].path_weight,
+                      hops=ranked[0].path_hops, records=records, ranked=ranked)
 
 
-def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1,
-        min_horizon: float = 0.0) -> PathResult:
-    """Exploration with the exact early stops; the one-call entry point.
-
-    min_horizon does not outlast a closed cluster (see advance_ranked).
-    """
+def run(g: WeightedGraph | LazyPairing, u1: int, u2: int, *, m: int = 1) -> PathResult:
+    """Exploration with the exact early stops; the one-call entry point."""
     state = init(g, u1, u2)
-    advance_ranked(state, m, min_horizon)
+    advance_ranked(state, m)
     return result(state, m)
 
 

@@ -96,9 +96,6 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return int(self.he_offset[v + 1] - self.he_offset[v])
 
-    def owner(self, h: int) -> int:
-        return int(self.he_owner[h])
-
     def half_edges(self, v: int) -> tuple[int, int]:
         """(lo, hi): vertex v owns the half-edge ids lo .. hi - 1."""
         return self.he_offset.item(v), self.he_offset.item(v + 1)

@@ -340,10 +340,7 @@ def constants_for_config(config: ExperimentConfig) -> ctbp.CtbpConstants:
 @lru_cache(maxsize=256)
 def _centring_cached(spec: tuple, nu_n: float) -> ctbp.Centring:
     """n-level alpha, nu_bar and gamma, without the rest of ctbp.constants."""
-    dist = _dist_cached(spec)
-    alpha = ctbp.solve_malthusian(nu_n, dist)
-    nu_bar = ctbp.stable_age_mean(nu_n, alpha, dist)
-    return ctbp.Centring(alpha, nu_bar, 1.0 / (alpha * nu_bar))
+    return ctbp.centring(nu_n, _dist_cached(spec))
 
 
 def _refuse_subcritical_draws(config: ExperimentConfig, ns) -> None:
@@ -763,13 +760,6 @@ def verify_weight_limit(q, q_reference, th=None) -> ReportEntry:
                        {"ks": th["weight_ks"]}, q.size)
 
 
-def _log_rate(times) -> tuple[np.ndarray, np.ndarray]:
-    """Centres and log counts of the nonempty window bins of times."""
-    counts, edges = np.histogram(times, bins=_PPP_BINS, range=_MARK_WINDOW)
-    keep = counts > 0
-    return 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
-
-
 def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     """Four tests of the collision point process inside the time window, on
     the (k, 5) marks pooled over n_trials trials.
@@ -793,8 +783,10 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     thresholds = {"slope_rel": slope_tol, "source_sigma": th["ppp_source_sigma"],
                   "height_ks": th["ppp_height_ks"], "residual_ks": th["ppp_residual_ks"]}
 
-    # (i) slope of the log collision rate
-    centers, log_counts = _log_rate(win[:, 0])
+    # (i) slope of the log collision rate over the nonempty window bins
+    counts, edges = np.histogram(win[:, 0], bins=_PPP_BINS, range=_MARK_WINDOW)
+    keep = counts > 0
+    centers, log_counts = 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
     slope_target = 2.0 * consts.alpha
     slope = float(np.polyfit(centers, log_counts, 1)[0]) if centers.size >= 3 else math.nan
     ok_slope = math.isfinite(slope) and abs(slope - slope_target) <= slope_tol * slope_target

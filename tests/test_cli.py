@@ -87,6 +87,14 @@ def test_constants_json(capsys):
     assert doc["c"] == pytest.approx(2.0794415417, abs=1e-8)
 
 
+def test_constants_of_a_slow_weight_law(capsys):
+    # a rate far below 1 only rescales time; the tail-mass certificates and
+    # the growth-rate root follow it instead of refusing the law
+    code, out, _ = run_cli(capsys, "constants", "--weights", "shifted-exp:1e-4", "--json")
+    assert code == 0
+    assert json.loads(out)["alpha"] == pytest.approx(1.99940023992e-04, rel=1e-10)
+
+
 def test_nr_constants_come_from_the_vertex_weights(capsys):
     # Exp(mean 3) vertex weights give the geometric degree law
     # P(k) = (1/4)(3/4)^k: mu = E W = 3 and nu = E W^2 / E W = 6, whatever

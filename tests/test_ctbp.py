@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from fpplab import ctbp, weights
 from fpplab.montecarlo import (ExperimentConfig, bp_config_for, build_q_reference,
                                constants_for_config, ks_one_sample, ks_two_sample)
+from test_weights import GOLDEN_LAWS
 
 
 def bisect(f, lo, hi, iters=200):
@@ -210,9 +211,31 @@ def test_stable_age_exponential():
     # tilted lifetime law of exp(1) at alpha = nu - 1 has mean 1/nu and
     # variance 1/nu^2 (it is exp(nu))
     for nu in (2.0, 3.0, 5.0):
-        nu_bar, sig2 = ctbp.stable_age_moments(nu, nu - 1.0, weights.exponential(1.0))
-        assert nu_bar == pytest.approx(1.0 / nu, abs=1e-10)
-        assert sig2 == pytest.approx(1.0 / nu ** 2, abs=1e-10)
+        c = ctbp.constants(nu + 1.0, nu, weights.exponential(1.0))
+        assert c.nu_bar == pytest.approx(1.0 / nu, abs=1e-10)
+        assert c.sigma_bar_sq == pytest.approx(1.0 / nu ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("nu", (2.1, 3.0, 4.7))
+@pytest.mark.parametrize("name", sorted(GOLDEN_LAWS))
+def test_centring_is_the_start_of_constants(name, nu):
+    # trials centre by ctbp.centring at their own nu_n; the limit constants
+    # must carry the same three floats
+    law = weights.from_spec(*GOLDEN_LAWS[name])
+    got = ctbp.centring(nu, law)
+    full = ctbp.constants(4.0, nu, law)
+    assert (got.alpha, got.nu_bar, got.gamma) == (full.alpha, full.nu_bar, full.gamma)
+
+
+@pytest.mark.parametrize("rate", (1e-10, 1e-8, 1e-5, 1e5))
+def test_exponential_rate_only_rescales_time(rate):
+    # exp(rate) is exp(1) in time units of 1/rate: alpha scales by rate,
+    # nu_bar by 1/rate and sigma_bar_sq by 1/rate^2, however slow the law
+    one = ctbp.constants(4.0, 3.0, weights.exponential(1.0))
+    c = ctbp.constants(4.0, 3.0, weights.exponential(rate))
+    assert c.alpha / rate == pytest.approx(one.alpha, rel=1e-10)
+    assert c.nu_bar * rate == pytest.approx(one.nu_bar, rel=1e-10)
+    assert c.sigma_bar_sq * rate ** 2 == pytest.approx(one.sigma_bar_sq, rel=1e-10)
 
 
 def test_constants_four_regular_exponential():
@@ -548,8 +571,8 @@ def test_sample_w_pool_mean_is_mu_a():
     # no extinction on the 3-regular tree, so E W = mu A holds unconditioned
     dist = weights.uniform(1.0)
     c = ctbp.constants(3.0, 2.0, dist)
-    bp = ctbp.BpConfig(root_law=ctbp.OffspringLaw.point(3),
-                       later_law=ctbp.OffspringLaw.point(2), dist=dist)
+    bp = ctbp.BpConfig(root_law=ctbp.OffspringLaw.from_pmf({3: 1.0}),
+                       later_law=ctbp.OffspringLaw.from_pmf({2: 1.0}), dist=dist)
     ws = ctbp.sample_w_pool(c, bp, 20_000, np.random.Generator(np.random.Philox(key=5)))
     want = c.mu * ctbp.mean_growth_constant(c)
     assert abs(ws.mean() - want) < 5.0 * ws.std() / math.sqrt(ws.size)

@@ -17,7 +17,7 @@ from fpplab import degrees
 def test_regular_sequence():
     seq = degrees.regular(4, 10)
     assert list(seq.degrees) == [4] * 10
-    assert not seq.parity_bumped
+    assert seq.blocks == ((4, 10),)            # no parity bump
     d = degrees.diagnostics(seq)
     assert d.mu_n == pytest.approx(4.0)
     assert d.nu_n == pytest.approx(3.0)
@@ -28,7 +28,7 @@ def test_regular_odd_total_gets_bumped():
     # 3-regular on 9 vertices has odd half-edge count; the last vertex
     # absorbs one extra stub
     seq = degrees.regular(3, 9)
-    assert seq.parity_bumped
+    assert seq.blocks[-1] == (4, 1)
     assert int(seq.degrees.sum()) % 2 == 0
     assert sorted(seq.degrees)[:8] == [3] * 8
     assert sorted(seq.degrees)[-1] == 4
@@ -40,7 +40,7 @@ def test_deterministic_ceiling_rule():
     seq = degrees.build_deterministic({1: 0.3, 2: 1.0}, 10)
     counts = np.bincount(seq.degrees)
     assert int(seq.degrees.sum()) % 2 == 0
-    assert seq.parity_bumped
+    assert seq.blocks[-1] == (3, 1)
     assert counts[1] == 3
     assert counts[2] == 6
     assert counts[3] == 1
@@ -48,7 +48,7 @@ def test_deterministic_ceiling_rule():
 
 def test_deterministic_even_total_untouched():
     seq = degrees.build_deterministic({2: 0.5, 4: 1.0}, 10)
-    assert not seq.parity_bumped
+    assert seq.blocks == ((2, 5), (4, 5))
     counts = np.bincount(seq.degrees)
     assert counts[2] == 5 and counts[4] == 5
 
@@ -89,7 +89,7 @@ def test_iid_parity_bump_lands_in_proportion_to_counts():
     hits = expected = var = 0.0
     for _ in range(draws):
         seq = degrees.build_iid({1: 0.3, 3: 0.7}, 5, rng)
-        assert seq.parity_bumped and seq.n == 5
+        assert seq.n == 5
         blocks = dict(seq.blocks)
         from_one = blocks.get(2, 0)                  # a 1 bumped to 2
         assert from_one + blocks.get(4, 0) == 1      # or a 3 bumped to 4

@@ -52,7 +52,7 @@ def test_triangle_hand_trace():
     assert via.remaining == 1.0
     assert via.path_weight == 3.0
     assert via.path_hops == 2
-    assert res.winner == via
+    assert res.ranked[0] == via
 
 
 def test_single_edge_graph():
@@ -62,7 +62,7 @@ def test_single_edge_graph():
     assert res.connected
     assert res.weight == 3.5
     assert res.hops == 1
-    rec = res.winner
+    rec = res.ranked[0]
     assert rec.time == 0.0 and rec.source == 2 and rec.remaining == 3.5
 
 
@@ -228,12 +228,14 @@ def test_degree_one_endpoint_closes_on_its_only_edge():
     res = explore.result(state, 3)
     full = exhausted(g, 0, 1)
     assert state.alive[1] == 0 and state.alive[2] > 0
-    assert len(res.records) == 1 and not res.ranked_complete
+    assert len(res.records) == len(res.ranked) == 1
     assert (res.weight, res.hops) == (6.0, 2)
     assert state.k == 1 and full.k == 8
     assert res == explore.result(full, 3)
     # min_horizon does not outlast a closed cluster
-    assert explore.run(g, 0, 1, m=3, min_horizon=math.inf) == res
+    state = explore.init(g, 0, 1)
+    explore.advance_ranked(state, 3, min_horizon=math.inf)
+    assert explore.result(state, 3) == res
 
 
 @pytest.mark.parametrize("u, v, closing", [(0, 3, 1), (3, 0, 2)])
@@ -302,7 +304,7 @@ def test_ranked_paths_on_cycle():
     second = res.ranked[1]
     assert second.path_weight == pytest.approx(14.0)   # 2+3+4+5 the long way
     assert second.path_hops == 4
-    assert not res.ranked_complete
+    assert len(res.ranked) == 2
 
 
 def test_ranked_first_equals_winner():
@@ -310,7 +312,8 @@ def test_ranked_first_equals_winner():
         g, u, v = random_weighted_graph(key + 2000)
         res = explore.run(g, u, v, m=3)
         if res.connected:
-            assert res.ranked[0] == res.winner
+            best = res.ranked[0]
+            assert (best.path_weight, best.path_hops) == (res.weight, res.hops)
             ws = [r.path_weight for r in res.ranked]
             assert ws == sorted(ws)
 
@@ -459,7 +462,9 @@ def test_event_log_matches_recorded(name):
 
 
 @pytest.mark.parametrize("name", EVENT_LOG_CASES)
-def test_step_alone_matches_advance_ranked(name):
+def test_one_event_at_a_time_matches_advance_ranked(name):
+    # advancing to the next event's time runs the events at that time: one
+    # event for continuous weights, every tied one for unit_edges
     m = 3
     stepped = explore.init(*event_log_instance(name), log_details=True)
     while True:
@@ -469,7 +474,9 @@ def test_step_alone_matches_advance_ranked(name):
             break
         if not (stepped.alive[1] and stepped.alive[2]):
             break
-        assert explore.step(stepped)
+        k = stepped.k
+        explore.advance(stepped, t)
+        assert stepped.k > k
     ranked = explore.init(*event_log_instance(name), log_details=True)
     explore.advance_ranked(ranked, m)
     assert stepped.k == ranked.k
