@@ -124,7 +124,8 @@ _ROOT_RESIDUAL_TOL = 1e-10
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of f in [a, b], f(a) and f(b) of opposite signs, by Brent's method in
-    100 iterations at most: scipy's brentq.c step for step, so its float."""
+    100 iterations at most: scipy's brentq.c step for step, so its float. Like
+    brentq it refuses a bracket whose ends have the same sign."""
     def value(x):
         fx = f(x)
         if math.isnan(fx):
@@ -137,6 +138,9 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
         return xpre
     if fcur == 0.0:
         return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise QuadratureError(f"root bracket [{a!r}, {b!r}]: the function has the "
+                              "same sign at both ends")
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -175,9 +179,10 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     bracketed by doubling and then located by Brent's method to the
     relative width _ROOT_REL_WIDTH of the bracket. A root of the first
     bracket [0, 1] that misses the residual check (a law slower than rate
-    1, whose alpha the bracket's width does not resolve) is solved once more
-    on [alpha/2, 2 alpha] to that relative width of alpha. The returned root
-    must satisfy |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
+    1, whose alpha the bracket's width does not resolve) is bracketed again
+    by halving hi from 1 until [hi/2, hi] holds a sign change, and solved
+    there to that relative width of hi/2. The returned root must satisfy
+    |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
     """
     if not nu > 1.0:
         raise SubcriticalError(
@@ -201,7 +206,9 @@ def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
         raise SubcriticalError(f"offspring mean nu={nu!r} is critical to the root's "
                                "resolution: the growth rate rounds to 0")
     if lo == 0.0 and abs(excess(alpha)) > _ROOT_RESIDUAL_TOL:   # a slow law
-        alpha = _brent(excess, alpha / 2, 2 * alpha, _ROOT_REL_WIDTH * alpha, _ROOT_REL_WIDTH)
+        while excess(hi / 2) < 0.0:   # excess(0) = nu - 1 > 0 ends it
+            hi /= 2
+        alpha = _brent(excess, hi / 2, hi, _ROOT_REL_WIDTH * hi / 2, _ROOT_REL_WIDTH)
     resid = abs(excess(alpha))
     if resid > _ROOT_RESIDUAL_TOL:
         raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "

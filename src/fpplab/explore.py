@@ -60,9 +60,6 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-import numpy as np
-
-from .ctbp import Centring, CtbpConstants
 from .graphs import LazyPairing, WeightedGraph
 
 __all__ = [
@@ -79,7 +76,6 @@ __all__ = [
     "run",
     "result",
     "measure_martingale",
-    "standardize_marks",
 ]
 
 
@@ -398,29 +394,3 @@ def measure_martingale(state: SwgState, alpha_n: float
     scale = math.exp(-alpha_n * s_n)
     return s_n, scale * state.alive[1], scale * state.alive[2]
 
-
-def standardize_marks(records, consts: Centring, n: int, w1: float, w2: float,
-                      *, limit_consts: CtbpConstants) -> np.ndarray:
-    """Collision records -> (k, 5) array of standardized marks.
-
-    Columns: recentred time T - tbar_n with tbar_n = t_n - log(w1 w2)/(2 alpha_n)
-    and t_n = log(n)/(2 alpha_n); source label; both heights centered at
-    t_n/nu_bar_n and scaled by sqrt(sigma_bar_sq * t_n / nu_bar^3) using the
-    limiting constants (limit_consts); and the raw remaining lifetime. Only
-    alpha and nu_bar are read from consts (the n-level ones).
-    """
-    if w1 <= 0.0 or w2 <= 0.0:
-        raise ExploreError("mark centering needs both growth limits positive "
-                           f"(got W1={w1!r}, W2={w2!r})")
-    t_n = math.log(n) / (2.0 * consts.alpha)
-    tbar = t_n - math.log(w1 * w2) / (2.0 * consts.alpha)
-    center_h = t_n / consts.nu_bar
-    spread_h = math.sqrt(limit_consts.sigma_bar_sq * t_n / limit_consts.nu_bar ** 3)
-    out = np.empty((len(records), 5))
-    for i, rec in enumerate(records):
-        out[i, 0] = rec.time - tbar
-        out[i, 1] = rec.source
-        out[i, 2] = (rec.h_origin - center_h) / spread_h
-        out[i, 3] = (rec.h_dest - center_h) / spread_h
-        out[i, 4] = rec.remaining
-    return out

@@ -400,6 +400,12 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     endpoint pair explores until a cluster closes at any m, so the best path,
     the probe's W1 and W2, the resample count and every draw of the trial's
     generator are the same at any ranked_m, with or without marks.
+
+    The marks are in the limit's coordinates: times recentred by t_bar =
+    t_n - log(W1 W2)/(2 alpha_n), t_n = log(n)/(2 alpha_n), and heights
+    centred at t_n/nu_bar_n and scaled by sqrt(sigma_bar_sq t_n / nu_bar^3)
+    of the limit constants. t_bar is None, and no mark is kept, when the task
+    collects none or when W1 W2 = 0.
     """
     seed = trial_seed(task.config.master_seed, index)
     rng = rng_for(seed)
@@ -423,11 +429,10 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
             continue
         explore.advance(state, s_probe)
         _, w1, w2 = explore.measure_martingale(state, alpha_n)
-        horizon = 0.0
+        tbar = None
         if task.collect_marks and w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
-            horizon = tbar + _MARK_WINDOW[1]
-        explore.advance_ranked(state, m, min_horizon=horizon)
+        explore.advance_ranked(state, m, 0.0 if tbar is None else tbar + _MARK_WINDOW[1])
         res = explore.result(state, m)
         if res.connected:
             break
@@ -441,17 +446,25 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     z_hat = (res.hops - consts_n.gamma * log_n) / math.sqrt(
         task.consts_limit.beta * log_n)
     q_hat = res.weight - log_n / alpha_n
-    if task.collect_marks and w1 > 0.0 and w2 > 0.0:
-        marks = explore.standardize_marks(res.records, consts_n, n, w1, w2,
-                                          limit_consts=task.consts_limit)
-    else:
-        marks = np.empty((0, 5))
+    lim = task.consts_limit
+    marks = np.empty((0, 5)) if tbar is None else _mark_rows(
+        res.records, tbar, t_n / consts_n.nu_bar,
+        math.sqrt(lim.sigma_bar_sq * t_n / lim.nu_bar ** 3))
     ranked = tuple((r.path_weight, r.path_hops) for r in res.ranked)
     return TrialOutcome(trial=index, seed=seed, n=n, H_n=int(res.hops),
                         L_n=float(res.weight), Z_hat=float(z_hat),
                         Q_hat=float(q_hat), W1=float(w1), W2=float(w2),
                         connected=True, resamples=resamples, marks=marks,
                         ranked=ranked)
+
+
+def _mark_rows(records, tbar: float, centre: float, spread: float) -> np.ndarray:
+    """Collision records -> (k, 5) array of standardized marks, one row per
+    record: the time recentred by tbar, the source label, both heights as
+    (h - centre) / spread, and the raw remaining lifetime."""
+    return np.array([(rec.time - tbar, rec.source, (rec.h_origin - centre) / spread,
+                      (rec.h_dest - centre) / spread, rec.remaining) for rec in records],
+                    dtype=float).reshape(-1, 5)
 
 
 def _trial_chunk(args) -> list[TrialOutcome]:

@@ -352,11 +352,23 @@ def _validate(dist: WeightDistribution) -> WeightDistribution:
 # built-in kinds
 
 
+def _positive(what: str, x) -> float:
+    """float(x), refused unless 0 < x < inf (NaN included)."""
+    if not 0 < x < math.inf:
+        raise WeightModelError(f"{what} must be positive and finite, got {x}")
+    return float(x)
+
+
+def _law(kind: str, params: tuple, cdf, density, quantile, lo: float,
+         hi: float) -> WeightDistribution:
+    """The _validated law of kind on [lo, hi], its callables _scalar_ok."""
+    return _validate(WeightDistribution(kind, params, _scalar_ok(cdf), _scalar_ok(density),
+                                        _scalar_ok(quantile), support_lo=lo, support_hi=hi))
+
+
 def exponential(rate: float = 1.0) -> WeightDistribution:
     """Exponential law with the given rate; mean 1/rate."""
-    if not 0 < rate < math.inf:
-        raise WeightModelError(f"exponential rate must be positive and finite, got {rate}")
-    r = float(rate)
+    r = _positive("exponential rate", rate)
 
     def cdf(x):
         return np.where(x <= 0, 0.0, -np.expm1(-r * np.maximum(x, 0.0)))
@@ -367,13 +379,7 @@ def exponential(rate: float = 1.0) -> WeightDistribution:
     def quantile(u):
         return -np.log1p(-np.asarray(u, dtype=float)) / r
 
-    return _validate(
-        WeightDistribution(
-            "exponential", (r,),
-            _scalar_ok(cdf), _scalar_ok(density), _scalar_ok(quantile),
-            support_lo=0.0, support_hi=np.inf,
-        )
-    )
+    return _law("exponential", (r,), cdf, density, quantile, 0.0, np.inf)
 
 
 def shifted_exponential(k: float) -> WeightDistribution:
@@ -382,9 +388,7 @@ def shifted_exponential(k: float) -> WeightDistribution:
     Large k concentrates the law near 1, which is the deterministic-weight
     limit; the growth-rate solver is exercised against that limit in tests.
     """
-    if not 0 < k < math.inf:
-        raise WeightModelError(f"shifted_exponential k must be positive and finite, got {k}")
-    kk = float(k)
+    kk = _positive("shifted_exponential k", k)
 
     def cdf(x):
         z = np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0)
@@ -397,13 +401,7 @@ def shifted_exponential(k: float) -> WeightDistribution:
     def quantile(u):
         return 1.0 - np.log1p(-np.asarray(u, dtype=float)) / kk
 
-    return _validate(
-        WeightDistribution(
-            "shifted_exponential", (kk,),
-            _scalar_ok(cdf), _scalar_ok(density), _scalar_ok(quantile),
-            support_lo=1.0, support_hi=np.inf,
-        )
-    )
+    return _law("shifted_exponential", (kk,), cdf, density, quantile, 1.0, np.inf)
 
 
 def power_exponential(s: float) -> WeightDistribution:
@@ -413,9 +411,7 @@ def power_exponential(s: float) -> WeightDistribution:
     returns inf there as a sentinel. s < 1 squeezes the law toward small
     weights and pushes the growth rate very high at large offspring means.
     """
-    if not 0 < s < math.inf:
-        raise WeightModelError(f"power_exponential s must be positive and finite, got {s}")
-    ss = float(s)
+    ss = _positive("power_exponential s", s)
     p = 1.0 / ss
     if ss > 1.0:
         at_zero = np.inf
@@ -437,20 +433,12 @@ def power_exponential(s: float) -> WeightDistribution:
     def quantile(u):
         return np.power(-np.log1p(-np.asarray(u, dtype=float)), ss)
 
-    return _validate(
-        WeightDistribution(
-            "power_exponential", (ss,),
-            _scalar_ok(cdf), _scalar_ok(density), _scalar_ok(quantile),
-            support_lo=0.0, support_hi=np.inf,
-        )
-    )
+    return _law("power_exponential", (ss,), cdf, density, quantile, 0.0, np.inf)
 
 
 def uniform(b: float) -> WeightDistribution:
     """Uniform law on (0, b)."""
-    if not 0 < b < math.inf:
-        raise WeightModelError(f"uniform upper endpoint must be positive and finite, got {b}")
-    bb = float(b)
+    bb = _positive("uniform upper endpoint", b)
 
     def cdf(x):
         return np.clip(np.asarray(x, dtype=float) / bb, 0.0, 1.0)
@@ -462,13 +450,7 @@ def uniform(b: float) -> WeightDistribution:
     def quantile(u):
         return np.asarray(u, dtype=float) * bb
 
-    return _validate(
-        WeightDistribution(
-            "uniform", (bb,),
-            _scalar_ok(cdf), _scalar_ok(density), _scalar_ok(quantile),
-            support_lo=0.0, support_hi=bb,
-        )
-    )
+    return _law("uniform", (bb,), cdf, density, quantile, 0.0, bb)
 
 
 def user_table(levels, quantiles) -> WeightDistribution:
@@ -509,13 +491,8 @@ def user_table(levels, quantiles) -> WeightDistribution:
     def quantile(u):
         return np.interp(np.asarray(u, dtype=float), p, q)
 
-    return _validate(
-        WeightDistribution(
-            "user_table", (tuple(p.tolist()), tuple(q.tolist())),
-            _scalar_ok(cdf), _scalar_ok(density), _scalar_ok(quantile),
-            support_lo=float(q[0]), support_hi=float(q[-1]),
-        )
-    )
+    return _law("user_table", (tuple(p.tolist()), tuple(q.tolist())), cdf, density,
+                quantile, float(q[0]), float(q[-1]))
 
 
 _FACTORIES = {

@@ -95,6 +95,14 @@ def test_constants_of_a_slow_weight_law(capsys):
     assert json.loads(out)["alpha"] == pytest.approx(1.99940023992e-04, rel=1e-10)
 
 
+def test_constants_of_a_law_below_the_first_brackets_width(capsys):
+    # alpha = 2e-14 lies within the first bracket's 1e-12 width of 0; the
+    # halving bracket still resolves it
+    code, out, _ = run_cli(capsys, "constants", "--weights", "exp:1e-14", "--json")
+    assert code == 0
+    assert json.loads(out)["alpha"] == pytest.approx(2e-14, rel=1e-10)
+
+
 def test_nr_constants_come_from_the_vertex_weights(capsys):
     # Exp(mean 3) vertex weights give the geometric degree law
     # P(k) = (1/4)(3/4)^k: mu = E W = 3 and nu = E W^2 / E W = 6, whatever

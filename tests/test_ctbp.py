@@ -203,6 +203,12 @@ def test_brent_failures_are_quadrature_errors(monkeypatch):
         ctbp.solve_malthusian(3.0, d)
 
 
+def test_brent_refuses_a_bracket_without_a_sign_change():
+    # as scipy's brentq does: x^2 + 1 is positive at both ends of [0, 1]
+    with pytest.raises(ctbp.QuadratureError, match=r"\[0.0, 1.0\]"):
+        ctbp._brent(lambda x: x * x + 1.0, 0.0, 1.0, 1e-12, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # stable-age moments and the full constant set
 
@@ -227,7 +233,7 @@ def test_centring_is_the_start_of_constants(name, nu):
     assert (got.alpha, got.nu_bar, got.gamma) == (full.alpha, full.nu_bar, full.gamma)
 
 
-@pytest.mark.parametrize("rate", (1e-10, 1e-8, 1e-5, 1e5))
+@pytest.mark.parametrize("rate", (1e-14, 1e-10, 1e-8, 1e-5, 1e5))
 def test_exponential_rate_only_rescales_time(rate):
     # exp(rate) is exp(1) in time units of 1/rate: alpha scales by rate,
     # nu_bar by 1/rate and sigma_bar_sq by 1/rate^2, however slow the law

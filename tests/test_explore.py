@@ -354,25 +354,6 @@ def test_martingale_probe_window_enforced():
         explore.measure_martingale(state2, 1.0)   # needs n >= 3
 
 
-def test_standardize_marks_columns():
-    consts = __import__("fpplab.ctbp", fromlist=["constants"]).constants(
-        4.0, 3.0, weights.exponential(1.0))
-    n = 10 ** 4
-    rec = explore.CollisionRecord(time=2.5, source=2, h_origin=7, h_dest=6,
-                                  remaining=0.8)
-    out = explore.standardize_marks([rec], consts, n, 1.5, 0.5, limit_consts=consts)
-    t_n = math.log(n) / (2.0 * consts.alpha)
-    tbar = t_n - math.log(1.5 * 0.5) / (2.0 * consts.alpha)
-    center = t_n / consts.nu_bar
-    spread = math.sqrt(consts.sigma_bar_sq * t_n / consts.nu_bar ** 3)
-    assert out.shape == (1, 5)
-    assert out[0, 0] == pytest.approx(2.5 - tbar)
-    assert out[0, 1] == 2.0
-    assert out[0, 2] == pytest.approx((7 - center) / spread)
-    assert out[0, 3] == pytest.approx((6 - center) / spread)
-    assert out[0, 4] == 0.8
-
-
 def test_endpoints_join_through_the_event_body():
     # vertex 0: a self-loop (half-edges 0, 1) and half-edge 2 to vertex 1;
     # vertex 1: half-edge 3 back to 0 and half-edge 4 to vertex 2

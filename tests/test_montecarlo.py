@@ -166,7 +166,7 @@ def test_limit_pmf_matches_pmf_of_model():
     models = [model for kind, model in oracle._GRAPH_MODELS
               if kind not in graphs.RANK1_KINDS]
     models += [("regular", 4), ("iid", {1: 0.5, 3: 0.5}), ("iid", IID_PMF),
-               REALISED_CASES["cm_iid"][0].degree_model,
+               RECORDED_CASES["cm_iid"][0].degree_model,
                ("deterministic", {2: 0.1, 1: 0.1, 4: 0.7, 3: 0.7, 6: 1.0})]
     for model in models:
         got = degrees.limit_pmf(model)
@@ -277,24 +277,36 @@ CENTRING_LAWS = {
 
 @pytest.mark.parametrize("law", sorted(CENTRING_LAWS) + ["table33"])
 def test_centring_record_equals_full_constants(law, tmp_path):
-    # the n-level record solves only alpha and nu_bar; they, gamma and the
-    # marks built from them must be the floats the full constants give
+    # the n-level record solves only alpha and nu_bar; they and gamma must be
+    # the floats the full constants give, and a trial's marks read only them
     if law == "table33":
         weights.save_table(weights.exponential(1.0), tmp_path / "t.txt", n_rows=33)
         spec = mc._hashable_spec(weights.load_table(tmp_path / "t.txt").spec())
     else:
         spec = CENTRING_LAWS[law]
     dist = mc._dist_cached(spec)
-    recs = [explore.CollisionRecord(time=t, source=1 + i % 2, h_origin=3 + i,
-                                    h_dest=5 - i, remaining=0.1 * i)
-            for i, t in enumerate((0.4, 1.1, 2.7))]
     for mu, nu in ((4.0, 3.0), (3.2, 2.1), (5.5, 4.7)):
         rec = mc._centring_cached(spec, nu)
         full = ctbp.constants(mu, nu, dist)
         assert (rec.alpha, rec.nu_bar, rec.gamma) == (full.alpha, full.nu_bar, full.gamma)
-        np.testing.assert_array_equal(
-            explore.standardize_marks(recs, rec, 5000, 1.3, 0.6, limit_consts=full),
-            explore.standardize_marks(recs, full, 5000, 1.3, 0.6, limit_consts=full))
+
+
+def test_mark_rows_columns():
+    consts = ctbp.constants(4.0, 3.0, weights.exponential(1.0))
+    n = 10 ** 4
+    rec = explore.CollisionRecord(time=2.5, source=2, h_origin=7, h_dest=6,
+                                  remaining=0.8)
+    t_n = math.log(n) / (2.0 * consts.alpha)
+    tbar = t_n - math.log(1.5 * 0.5) / (2.0 * consts.alpha)
+    center = t_n / consts.nu_bar
+    spread = math.sqrt(consts.sigma_bar_sq * t_n / consts.nu_bar ** 3)
+    out = mc._mark_rows([rec], tbar, center, spread)
+    assert out.shape == (1, 5)
+    assert out[0, 0] == pytest.approx(2.5 - tbar)
+    assert out[0, 1] == 2.0
+    assert out[0, 2] == pytest.approx((7 - center) / spread)
+    assert out[0, 3] == pytest.approx((6 - center) / spread)
+    assert out[0, 4] == 0.8
 
 
 def test_experiment_config_threshold_validation():
@@ -487,21 +499,23 @@ def test_csv_round_trip(tmp_path):
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-REALISED_CASES = {
+RECORDED_CASES = {
     "nr": (mc.ExperimentConfig(graph_kind="nr",
                                vertex_weight_spec=("exponential", (1.0 / 3.0,)),
                                ranked_m=3), 2000),
     "cm_iid": (mc.ExperimentConfig(degree_model=("iid", ((1, 0.2), (3, 0.5), (6, 0.3))),
                                    ranked_m=3), 1000),
+    "cm_regular": (mc.ExperimentConfig(degree_model=("regular", 4), ranked_m=3), 1000),
 }
 
 
-@pytest.mark.parametrize("name", sorted(REALISED_CASES))
-def test_realised_degree_trials_match_recorded_outcomes(name, tmp_path):
-    # a trial on realised degrees solves its own n-level growth rate; the
-    # recorded CSV and mark digests pin every outcome float to the bit, so a
-    # one-ulp drift in alpha_n fails here
-    cfg, n = REALISED_CASES[name]
+@pytest.mark.parametrize("name", sorted(RECORDED_CASES))
+def test_trials_match_recorded_outcomes(name, tmp_path):
+    # a trial on realised degrees (nr, cm iid) solves its own n-level growth
+    # rate, and the 4-regular exp(1) case is the gate model; the recorded CSV
+    # and mark digests pin every outcome float to the bit, so a one-ulp drift
+    # in alpha_n or in the mark coordinates fails here
+    cfg, n = RECORDED_CASES[name]
     path = tmp_path / "trials.csv"
     out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, csv_path=path)
     assert path.read_bytes() == (DATA / f"trials_{name}_seed9.csv").read_bytes()
@@ -861,7 +875,7 @@ def test_ranked_verifier_null_and_power():
 def test_ranked_matrix_centres_as_q_hat():
     # on realised iid degrees alpha_n differs from alpha; the rank-1 column
     # gate 9 tests must still be the Q_hat gate 5 tests, to the bit
-    cfg, n = REALISED_CASES["cm_iid"]
+    cfg, n = RECORDED_CASES["cm_iid"]
     out = mc.run_trials(replace(cfg, trials=30, master_seed=9), n=n, threads=1)
     consts = mc.constants_for_config(cfg)
     q_hat = mc.column(out, "Q_hat")
