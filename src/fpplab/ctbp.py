@@ -319,9 +319,10 @@ class Centring:
 class CtbpConstants(Centring):
     """Every limit constant the experiments need, plus self-check residuals.
 
-    f_R0 and B come from quadratures; checks records how far they sit
-    from their closed identities alpha/(nu-1) and nu_bar/(nu-1), along with
-    the growth-rate residual and the residual-cdf normalization defect.
+    f_R0 and B come from quadratures; checks records how far they sit,
+    relative to the value, from their closed identities alpha/(nu-1) and
+    nu_bar/(nu-1), along with the growth-rate residual and the residual-cdf
+    normalization defect.
     """
 
     mu: float
@@ -377,10 +378,13 @@ def constants(mu: float, nu: float, dist: WeightDistribution) -> CtbpConstants:
                               epsrel=1e-9, what="damped residual mass") / res.denom
     beta = sigma_sq / (nu_bar ** 3 * alpha)
     c = math.log(mu * (nu - 1.0) ** 2 / (nu * alpha * nu_bar))
+    # the identities' gaps are relative: f_R0 carries units of 1/time and B
+    # of time, and a weight law's rate only rescales time
+    f_closed, b_closed = alpha / (nu - 1.0), nu_bar / (nu - 1.0)
     checks = (
         ("malthusian", abs(nu * laplace_stieltjes(dist, alpha) - 1.0)),
-        ("f_R0_identity", abs(f0 - alpha / (nu - 1.0))),
-        ("B_identity", abs(b_val - nu_bar / (nu - 1.0))),
+        ("f_R0_identity", abs(f0 - f_closed) / f_closed),
+        ("B_identity", abs(b_val - b_closed) / b_closed),
         ("residual_norm", res.norm_residual),
     )
     return CtbpConstants(mu=float(mu), nu=float(nu), alpha=alpha, nu_bar=nu_bar,

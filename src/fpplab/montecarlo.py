@@ -158,9 +158,8 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
 }
 
 _GRAPH_KINDS = ("cm", "simple", "nr", "grg", "cl")
-# recentred-time window of the collision marks, its bins for the slope, and
-# the fewest marks in it that verify_ppp tests
-_MARK_WINDOW = (-1.5, 0.5)
+# bins of the marks' window for the slope, and the fewest marks in it that
+# verify_ppp tests
 _PPP_BINS = 8
 _MIN_MARKS = 200
 _MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
@@ -179,6 +178,14 @@ def _merge_thresholds(th: dict | None) -> dict:
                 f"unknown threshold {key!r}; valid names: "
                 + ", ".join(sorted(DEFAULT_THRESHOLDS)))
     return {**DEFAULT_THRESHOLDS, **(th or {})}
+
+
+def _mark_window(alpha: float) -> tuple[float, float]:
+    """Recentred-time window of the collision marks at limit growth rate
+    alpha: (-3, 1) in units of 1/alpha, the time scale of a collision rate
+    that grows like e^{2 alpha tau}; (-1.5, 0.5) for the 4-regular exp(1)
+    model, whose alpha is 2."""
+    return -3.0 / alpha, 1.0 / alpha
 
 
 def _count(name: str, value, least: float) -> int:
@@ -395,11 +402,12 @@ class _TrialTask:
 
 def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     """Trial `index` of the task: explore to the probe, then to the ranked stop
-    for task.config.ranked_m paths, and past the mark window t_bar + 0.5 only
-    where the task collects marks. Both stops are exact and a disconnected
-    endpoint pair explores until a cluster closes at any m, so the best path,
-    the probe's W1 and W2, the resample count and every draw of the trial's
-    generator are the same at any ranked_m, with or without marks.
+    for task.config.ranked_m paths, and past the mark window's end t_bar +
+    1/alpha (alpha of the limit constants) only where the task collects
+    marks. Both stops are exact and a disconnected endpoint pair explores
+    until a cluster closes at any m, so the best path, the probe's W1 and
+    W2, the resample count and every draw of the trial's generator are the
+    same at any ranked_m, with or without marks.
 
     The marks are in the limit's coordinates: times recentred by t_bar =
     t_n - log(W1 W2)/(2 alpha_n), t_n = log(n)/(2 alpha_n), and heights
@@ -417,6 +425,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     log_n = math.log(n)
     s_probe = math.log(log_n) / alpha_n
     t_n = log_n / (2.0 * alpha_n)
+    window_end = _mark_window(task.consts_limit.alpha)[1]
 
     resamples = 0
     res = None
@@ -432,7 +441,7 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
         tbar = None
         if task.collect_marks and w1 > 0.0 and w2 > 0.0:
             tbar = t_n - math.log(w1 * w2) / (2.0 * alpha_n)
-        explore.advance_ranked(state, m, 0.0 if tbar is None else tbar + _MARK_WINDOW[1])
+        explore.advance_ranked(state, m, 0.0 if tbar is None else tbar + window_end)
         res = explore.result(state, m)
         if res.connected:
             break
@@ -570,8 +579,8 @@ def run_trials(config: ExperimentConfig, *, n: int | None = None,
     pool of that many workers (see _map_chunks). The CSV is written in trial
     order once every chunk is in. Each outcome's ranked holds up to
     config.ranked_m paths, and marks the (k, 5) collision marks of the mark
-    window, which the exploration also covers. A trial that raises becomes a
-    TrialError naming it, and no CSV is written. A degree law that may draw
+    window, (-3, 1)/alpha around t_bar, which the exploration also covers. A
+    trial that raises becomes a TrialError naming it, and no CSV is written. A degree law that may draw
     nu_n <= 1 at n is refused first (_refuse_subcritical_draws).
     """
     if n is None:
@@ -774,8 +783,8 @@ def verify_weight_limit(q, q_reference, th=None) -> ReportEntry:
 
 
 def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
-    """Four tests of the collision point process inside the time window, on
-    the (k, 5) marks pooled over n_trials trials.
+    """Four tests of the collision point process inside the mark window
+    (-3, 1)/consts.alpha, on the (k, 5) marks pooled over n_trials trials.
 
     (i) log-rate slope of recentred collision times ~ 2*alpha, by least
     squares on nonempty histogram bins; (ii) source labels fair; (iii) both
@@ -787,7 +796,8 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     from scipy.special import ndtr
     th = _merge_thresholds(th)
     slope_tol = th["ppp_slope_rel"]
-    win = marks[(marks[:, 0] >= _MARK_WINDOW[0]) & (marks[:, 0] <= _MARK_WINDOW[1])]
+    lo, hi = _mark_window(consts.alpha)
+    win = marks[(marks[:, 0] >= lo) & (marks[:, 0] <= hi)]
     n = win.shape[0]
     if n < _MIN_MARKS:
         return _skipped("ppp_marks", "marks", n, "min_marks", _MIN_MARKS)
@@ -797,7 +807,7 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
                   "height_ks": th["ppp_height_ks"], "residual_ks": th["ppp_residual_ks"]}
 
     # (i) slope of the log collision rate over the nonempty window bins
-    counts, edges = np.histogram(win[:, 0], bins=_PPP_BINS, range=_MARK_WINDOW)
+    counts, edges = np.histogram(win[:, 0], bins=_PPP_BINS, range=(lo, hi))
     keep = counts > 0
     centers, log_counts = 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
     slope_target = 2.0 * consts.alpha
@@ -1049,12 +1059,14 @@ def exact_marks(rng, consts: ctbp.CtbpConstants, residual: ctbp.ResidualLife,
                 n_trials: int, slope: float) -> np.ndarray:
     """(k, 5) collision marks of n_trials trials drawn from the limit laws.
 
-    Times in the mark window form a Poisson process with log-rate slope
-    `slope` (the true one is 2*alpha); sources are fair coins, heights
-    standard normal and remaining lifetimes exact draws of `residual`.
+    Times in the mark window (-3, 1)/consts.alpha form a Poisson process
+    with log-rate slope `slope` (the true one is 2*alpha); sources are fair
+    coins, heights standard normal and remaining lifetimes exact draws of
+    `residual`.
     """
     lam = n_trials * (2.0 * consts.nu * consts.f_R0 / consts.mu)
-    lo_e, hi_e = math.exp(slope * _MARK_WINDOW[0]), math.exp(slope * _MARK_WINDOW[1])
+    lo, hi = _mark_window(consts.alpha)
+    lo_e, hi_e = math.exp(slope * lo), math.exp(slope * hi)
     count = int(rng.poisson(lam * (hi_e - lo_e) / slope))
     tbar = np.log(lo_e + rng.random(count) * (hi_e - lo_e)) / slope
     return np.column_stack([

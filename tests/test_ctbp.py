@@ -236,12 +236,15 @@ def test_centring_is_the_start_of_constants(name, nu):
 @pytest.mark.parametrize("rate", (1e-14, 1e-10, 1e-8, 1e-5, 1e5))
 def test_exponential_rate_only_rescales_time(rate):
     # exp(rate) is exp(1) in time units of 1/rate: alpha scales by rate,
-    # nu_bar by 1/rate and sigma_bar_sq by 1/rate^2, however slow the law
+    # nu_bar by 1/rate and sigma_bar_sq by 1/rate^2, however slow the law,
+    # and the identity residuals, relative to the value, stay at rounding
     one = ctbp.constants(4.0, 3.0, weights.exponential(1.0))
     c = ctbp.constants(4.0, 3.0, weights.exponential(rate))
     assert c.alpha / rate == pytest.approx(one.alpha, rel=1e-10)
     assert c.nu_bar * rate == pytest.approx(one.nu_bar, rel=1e-10)
     assert c.sigma_bar_sq * rate ** 2 == pytest.approx(one.sigma_bar_sq, rel=1e-10)
+    assert dict(c.checks)["f_R0_identity"] < 1e-12
+    assert dict(c.checks)["B_identity"] < 1e-12
 
 
 def test_constants_four_regular_exponential():

@@ -523,6 +523,34 @@ def test_trials_match_recorded_outcomes(name, tmp_path):
     assert [hashlib.sha256(o.marks.tobytes()).hexdigest() for o in out] == recorded
 
 
+def test_a_weight_rate_only_rescales_the_trials_time():
+    # exp(10) is exp(1) in time units of 1/10: the same seeds give the same
+    # hops, martingale limits, mark sources and heights, every time-valued
+    # output scaled by 1/10, the same marks in the window and the same verdicts
+    def run(rate):
+        cfg = mc.ExperimentConfig(weight_spec=("exponential", (rate,)), n_ladder=(1000,),
+                                  trials=30, ranked_m=3, master_seed=9,
+                                  thresholds={"min_outcomes": 30})
+        report, by_n = mc.run_experiment(cfg)
+        return report, by_n[1000]
+
+    (report1, one), (report10, ten) = run(1.0), run(10.0)
+    for name in ("H_n", "W1", "W2"):
+        np.testing.assert_array_equal(mc.column(ten, name), mc.column(one, name))
+    for name in ("L_n", "Q_hat"):
+        np.testing.assert_allclose(10.0 * mc.column(ten, name), mc.column(one, name),
+                                   rtol=1e-12)
+    marks1, marks10 = mc.pool_marks(one), mc.pool_marks(ten)
+    assert marks1.shape == marks10.shape
+    np.testing.assert_array_equal(marks10[:, 1], marks1[:, 1])
+    # the heights' centre t_n / nu_bar_n is a ratio of two times, each rounded
+    np.testing.assert_allclose(marks10[:, 2:4], marks1[:, 2:4], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(10.0 * marks10[:, [0, 4]], marks1[:, [0, 4]],
+                               rtol=1e-12)
+    assert ([(e.name, e.passed, e.sample_size) for e in report10.entries]
+            == [(e.name, e.passed, e.sample_size) for e in report1.entries])
+
+
 IID_PMF = {2: 0.2, 3: 0.3, 4: 0.3, 6: 0.2}
 
 
@@ -857,6 +885,20 @@ def test_ppp_verifier_null_and_power():
     bad = mc.exact_marks(philox(12), consts, residual, 2000, consts.alpha)
     entry_bad = mc.verify_ppp(bad, 2000, consts, residual.cdf)
     assert entry_bad.passed is False
+
+
+def test_exact_marks_fill_the_window_of_their_alpha():
+    # the trials-nr law (Exp(1/3) vertex weights, exp(1) edges) has alpha = 5,
+    # so its marks' window is (-3, 1)/5 and the verifier's slope target 10
+    consts = mc.constants_for_config(RECORDED_CASES["nr"][0])
+    assert consts.alpha == pytest.approx(5.0, rel=1e-12)
+    residual = ctbp.residual_density(weights.exponential(1.0), consts.alpha)
+    marks = mc.exact_marks(philox(16), consts, residual, 2000, 2.0 * consts.alpha)
+    assert marks.shape[0] > mc._MIN_MARKS
+    assert ((marks[:, 0] > -0.6) & (marks[:, 0] < 0.2)).all()
+    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf)
+    assert entry.statistics["slope_target"] == pytest.approx(10.0, rel=1e-12)
+    assert entry.statistics["ok_slope"] == 1.0
 
 
 def test_ranked_verifier_null_and_power():
