@@ -211,22 +211,6 @@ def cmd_oracle(args) -> int:
     return 0 if res.passed else 1
 
 
-def cmd_gen_graph(args) -> int:
-    config = _assemble_config(args)
-    if not args.out:
-        raise ConfigError("gen-graph: --out FILE is required")
-    if args.n is None:
-        raise ConfigError("gen-graph: --n is required")
-    seed = config.master_seed
-    rng = montecarlo.rng_for(montecarlo.derived_seed(seed, 5, 0))
-    g = montecarlo.sample_graph(config, args.n, rng)[0].materialize()
-    graphs.export_edge_list(g, args.out, seed=seed)
-    print(f"kind={config.graph_kind} n={g.n} edges={g.edge_count} "
-          f"self_loops={g.self_loop_count} multi_edges={g.multi_edge_count} "
-          f"simple={g.is_simple}")
-    return 0
-
-
 def cmd_bp_sim(args) -> int:
     config = _assemble_config(args)
     if args.reps < 1:
@@ -320,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260817, metavar="U64",
                    help="corpus seed")
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("gen-graph", parents=[model, seeded],
-                       help="write one weighted graph as an edge list")
-    p.add_argument("--n", type=int, metavar="N", help="vertex count")
-    p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("bp-sim", parents=[model, seeded],
                        help="simulate the limit branching process")

@@ -40,7 +40,6 @@ __all__ = [
     "RANK1_KINDS",
     "assign_weights",
     "build_from_edges",
-    "export_edge_list",
 ]
 
 
@@ -53,7 +52,7 @@ class WeightedGraph:
     """Multigraph in half-edge form, optionally with edge weights attached.
 
     The self-loop and multi-edge counts are computed on first read and
-    cached; only simple-graph rejection, exports and tests need them.
+    cached; only simple-graph rejection, a demo and tests read them.
     """
 
     n: int
@@ -436,20 +435,3 @@ def _weigh_edges(by_he: np.ndarray, partner: np.ndarray, lo_he: np.ndarray,
     draws = np.atleast_1d(sample_weight(dist, rng, lo_he.size))
     by_he[lo_he] = draws
     by_he[partner[lo_he]] = draws
-
-
-def export_edge_list(g: WeightedGraph, path, seed: int = 0) -> None:
-    """Text export: header 'n m seed', then one 'u v weight' line per edge;
-    seed is the master seed the graph was drawn from, purely descriptive.
-
-    Vertices are 1-based in the file. Weights print with repr round-trip
-    fidelity; an unweighted graph exports weight 1 for every edge.
-    """
-    he = _lower_half_edges(g.partner)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {g.edge_count} {seed}\n")
-        for h in he:
-            u = int(g.he_owner[h]) + 1
-            v = int(g.he_owner[g.partner[h]]) + 1
-            w = 1.0 if g.edge_weight_by_he is None else float(g.edge_weight_by_he[h])
-            fh.write(f"{u} {v} {w!r}\n")

@@ -10,11 +10,10 @@ reruns and worker pools.
 ExperimentConfig is the one model record, and building one checks its
 degree model (degrees.limit_pmf), so a bad degree law fails before any
 trial runs. sample_graph(config, n, rng) is the one graph sampler, shared
-with gen-graph and the oracle corpus. Every
-verifier reads arrays, which column, pool_marks and ranked_matrix extract
-from trial outcomes, and takes its thresholds as one mapping th of
-DEFAULT_THRESHOLDS names, merged over the defaults exactly as the config's
-own thresholds are.
+with the oracle corpus. Every verifier reads arrays, which column,
+pool_marks and ranked_matrix extract from trial outcomes, and takes its
+thresholds as one mapping th of DEFAULT_THRESHOLDS names, merged over the
+defaults exactly as the config's own thresholds are.
 """
 from __future__ import annotations
 
@@ -114,7 +113,7 @@ def derived_seed(master: int, *path: int) -> int:
 
     Distinct paths give independent-for-all-practical-purposes keys. Path
     heads in use: 0 trials, 2 the (ranked) limit references, 3 calibration,
-    4 the oracle corpus, 5 gen-graph and acceptance gates 7 and 8, 6 bp-sim.
+    4 the oracle corpus, 5 acceptance gates 7 and 8, 6 bp-sim.
     Head 1, once the separate weight reference, is retired and must not be
     reused.
     """
@@ -373,7 +372,7 @@ def sample_graph(config: ExperimentConfig, n: int, rng):
     """(graph, nu_n): one weighted graph of config's kind on n vertices, and
     its size-biased mean offspring from exact integer sums.
 
-    The single sampler of every kind, for trials, gen-graph and the oracle.
+    The single sampler of every kind, for trials and the oracle.
     A cm graph comes back as an unrevealed LazyPairing, every other kind
     built whole; graph.materialize() gives the whole graph of either, and
     for cm draws what pair_configuration then assign_weights would.

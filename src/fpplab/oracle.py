@@ -166,7 +166,7 @@ def _explore_answer(g, u, v, *, exhaustive: bool = False):
     return float(res.weight), int(res.hops)
 
 
-def describe_instance(index: int, master_seed: int = 20260817) -> str:
+def describe_instance(index: int, master_seed: int) -> str:
     """Rebuild one corpus instance and print both solvers' answers."""
     g, label, u, v, _, _ = _instance(index, master_seed)
     ours = _explore_answer(g, u, v)
@@ -180,7 +180,7 @@ def describe_instance(index: int, master_seed: int = 20260817) -> str:
 _MAX_FAILURES = 10
 
 
-def run_corpus(n_instances: int = 500, master_seed: int = 20260817, *,
+def run_corpus(n_instances: int, master_seed: int, *,
                corrupt: bool = False) -> CorpusResult:
     """Compare both solvers on seeded instances, n in [10, 200].
 

@@ -36,7 +36,6 @@ __all__ = [
     "user_table",
     "from_spec",
     "load_table",
-    "save_table",
     "moments",
     "mixed_poisson_pmf",
     "sample",
@@ -528,22 +527,6 @@ def load_table(path) -> WeightDistribution:
     if rows.shape[1] != 2:
         raise WeightModelError(f"{path}: expected two columns, got {rows.shape[1]}")
     return user_table(rows[:, 0], rows[:, 1])
-
-
-def save_table(dist: WeightDistribution, path, n_rows: int = 257) -> None:
-    """Write a (probability, quantile) table approximating the law."""
-    p = np.linspace(0.0, 1.0, n_rows)
-    p[-1] = 1.0
-    # tail rows of unbounded laws would be inf; pin the last level slightly in
-    if np.isinf(dist.support_hi):
-        p = np.concatenate([p[:-1], [1.0 - 1e-9, 1.0]])
-        q = dist.quantile(p[:-1])
-        q = np.concatenate([q, [q[-1] * (1 + 1e-9) + 1e-12]])
-    else:
-        q = dist.quantile(p)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pi, qi in zip(p, q):
-            fh.write(f"{float(pi)!r} {float(qi)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, config precedence."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -499,30 +500,7 @@ def test_oracle_describe_instance(capsys):
 
 
 # ---------------------------------------------------------------------------
-# gen-graph / bp-sim
-
-
-def test_gen_graph_deterministic(tmp_path, capsys):
-    p1 = tmp_path / "g1.txt"
-    p2 = tmp_path / "g2.txt"
-    for p in (p1, p2):
-        code, out, _ = run_cli(capsys, "gen-graph", "--n", "60", "--seed", "5",
-                               "--degrees", "regular:3", "--out", str(p))
-        assert code == 0
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().split("\n")[0].split()
-    assert len(header) == 3            # n m seed
-    assert int(header[0]) == 60
-
-
-def test_gen_graph_bytes_are_pinned(tmp_path, capsys):
-    # cm gen-graph materializes the trials' lazy pairing; these bytes are the
-    # ones pair_configuration + assign_weights wrote before that
-    out = tmp_path / "g.txt"
-    code, _, _ = run_cli(capsys, "gen-graph", "--n", "300", "--seed", "17",
-                         "--degrees", "regular:3", "--out", str(out))
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("ecadaf75fd1ff677")
+# bp-sim
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -544,21 +522,6 @@ def test_sizes_and_counts_that_cannot_run_are_config_errors(argv, name, tmp_path
     assert "config error" in err and name in err
     assert "PASS" not in out
     assert not (tmp_path / "out").exists()
-
-
-def test_gen_graph_writes_an_edgeless_rank1_graph(tmp_path, capsys):
-    # two vertices of Exp(1) weight draw no edge at this seed; the shared
-    # sampler's nu_n must not divide by the zero degree sum
-    code, out, _ = run_cli(capsys, "gen-graph", "--n", "2", "--seed", "1", "--kind", "nr",
-                           "--vertex-weights", "exp:1", "--out", str(tmp_path / "g.txt"))
-    assert code == 0
-    assert "edges=0" in out
-
-
-def test_gen_graph_requires_n(capsys):
-    code, _, err = run_cli(capsys, "gen-graph", "--out", "/tmp/g.txt")
-    assert code == 2
-    assert "--n" in err
 
 
 def test_bp_sim_reports_growth(tmp_path, capsys):
@@ -615,7 +578,6 @@ def test_unknown_flag_exits_two(capsys):
     ["oracle", "--instances", "1", "--weights", "exp:2"],
     ["oracle", "--instances", "1", "--config", "missing.ini"],
     ["constants", "--seed", "3"],
-    ["gen-graph", "--threads", "2"],
     ["bp-sim", "--threads", "2"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_a_flag_the_subcommand_does_not_read_exits_two(argv, capsys):
@@ -632,6 +594,17 @@ def test_run_and_oracle_keep_their_own_seed_defaults():
     assert parser.parse_args(["run"]).seed is None
     assert cli._assemble_config(parser.parse_args(["run"])).master_seed == 1
     assert parser.parse_args(["oracle"]).seed == 20260817
+
+
+def test_readme_synopses_are_the_parsers_subcommands():
+    # a subcommand removed from the parser takes its README synopsis with it
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    documented = {line.split()[1] for line in section.splitlines()
+                  if line.startswith("fpplab ")}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
 
 
 def test_no_subcommand_exits_two(capsys):

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from fpplab import ctbp, weights
 from fpplab.montecarlo import (ExperimentConfig, bp_config_for, build_q_reference,
                                constants_for_config, ks_one_sample, ks_two_sample)
+from conftest import write_exp_table
 from test_weights import GOLDEN_LAWS
 
 
@@ -278,9 +279,9 @@ def test_constants_survive_extreme_power_weights():
 
 @pytest.fixture(scope="module")
 def exp_table(tmp_path_factory):
-    """exp(1) as the 257-row table a user gets from save_table."""
+    """exp(1) as a 257-row table file, read back by load_table."""
     path = tmp_path_factory.mktemp("table") / "exp1.tsv"
-    weights.save_table(weights.exponential(1.0), path)
+    write_exp_table(path)
     return weights.load_table(path)
 
 

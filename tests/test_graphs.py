@@ -1,5 +1,6 @@
 """Half-edge pairing, simplicity rejection, rank-1 kernels, weight assignment."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy import stats
 
-from fpplab import degrees, explore, graphs, weights
+from fpplab import degrees, explore, graphs, montecarlo as mc, weights
 
 
 def philox(key):
@@ -130,9 +131,9 @@ def test_fresh_pairing_holds_one_entry_per_edge():
     degrees.build_iid({1: 0.3, 3: 0.4, 4: 0.3}, 60, philox(23)),
 ])
 def test_unrevealed_materialize_is_pair_then_weigh(seq):
-    # gen-graph and the oracle build cm graphs through the trials' sampler,
-    # which returns a LazyPairing: completed before any exploration, it must draw
-    # the very permutation and weights of pair_configuration + assign_weights
+    # the oracle builds cm graphs through the trials' sampler, which returns
+    # a LazyPairing: completed before any exploration, it must draw the very
+    # permutation and weights of pair_configuration + assign_weights
     dist = weights.exponential(1.0)
     full = graphs.LazyPairing(seq, dist, philox(25)).materialize()
     rng = philox(25)
@@ -141,6 +142,26 @@ def test_unrevealed_materialize_is_pair_then_weigh(seq):
         np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
     assert ref.materialize() is ref
 
+
+
+def test_materialized_sampler_graph_is_pinned():
+    # the one byte pin on a whole cm graph from the trials' sampler, whose
+    # materialize() draws what pair_configuration + assign_weights would
+    g = mc.sample_graph(mc.ExperimentConfig(degree_model=("regular", 3)), 300,
+                        mc.rng_for(mc.derived_seed(17, 5, 0)))[0].materialize()
+    digest = hashlib.sha256()
+    for name in ("he_offset", "he_owner", "partner", "edge_weight_by_he"):
+        digest.update(getattr(g, name).tobytes())
+    assert digest.hexdigest().startswith("e26c9400c347008d")
+
+
+def test_sampler_gives_an_edgeless_rank1_graph():
+    # two vertices of Exp(1) weight draw no edge at this seed; the sampler's
+    # nu_n must not divide by the zero degree sum
+    config = mc.ExperimentConfig(graph_kind="nr", vertex_weight_spec=("exponential", (1.0,)))
+    g, nu_n = mc.sample_graph(config, 2, mc.rng_for(mc.derived_seed(1, 5, 0)))
+    assert g.edge_count == 0
+    assert nu_n == 0.0
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=7),
                           st.integers(min_value=1, max_value=12)),
@@ -431,10 +452,3 @@ def test_assign_weights_deterministic():
     graphs.assign_weights(g2, weights.uniform(2.0), philox(10))
     np.testing.assert_array_equal(g1.edge_weight_by_he, g2.edge_weight_by_he)
 
-
-def test_export_edge_list_golden(tmp_path):
-    g = graphs.build_from_edges(3, [(0, 1), (1, 2)])
-    g.edge_weight_by_he = np.array([1.5, 1.5, 2.5, 2.5])
-    path = tmp_path / "edges.txt"
-    graphs.export_edge_list(g, path)
-    assert path.read_text() == "3 2 0\n1 2 1.5\n2 3 2.5\n"

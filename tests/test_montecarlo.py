@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from fpplab import ctbp, degrees, explore, graphs, oracle, weights
 from fpplab import montecarlo as mc
 
-from conftest import suite_threads
+from conftest import suite_threads, write_exp_table
 
 
 def philox(key):
@@ -280,7 +280,7 @@ def test_centring_record_equals_full_constants(law, tmp_path):
     # the n-level record solves only alpha and nu_bar; they and gamma must be
     # the floats the full constants give, and a trial's marks read only them
     if law == "table33":
-        weights.save_table(weights.exponential(1.0), tmp_path / "t.txt", n_rows=33)
+        write_exp_table(tmp_path / "t.txt", n_rows=33)
         spec = mc._hashable_spec(weights.load_table(tmp_path / "t.txt").spec())
     else:
         spec = CENTRING_LAWS[law]
