@@ -26,13 +26,15 @@ so f_R(0) = alpha/(nu-1), and the damped mass B = integral F_R(z) e^{-alpha z}
 dz equals nu_bar/(nu-1). The residuals of both identities are embedded in
 the returned record as a self-check.
 
-Every integral is summed over 20-point Gauss-Legendre cells and certified
-on halved cells by the engine in weights (weights._integral, whose edges
-come from the law's kinks and quantiles, through weights._certified); LS
-and the stable-age moments integrate against the density, K, D and B
-against 1 - G or G, so the identities compare different integrals.
-alpha is a bracketed Brent root of LS, memoised per (law, s). No closed forms
-are wired in, so the closed-form test cases genuinely cross-check the numerics.
+Every integral is summed over 20-point Gauss-Legendre cells, whose edges
+come from the law's kinks and quantiles, and certified on halved cells by
+the engine in weights. LS and the stable-age moments integrate against the
+density on one node set per (law, binade of the rate) (_binade, in
+weights._nodes form), so each is one exp and two dot products; K, D and B
+integrate against 1 - G or G (weights._integral), so the identities compare
+different integrals. alpha is a bracketed Brent root of LS, which is
+memoised per (law, s). No closed forms are wired in, so the closed-form
+test cases genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
 its fixed point by population dynamics (sample_w_pool).
 """
@@ -89,17 +91,31 @@ class NearCriticalError(CtbpError):
 
 
 # ---------------------------------------------------------------------------
-# moments against the density, on the cells of weights._integral
+# moments against the density, on one node set per binade of the rate
 
 
-def _moment(k: int, s: float, dist: WeightDistribution, **tol) -> float:
-    """integral w dG for w(t) = t^k e^{-s t}, against the density; the innermost
-    graded cell is w(support_lo) times its G-mass (weights._sum)."""
-    def w(t):
-        return t ** k * np.exp(-s * t)
+@lru_cache(maxsize=64)
+def _binade(dist: WeightDistribution, e: int) -> tuple:
+    """The node set of every rate s in [2^(e-1), 2^e): weights._nodes on the
+    cells of a decay at the binade's upper rate 2^e, out to the reach
+    640/2^(e-1) of its lower rate, coarse and halved. Returns the nodes of
+    both, concatenated, the count of coarse ones, and the two weight rows
+    times t^k for k = 0, 1, 2."""
+    edges = weights._decay_edges(dist, math.ldexp(1.0, e), 0.0, 5)
+    coarse, fine = (weights._nodes(dist, x) for x in (edges, weights._halved(edges)))
+    powers = np.arange(3)[:, None]
+    return (np.concatenate([coarse[0], fine[0]]), coarse[0].size,
+            coarse[1] * coarse[0] ** powers, fine[1] * fine[0] ** powers)
 
-    return weights._integral(lambda t: w(t) * dist.density(t), dist, s,
-                             w_lo=w(dist.support_lo), **tol)
+
+def _moment(k: int, s: float, dist: WeightDistribution, *, epsabs: float, epsrel: float,
+            what: str) -> float:
+    """integral t^k e^{-s t} dG(t), k = 0, 1 or 2, on s's _binade: one exp
+    and two dot products, certified coarse against halved (weights._certify)."""
+    nodes, n_coarse, coarse, fine = _binade(dist, math.frexp(s)[1])
+    decay = np.exp(-s * nodes)
+    return float(weights._certify(coarse[k] @ decay[:n_coarse], fine[k] @ decay[n_coarse:],
+                                  epsabs=epsabs, epsrel=epsrel, what=what))
 
 
 # ---------------------------------------------------------------------------

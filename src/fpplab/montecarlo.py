@@ -157,9 +157,7 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
 }
 
 _GRAPH_KINDS = ("cm", "simple", "nr", "grg", "cl")
-# bins of the marks' window for the slope, and the fewest marks in it that
-# verify_ppp tests
-_PPP_BINS = 8
+# the fewest marks in the window that verify_ppp tests
 _MIN_MARKS = 200
 _MAX_RESAMPLES = 100   # endpoint pairs a trial draws before it gives up
 _REFERENCE_SIZE = 10_000   # limit-law draws the weight verifier needs at least
@@ -785,8 +783,8 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     """Four tests of the collision point process inside the mark window
     (-3, 1)/consts.alpha, on the (k, 5) marks pooled over n_trials trials.
 
-    (i) log-rate slope of recentred collision times ~ 2*alpha, by least
-    squares on nonempty histogram bins; (ii) source labels fair; (iii) both
+    (i) log-rate slope of recentred collision times ~ 2*alpha, by maximum
+    likelihood; (ii) source labels fair; (iii) both
     standardized height coordinates ~ standard normal (heights are integers,
     so this KS carries an intrinsic lattice floor; the moment-adjusted
     variants are reported as diagnostics); (iv) remaining lifetimes ~ the
@@ -805,12 +803,23 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     thresholds = {"slope_rel": slope_tol, "source_sigma": th["ppp_source_sigma"],
                   "height_ks": th["ppp_height_ks"], "residual_ks": th["ppp_residual_ks"]}
 
-    # (i) slope of the log collision rate over the nonempty window bins
-    counts, edges = np.histogram(win[:, 0], bins=_PPP_BINS, range=(lo, hi))
-    keep = counts > 0
-    centers, log_counts = 0.5 * (edges[:-1] + edges[1:])[keep], np.log(counts[keep])
+    # (i) slope of the log collision rate: the maximum-likelihood lam of a
+    # density prop. to e^{lam t} on (lo, hi), whose mean, hi - 1/lam +
+    # (hi - lo)/(e^{lam (hi - lo)} - 1), is the marks' mean (the midpoint at
+    # lam = 0); the bracket widens until it holds the root
+    mean, width = float(win[:, 0].mean()), hi - lo
+
+    def excess(lam):
+        if lam == 0.0:
+            return 0.5 * (lo + hi) - mean
+        with np.errstate(over="ignore"):
+            return hi - 1.0 / lam + width / float(np.expm1(lam * width)) - mean
+
+    reach = 1.0 / width
+    while excess(-reach) > 0.0 or excess(reach) < 0.0:
+        reach *= 2.0
     slope_target = 2.0 * consts.alpha
-    slope = float(np.polyfit(centers, log_counts, 1)[0]) if centers.size >= 3 else math.nan
+    slope = ctbp._brent(excess, -reach, reach, 1e-12, 1e-12)
     ok_slope = math.isfinite(slope) and abs(slope - slope_target) <= slope_tol * slope_target
     stats.update(slope=slope, slope_target=slope_target, ok_slope=float(ok_slope))
 

@@ -13,9 +13,10 @@ integrate to one.
 Every integral over a law in the package is one cell sum (_sum): 20-point
 Gauss-Legendre cells at the law's kinks and quantiles (_cells), the innermost
 one at support_lo taken from its G-mass, certified by one halving check
-(_certified). Its callers: _integral on _edges for ctbp's transforms,
-stable-age moments and residual law; and on _mass_edges the density check,
-moments and mixed_poisson_pmf.
+(_certified). Its callers: _integral on _edges for ctbp's residual law (K,
+D and B); and on _mass_edges the density check, moments and
+mixed_poisson_pmf. ctbp's transforms and stable-age moments use the same
+rule in node form (_nodes), on one node set per binade of the rate.
 """
 from __future__ import annotations
 
@@ -196,12 +197,33 @@ def _sum(fn, dist: WeightDistribution, edges: np.ndarray, w_lo) -> np.ndarray:
     return cells.sum(axis=-1)
 
 
-def _certified(fn, dist: WeightDistribution, edges: np.ndarray, w_lo, *,
-               epsabs: float, epsrel: float, what: str) -> np.ndarray:
-    """_sum on edges with every cell halved; QuadratureError if any entry is
-    more than max(epsabs, epsrel |value|) from _sum on edges, or is NaN."""
-    coarse = _sum(fn, dist, edges, w_lo)
-    value = _sum(fn, dist, np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])), w_lo)
+def _nodes(dist: WeightDistribution, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sum's rule on edges as nodes t and weights against the density, so
+    that weights @ w(t) is _sum of w g with w_lo = w(support_lo): the
+    20 nodes of each cell of _cells weighted by 2 h s w_GL g(t), the
+    innermost graded cell as one node at support_lo weighted by its G-mass.
+    Nodes of weight 0 (where g is) are dropped."""
+    a = edges[:-1, None]
+    h = np.diff(edges)[:, None]
+    t = a + h * _GL_S ** 2
+    w = 2.0 * h * _GL_S * _GL_W * dist.density(t)
+    lo = dist.support_lo
+    i = np.searchsorted(edges, lo)
+    if i + 1 < edges.size and edges[i] == lo:
+        t[i], w[i] = lo, 0.0
+        w[i, 0] = dist.cdf(edges[i + 1]) - dist.cdf(lo)
+    keep = w.ravel() != 0.0
+    return t.ravel()[keep], w.ravel()[keep]
+
+
+def _halved(edges: np.ndarray) -> np.ndarray:
+    """edges with every cell split at its midpoint."""
+    return np.union1d(edges, 0.5 * (edges[:-1] + edges[1:]))
+
+
+def _certify(coarse, value, *, epsabs: float, epsrel: float, what: str):
+    """value, unless some entry is more than max(epsabs, epsrel |value|) from
+    coarse, its sum on cells twice as wide, or is NaN: QuadratureError."""
     moved = np.abs(value - coarse)
     # written so that a NaN sum fails too
     if not np.all(moved <= np.maximum(epsabs, epsrel * np.abs(value))):
@@ -211,14 +233,28 @@ def _certified(fn, dist: WeightDistribution, edges: np.ndarray, w_lo, *,
     return value
 
 
+def _certified(fn, dist: WeightDistribution, edges: np.ndarray, w_lo, *,
+               epsabs: float, epsrel: float, what: str) -> np.ndarray:
+    """_sum on edges with every cell halved, _certify'd against _sum on edges."""
+    return _certify(_sum(fn, dist, edges, w_lo), _sum(fn, dist, _halved(edges), w_lo),
+                    epsabs=epsabs, epsrel=epsrel, what=what)
+
+
+def _decay_edges(dist: WeightDistribution, rate: float, start: float,
+                 doublings: int) -> np.ndarray:
+    """Cells for a decay e^{-rate v} from start, as offsets v: _edges to
+    40/rate, then geometric cells out to 40 2^doublings / rate."""
+    reach = start + _STEPS / rate * 2.0 ** np.arange(doublings + 1)
+    return np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
+
+
 def _integral(fn, dist: WeightDistribution, rate: float, start: float = 0.0, *,
-              w_lo=None, epsabs: float, epsrel: float, what: str) -> float:
+              epsabs: float, epsrel: float, what: str) -> float:
     """integral over v >= 0 of fn(v), the integrand at start + v (the offset
     keeps a decay e^{-rate v} far from the origin), on _edges to 40/rate and
-    geometric cells to 640/rate, _certified; w_lo is _sum's (start = 0 only)."""
-    reach = start + _STEPS / rate * 2.0 ** np.arange(5)
-    edges = np.union1d(_edges(dist, rate, np.array([start, reach[-1]])), reach) - start
-    return float(_certified(lambda a, y: fn(a + y), dist, edges, w_lo,
+    geometric cells to 640/rate, _certified."""
+    edges = _decay_edges(dist, rate, start, 4)
+    return float(_certified(lambda a, y: fn(a + y), dist, edges, None,
                             epsabs=epsabs, epsrel=epsrel, what=what))
 
 

@@ -7,6 +7,7 @@ quad on the defining integral (the residual law), or with 30-digit mpmath
 checked against arithmetic it does not share.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,15 +39,16 @@ def bisect(f, lo, hi, iters=200):
 
 
 def test_laplace_is_memoised_per_law(monkeypatch):
-    # a fresh law object is a fresh cache key; count the quadratures behind it
+    # a fresh law object is a fresh cache key; count the binade evaluations
+    # behind it
     seen = []
-    real = weights._integral
+    real = ctbp._moment
 
-    def counting(fn, dist, rate, *args, **kw):
-        seen.append(rate)
-        return real(fn, dist, rate, *args, **kw)
+    def counting(k, s, dist, **tol):
+        seen.append(s)
+        return real(k, s, dist, **tol)
 
-    monkeypatch.setattr(weights, "_integral", counting)
+    monkeypatch.setattr(ctbp, "_moment", counting)
     d = weights.exponential(1.0)
     first = ctbp.laplace_stieltjes(d, 0.7)
     assert len(seen) == 1
@@ -108,6 +110,49 @@ def test_power_transform_and_stable_age_mean_vs_mpmath(p):
             power_moment_30_digits(p, s, 0), abs=1e-12)
         assert ctbp.stable_age_mean(1.0, s, d) == pytest.approx(
             power_moment_30_digits(p, s, 1), abs=1e-12)
+
+
+def moment_closed_form(spec, k, s):
+    """integral t^k e^{-s t} dG(t) in 30 digits: lam k!/(lam+s)^{k+1} for
+    Exp(lam), e^{-s} kap sum_j C(k, j) j!/(s+kap)^{j+1} for 1 + Exp(kap), and
+    gamma(k+1, s b)/(b s^{k+1}) (lower incomplete) for uniform(0, b)."""
+    mpmath = pytest.importorskip("mpmath")
+    kind, (p,) = spec
+    with mpmath.workdps(30):
+        s, p = mpmath.mpf(s), mpmath.mpf(p)
+        if kind == "exponential":
+            value = p * math.factorial(k) / (p + s) ** (k + 1)
+        elif kind == "shifted_exponential":
+            value = mpmath.exp(-s) * p * sum(math.comb(k, j) * math.factorial(j)
+                                             / (s + p) ** (j + 1) for j in range(k + 1))
+        else:
+            value = mpmath.gammainc(k + 1, 0, s * p) / (p * s ** (k + 1))
+        return float(value)
+
+
+@pytest.mark.parametrize("spec", (("exponential", (1.0,)), ("exponential", (1.0 / 3.0,)),
+                                  ("shifted_exponential", (5.0,)), ("uniform", (2.0,))))
+def test_binade_moments_match_closed_forms(spec):
+    # every rate of a binade [2^(e-1), 2^e) reads one node set built at its
+    # ends, so check 64 rates across each, both ends and the float below 2^e
+    d = weights.from_spec(*spec)
+    for e in range(-3, 5):
+        rates = np.linspace(2.0 ** (e - 1), 2.0 ** e, 64)
+        rates[-1] = np.nextafter(2.0 ** e, 0.0)
+        for s in [*rates.tolist(), 2.0 ** e]:
+            for k in range(3):
+                got = ctbp._moment(k, s, d, epsabs=0.0, epsrel=1e-12, what="moment")
+                assert got == pytest.approx(moment_closed_form(spec, k, s), rel=1e-14, abs=0)
+
+
+def test_a_moment_past_its_certification_names_its_integral():
+    # a density ripple between the cell edges moves the sum on halved cells
+    # by far more than 1e-18 of it
+    e = weights.exponential(1.0)
+    rough = dataclasses.replace(
+        e, density=lambda x: e.density(x) * (1.0 + 1e-6 * np.cos(400.0 * np.asarray(x))))
+    with pytest.raises(weights.QuadratureError, match="stable-age mean: halving"):
+        ctbp._moment(1, 2.0, rough, epsabs=0.0, epsrel=1e-18, what="stable-age mean")
 
 
 def test_laplace_at_zero_is_one():

@@ -887,6 +887,25 @@ def test_ppp_verifier_null_and_power():
     assert entry_bad.passed is False
 
 
+def test_ppp_slope_is_the_likelihood_root():
+    # the slope's mean equation at the estimate reproduces the marks' mean,
+    # and marks spread evenly over the window read slope 0 (the midpoint
+    # limit), decreasing ones a negative slope; every slope is finite
+    consts, residual = four_regular_residual()
+    lo, hi = mc._mark_window(consts.alpha)
+    marks = mc.exact_marks(philox(13), consts, residual, 2000, 2.0 * consts.alpha)
+    lam = mc.verify_ppp(marks, 2000, consts, residual.cdf).statistics["slope"]
+    win = marks[(marks[:, 0] >= lo) & (marks[:, 0] <= hi), 0]
+    assert hi - 1.0 / lam + (hi - lo) / math.expm1(lam * (hi - lo)) == pytest.approx(
+        win.mean(), abs=1e-12)
+    even = marks[:400].copy()
+    even[:, 0] = np.linspace(lo, hi, 400)
+    assert mc.verify_ppp(even, 2000, consts, residual.cdf).statistics["slope"] == (
+        pytest.approx(0.0, abs=1e-9))
+    even[:, 0] = lo + (hi - lo) * np.linspace(0.0, 1.0, 400) ** 3
+    assert mc.verify_ppp(even, 2000, consts, residual.cdf).statistics["slope"] < -1.0
+
+
 def test_exact_marks_fill_the_window_of_their_alpha():
     # the trials-nr law (Exp(1/3) vertex weights, exp(1) edges) has alpha = 5,
     # so its marks' window is (-3, 1)/5 and the verifier's slope target 10
