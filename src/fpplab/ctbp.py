@@ -32,8 +32,10 @@ the engine in weights. LS and the stable-age moments integrate against the
 density on one node set per (law, binade of the rate) (_binade, in
 weights._nodes form), so each is one exp and two dot products; K, D and B
 integrate against 1 - G or G (weights._integral), so the identities compare
-different integrals. alpha is a bracketed Brent root of LS, which is
-memoised per (law, s). No closed forms are wired in, so the closed-form
+different integrals. alpha is a Brent root of LS, which is memoised per
+(law, s), on the binade of s that holds it (solve_malthusian), so a weight
+law's rate changed by a power of two rescales alpha and every constant
+bit for bit. No closed forms are wired in, so the closed-form
 test cases genuinely cross-check the numerics.
 The growth limit W is drawn by simulation to a horizon (sample_w) or from
 its fixed point by population dynamics (sample_w_pool).
@@ -82,7 +84,8 @@ class CtbpError(ValueError):
 
 
 class SubcriticalError(CtbpError):
-    """Offspring mean nu <= 1: no exponential growth, no limit constants."""
+    """Offspring mean nu <= 1, or within the growth rate's residual tolerance
+    of 1: no resolvable exponential growth, no limit constants."""
 
 
 class NearCriticalError(CtbpError):
@@ -132,10 +135,11 @@ def laplace_stieltjes(dist: WeightDistribution, s: float) -> float:
     return _moment(0, s, dist, epsabs=1e-13, epsrel=1e-12, what="laplace_stieltjes")
 
 
-# relative width of Brent's bracket at the root, and the largest accepted
-# |nu LS(alpha) - 1| there
+# relative width of Brent's bracket at the root, the largest accepted
+# |nu LS(alpha) - 1| there, and the binades scanned from s = 1 either way
 _ROOT_REL_WIDTH = 1e-12
 _ROOT_RESIDUAL_TOL = 1e-10
+_SCAN_BINADES = 1000
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -191,40 +195,34 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
 def solve_malthusian(nu: float, dist: WeightDistribution) -> float:
     """Growth rate alpha with nu * LS(alpha) = 1.
 
-    nu * LS(s) decreases from nu (> 1 required) toward 0, so the root is
-    bracketed by doubling and then located by Brent's method to the
-    relative width _ROOT_REL_WIDTH of the bracket. A root of the first
-    bracket [0, 1] that misses the residual check (a law slower than rate
-    1, whose alpha the bracket's width does not resolve) is bracketed again
-    by halving hi from 1 until [hi/2, hi] holds a sign change, and solved
-    there to that relative width of hi/2. The returned root must satisfy
+    nu * LS(s) decreases from nu toward 0, so the binade [2^(e-1), 2^e]
+    that holds the root is found by doubling or halving s from 1 (at most
+    _SCAN_BINADES steps), and Brent's method locates the root there to the
+    width _ROOT_REL_WIDTH 2^e. Every iterate is then the rate-1 law's times
+    the law's rate, when the rate is a power of two. nu - 1 must exceed
+    _ROOT_RESIDUAL_TOL, and the returned root must satisfy
     |nu*LS(alpha) - 1| < _ROOT_RESIDUAL_TOL.
     """
-    if not nu > 1.0:
+    if not nu - 1.0 > _ROOT_RESIDUAL_TOL:   # e.g. E W^2 = E W, and NaN
         raise SubcriticalError(
-            f"offspring mean nu={nu!r} is not supercritical (need nu > 1); "
-            "the exploration growth rate is undefined"
-        )
+            f"offspring mean nu={nu!r} is not supercritical (need nu - 1 > "
+            f"{_ROOT_RESIDUAL_TOL:.0e}): at or near critical, the exploration "
+            "growth rate is undefined or unresolved")
 
     def excess(s: float) -> float:
         return nu * laplace_stieltjes(dist, s) - 1.0
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
+    down = excess(1.0) < 0.0
+    e = 0
+    for _ in range(_SCAN_BINADES):
+        e += -1 if down else 1
+        if (excess(math.ldexp(1.0, e)) < 0.0) != down:
             break
-        lo, hi = hi, hi * 2.0
     else:
-        raise QuadratureError("could not bracket the growth rate by doubling")
-
-    alpha = _brent(excess, lo, hi, _ROOT_REL_WIDTH * hi, _ROOT_REL_WIDTH)
-    if not alpha > 0.0:   # nu within the bracket's width of 1, e.g. E W^2 = E W
-        raise SubcriticalError(f"offspring mean nu={nu!r} is critical to the root's "
-                               "resolution: the growth rate rounds to 0")
-    if lo == 0.0 and abs(excess(alpha)) > _ROOT_RESIDUAL_TOL:   # a slow law
-        while excess(hi / 2) < 0.0:   # excess(0) = nu - 1 > 0 ends it
-            hi /= 2
-        alpha = _brent(excess, hi / 2, hi, _ROOT_REL_WIDTH * hi / 2, _ROOT_REL_WIDTH)
+        raise QuadratureError(f"no sign change of nu LS(s) - 1 within {_SCAN_BINADES} "
+                              "binades of s = 1: the growth rate is out of range")
+    hi = math.ldexp(1.0, e + 1 if down else e)
+    alpha = _brent(excess, hi / 2, hi, _ROOT_REL_WIDTH * hi, _ROOT_REL_WIDTH)
     resid = abs(excess(alpha))
     if resid > _ROOT_RESIDUAL_TOL:
         raise QuadratureError(f"growth-rate residual {resid:.3e} exceeds "

@@ -8,12 +8,14 @@ the same number of draws no matter which distribution is in play.
 
 Distributions must be continuous with support on [0, inf). Atoms are
 rejected at construction time, as is any law whose density fails to
-integrate to one.
+integrate to one. The exponential, shifted-exponential and power kinds are
+one law, shift + (E/rate)^s with E standard exponential (_weibull), so a
+rate is only a unit of time; uniform and user_table are written apart.
 
 Every integral over a law in the package is one cell sum (_sum): 20-point
 Gauss-Legendre cells at the law's kinks and quantiles (_cells), the innermost
 one at support_lo taken from its G-mass, certified by one halving check
-(_certified). Its callers: _integral on _edges for ctbp's residual law (K,
+(_certify). Its callers: _integral on _edges for ctbp's residual law (K,
 D and B); and on _mass_edges the density check, moments and
 mixed_poisson_pmf. ctbp's transforms and stable-age moments use the same
 rule in node form (_nodes), on one node set per binade of the rate.
@@ -273,9 +275,10 @@ def moments(dist: WeightDistribution) -> tuple[float, float]:
     _mass_edges stops at the 1 - 2^-53 quantile, which leaves 1e-8 of E W^2
     of power:4 beyond it, so cells that double the distance from support_lo
     carry the edges on, up to the first one whose W^2 mass is below _TAIL of
-    the mass before it. The sum is _certified to _MOMENT_TOL relative; a
-    failure, or a tail still heavy after _DOUBLINGS cells, raises
-    QuadratureError."""
+    the mass before it. The coarse sum is taken once and extended by the
+    tail cells kept, and the sum on halved cells is _certify'd against it to
+    _MOMENT_TOL relative; a failure, or a tail still heavy after _DOUBLINGS
+    cells, raises QuadratureError."""
     k = np.array([1.0, 2.0])
     lo = dist.support_lo
 
@@ -284,18 +287,21 @@ def moments(dist: WeightDistribution) -> tuple[float, float]:
 
     edges = _mass_edges(dist)
     with np.errstate(all="ignore"):   # far doubling cells may overflow to NaN
+        coarse = _sum(mass, dist, edges, lo ** k)
         if edges[-1] < dist.support_hi:
             far = lo + (edges[-1] - lo) * 2.0 ** np.arange(_DOUBLINGS + 1)
-            tail = _cells(mass, far)[1]
-            before = _sum(mass, dist, edges, lo ** k)[1] + np.cumsum(tail) - tail
-            small = tail <= _TAIL * before   # NaN is never small
+            tail = _cells(mass, far)
+            before = coarse[1] + np.cumsum(tail[1]) - tail[1]
+            small = tail[1] <= _TAIL * before   # NaN is never small
             if not small.any():
                 raise QuadratureError(f"moments of {dist!r}: the W^2 mass of {_DOUBLINGS} "
                                       "cells doubling past the 1 - 2^-53 quantile does not "
                                       "fall off")
-            edges = np.append(edges, far[1:int(np.argmax(small)) + 1])
-        value = _certified(mass, dist, edges, lo ** k, epsabs=0.0, epsrel=_MOMENT_TOL,
-                           what=f"moments (E W, E W^2) of {dist!r}")
+            kept = int(np.argmax(small))
+            edges = np.append(edges, far[1:kept + 1])
+            coarse = coarse + tail[:, :kept].sum(axis=-1)
+        value = _certify(coarse, _sum(mass, dist, _halved(edges), lo ** k), epsabs=0.0,
+                         epsrel=_MOMENT_TOL, what=f"moments (E W, E W^2) of {dist!r}")
     return float(value[0]), float(value[1])
 
 
@@ -401,20 +407,35 @@ def _law(kind: str, params: tuple, cdf, density, quantile, lo: float,
                                         _scalar_ok(quantile), support_lo=lo, support_hi=hi))
 
 
+def _weibull(kind: str, params: tuple, shift: float, rate: float,
+             s: float) -> WeightDistribution:
+    """The law of shift + (E/rate)^s, E standard exponential: cdf
+    1 - exp(-(rate (x - shift))^(1/s)) on [shift, inf). The density at the
+    shift is inf for s > 1 (integrably), rate for s = 1 and 0 for s < 1."""
+    p = 1.0 / s
+
+    def scaled(x):   # x is an array: _law wraps these callables _scalar_ok
+        return rate * np.maximum(x - shift, 0.0)
+
+    def cdf(x):
+        return -np.expm1(-np.power(scaled(x), p))
+
+    def density(x):
+        y = scaled(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            core = rate * p * np.power(y, p - 1.0) * np.exp(-np.power(y, p))
+        return np.where(x < shift, 0.0, core)
+
+    def quantile(u):
+        return shift + np.power(-np.log1p(-u), s) / rate
+
+    return _law(kind, params, cdf, density, quantile, shift, np.inf)
+
+
 def exponential(rate: float = 1.0) -> WeightDistribution:
     """Exponential law with the given rate; mean 1/rate."""
     r = _positive("exponential rate", rate)
-
-    def cdf(x):
-        return np.where(x <= 0, 0.0, -np.expm1(-r * np.maximum(x, 0.0)))
-
-    def density(x):
-        return np.where(x < 0, 0.0, r * np.exp(-r * np.maximum(x, 0.0)))
-
-    def quantile(u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / r
-
-    return _law("exponential", (r,), cdf, density, quantile, 0.0, np.inf)
+    return _weibull("exponential", (r,), 0.0, r, 1.0)
 
 
 def shifted_exponential(k: float) -> WeightDistribution:
@@ -424,51 +445,18 @@ def shifted_exponential(k: float) -> WeightDistribution:
     limit; the growth-rate solver is exercised against that limit in tests.
     """
     kk = _positive("shifted_exponential k", k)
-
-    def cdf(x):
-        z = np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0)
-        return -np.expm1(-kk * z)
-
-    def density(x):
-        arr = np.asarray(x, dtype=float)
-        return np.where(arr < 1.0, 0.0, kk * np.exp(-kk * np.maximum(arr - 1.0, 0.0)))
-
-    def quantile(u):
-        return 1.0 - np.log1p(-np.asarray(u, dtype=float)) / kk
-
-    return _law("shifted_exponential", (kk,), cdf, density, quantile, 1.0, np.inf)
+    return _weibull("shifted_exponential", (kk,), 1.0, kk, 1.0)
 
 
 def power_exponential(s: float) -> WeightDistribution:
     """Law of E^s for E standard exponential: cdf 1 - exp(-x^(1/s)).
 
-    For s > 1 the density diverges at the origin (integrably); density(0)
-    returns inf there as a sentinel. s < 1 squeezes the law toward small
-    weights and pushes the growth rate very high at large offspring means.
+    For s > 1 the density diverges at the origin (integrably) and reads
+    inf there. s < 1 squeezes the law toward small weights and pushes the
+    growth rate very high at large offspring means.
     """
     ss = _positive("power_exponential s", s)
-    p = 1.0 / ss
-    if ss > 1.0:
-        at_zero = np.inf
-    elif ss == 1.0:
-        at_zero = 1.0
-    else:
-        at_zero = 0.0
-
-    def cdf(x):
-        arr = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return -np.expm1(-np.power(arr, p))
-
-    def density(x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = p * np.power(arr, p - 1.0) * np.exp(-np.power(np.maximum(arr, 0.0), p))
-        return np.where(arr < 0, 0.0, np.where(arr == 0.0, at_zero, core))
-
-    def quantile(u):
-        return np.power(-np.log1p(-np.asarray(u, dtype=float)), ss)
-
-    return _law("power_exponential", (ss,), cdf, density, quantile, 0.0, np.inf)
+    return _weibull("power_exponential", (ss,), 0.0, 1.0, ss)
 
 
 def uniform(b: float) -> WeightDistribution:
@@ -535,14 +523,12 @@ _FACTORIES = {
     "shifted_exponential": shifted_exponential,
     "power_exponential": power_exponential,
     "uniform": uniform,
+    "user_table": user_table,
 }
 
 
 def from_spec(kind: str, params) -> WeightDistribution:
     """Rebuild a distribution from a (kind, params) handle."""
-    if kind == "user_table":
-        levels, quants = params
-        return user_table(levels, quants)
     try:
         factory = _FACTORIES[kind]
     except KeyError:

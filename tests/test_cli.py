@@ -97,8 +97,8 @@ def test_constants_of_a_slow_weight_law(capsys):
 
 
 def test_constants_of_a_law_below_the_first_brackets_width(capsys):
-    # alpha = 2e-14 lies within the first bracket's 1e-12 width of 0; the
-    # halving bracket still resolves it
+    # alpha = 2e-14 is far below 1e-12, the width of a bracket from 0 to 1;
+    # the bracket is the binade [2^-46, 2^-45] that holds it, found by halving
     code, out, _ = run_cli(capsys, "constants", "--weights", "exp:1e-14", "--json")
     assert code == 0
     assert json.loads(out)["alpha"] == pytest.approx(2e-14, rel=1e-10)

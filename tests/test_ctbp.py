@@ -192,6 +192,34 @@ def test_malthusian_requires_supercritical():
         ctbp.solve_malthusian(1.0, weights.exponential(1.0))
 
 
+def test_malthusian_refuses_nu_within_the_residual_tolerance_of_critical():
+    # nu - 1 below the residual tolerance cannot be told from critical;
+    # just above it the root still solves to that tolerance
+    law = weights.exponential(1.0)
+    with pytest.raises(ctbp.SubcriticalError, match="critical"):
+        ctbp.solve_malthusian(1.0 + 1e-11, law)
+    nu = 1.0 + 1e-9
+    alpha = ctbp.solve_malthusian(nu, law)
+    assert alpha > 0.0
+    assert abs(nu * ctbp.laplace_stieltjes(law, alpha) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("nu", (1.3, 2.0, 3.0, 6.0, 17.0))
+def test_malthusian_scales_exactly_with_a_power_of_two_rate(nu):
+    # the root is solved on the binade that holds it, so every Brent
+    # iterate of exp(2^k) is exp(1)'s times 2^k, and uniform(2^-k)'s is
+    # uniform(1)'s times 2^k
+    exp1 = ctbp.solve_malthusian(nu, weights.exponential(1.0))
+    uni1 = ctbp.solve_malthusian(nu, weights.uniform(1.0))
+    for k in range(-30, 31, 3):
+        assert ctbp.solve_malthusian(nu, weights.exponential(math.ldexp(1.0, k))) \
+            == math.ldexp(exp1, k)
+        assert ctbp.solve_malthusian(nu, weights.uniform(math.ldexp(1.0, -k))) \
+            == math.ldexp(uni1, k)
+    if nu == 2.0:   # alpha = nu - 1 = 1 for exp(1), so exactly the rate
+        assert ctbp.solve_malthusian(nu, weights.exponential(2.0 ** -9)) == 2.0 ** -9
+
+
 def horner(coeffs):
     def f(x):
         v = 0.0
@@ -291,6 +319,21 @@ def test_exponential_rate_only_rescales_time(rate):
     assert c.sigma_bar_sq * rate ** 2 == pytest.approx(one.sigma_bar_sq, rel=1e-10)
     assert dict(c.checks)["f_R0_identity"] < 1e-12
     assert dict(c.checks)["B_identity"] < 1e-12
+
+
+def test_constants_rescale_exactly_with_a_power_of_two_rate():
+    # exp(2^k) is exp(1) in time units of 2^-k: every constant carrying
+    # time^d is exp(1)'s times 2^(-d k) to the bit, and gamma, beta and c
+    # (dimensionless) are equal
+    one = ctbp.constants(4, 3, weights.exponential(1.0))
+    for k in (-12, -9, -3, 4, 10):
+        c = ctbp.constants(4, 3, weights.exponential(math.ldexp(1.0, k)))
+        assert c.alpha == math.ldexp(one.alpha, k)
+        assert c.nu_bar == math.ldexp(one.nu_bar, -k)
+        assert c.sigma_bar_sq == math.ldexp(one.sigma_bar_sq, -2 * k)
+        assert c.f_R0 == math.ldexp(one.f_R0, k)
+        assert c.B == math.ldexp(one.B, -k)
+        assert (c.gamma, c.beta, c.c) == (one.gamma, one.beta, one.c)
 
 
 def test_constants_four_regular_exponential():

@@ -526,7 +526,8 @@ def test_trials_match_recorded_outcomes(name, tmp_path):
 def test_a_weight_rate_only_rescales_the_trials_time():
     # exp(10) is exp(1) in time units of 1/10: the same seeds give the same
     # hops, martingale limits, mark sources and heights, every time-valued
-    # output scaled by 1/10, the same marks in the window and the same verdicts
+    # output scaled by 1/10, the same marks in the window and the same
+    # verdicts; at exp(1/8) all of it holds to the bit
     def run(rate):
         cfg = mc.ExperimentConfig(weight_spec=("exponential", (rate,)), n_ladder=(1000,),
                                   trials=30, ranked_m=3, master_seed=9,
@@ -548,6 +549,17 @@ def test_a_weight_rate_only_rescales_the_trials_time():
     np.testing.assert_allclose(10.0 * marks10[:, [0, 4]], marks1[:, [0, 4]],
                                rtol=1e-12)
     assert ([(e.name, e.passed, e.sample_size) for e in report10.entries]
+            == [(e.name, e.passed, e.sample_size) for e in report1.entries])
+    # a power-of-two rate rescales every constant and every float exactly
+    report8, eighth = run(0.125)
+    for name in ("H_n", "Z_hat", "W1", "W2"):
+        np.testing.assert_array_equal(mc.column(eighth, name), mc.column(one, name))
+    for name in ("L_n", "Q_hat"):
+        np.testing.assert_array_equal(mc.column(eighth, name), 8.0 * mc.column(one, name))
+    marks8 = mc.pool_marks(eighth)
+    np.testing.assert_array_equal(marks8[:, 1:4], marks1[:, 1:4])
+    np.testing.assert_array_equal(marks8[:, [0, 4]], 8.0 * marks1[:, [0, 4]])
+    assert ([(e.name, e.passed, e.sample_size) for e in report8.entries]
             == [(e.name, e.passed, e.sample_size) for e in report1.entries])
 
 
