@@ -12,7 +12,8 @@ sequence on n vertices.
 A sequence is stored as blocks, runs of (degree, count) in vertex order, so
 it takes O(distinct degrees) memory at any n; `degrees` expands it per
 vertex on demand. The sequence is also the configuration model's half-edge
-layout: degree(v), half_edges(v) and owner(h) are computed from the blocks.
+layout: half_edges(v) and owner(h) are computed from the blocks, and a
+vertex's degree is the length of its half-edge range.
 Two constructions emit one block per degree, ascending: a deterministic
 quantile-matching build from a target CDF (vertex counts per degree are
 consecutive differences of ceil(n * F(k)), so empirical marginals converge
@@ -59,9 +60,9 @@ class DegreeSequence:
     It is also the half-edge layout of the configuration model: vertex v owns
     the half-edge ids offset[v] .. offset[v+1]-1, vertex-major. Block j =
     (k_j, c_j) starts at vertex v_j and half-edge h_j, and its vertex v owns
-    the k_j ids from h_j + k_j (v - v_j) on. degree(v) and half_edges(v)
-    bisect the block starts by vertex, owner(h) by half-edge, and a one-block
-    (regular) sequence answers all three with one multiply or divide, so a
+    the k_j ids from h_j + k_j (v - v_j) on. half_edges(v) bisects the
+    block starts by vertex, owner(h) by half-edge, and a one-block
+    (regular) sequence answers both with one multiply or divide, so a
     lazily paired graph holds no array whose size grows with n.
     """
 
@@ -114,11 +115,6 @@ class DegreeSequence:
     def nu_n(self) -> float:
         """Size-biased mean offspring sum d(d-1) / sum d, from exact integer sums."""
         return sum(k * (k - 1) * c for k, c in self.blocks) / self.total
-
-    def degree(self, v: int) -> int:
-        if self.regular_degree:
-            return self.regular_degree
-        return self.blocks[bisect_right(self._vertex_starts, v) - 1][0]
 
     def half_edges(self, v: int) -> tuple[int, int]:
         """(lo, hi): vertex v owns the half-edge ids lo .. hi - 1."""

@@ -88,7 +88,7 @@ class IsolatedEndpointError(ExploreError):
 
 
 class HorizonError(RuntimeError):
-    """A probe time lies beyond the explored window of this trial."""
+    """A probe time precedes the last event the state has processed."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,9 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
     time equal to its weight, and a direct u1-u2 edge, alive since u1
     joined, is an ordinary collision when u2 joins: time 0, heights (0, 0),
     the full edge weight remaining, source 2. The direct edge leaves u1's
-    consumed entry in the heap, which the event loop skips.
+    consumed entry in the heap, which the event loop skips. An endpoint
+    whose half-edge range, as the state binds it, is empty (lo == hi)
+    raises IsolatedEndpointError.
     """
     if g.edge_weight_by_he is None:
         raise ExploreError("assign_weights() must run before exploration")
@@ -185,11 +187,12 @@ def init(g: WeightedGraph | LazyPairing, u1: int, u2: int, *,
         raise ExploreError(f"endpoints ({u1}, {u2}) out of range for n={g.n}")
     if u1 == u2:
         raise ExploreError("the two sources must be distinct vertices")
-    for u in (u1, u2):
-        if g.degree(u) == 0:
-            raise IsolatedEndpointError(f"vertex {u} has no half-edges")
-
     state = SwgState(g, log_details)
+    half_edges = state._lookups[0]
+    for u in (u1, u2):
+        lo, hi = half_edges(u)
+        if lo == hi:
+            raise IsolatedEndpointError(f"vertex {u} has no half-edges")
     _run(state, -math.inf, 0, [(1, u1), (2, u2)])
     return state
 
@@ -378,19 +381,18 @@ def measure_martingale(state: SwgState, alpha_n: float
     """(s_n, W1, W2): rescaled cluster sizes at the probe time.
 
     s_n = log(log n)/alpha_n and W_i = e^{-alpha_n s_n} * (alive half-edges
-    of cluster i at s_n), read from the live counts. The state must sit at
-    the probe, i.e. advance(state, s_n) ran and nothing after it: the last
-    event at or before s_n and the next one after it.
+    of cluster i at s_n). The probe advances the state to s_n itself, so it
+    then sits there: the last event at or before s_n and the next one after
+    it. A state whose last event lies past s_n no longer holds the counts
+    at s_n and raises HorizonError.
     """
     n = state.graph.n
     if n < 3:
         raise ExploreError("probe time needs log(log n) > 0, so n >= 3")
     s_n = math.log(math.log(n)) / alpha_n
-    horizon = next_event_time(state)
-    if not state.last_time <= s_n < horizon:
-        raise HorizonError(f"probe time {s_n:.6g} is not where the state sits: "
-                           f"the last event was at {state.last_time:.6g} and "
-                           f"the next is at {horizon:.6g}")
+    if state.last_time > s_n:
+        raise HorizonError(f"probe time {s_n:.6g} precedes the last event "
+                           f"of the state, at {state.last_time:.6g}")
+    advance(state, s_n)
     scale = math.exp(-alpha_n * s_n)
     return s_n, scale * state.alive[1], scale * state.alive[2]
-

@@ -92,9 +92,6 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.he_offset)
 
-    def degree(self, v: int) -> int:
-        return int(self.he_offset[v + 1] - self.he_offset[v])
-
     def half_edges(self, v: int) -> tuple[int, int]:
         """(lo, hi): vertex v owns the half-edge ids lo .. hi - 1."""
         return self.he_offset.item(v), self.he_offset.item(v + 1)
@@ -203,8 +200,8 @@ class LazyPairing:
     of each edge to its weight. lookups() folds, so an exploration binding
     a pairing explored before reads those pairs two ways; materialize()
     folds, then completes both dicts into the arrays of a WeightedGraph.
-    A pairing serves the exploration that bound it last. Vertex ranges,
-    degrees and owners come from the sequence's blocks, so a large lazy
+    A pairing serves the exploration that bound it last. Vertex ranges
+    and owners come from the sequence's blocks, so a large lazy
     trial holds the partner dict (one entry per edge), the weight blocks
     (8 bytes per edge) and O(blocks), at any n. One sequence may be shared
     by any number of pairings.
@@ -215,7 +212,6 @@ class LazyPairing:
         self.n = seq.n
         self.seq = seq
         self.owner = seq.owner
-        self.degree = seq.degree
         self.partner: dict[int, int] = {}
         self.edge_weight_by_he: dict[int, float] = {}
         self._dist = dist

@@ -12,8 +12,8 @@ degree model (degrees.limit_pmf), so a bad degree law fails before any
 trial runs. sample_graph(config, n, rng) is the one graph sampler, shared
 with the oracle corpus. Every verifier reads arrays, which column,
 pool_marks and ranked_matrix extract from trial outcomes, and takes its
-thresholds as one mapping th of DEFAULT_THRESHOLDS names, merged over the
-defaults exactly as the config's own thresholds are.
+thresholds as th, the full mapping of DEFAULT_THRESHOLDS names that
+ExperimentConfig.thresholds holds; a partial mapping is merged there, once.
 """
 from __future__ import annotations
 
@@ -167,16 +167,6 @@ _CALIBRATION_SEED = 7      # master seed of calibrate_verifiers' meta-seeds
 _SUBCRITICAL_RISK = 1e-3
 
 
-def _merge_thresholds(th: dict | None) -> dict:
-    """DEFAULT_THRESHOLDS with th laid over it; an unknown name is an error."""
-    for key in th or ():
-        if key not in DEFAULT_THRESHOLDS:
-            raise MonteCarloError(
-                f"unknown threshold {key!r}; valid names: "
-                + ", ".join(sorted(DEFAULT_THRESHOLDS)))
-    return {**DEFAULT_THRESHOLDS, **(th or {})}
-
-
 def _mark_window(alpha: float) -> tuple[float, float]:
     """Recentred-time window of the collision marks at limit growth rate
     alpha: (-3, 1) in units of 1/alpha, the time scale of a collision rate
@@ -199,7 +189,8 @@ class ExperimentConfig:
     kinds take their degree law from the vertex weights: degree_model is
     cleared. Every other kind's degree_model is checked by degrees.limit_pmf.
     The weight specs are stored hashable, and thresholds merged over
-    DEFAULT_THRESHOLDS, so graphs and verdicts read this record directly."""
+    DEFAULT_THRESHOLDS (an unknown name is an error), so graphs and every
+    verifier read this record directly."""
 
     graph_kind: str = "cm"
     degree_model: tuple | None = ("regular", 4)
@@ -234,7 +225,12 @@ class ExperimentConfig:
         for name in ("trials", "ranked_m", "threads"):
             setattr(self, name, _count(name, getattr(self, name), 1))
         self.master_seed = _count("master_seed", self.master_seed, -math.inf)
-        self.thresholds = _merge_thresholds(self.thresholds)
+        for key in self.thresholds:
+            if key not in DEFAULT_THRESHOLDS:
+                raise MonteCarloError(
+                    f"unknown threshold {key!r}; valid names: "
+                    + ", ".join(sorted(DEFAULT_THRESHOLDS)))
+        self.thresholds = {**DEFAULT_THRESHOLDS, **self.thresholds}
 
     def echo(self) -> dict:
         """JSON-safe snapshot recorded in reports."""
@@ -420,7 +416,6 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
     consts_n = _centring_cached(task.config.weight_spec, nu_n)
     alpha_n = consts_n.alpha
     log_n = math.log(n)
-    s_probe = math.log(log_n) / alpha_n
     t_n = log_n / (2.0 * alpha_n)
     window_end = _mark_window(task.consts_limit.alpha)[1]
 
@@ -433,7 +428,6 @@ def _run_single_trial(task: _TrialTask, index: int) -> TrialOutcome:
         except explore.IsolatedEndpointError:
             resamples += 1
             continue
-        explore.advance(state, s_probe)
         _, w1, w2 = explore.measure_martingale(state, alpha_n)
         tbar = None
         if task.collect_marks and w1 > 0.0 and w2 > 0.0:
@@ -724,18 +718,17 @@ def ranked_matrix(outcomes, m: int) -> np.ndarray:
     return mat
 
 
-def verify_hopcount_clt(z_by_n, th=None) -> ReportEntry:
+def verify_hopcount_clt(z_by_n, th) -> ReportEntry:
     """Standardized hopcounts {n: array} vs the standard normal, along the
     n-ladder.
 
     Pass requires: KS distance at the largest n below hop_ks (default: the
     p=0.001 KS critical value for the sample size), KS distances strictly
     decreasing along the ladder, and mean/variance point checks at the top.
-    Every verifier reads th, a partial mapping of DEFAULT_THRESHOLDS names
-    laid over the defaults.
+    Every verifier reads th, a value for every DEFAULT_THRESHOLDS name, as
+    ExperimentConfig.thresholds holds them.
     """
     from scipy.special import kolmogi, ndtr
-    th = _merge_thresholds(th)
     ns = sorted(z_by_n)
     top = z_by_n[ns[-1]]
     m_top = top.size
@@ -764,9 +757,8 @@ def verify_hopcount_clt(z_by_n, th=None) -> ReportEntry:
                        m_top)
 
 
-def verify_weight_limit(q, q_reference, th=None) -> ReportEntry:
+def verify_weight_limit(q, q_reference, th) -> ReportEntry:
     """Recentred optimal weights q vs draws of their limit law (two-sample KS)."""
-    th = _merge_thresholds(th)
     if q.size < th["min_outcomes"]:
         return _skipped("weight_limit", "outcomes", q.size, "min_outcomes",
                         th["min_outcomes"])
@@ -779,7 +771,7 @@ def verify_weight_limit(q, q_reference, th=None) -> ReportEntry:
                        {"ks": th["weight_ks"]}, q.size)
 
 
-def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
+def verify_ppp(marks, n_trials, consts, residual_cdf, th) -> ReportEntry:
     """Four tests of the collision point process inside the mark window
     (-3, 1)/consts.alpha, on the (k, 5) marks pooled over n_trials trials.
 
@@ -791,7 +783,6 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     residual-life law.
     """
     from scipy.special import ndtr
-    th = _merge_thresholds(th)
     slope_tol = th["ppp_slope_rel"]
     lo, hi = _mark_window(consts.alpha)
     win = marks[(marks[:, 0] >= lo) & (marks[:, 0] <= hi)]
@@ -852,7 +843,7 @@ def verify_ppp(marks, n_trials, consts, residual_cdf, th=None) -> ReportEntry:
     return ReportEntry("ppp_marks", bool(passed), stats, thresholds, n)
 
 
-def verify_ranked(ranked, rank_references, th=None) -> ReportEntry:
+def verify_ranked(ranked, rank_references, th) -> ReportEntry:
     """Per-rank two-sample KS plus the gap structure across ranks.
 
     ranked is an (M, m) array of recentred ranked weights, as ranked_matrix
@@ -860,7 +851,6 @@ def verify_ranked(ranked, rank_references, th=None) -> ReportEntry:
     excluded and counted. Gaps between consecutive ranks must be strictly
     positive in every trial and their means must decrease with rank.
     """
-    th = _merge_thresholds(th)
     m = ranked.shape[1]
     complete = ~np.isnan(ranked).any(axis=1)
     mat = ranked[complete]

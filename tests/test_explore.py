@@ -81,10 +81,23 @@ def test_endpoint_validation():
         explore.run(g, 1, 1)
     with pytest.raises(explore.ExploreError):
         explore.run(g, 0, 7)
+    # init reads each endpoint's half-edge range through the lookups its
+    # state binds, on a built graph and on a lazy pairing alike; a degree
+    # sequence has no degree-0 vertex, so the pairing's is a stand-in whose
+    # vertex 2 has an empty range
     bare = graphs.build_from_edges(3, [(0, 1)])
     bare.edge_weight_by_he = np.array([1.0, 1.0])
-    with pytest.raises(explore.IsolatedEndpointError):
-        explore.run(bare, 0, 2)
+
+    class Holed(degrees.DegreeSequence):
+        def half_edges(self, v):
+            return (4, 4) if v == 2 else super().half_edges(v)
+
+    lazy = graphs.LazyPairing(Holed(((1, 2), (2, 1))), weights.exponential(1.0),
+                              philox(5))
+    for g in (bare, lazy):
+        for u, v in ((0, 2), (2, 0)):
+            with pytest.raises(explore.IsolatedEndpointError, match="vertex 2"):
+                explore.run(g, u, v)
 
 
 def test_broken_pairing_raises_under_optimize():
@@ -323,7 +336,6 @@ def test_martingale_probe_values():
     # event, so each cluster still holds exactly one alive half-edge
     g = triangle()
     state = explore.init(g, 0, 2)
-    explore.advance(state, math.log(math.log(3.0)))
     s_n, w1, w2 = explore.measure_martingale(state, 1.0)
     assert s_n == pytest.approx(math.log(math.log(3.0)))
     scale = math.exp(-s_n)
@@ -344,14 +356,64 @@ def test_martingale_probe_rejects_state_past_probe():
 def test_martingale_probe_window_enforced():
     g = triangle()
     state = explore.init(g, 0, 2)
-    # probe at alpha = 0.05 sits at t = 1.88 but nothing has been processed
+    # probe at alpha = 0.05 sits at t = 1.88: the probe itself runs the event
+    # at t = 1, where vertex 1 meets cluster 2 and both clusters close
+    s_n, w1, w2 = explore.measure_martingale(state, 0.05)
+    assert state.last_time == 1.0 < s_n
+    assert (w1, w2) == (0.0, 0.0)
+    # at alpha = 1 the probe, t = 0.094, precedes that event
     with pytest.raises(explore.HorizonError):
-        explore.measure_martingale(state, 0.05)
+        explore.measure_martingale(state, 1.0)
     tiny = graphs.build_from_edges(2, [(0, 1)])
     tiny.edge_weight_by_he = np.array([1.0, 1.0])
     state2 = explore.init(tiny, 0, 1)
     with pytest.raises(explore.ExploreError):
         explore.measure_martingale(state2, 1.0)   # needs n >= 3
+
+
+def probe_graphs(kind, key):
+    """A fresh graph of the gate model (4-regular, Exp(1) edge weights, a
+    lazy pairing) or of the nr model (Exp(rate 1/3) vertex weights) on
+    n = 2000 vertices, with a growth rate to probe it at, from seed key."""
+    rng = philox(key)
+    exp1 = weights.exponential(1.0)
+    if kind == "cm":
+        return graphs.LazyPairing(degrees.regular(4, 2000), exp1, rng), 2.0
+    w = weights.sample(weights.exponential(1.0 / 3.0), rng, 2000)
+    return graphs.assign_weights(graphs.sample_rank1(w, "nr", rng), exp1, rng), 5.0
+
+
+@pytest.mark.parametrize("kind", ["cm", "nr"])
+def test_martingale_probe_advances_to_its_own_time(kind):
+    # the probe from an un-advanced state reads the floats, to the bit, of
+    # advance(state, s_n) then the probe; a state the ranked run took past
+    # s_n raises HorizonError
+    past = 0
+    for key in range(20):
+        states = []
+        for advance_first in (False, True):
+            g, alpha = probe_graphs(kind, 700 + key)
+            rng = philox(800 + key)
+            u, v = (int(x) for x in rng.choice(g.n, 2, replace=False))
+            try:
+                state = explore.init(g, u, v)
+            except explore.IsolatedEndpointError:
+                break
+            if advance_first:
+                explore.advance(state, math.log(math.log(g.n)) / alpha)
+            states.append((state, explore.measure_martingale(state, alpha)))
+        if len(states) < 2:
+            continue
+        (bare, probe), (advanced, reference) = states
+        assert probe == reference
+        assert (bare.k, bare.last_time, bare.alive) == (
+            advanced.k, advanced.last_time, advanced.alive)
+        explore.advance_ranked(bare, 3)
+        if bare.last_time > probe[0]:
+            past += 1
+            with pytest.raises(explore.HorizonError):
+                explore.measure_martingale(bare, alpha)
+    assert past >= 10
 
 
 def test_endpoints_join_through_the_event_body():

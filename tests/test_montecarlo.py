@@ -30,6 +30,12 @@ def philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# thresholds as every verifier takes them, the full mapping a config builds:
+# the defaults, and the defaults with the acceptance suite's hop_ks
+TH = mc.DEFAULT_THRESHOLDS
+GATE_TH = mc.ExperimentConfig(thresholds={"hop_ks": 0.06}).thresholds
+
+
 # ---------------------------------------------------------------------------
 # seeding
 
@@ -103,7 +109,7 @@ def test_kolmogorov_quantile_inverts_sf():
     # 1.94947 to five figures, over sqrt(M); a sample at that D has p = 0.001
     for m in (600, 2500):
         z = philox(2).standard_normal(m)
-        entry = mc.verify_hopcount_clt({1000: z})
+        entry = mc.verify_hopcount_clt({1000: z}, TH)
         d_crit = entry.thresholds["ks"]
         assert d_crit * math.sqrt(m) == pytest.approx(1.94947, abs=1e-4)
         assert ks_p_at(d_crit * math.sqrt(m), n=m)[1] == pytest.approx(
@@ -836,37 +842,36 @@ def test_residual_table_matches_density():
 # verifier spot checks (exact-law synthetic data, one seed each; the full
 # 100-seed calibration belongs to the acceptance suite)
 
-
 def test_hopcount_verifier_null_and_power():
     z = philox(8).standard_normal(2000)
-    ok = mc.verify_hopcount_clt({10 ** 5: z}, {"hop_ks": 0.06})
+    ok = mc.verify_hopcount_clt({10 ** 5: z}, GATE_TH)
     assert ok.passed is True
-    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, {"hop_ks": 0.06})
+    bad = mc.verify_hopcount_clt({10 ** 5: z + 1.0}, GATE_TH)
     assert bad.passed is False
     assert bad.statistics["mean_top"] > 0.5
 
 
 def test_partial_thresholds_are_merged_over_the_defaults():
+    # the config lays a partial mapping over the defaults, once, and refuses
+    # an unknown name; a verifier reads the full mapping the config holds
     z = philox(8).standard_normal(2000)
-    full = dict(mc.DEFAULT_THRESHOLDS, hop_ks=0.06)
-    assert (mc.verify_hopcount_clt({1000: z}, {"hop_ks": 0.06})
-            == mc.verify_hopcount_clt({1000: z}, full))
-    assert (mc.verify_hopcount_clt({1000: z})
-            == mc.verify_hopcount_clt({1000: z}, mc.DEFAULT_THRESHOLDS))
+    assert GATE_TH == dict(mc.DEFAULT_THRESHOLDS, hop_ks=0.06)
+    assert mc.ExperimentConfig().thresholds == mc.DEFAULT_THRESHOLDS
+    assert mc.verify_hopcount_clt({1000: z}, GATE_TH).thresholds["ks"] == 0.06
     with pytest.raises(mc.MonteCarloError, match="hop_kz"):
-        mc.verify_hopcount_clt({1000: z}, {"hop_kz": 0.06})
+        mc.ExperimentConfig(thresholds={"hop_kz": 0.06})
 
 
 def test_hopcount_verifier_checks_ladder_monotonicity():
     rng = philox(9)
     z1 = rng.standard_normal(1500)
     z2 = rng.standard_normal(1500) * 1.6      # worse fit at the larger n
-    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: z1, 10000: z2}, GATE_TH)
     assert entry.passed is False
 
 
 def test_hopcount_verifier_skips_small_samples():
-    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: np.zeros(10)}, GATE_TH)
     assert entry.passed is None
 
 
@@ -876,8 +881,8 @@ def test_weight_verifier_null_and_power():
     a = consts.alpha
     ref = (consts.c - ctbp.standard_gumbel(rng, 10000)) / a
     q = (consts.c - ctbp.standard_gumbel(rng, 2000)) / a
-    assert mc.verify_weight_limit(q, ref).passed is True
-    shifted = mc.verify_weight_limit(q + math.log(2.0) / a, ref)
+    assert mc.verify_weight_limit(q, ref, TH).passed is True
+    shifted = mc.verify_weight_limit(q + math.log(2.0) / a, ref, TH)
     assert shifted.passed is False
     assert shifted.statistics["ks"] > 0.15
 
@@ -890,12 +895,12 @@ def four_regular_residual():
 def test_ppp_verifier_null_and_power():
     consts, residual = four_regular_residual()
     marks = mc.exact_marks(philox(11), consts, residual, 2000, 2.0 * consts.alpha)
-    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf)
+    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf, TH)
     assert entry.passed is True
     assert entry.statistics["slope"] == pytest.approx(2 * consts.alpha, rel=0.15)
     # wrong growth rate: half the true slope must be flagged
     bad = mc.exact_marks(philox(12), consts, residual, 2000, consts.alpha)
-    entry_bad = mc.verify_ppp(bad, 2000, consts, residual.cdf)
+    entry_bad = mc.verify_ppp(bad, 2000, consts, residual.cdf, TH)
     assert entry_bad.passed is False
 
 
@@ -906,16 +911,16 @@ def test_ppp_slope_is_the_likelihood_root():
     consts, residual = four_regular_residual()
     lo, hi = mc._mark_window(consts.alpha)
     marks = mc.exact_marks(philox(13), consts, residual, 2000, 2.0 * consts.alpha)
-    lam = mc.verify_ppp(marks, 2000, consts, residual.cdf).statistics["slope"]
+    lam = mc.verify_ppp(marks, 2000, consts, residual.cdf, TH).statistics["slope"]
     win = marks[(marks[:, 0] >= lo) & (marks[:, 0] <= hi), 0]
     assert hi - 1.0 / lam + (hi - lo) / math.expm1(lam * (hi - lo)) == pytest.approx(
         win.mean(), abs=1e-12)
     even = marks[:400].copy()
     even[:, 0] = np.linspace(lo, hi, 400)
-    assert mc.verify_ppp(even, 2000, consts, residual.cdf).statistics["slope"] == (
+    assert mc.verify_ppp(even, 2000, consts, residual.cdf, TH).statistics["slope"] == (
         pytest.approx(0.0, abs=1e-9))
     even[:, 0] = lo + (hi - lo) * np.linspace(0.0, 1.0, 400) ** 3
-    assert mc.verify_ppp(even, 2000, consts, residual.cdf).statistics["slope"] < -1.0
+    assert mc.verify_ppp(even, 2000, consts, residual.cdf, TH).statistics["slope"] < -1.0
 
 
 def test_exact_marks_fill_the_window_of_their_alpha():
@@ -927,7 +932,7 @@ def test_exact_marks_fill_the_window_of_their_alpha():
     marks = mc.exact_marks(philox(16), consts, residual, 2000, 2.0 * consts.alpha)
     assert marks.shape[0] > mc._MIN_MARKS
     assert ((marks[:, 0] > -0.6) & (marks[:, 0] < 0.2)).all()
-    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf)
+    entry = mc.verify_ppp(marks, 2000, consts, residual.cdf, TH)
     assert entry.statistics["slope_target"] == pytest.approx(10.0, rel=1e-12)
     assert entry.statistics["ok_slope"] == 1.0
 
@@ -940,9 +945,9 @@ def test_ranked_verifier_null_and_power():
             + consts.c) / a
     t = (np.log(np.cumsum(rng.standard_exponential((2000, 3)), axis=1))
          + consts.c) / a
-    assert mc.verify_ranked(t, refs).passed is True
+    assert mc.verify_ranked(t, refs, TH).passed is True
     shift = math.log(2.0) / a
-    assert mc.verify_ranked(t + shift, refs).passed is False
+    assert mc.verify_ranked(t + shift, refs, TH).passed is False
 
 
 def test_ranked_matrix_centres_as_q_hat():
@@ -981,11 +986,11 @@ def test_ranked_matrix_counts_short_trials():
     short = np.isnan(ranked).any(axis=1)
     assert short.sum() == 500 and np.isnan(ranked[short, 2]).all()
     assert not np.isnan(ranked[:, :2]).any()
-    entry = mc.verify_ranked(ranked, refs)
+    entry = mc.verify_ranked(ranked, refs, TH)
     assert entry.statistics["short_trials"] == 500.0
     assert entry.statistics["complete_trials"] == 2000.0
     assert entry.sample_size == 2000
-    complete = mc.verify_ranked(ranked[~short], refs)
+    complete = mc.verify_ranked(ranked[~short], refs, TH)
     assert complete.statistics["short_trials"] == 0.0
     for j in (1, 2, 3):
         assert entry.statistics[f"ks_rank{j}"] == complete.statistics[f"ks_rank{j}"]
@@ -1007,7 +1012,7 @@ def test_calibration_smoke():
 
 def test_report_json_and_text(tmp_path):
     z = philox(14).standard_normal(1000)
-    entry = mc.verify_hopcount_clt({1000: z}, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: z}, GATE_TH)
     report = mc.VerificationReport(master_seed=1, config={"n": 1000},
                                    entries=(entry,))
     text = report.to_text()
@@ -1021,7 +1026,7 @@ def test_report_json_and_text(tmp_path):
 
 
 def test_report_skips_do_not_fail():
-    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, {"hop_ks": 0.06})
+    entry = mc.verify_hopcount_clt({1000: np.zeros(5)}, GATE_TH)
     report = mc.VerificationReport(master_seed=1, config={}, entries=(entry,))
     assert entry.passed is None
     assert report.passed          # a skip is not a failure

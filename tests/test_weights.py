@@ -220,6 +220,19 @@ def test_mixed_poisson_pmf_certification_is_a_named_error():
         weights.mixed_poisson_pmf(broken)
 
 
+@pytest.mark.parametrize("law", [weights.exponential(2.0), weights.power_exponential(2.0)],
+                         ids=["exp:2", "power:2"])
+def test_mixed_poisson_pmf_nu_is_the_moment_ratio(law):
+    # nu = E D(D - 1) / E D of the truncated pmf against E W^2 / E W: the
+    # truncation leaves E D(D - 1) short by about k_max^2 1e-15, 1.1e-12 of
+    # nu for exp:2 (k_max = 31) and 6.7e-11 for power:2 (k_max = 1,201)
+    pmf = weights.mixed_poisson_pmf(law)
+    k = np.arange(pmf.size)
+    m1, m2 = weights.moments(law)
+    nu = float((k * (k - 1) * pmf).sum() / (k * pmf).sum())
+    assert nu == pytest.approx(m2 / m1, rel=1e-10, abs=0)
+
+
 def test_user_table_interpolates():
     # piecewise-linear quantile through (0,0) (0.4,1) (1,3)
     d = weights.user_table((0.0, 0.4, 1.0), (0.0, 1.0, 3.0))
